@@ -1,57 +1,48 @@
 """Hot numeric kernels: AGM iteration and the theta cosine series.
 
-Both kernels exist in two equivalent forms: a numba ``@njit`` build and a
-pure-numpy fallback.  The fallback is selected by setting the environment
-variable ``GOLUZIN_LAB_NO_NUMBA=1`` (or automatically when numba is not
-importable).  ``benchmarks/bench_kernels.py`` times the two paths against
-each other and checks that they agree.
+Series convention (DLMF 20.2.4 in the variable pi*u): ``theta_series`` sums
 
-Series convention: ``theta_series`` sums
+    1 + 2*sum_{n=1}^{N} (-1)**n * h**(n*n) * cos(2*pi*n*u)
 
-    1 + 2*sum_{n>=1} (-1)**n * h**(n*n) * cos(2*pi*n*u)
-
-together with its u-derivative, truncating once the term bound
-``2*h**(n*n)*cosh(2*pi*n*Im u)`` drops below ``tol`` times the running
-magnitude scale.  Status codes: 0 converged, 1 term budget exhausted,
-2 a term would overflow before convergence.
+together with its u-derivative.  Callers reduce u to
+``|Im u| <= K'/(2K)``, where ``h = exp(-pi*K'/K)`` makes term n at most
+``2*h**(n*(n-1))``; N is the first n at which that bound drops below
+1e-17, so it depends on the nome alone and every argument gets the same
+fixed-length sum.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
-_LOG_HUGE = 700.0  # exp(700) is near the float64 overflow edge
 
-USE_NUMBA = os.environ.get("GOLUZIN_LAB_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
+# Kept for benchmark records, which report the kernel path; there is one path.
+USE_NUMBA = False
 
 
-def _agm_complete_py(k: float, kp: float) -> tuple[float, float]:
-    """Complete elliptic integrals (K(k), E(k)) by AGM, modulus convention.
+def agm_complete(k: float, k_prime: float | None = None) -> tuple[float, float]:
+    """Return ``(K(k), E(k))`` for a real modulus ``0 <= k <= 1`` by AGM.
 
-    ``kp`` is the complementary modulus; passing it exactly (instead of
-    the sentinel -1) avoids the 1/(1-k^2) error amplification near k = 1.
+    Supply ``k_prime`` when the complementary modulus is known exactly:
+    it avoids the 1/(1-k^2) error amplification near k = 1, and a positive
+    ``k_prime`` keeps K finite even where k itself rounds to 1.
     """
+    k = float(k)
     if k == 0.0:
         return math.pi / 2.0, math.pi / 2.0
-    if k == 1.0:
+    kp = math.sqrt((1.0 - k) * (1.0 + k)) if k_prime is None else float(k_prime)
+    if kp <= 0.0:
         return math.inf, 1.0
-    a = 1.0
-    b = kp if kp >= 0.0 else math.sqrt((1.0 - k) * (1.0 + k))
-    c = k
+    a, b, c = 1.0, kp, k
     csum = 0.5 * c * c
     pow2 = 0.5
     for _ in range(64):
-        if abs(c) < 1e-18 * a:
+        # Stop at rounding level: a and b can settle one ulp apart, and the
+        # 2**n weight would then sum that ulp into E on every pass.
+        if abs(c) < 1e-15 * a:
             break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
@@ -60,122 +51,27 @@ def _agm_complete_py(k: float, kp: float) -> tuple[float, float]:
     return big_k, big_k * (1.0 - csum)
 
 
-def _theta_series_np(u: np.ndarray, h: float, tol: float, max_terms: int):
-    """Vectorized fallback for the theta series; same term order as the jit path."""
-    u = np.ascontiguousarray(u, dtype=np.complex128)
-    val = np.ones_like(u)
-    dval = np.zeros_like(u)
-    scale = np.ones(u.shape, dtype=np.float64)
-    active = np.ones(u.shape, dtype=bool)
-    status = np.zeros(u.shape, dtype=np.int8)
-    y = np.abs(u.imag)
-    log_h = math.log(h)
-    for n in range(1, max_terms + 1):
-        if not active.any():
-            break
-        c = _TWO_PI * n
-        log_bound = math.log(2.0) + n * n * log_h + c * y
-        overflow = active & (log_bound > _LOG_HUGE)
-        if overflow.any():
-            status[overflow] = 2
-            active &= ~overflow
-        idx = active
-        if not idx.any():
-            break
-        hn = math.exp(n * n * log_h)
-        sign = -1.0 if n % 2 else 1.0
-        cu = c * u[idx]
-        val[idx] += 2.0 * sign * hn * np.cos(cu)
-        dval[idx] += -2.0 * sign * hn * c * np.sin(cu)
-        bound = np.exp(log_bound[idx])
-        scale[idx] += bound
-        done = bound < tol * scale[idx]
-        sub = np.flatnonzero(idx)
-        active[sub[done]] = False
-    status[active] = np.where(status[active] == 0, 1, status[active])
-    return val, dval, scale, status
+def _term_count(h: float) -> int:
+    """Smallest n >= 2 with 2*h**(n*(n-1)) below 1e-17."""
+    n = 2
+    while 2.0 * h ** (n * (n - 1)) >= 1e-17:
+        n += 1
+    return n
 
 
-if USE_NUMBA:
+def theta_series(u, h: float):
+    """Evaluate the theta cosine series and its u-derivative at reduced u.
 
-    @njit(cache=True)
-    def _agm_complete_jit(k, kp):  # pragma: no cover - exercised via wrapper
-        if k == 0.0:
-            return math.pi / 2.0, math.pi / 2.0
-        if k == 1.0:
-            return math.inf, 1.0
-        a = 1.0
-        b = kp if kp >= 0.0 else math.sqrt((1.0 - k) * (1.0 + k))
-        c = k
-        csum = 0.5 * c * c
-        pow2 = 0.5
-        for _ in range(64):
-            if abs(c) < 1e-18 * a:
-                break
-            an = 0.5 * (a + b)
-            bn = math.sqrt(a * b)
-            c = 0.5 * (a - b)
-            a, b = an, bn
-            pow2 *= 2.0
-            csum += pow2 * c * c
-        big_k = math.pi / (2.0 * a)
-        return big_k, big_k * (1.0 - csum)
-
-    @njit(cache=True)
-    def _theta_series_jit(u, h, tol, max_terms):  # pragma: no cover
-        m = u.shape[0]
-        val = np.ones(m, dtype=np.complex128)
-        dval = np.zeros(m, dtype=np.complex128)
-        scale = np.ones(m, dtype=np.float64)
-        status = np.zeros(m, dtype=np.int8)
-        log_h = math.log(h)
-        log2 = math.log(2.0)
-        for i in range(m):
-            ui = u[i]
-            y = abs(ui.imag)
-            st = 1
-            for n in range(1, max_terms + 1):
-                c = _TWO_PI * n
-                log_bound = log2 + n * n * log_h + c * y
-                if log_bound > _LOG_HUGE:
-                    st = 2
-                    break
-                hn = math.exp(n * n * log_h)
-                sign = -1.0 if n % 2 else 1.0
-                cu = c * ui
-                val[i] += 2.0 * sign * hn * np.cos(cu)
-                dval[i] += -2.0 * sign * hn * c * np.sin(cu)
-                bound = math.exp(log_bound)
-                scale[i] += bound
-                if bound < tol * scale[i]:
-                    st = 0
-                    break
-            status[i] = st
-        return val, dval, scale, status
-
-
-def agm_complete(k: float, k_prime: float | None = None) -> tuple[float, float]:
-    """Return ``(K(k), E(k))`` for a real modulus ``0 <= k <= 1``.
-
-    Supply ``k_prime`` when the complementary modulus is known exactly.
+    Accepts a scalar or an ndarray of complex arguments with
+    ``|Im u| <= K'/(2K)``; returns ``(value, d/du value, magnitude scale)``
+    with matching shape, the scale being 1 plus the sum of the term bounds.
     """
-    kp = -1.0 if k_prime is None else float(k_prime)
-    if USE_NUMBA:
-        return _agm_complete_jit(float(k), kp)
-    return _agm_complete_py(float(k), kp)
-
-
-def theta_series(u, h: float, tol: float, max_terms: int):
-    """Evaluate the theta cosine series and its u-derivative.
-
-    Accepts a scalar or an ndarray of complex arguments; returns
-    ``(value, d/du value, magnitude scale, status)`` with matching shape.
-    """
-    arr = np.asarray(u, dtype=np.complex128)
-    flat = np.ascontiguousarray(arr.reshape(-1))
-    if USE_NUMBA:
-        val, dval, scale, status = _theta_series_jit(flat, float(h), float(tol), int(max_terms))
-    else:
-        val, dval, scale, status = _theta_series_np(flat, float(h), float(tol), int(max_terms))
-    shape = arr.shape
-    return (val.reshape(shape), dval.reshape(shape), scale.reshape(shape), status.reshape(shape))
+    u = np.asarray(u, dtype=np.complex128)
+    n = np.arange(1, _term_count(h) + 1)
+    c = _TWO_PI * n
+    coef = 2.0 * (-1.0) ** n * h ** (n * n)
+    cu = u[..., None] * c
+    val = 1.0 + np.cos(cu) @ coef
+    dval = -(np.sin(cu) @ (coef * c))
+    scale = 1.0 + np.exp(np.abs(u.imag)[..., None] * c) @ np.abs(coef)
+    return val, dval, scale

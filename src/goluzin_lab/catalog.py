@@ -119,8 +119,8 @@ def resolve_map(name: str) -> UnivalentMap:
             b1 = complex(literal)
         except ValueError as exc:
             raise KeyError(f"cannot parse coefficient in map name {name!r}") from exc
-        if abs(b1) > 1.0 + 1e-12:
-            raise KeyError(f"{name!r} is not univalent on the exterior disk (|b1| > 1)")
+        if not abs(b1) <= 1.0 + 1e-12:  # also rejects nan
+            raise KeyError(f"{name!r} is not univalent on the exterior disk (|b1| > 1 or not finite)")
         return _laurent_map(name, b1, abs(abs(b1) - 1.0) < 1e-14)
     raise KeyError(f"unknown map {name!r}")
 

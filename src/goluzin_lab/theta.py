@@ -10,9 +10,12 @@ the sn/cn/dn quotients therefore raise :class:`PoleError` when a
 denominator theta value drops below 1e-13 of the accumulated series scale.
 
 Arguments of any magnitude are brought into the fundamental cell first;
-the exact quasi-period multipliers are reapplied afterwards, so the only
-hard failure mode is a multiplier that genuinely exceeds float range
-(:class:`ThetaOverflowError`).
+there ``|Im u| <= K'/(2K)``, so the series takes a fixed number of terms
+set by the nome alone.  The exact quasi-period multipliers are reapplied
+afterwards, so the only hard failure mode is a multiplier that genuinely
+exceeds float range (:class:`ThetaOverflowError`).  sn/cn/dn are the theta
+quotients of DLMF 22.2, with all four theta values taken from one series
+call.
 
 All evaluators accept scalars or ndarrays and are pure; contexts are
 frozen and safe to share between threads.
@@ -54,8 +57,6 @@ class JacobiContext:
 
     params: EllipticParams
     modulus_tag: str = "kappa"
-    truncation_tol: float = 1e-15
-    max_terms: int = 64
 
     def __post_init__(self):
         if self.modulus_tag not in ("kappa", "x0_squared"):
@@ -109,11 +110,7 @@ def _theta0_reduced(ctx: JacobiContext, z):
     """
     K, Kp = ctx.quarter_K, ctx.quarter_Kp
     z0, _, n = _reduce_cell(z, 2.0 * K, 2.0 * Kp)
-    val, dval_du, scale, status = theta_series(z0 / (2.0 * K), ctx.nome, ctx.truncation_tol, ctx.max_terms)
-    if np.any(status == 2):
-        raise ThetaOverflowError("theta series term exceeds float range before convergence")
-    if np.any(status == 1):
-        raise ThetaOverflowError(f"theta series did not converge within {ctx.max_terms} terms")
+    val, dval_du, scale = theta_series(z0 / (2.0 * K), ctx.nome)
     return z0, n, val, dval_du / (2.0 * K), scale
 
 
@@ -187,13 +184,12 @@ def jacobi_sn_cn_dn(ctx: JacobiContext, z):
     z0, _, n_im = _reduce_cell(arr, 4.0 * K, 2.0 * Kp)
     parity = np.where(n_im % 2 == 0, 1.0, -1.0)
 
-    _, n0, v0, _, scale0 = _theta0_reduced(ctx, z0)
-    denom = _multiplier(ctx, z0, n0) * v0
-    if np.any(np.abs(v0) < _POLE_RTOL * scale0):
+    # One series call for the denominator theta0(z0) and the three numerators.
+    shifted = np.stack((z0, z0 - 1j * Kp, z0 - K - 1j * Kp, z0 - K))
+    zr, n, val, _, scale = _theta0_reduced(ctx, shifted)
+    if np.any(np.abs(val[0]) < _POLE_RTOL * scale[0]):
         raise PoleError("sn/cn/dn evaluated at a pole (zero of theta0)")
-    t_sn = theta0(ctx, z0 - 1j * Kp)
-    t_cn = theta0(ctx, z0 - K - 1j * Kp)
-    t_dn = theta0(ctx, z0 - K)
+    denom, t_sn, t_cn, t_dn = _multiplier(ctx, zr, n) * val
 
     # Quotient prefactors normalised so that sn(0) = 0, cn(0) = dn(0) = 1.
     pref = ctx.nome ** 0.25 * np.exp(-1j * math.pi * z0 / (2.0 * K))
@@ -213,9 +209,7 @@ def landen_sn_sq(ctx_kappa: JacobiContext, z):
     if ctx_kappa.modulus_tag != "kappa":
         raise ValueError("landen_sn_sq expects a context at modulus kappa")
     arr, scalar = _as_array(z)
-    ctx_l = JacobiContext(
-        ctx_kappa.params, "x0_squared", ctx_kappa.truncation_tol, ctx_kappa.max_terms
-    )
+    ctx_l = JacobiContext(ctx_kappa.params, "x0_squared")
     _, cn_l, dn_l = jacobi_sn_cn_dn(ctx_l, arr)
     xi = np.asarray(cn_l) / np.asarray(dn_l)
     kp = ctx_kappa.params.kappa_prime

@@ -12,9 +12,9 @@ z = zeta and z = -zeta (returned as +-inf).  ``Q_D`` is its zeta-derivative
 at zeta = 0, with a ``1/z`` singularity on the lattice orbit of 0; the two
 Wirtinger derivatives of Q_D have sn/dn closed forms.
 
-The mirror involution is z -> -z and the boundary reflection is
-z -> conj(z) + iL', both taken modulo the lattice; no surface data
-structure is needed beyond that.
+G is odd under the mirror z -> -z and changes sign under the boundary
+reflection z -> conj(z) + iL' (both modulo the lattice); ``reduce`` brings
+any such image back into D, so no surface data structure is needed.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ class TorusGeometry:
         im = z.imag - self.gen_im * np.floor((z.imag + self.params.L_prime) / self.gen_im)
         return re + 1j * im
 
-    def mirror(self, z):
-        """The mirror involution p -> p' in torus coordinates."""
-        return self.reduce(-np.asarray(z, dtype=np.complex128))
-
-    def reflect(self, z):
-        """Reflection in the boundary of D_D: z -> conj(z) + iL' (mod lattice)."""
-        return self.reduce(np.conj(np.asarray(z, dtype=np.complex128)) + 1j * self.params.L_prime)
-
     def gamma_points(self, n: int, sign: int = 1):
         """n points on the boundary segment gamma(+) (sign=+1) or gamma(-)."""
         p = self.params
@@ -88,9 +80,8 @@ class GreenEvaluator:
     ctx_kappa: JacobiContext
 
     @classmethod
-    def from_x0(cls, x0: float, truncation_tol: float = 1e-15, max_terms: int = 64) -> "GreenEvaluator":
-        params = params_from_x0(x0)
-        return cls(TorusGeometry(params), JacobiContext(params, "kappa", truncation_tol, max_terms))
+    def from_x0(cls, x0: float) -> "GreenEvaluator":
+        return cls.from_params(params_from_x0(x0))
 
     @classmethod
     def from_params(cls, params: EllipticParams) -> "GreenEvaluator":

@@ -88,6 +88,11 @@ class TestCoefficients:
         assert gronwall_sum(resolve_map("b1:0.3")) == pytest.approx(0.09, abs=1e-15)
         assert gronwall_sum(resolve_map("identity")) == 0.0
 
+    @pytest.mark.parametrize("name", ["b1:nan", "b1:nan+0.1i", "b1:inf"])
+    def test_non_finite_coefficient_rejected(self, name):
+        with pytest.raises(KeyError):
+            resolve_map(name)
+
     def test_extraction_matches_closed_form(self):
         for name in ("joukowski", "b1:0.7", "joukowski-pi3"):
             m = resolve_map(name)

@@ -113,6 +113,12 @@ class TestExitCodes:
     def test_unknown_map_is_64(self, capsys):
         assert main(["pointwise", "--map", "nope", "--z", "2.0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv", [["pointwise", "--map", "b1:nan", "--z", "2.0"], ["gronwall", "--map", "b1:nan"]]
+    )
+    def test_nan_coefficient_is_64(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+
     def test_bad_complex_is_64(self, capsys):
         assert main(["pointwise", "--map", "joukowski", "--z", "2 + 3i"]) == EXIT_USAGE
 

@@ -95,6 +95,15 @@ class TestParamsFromX0:
         for x0 in X0_GRID:
             assert abs(params_from_x0(float(x0)).legendre_residual()) < 1e-12
 
+    def test_small_x0_keeps_complementary_periods_finite(self):
+        # l' rounds to 1.0 here; the exact complement l = 1e-12 must still
+        # give a finite L' instead of the k = 1 shortcut
+        p = params_from_x0(1e-6)
+        assert math.isfinite(p.L_prime) and p.L_prime == pytest.approx(29.0173, rel=1e-5)
+        r1, r2 = p.landen_residuals()
+        assert abs(r1) < 1e-12 * p.K and abs(r2) < 1e-12 * p.K_prime
+        assert abs(p.legendre_residual()) < 1e-12
+
     def test_nome_in_unit_interval(self):
         for x0 in (0.05, 0.5, 0.95):
             assert 0.0 < params_from_x0(x0).nome_h < 1.0

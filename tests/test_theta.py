@@ -185,15 +185,3 @@ class TestContext:
         assert ctx_l.k == params_half.l and ctx_l.quarter_K == params_half.L
         assert 0.0 < ctx_k.nome < 1.0 and 0.0 < ctx_l.nome < 1.0
 
-
-class TestTruncationControl:
-    def test_tolerance_consistency(self, params_half):
-        loose = JacobiContext(params_half, "kappa", truncation_tol=1e-8, max_terms=64)
-        tight = JacobiContext(params_half, "kappa", truncation_tol=1e-15, max_terms=64)
-        z = 0.7 + 0.4j
-        assert abs(theta0(loose, z) - theta0(tight, z)) < 1e-7 * abs(theta0(tight, z))
-
-    def test_exhausted_term_budget_raises(self, params_half):
-        ctx = JacobiContext(params_half, "kappa", truncation_tol=1e-15, max_terms=1)
-        with pytest.raises(ThetaOverflowError):
-            theta0(ctx, 0.3 + 0.2j)
