@@ -23,8 +23,10 @@ _TWO_PI = 2.0 * math.pi
 USE_NUMBA = False
 
 
-def agm_complete(k: float, k_prime: float | None = None) -> tuple[float, float]:
-    """Return ``(K(k), E(k))`` for a real modulus ``0 <= k <= 1`` by AGM.
+def agm_complete(k: float, k_prime: float | None = None) -> tuple[float, float, float]:
+    """Return ``(K(k), E(k), 1 - E/K)`` for a real modulus ``0 <= k <= 1`` by AGM.
+
+    1 - E/K is the AGM's weighted sum of c_n**2: no cancellation at small k.
 
     Supply ``k_prime`` when the complementary modulus is known exactly:
     it avoids the 1/(1-k^2) error amplification near k = 1, and a positive
@@ -32,10 +34,10 @@ def agm_complete(k: float, k_prime: float | None = None) -> tuple[float, float]:
     """
     k = float(k)
     if k == 0.0:
-        return math.pi / 2.0, math.pi / 2.0
+        return math.pi / 2.0, math.pi / 2.0, 0.0
     kp = math.sqrt((1.0 - k) * (1.0 + k)) if k_prime is None else float(k_prime)
     if kp <= 0.0:
-        return math.inf, 1.0
+        return math.inf, 1.0, 1.0
     a, b, c = 1.0, kp, k
     csum = 0.5 * c * c
     pow2 = 0.5
@@ -48,7 +50,7 @@ def agm_complete(k: float, k_prime: float | None = None) -> tuple[float, float]:
         pow2 *= 2.0
         csum += pow2 * c * c
     big_k = math.pi / (2.0 * a)
-    return big_k, big_k * (1.0 - csum)
+    return big_k, big_k * (1.0 - csum), csum
 
 
 def _term_count(h: float) -> int:

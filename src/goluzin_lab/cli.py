@@ -19,9 +19,10 @@ import io
 import json
 import logging
 import math
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -182,24 +183,24 @@ def _sweep_grid():
             yield radius * complex(math.cos(arg), math.sin(arg))
 
 
+def _sweep_task(name: str, zeta: complex, spec: QuadratureSpec | None) -> list[VerificationReport]:
+    """The checks of one sweep grid point; module level so workers can run it."""
+    m = resolve_map(name)
+    out = [goluzin_bound(m, zeta), pointwise_from_area(PsiEvaluator(m, zeta))]
+    if spec is not None:
+        out.append(verify_area_sigma(m, zeta, spec))
+    return out
+
+
 def _cmd_sweep(args) -> int:
-    names = args.maps or [m.name for m in catalog() if m.map_class == "Sigma"]
-    maps = [resolve_map(n) for n in names]
-    spec = _spec_from_args(args, AREA_SPEC)
-    tasks = [(m, zeta) for m in maps for zeta in _sweep_grid()]
-
-    def run(task):
-        m, zeta = task
-        out = [goluzin_bound(m, zeta), pointwise_from_area(PsiEvaluator(m, zeta))]
-        if args.area:
-            out.append(verify_area_sigma(m, zeta, spec))
-        return out
-
+    names = [resolve_map(n).name for n in args.maps or [m.name for m in catalog() if m.map_class == "Sigma"]]
+    spec = _spec_from_args(args, AREA_SPEC) if args.area else None
+    tasks = [(name, zeta, spec) for name in names for zeta in _sweep_grid()]
     if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(run, tasks))
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            chunks = list(pool.map(_sweep_task, *zip(*tasks)))
     else:
-        chunks = [run(t) for t in tasks]
+        chunks = [_sweep_task(*t) for t in tasks]
     reports = [r for chunk in chunks for r in chunk]
     _emit(reports, args.format, args.out)
     return _exit_code(reports)

@@ -65,6 +65,7 @@ class EllipticParams:
     K_prime: float
     E: float
     E_prime: float
+    E_gap: float  # 1 - E/K, without the cancellation of forming it from E and K
     L: float
     L_prime: float
     nome_h: float
@@ -110,8 +111,8 @@ def params_from_x0(x0: float) -> EllipticParams:
     l = x0sq
     l_prime = math.sqrt((1.0 - l) * (1.0 + l))
     big_m = 1.0 / (1.0 + kappa_prime)
-    big_k, big_e = agm_complete(kappa, kappa_prime)
-    big_kp, big_ep = agm_complete(kappa_prime, kappa)
+    big_k, big_e, e_gap = agm_complete(kappa, kappa_prime)
+    big_kp, big_ep, _ = agm_complete(kappa_prime, kappa)
     big_l = agm_complete(l, l_prime)[0]
     big_lp = agm_complete(l_prime, l)[0]
     nome = math.exp(-math.pi * big_kp / big_k)
@@ -127,6 +128,7 @@ def params_from_x0(x0: float) -> EllipticParams:
         K_prime=big_kp,
         E=big_e,
         E_prime=big_ep,
+        E_gap=e_gap,
         L=big_l,
         L_prime=big_lp,
         nome_h=nome,
@@ -139,8 +141,9 @@ def x0_from_zeta_abs(zeta_abs: float) -> float:
 
     The returned root of ``x0**2 - 2*|zeta|*x0 + 1 = 0`` satisfies
     ``params_from_x0(x0).kappa == 1/|zeta|`` exactly in real arithmetic.
+    Computed as ``1/(a + sqrt(a**2 - 1))``; ``a - sqrt(...)`` cancels.
     """
     a = float(zeta_abs)
     if not a > 1.0:
         raise DomainError(f"x0_from_zeta_abs requires |zeta| > 1, got {a}")
-    return a - math.sqrt((a - 1.0) * (a + 1.0))
+    return 1.0 / (a + math.sqrt(a - 1.0) * math.sqrt(a + 1.0))

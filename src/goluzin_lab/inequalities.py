@@ -121,11 +121,17 @@ class _MarchedSqrt:
     zeros/poles (order = local power of the argument, e.g. +2 for a double
     zero).  Inside a danger disk the sign is matched against the local
     model g ~ g_ref * ((z-c)/(z_ref-c))**(order/2), which is single-valued
-    for even order; outside, nodes are matched to an anchored value in one
-    or two half-plane steps provided the matching segment stays clear of
-    every danger disk, and fall back to a full march along the caller's
-    route otherwise.  Deterministic: everything depends on node positions
-    only.
+    for even order.
+
+    Outside the danger disks, ``block`` continues the root between nodes of
+    the block, as the parent chain of :class:`BranchTracker` does.  The
+    first node is marched along the caller's route.  Then, round after
+    round, every unresolved node takes its sign from its nearest resolved
+    node, provided the argument ratio of the two lies in the right
+    half-plane and the segment between them stays clear of every danger
+    disk.  A round that resolves nothing marches the first unresolved node
+    in full and the rounds go on from there.  Deterministic: everything
+    depends on node positions only.
     """
 
     def __init__(self, arg_func: Callable, base_value: complex, route_fn: Callable, dangers: tuple = ()):
@@ -163,33 +169,21 @@ class _MarchedSqrt:
         g = np.empty_like(vals)
         danger_of = self._danger_index(flat)
 
-        plain = np.flatnonzero(danger_of < 0)
-        if plain.size:
-            ai = int(plain[0])
-            anchor = complex(flat[ai])
-            g_anchor = self.at(anchor)
-            anchor_val = vals[ai]
-            ratio = vals[plain] / anchor_val
-            halfplane = ratio.real > 1e-3 * np.abs(ratio)
-            clear = self._segments_clear(np.full(plain.shape, anchor), flat[plain])
-            ok = halfplane & clear
-            g[plain[ok]] = self._match(np.sqrt(vals[plain[ok]]), g_anchor)
-            bad = plain[~ok]
-            if bad.size:
-                mids = 0.5 * (flat[bad] + anchor)
-                vm = np.asarray(self._func(mids), dtype=np.complex128)
-                r1, r2 = vm / anchor_val, vals[bad] / vm
-                two_ok = (
-                    (r1.real > 1e-3 * np.abs(r1))
-                    & (r2.real > 1e-3 * np.abs(r2))
-                    & (self._danger_index(mids) < 0)
-                    & self._segments_clear(np.full(bad.shape, anchor), mids)
-                    & self._segments_clear(mids, flat[bad])
-                )
-                gm = self._match(np.sqrt(vm[two_ok]), g_anchor)
-                g[bad[two_ok]] = self._match(np.sqrt(vals[bad[two_ok]]), gm)
-                for idx in bad[~two_ok]:
-                    g[idx] = self.at(complex(flat[idx]))
+        todo = np.flatnonzero(danger_of < 0)
+        done = todo[:0]
+        while todo.size:
+            ok = np.zeros(todo.shape, dtype=bool)
+            if done.size:
+                step = max(1, 2**20 // done.size)  # rows per chunk: bounds the distance matrix
+                near = [np.argmin(np.abs(flat[todo[s : s + step], None] - flat[done]), axis=1) for s in range(0, todo.size, step)]
+                ref = done[np.concatenate(near)]
+                ratio = vals[todo] / vals[ref]
+                ok = (ratio.real > 1e-3 * np.abs(ratio)) & self._segments_clear(flat[ref], flat[todo])
+                g[todo[ok]] = self._match(np.sqrt(vals[todo[ok]]), g[ref[ok]])
+            if not ok.any():  # no resolved node reaches any: march the first one
+                g[todo[0]] = self._match(np.sqrt(vals[todo[0]]), self.at(complex(flat[todo[0]])))
+                ok[0] = True
+            done, todo = np.append(done, todo[ok]), todo[~ok]
 
         for k, (c, _, order) in enumerate(self._dangers):
             members = np.flatnonzero(danger_of == k)
@@ -438,12 +432,12 @@ def goluzin_bound(psi: UnivalentMap, z: complex) -> VerificationReport:
     if not a > 1.0:
         raise DomainError("goluzin_bound needs |z| > 1")
     p = params_from_x0(x0_from_zeta_abs(a))
-    e_over_k = p.E / p.K
     ep_over_kp = p.E_prime / p.K_prime
     w = complex(psi.deriv2(np.complex128(z))) / complex(psi.deriv(np.complex128(z)))
     a2 = a * a
-    inside_pt = w + (4.0 * a2 - 2.0) / (z * (a2 - 1.0)) - (4.0 * np.conj(z) / (a2 - 1.0)) * e_over_k
-    rhs_pt = (4.0 * a / (a2 - 1.0)) * (1.0 - e_over_k)
+    # w + (4a^2-2)/(z(a^2-1)) - 4 conj(z) E/K/(a^2-1), regrouped around 1 - E/K
+    inside_pt = w - 2.0 / (z * (a2 - 1.0)) + (4.0 * np.conj(z) / (a2 - 1.0)) * p.E_gap
+    rhs_pt = (4.0 * a / (a2 - 1.0)) * p.E_gap
     big_b = a2 / (a2 - 1.0)
     inside_alt = z * w - 2.0 + 2.0 * (a2 - 2.0) / (a2 - 1.0) + 4.0 * big_b * ep_over_kp
     rhs_alt = 4.0 * big_b * ep_over_kp
@@ -532,6 +526,7 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     clear = min(0.125 * Lp, 0.2 * L)
     centers = (0.0, 2.0 * L, -2.0 * L)
 
+    # stays on the target's side of the real axis; no cubature call straddles it
     def route(t: complex):
         anchor = 0.05 * L
         sgn = 1.0 if t.imag >= 0 else -1.0

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .elliptic import EllipticParams, params_from_x0, x0_from_zeta_abs
 from .errors import BranchAmbiguityError, BranchCutError, PoleError, QuadratureError
+from .quadrature import _gl_rule
 from .catalog import UnivalentMap
 from .theta import JacobiContext, jacobi_sn_cn_dn
 
@@ -94,14 +94,9 @@ def sigma_prime(bridge: BridgeMaps, z):
     return p.x0 * cn * dn
 
 
-@lru_cache(maxsize=None)
-def _gl_nodes(order=16):
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _adaptive_1d(f, a, b, tol, depth=0):
     """Recursive GL quadrature of a smooth real/complex integrand."""
-    x, w = _gl_nodes(24)
+    x, w = _gl_rule(24)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     whole = half * np.sum(w * f(mid + half * x))
     left = 0.5 * (mid - a) * np.sum(w * f(0.5 * (a + mid) + 0.5 * (mid - a) * x))
@@ -120,6 +115,8 @@ def _tau_real_pieces(x0: float, t: float, tol: float):
     """
     x04 = x0**4
     X = 1.0 / x0**2
+    if abs(t - X) <= 1e-15 * X:  # the slit tip up to rounding: sqrt(t - X) would amplify it
+        t = X
 
     def base(s):
         return 1.0 / np.sqrt((1.0 - s**2) * (1.0 - x04 * s**2))
@@ -185,7 +182,7 @@ def _tau_segment(Ffun, t0, t1, g0, tol, depth=0):
     16-vs-two-8 comparison misses the tolerance or a continuation step is
     too wide to fix the sign safely.
     """
-    x, w = _gl_nodes(16)
+    x, w = _gl_rule(16)
     half = 0.5 * (t1 - t0)
     mid = t0 + half
     nodes = np.concatenate([t0 + half * (x + 1.0), [t1]])

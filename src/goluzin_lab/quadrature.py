@@ -12,7 +12,13 @@ radial bump confines the singular behaviour to a polar patch around each
 tagged point, where the area element cancels a ``1/|z - p|`` blow-up
 exactly; the leftover mass inside the innermost radius is recovered from
 a ring estimate (exponent -1 only).  Integrands must be vectorized maps
-from complex ndarrays to real ndarrays and must be pure.
+from complex ndarrays of any shape to real ndarrays of the same shape, and
+must be pure.
+
+The driver calls an integrand once per cell it splits, with the four
+children as ``(4, order, order)`` arrays (seed cells first come alone), so
+no call straddles a line of the 4 x 4 seed grid: the torus check relies on
+that, as it continues its square root apart above and below the real axis.
 """
 
 from __future__ import annotations
@@ -101,15 +107,18 @@ class _Accumulator:
         self.n_evals = 0
 
 
-def _cell_integral(g, cell, order, acc):
-    a0, a1, b0, b1 = cell
+def _cells_integral(g, cells, order, acc):
+    """Tensor GL sums over each cell from one ``(n_cells, order, order)`` call
+    of ``g``; each sum uses its own slice, whatever shares the call."""
+    a0, a1, b0, b1 = np.asarray(cells, dtype=np.float64).T
     x, w = _gl_rule(order)
     hx, hy = 0.5 * (a1 - a0), 0.5 * (b1 - b0)
-    xs = 0.5 * (a0 + a1) + hx * x
-    ys = 0.5 * (b0 + b1) + hy * x
-    vals = g(xs[:, None] + np.zeros_like(ys)[None, :], np.zeros_like(xs)[:, None] + ys[None, :])
+    xs = (0.5 * (a0 + a1))[:, None] + hx[:, None] * x
+    ys = (0.5 * (b0 + b1))[:, None] + hy[:, None] * x
+    zero = np.zeros((len(cells), order, order))
+    vals = np.asarray(g(xs[:, :, None] + zero, ys[:, None, :] + zero), dtype=np.float64)
     acc.n_evals += vals.size
-    return hx * hy * float(w @ np.asarray(vals, dtype=np.float64) @ w)
+    return [float(hx[k]) * float(hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
 
 
 def _split(cell):
@@ -148,7 +157,7 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
     def make_node(cell, coarse, depth):
         nonlocal counter
         kids = _split(cell)
-        fine_parts = [_cell_integral(g, c, order, acc) for c in kids]
+        fine_parts = _cells_integral(g, kids, order, acc)
         fine = math.fsum(fine_parts)
         err = abs(fine - coarse)
         if not math.isfinite(err):
@@ -157,7 +166,7 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
         return (-err, counter, cell, fine, depth, tuple(zip(kids, fine_parts)))
 
     for cell in seeds:
-        node = make_node(cell, _cell_integral(g, cell, order, acc), 0)
+        node = make_node(cell, _cells_integral(g, [cell], order, acc)[0], 0)
         heapq.heappush(heap, node)
         value += node[3]
         err_total += -node[0]

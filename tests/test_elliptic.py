@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,14 @@ class TestX0FromZetaAbs:
         for a in (1.2, 1.5, 2.0, 4.0):
             s = math.sqrt(1.0 - a**-2)
             assert x0_from_zeta_abs(a) == pytest.approx(math.sqrt((1.0 - s) / (1.0 + s)), abs=1e-14)
+
+    @pytest.mark.parametrize("a", [1.0 + 1e-12, 1.5, 1e3, 1e8, 1e12, 1e200])
+    def test_matches_high_precision_root(self, a):
+        # the small root a - sqrt(a^2 - 1) ~ 1/(2a) cancels in double
+        # precision; the oracle carries 2*log10(a) extra digits to absorb it
+        with mpmath.workdps(40 + int(2 * math.log10(a))):
+            exact = float(mpmath.mpf(a) - mpmath.sqrt(mpmath.mpf(a) ** 2 - 1))
+        assert x0_from_zeta_abs(a) == pytest.approx(exact, rel=2e-15, abs=0.0)
 
     def test_domain_error(self):
         for bad in (1.0, 0.5, -2.0):

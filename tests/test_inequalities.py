@@ -6,8 +6,11 @@ import pytest
 from goluzin_lab.catalog import resolve_map
 from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
 from goluzin_lab.errors import DomainError
+from goluzin_lab import inequalities
 from goluzin_lab.inequalities import (
     PsiEvaluator,
+    _DiskField,
+    _MarchedSqrt,
     goluzin_bound,
     gronwall_check,
     koebe_bieberbach_bound,
@@ -19,7 +22,7 @@ from goluzin_lab.inequalities import (
     verify_area_sigma,
 )
 from goluzin_lab.maps import BridgeMaps, phi_from_psi
-from goluzin_lab.quadrature import QuadratureSpec
+from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _Accumulator, _cells_integral, _split
 
 AREA_TEST_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
 
@@ -70,6 +73,12 @@ class TestGoluzin:
             assert r.lhs <= rhs * (1 + 1e-10)
             best = max(best, r.lhs)
         assert best == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("t", [1e3, 1e8])
+    def test_joukowski_equality_at_large_radius(self, t):
+        r = goluzin_bound(resolve_map("joukowski"), t)
+        assert r.status == "equality"
+        assert abs(r.ratio - 1.0) <= 1e-14
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -260,3 +269,101 @@ class TestTorusCrossCheck:
         rt = torus_area_crosscheck(resolve_map("identity"), 1.25)
         rs = verify_area_sigma(resolve_map("identity"), 1.25, AREA_TEST_SPEC)
         assert abs(rt.ratio - rs.ratio) < 5e-3
+
+
+def _driver_block(cell, to_plane):
+    """The nodes of one driver call: the four children of ``cell``, (4, 8, 8)."""
+    calls = []
+
+    def g(x, y):
+        calls.append(to_plane(x, y))
+        return np.zeros(x.shape)
+
+    _cells_integral(g, _split(cell), 8, _Accumulator())
+    assert len(calls) == 1 and calls[0].shape == (4, 8, 8)
+    return calls[0]
+
+
+def _polar(center):
+    return lambda rho, theta: center + rho * np.exp(1j * theta)
+
+
+class TestMarchedSqrtBlock:
+    """``block`` against the per-point march ``at`` on whole driver calls."""
+
+    @staticmethod
+    def check(sq, zs, monkeypatch):
+        marches = []
+        march = _MarchedSqrt.at
+
+        def counted(self, z):
+            marches.append(z)
+            return march(self, z)
+
+        monkeypatch.setattr(_MarchedSqrt, "at", counted)
+        g = sq.block(zs)
+        monkeypatch.setattr(_MarchedSqrt, "at", march)
+        flat, gf = zs.reshape(-1), g.reshape(-1)
+        ref = np.array([sq.at(complex(z)) for z in flat])
+        assert np.all(np.abs(gf - ref) < np.abs(gf + ref))
+        assert np.allclose(gf, ref, rtol=1e-9, atol=0.0)
+        # one march for the first node outside the danger disks and one per
+        # danger disk the block reaches; no per-point fallback
+        idx = sq._danger_index(flat)
+        assert len(marches) == int((idx < 0).any()) + len(set(idx[idx >= 0].tolist()))
+        return idx
+
+    @pytest.mark.parametrize("name", ["joukowski", "b1:0.7"])
+    @pytest.mark.parametrize("zeta", [1.25, 2.0, 3j])
+    def test_psi_field(self, name, zeta, monkeypatch):
+        ev = PsiEvaluator(resolve_map(name), zeta)
+        arg = float(np.angle(zeta)) % (2.0 * math.pi)
+        th0 = 0.5 * math.pi * math.floor(arg / (0.5 * math.pi))
+        log_r0 = math.log(max(4.0, 2.2 * abs(zeta)))
+        annulus = lambda s, theta: np.exp(s + 1j * theta)
+        # the inner annulus seed cell in the direction of zeta, and the cells
+        # of the polar patch around zeta on either side of its radial line
+        self.check(ev._sqrt_a, _driver_block((0.0, 0.25 * log_r0, th0, th0 + 0.5 * math.pi), annulus), monkeypatch)
+        for th in (0.0, 1.5 * math.pi):
+            block = _driver_block((0.05, 0.2, th, th + 0.5 * math.pi), _polar(complex(zeta)))
+            self.check(ev._sqrt_a, block, monkeypatch)
+
+    def test_disk_form_danger_disk(self, monkeypatch):
+        bridge = BridgeMaps.from_zeta(2.0)
+        x0 = bridge.x0
+        fieldd = _DiskField(phi_from_psi(bridge, resolve_map("b1:0.7")), x0, bridge.params)
+        sq = fieldd._sqrt_v
+        # seed cells of the unit-disk grid next to -x0, and a cell around -x0
+        cells = (
+            (0.0, (0.25, 0.5, 0.5 * math.pi, math.pi)),
+            (0.0, (0.25, 0.5, math.pi, 1.5 * math.pi)),
+            (-x0, (0.0, 2.0 * sq._dangers[0][1], 0.0, 0.5 * math.pi)),
+        )
+        reached = set()
+        for center, cell in cells:
+            idx = self.check(sq, _driver_block(cell, _polar(complex(center))), monkeypatch)
+            reached |= set(idx[idx >= 0].tolist())
+        assert reached == {0}
+
+    def test_torus_danger_disks(self, monkeypatch):
+        made = []
+
+        class Recording(_MarchedSqrt):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(inequalities, "_MarchedSqrt", Recording)
+        monkeypatch.setattr(inequalities, "integrate_rect", lambda f, rect, spec: QuadratureResult(1.0, 0.0, 0, True))
+        torus_area_crosscheck(resolve_map("b1:0.7"), 2.0)
+        (sq,) = made
+        p = BridgeMaps.from_zeta(2.0).params
+        L, Lp = p.L, p.L_prime
+        plane = lambda x, y: x + 1j * y
+        # seed cells of the fundamental band that touch the danger disks at 0 and 2L
+        reached = set()
+        for cell in ((0.0, L, 0.0, 0.25 * Lp), (-L, 0.0, -0.25 * Lp, 0.0), (L, 2.0 * L, -0.25 * Lp, 0.0),
+                     (2.0 * L, 3.0 * L, 0.0, 0.25 * Lp)):
+            idx = self.check(sq, _driver_block(cell, plane), monkeypatch)
+            reached |= set(idx[idx >= 0].tolist())
+        assert reached == {0, 1}

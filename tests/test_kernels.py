@@ -16,7 +16,7 @@ TAGS = ("kappa", "x0_squared")
 class TestAgmOracle:
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.8, 0.99, 1.0])
     def test_matches_mpmath(self, k):
-        big_k, big_e = _kernels.agm_complete(k)
+        big_k, big_e, _ = _kernels.agm_complete(k)
         with mpmath.workdps(30):
             m = mpmath.mpf(k) ** 2
             ref_k, ref_e = float(mpmath.ellipk(m)), float(mpmath.ellipe(m))
@@ -26,6 +26,14 @@ class TestAgmOracle:
             assert big_k == pytest.approx(ref_k, rel=1e-15)
         assert big_e == pytest.approx(ref_e, rel=1e-15)
 
+    @pytest.mark.parametrize("k", [1e-8, 1e-3, 0.1, 0.5, 0.99])
+    def test_e_gap_matches_mpmath(self, k):
+        # 1 - E/K ~ k^2/2 for small k: formed from E and K it cancels
+        with mpmath.workdps(40):
+            m = mpmath.mpf(k) ** 2
+            ref = float(1 - mpmath.ellipe(m) / mpmath.ellipk(m))
+        assert _kernels.agm_complete(k)[2] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
 
 class TestAgmPaths:
     def test_complement_argument_improves_extreme_moduli(self):
@@ -33,8 +41,8 @@ class TestAgmPaths:
         # complement keeps the Legendre residual at machine level
         k = 0.9999995
         kp = np.sqrt((1 - k) * (1 + k))
-        K1, _ = _kernels.agm_complete(k, kp)
-        K2, _ = _kernels.agm_complete(k)
+        K1, _, _ = _kernels.agm_complete(k, kp)
+        K2, _, _ = _kernels.agm_complete(k)
         assert abs(K1 - K2) < 1e-9 * K1
 
 

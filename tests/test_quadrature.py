@@ -8,10 +8,42 @@ from goluzin_lab.errors import QuadratureError
 from goluzin_lab.quadrature import (
     QuadratureSpec,
     SingularPoint,
+    _Accumulator,
+    _adaptive_2d,
     integrate_disk,
     integrate_exterior_disk,
     integrate_rect,
 )
+
+
+class TestDriver:
+    @staticmethod
+    def peaked(x, y):
+        return np.exp(x) * np.cos(3.0 * y) + 1.0 / (0.01 + (x - 0.3) ** 2 + (y - 0.6) ** 2)
+
+    def test_one_call_per_refinement(self):
+        shapes = []
+
+        def g(x, y):
+            assert x.shape == y.shape
+            shapes.append(x.shape)
+            return self.peaked(x, y)
+
+        res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14), _Accumulator())
+        # each of the 16 seed cells alone, then its four children together
+        assert shapes[:32] == [(1, 8, 8), (4, 8, 8)] * 16
+        # from then on, one call with all four children of each new cell
+        assert len(shapes) > 32 and set(shapes[32:]) == {(4, 8, 8)}
+        assert res.n_evals == sum(math.prod(s) for s in shapes)
+
+    def test_refinement_sequence_pinned(self):
+        # value, error and evaluation count of the one-cell-per-call driver:
+        # batching the children must not change any of them
+        res = _adaptive_2d(self.peaked, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14), _Accumulator())
+        assert res.value == 11.641648803072352
+        assert res.error == 6.977618136061459e-10
+        assert res.n_evals == 15360
+        assert res.converged
 
 
 class TestRect:
