@@ -70,6 +70,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, ok, what):
+    """An argparse ``type`` that rejects values failing ``ok`` (exit 64)."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_jobs = _checked(int, lambda n: n >= 1, "a worker count of at least 1")
+_rel_tol = _checked(float, lambda t: math.isfinite(t) and t > 0.0, "a finite positive tolerance")
+_abs_tol = _checked(float, lambda t: math.isfinite(t) and t >= 0.0, "a finite non-negative tolerance")
+
+
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' / 'a-bi' / 'a' / 'bi' literals (no spaces)."""
     try:
@@ -266,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-        p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--abs-tol", type=float, default=None)
+        p.add_argument("--rel-tol", type=_rel_tol, default=None)
+        p.add_argument("--abs-tol", type=_abs_tol, default=None)
 
     p = sub.add_parser("params", help="print the elliptic parameter pack")
     grp = p.add_mutually_exclusive_group(required=True)
@@ -298,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid of checks over the catalog")
     p.add_argument("--maps", nargs="*", default=None)
     p.add_argument("--area", action="store_true", help="include the (slow) area checks")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     add_common(p)
     p.set_defaults(fn=_cmd_sweep)
 

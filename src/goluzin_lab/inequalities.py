@@ -132,6 +132,14 @@ class _MarchedSqrt:
     disk.  A round that resolves nothing marches the first unresolved node
     in full and the rounds go on from there.  Deterministic: everything
     depends on node positions only.
+
+    Invariant: a call must not straddle a line of the driver's seed grid.
+    The first round continues every node from the one marched node, over
+    hops as long as the call is wide, and the half-plane test cannot vouch
+    for a hop that long; a danger disk's reference node (its farthest
+    member) also moves with the call's extent.  The torus real axis is a
+    sheet boundary of the cross-check's route, so a call spanning it signs
+    nodes on the wrong sheet.
     """
 
     def __init__(self, arg_func: Callable, base_value: complex, route_fn: Callable, dangers: tuple = ()):

@@ -385,14 +385,22 @@ def sqrt_continued(args, tracker: BranchTracker):
     scale = float(np.abs(flat).max()) if flat.size else 0.0
     if np.any(np.abs(flat) < 1e-13 * scale) or scale == 0.0:
         raise BranchAmbiguityError("square-root continuation hit a zero argument")
-    out = np.empty_like(flat)
+    root = np.sqrt(flat)
     parents = tracker.parents
-    for i, a in enumerate(flat):
-        ref = tracker.base_value if i == 0 else out[parents[i] if parents else i - 1]
-        g = np.sqrt(a)
-        if abs(g - ref) > abs(g + ref):
-            g = -g
-        out[i] = g
+    if not parents:
+        # Node i keeps the sign of node i-1 when the roots r_i, r_{i-1} are
+        # closer than r_i, -r_{i-1}, flips it when farther, and takes + on a
+        # tie (or NaN); the sign is the parity of the flips since the last tie.
+        prev = np.concatenate(([complex(tracker.base_value)], root[:-1]))
+        apart, together = np.abs(root - prev), np.abs(root + prev)
+        flips = np.cumsum(apart > together)
+        tie = ~(apart > together) & ~(together > apart)
+        odd = (flips - np.maximum.accumulate(np.where(tie, flips, 0))) % 2 == 1
+        return np.where(odd, -root, root).reshape(args.shape)
+    out = np.empty_like(flat)
+    for i, g in enumerate(root):
+        ref = tracker.base_value if i == 0 else out[parents[i]]
+        out[i] = -g if abs(g - ref) > abs(g + ref) else g
     return out.reshape(args.shape)
 
 
@@ -417,14 +425,12 @@ def marched_sqrt_path(func, waypoints, base_value, max_doublings: int = 8):
     the same half-plane, then marches the sign.  Returns the sqrt value at
     the final waypoint.
     """
-    waypoints = [complex(p) for p in waypoints]
+    waypoints = np.array([complex(p) for p in waypoints], dtype=np.complex128)
+    a, step = waypoints[:-1, None], (waypoints[1:] - waypoints[:-1])[:, None]
     n = 8
     for attempt in range(max_doublings + 1):
-        pts = [waypoints[0]]
-        for a, b in zip(waypoints[:-1], waypoints[1:]):
-            ts = np.linspace(0.0, 1.0, n + 1)[1:]
-            pts.extend(a + (b - a) * ts)
-        pts = np.asarray(pts, dtype=np.complex128)
+        ts = np.linspace(0.0, 1.0, n + 1)[1:]
+        pts = np.concatenate((waypoints[:1], (a + step * ts).reshape(-1)))
         vals = np.asarray(func(pts), dtype=np.complex128)
         ratios = vals[1:] / vals[:-1]
         if np.all(ratios.real > 1e-3 * np.abs(ratios)):

@@ -16,9 +16,10 @@ from complex ndarrays of any shape to real ndarrays of the same shape, and
 must be pure.
 
 The driver calls an integrand once per cell it splits, with the four
-children as ``(4, order, order)`` arrays (seed cells first come alone), so
-no call straddles a line of the 4 x 4 seed grid: the torus check relies on
-that, as it continues its square root apart above and below the real axis.
+children as ``(4, order, order)`` arrays; a seed cell's call carries the
+seed itself and its four children as ``(5, order, order)``.  No call
+straddles a line of the 4 x 4 seed grid: the torus check relies on that,
+as it continues its square root apart above and below the real axis.
 """
 
 from __future__ import annotations
@@ -155,9 +156,14 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
     frozen_err = 0.0
 
     def make_node(cell, coarse, depth):
+        """Heap entry of ``cell``; a seed (``coarse`` None) gets its own rule
+        from the call that sums its four children."""
         nonlocal counter
         kids = _split(cell)
-        fine_parts = _cells_integral(g, kids, order, acc)
+        if coarse is None:
+            coarse, *fine_parts = _cells_integral(g, (cell, *kids), order, acc)
+        else:
+            fine_parts = _cells_integral(g, kids, order, acc)
         fine = math.fsum(fine_parts)
         err = abs(fine - coarse)
         if not math.isfinite(err):
@@ -166,7 +172,7 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
         return (-err, counter, cell, fine, depth, tuple(zip(kids, fine_parts)))
 
     for cell in seeds:
-        node = make_node(cell, _cells_integral(g, [cell], order, acc)[0], 0)
+        node = make_node(cell, None, 0)
         heapq.heappush(heap, node)
         value += node[3]
         err_total += -node[0]

@@ -122,6 +122,38 @@ class TestExitCodes:
     def test_bad_complex_is_64(self, capsys):
         assert main(["pointwise", "--map", "joukowski", "--z", "2 + 3i"]) == EXIT_USAGE
 
+    @staticmethod
+    def code_of(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_64(self, jobs, capsys):
+        # used to run serially and exit 0
+        assert self.code_of(["sweep", "--maps", "identity", "--jobs", jobs]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rel-tol", "-1"), ("--rel-tol", "0"), ("--rel-tol", "nan"), ("--rel-tol", "inf"),
+         ("--abs-tol", "-1e-12"), ("--abs-tol", "nan"), ("--abs-tol", "inf")],
+    )
+    def test_bad_tolerance_is_64(self, flag, value, monkeypatch, capsys):
+        # a bad rel-tol used to leave the abs-tol budget alone in charge and exit 0
+        import goluzin_lab.cli as cli_mod
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a check ran with a bad tolerance")
+
+        monkeypatch.setattr(cli_mod, "verify_area_sigma", ran)
+        monkeypatch.setattr(cli_mod, "gronwall_check", ran)
+        assert self.code_of(["area", "--map", "joukowski", "--zeta", "2.0", flag, value]) == EXIT_USAGE
+        assert self.code_of(["gronwall", "--map", "joukowski", flag, value]) == EXIT_USAGE
+
+    def test_zero_abs_tol_is_accepted(self, capsys):
+        assert main(["gronwall", "--map", "joukowski", "--abs-tol", "0"]) == EXIT_OK
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -271,16 +271,18 @@ class TestTorusCrossCheck:
         assert abs(rt.ratio - rs.ratio) < 5e-3
 
 
-def _driver_block(cell, to_plane):
-    """The nodes of one driver call: the four children of ``cell``, (4, 8, 8)."""
+def _driver_block(cell, to_plane, seed=False):
+    """The nodes of one driver call: the four children of ``cell``, (4, 8, 8),
+    or for a seed cell the cell itself and its four children, (5, 8, 8)."""
     calls = []
 
     def g(x, y):
         calls.append(to_plane(x, y))
         return np.zeros(x.shape)
 
-    _cells_integral(g, _split(cell), 8, _Accumulator())
-    assert len(calls) == 1 and calls[0].shape == (4, 8, 8)
+    cells = (cell, *_split(cell)) if seed else _split(cell)
+    _cells_integral(g, cells, 8, _Accumulator())
+    assert len(calls) == 1 and calls[0].shape == (len(cells), 8, 8)
     return calls[0]
 
 
@@ -321,9 +323,12 @@ class TestMarchedSqrtBlock:
         th0 = 0.5 * math.pi * math.floor(arg / (0.5 * math.pi))
         log_r0 = math.log(max(4.0, 2.2 * abs(zeta)))
         annulus = lambda s, theta: np.exp(s + 1j * theta)
-        # the inner annulus seed cell in the direction of zeta, and the cells
-        # of the polar patch around zeta on either side of its radial line
-        self.check(ev._sqrt_a, _driver_block((0.0, 0.25 * log_r0, th0, th0 + 0.5 * math.pi), annulus), monkeypatch)
+        # the inner annulus seed cell in the direction of zeta (its seed call
+        # and its split), and the cells of the polar patch around zeta on
+        # either side of its radial line
+        seed = (0.0, 0.25 * log_r0, th0, th0 + 0.5 * math.pi)
+        for seed_call in (True, False):
+            self.check(ev._sqrt_a, _driver_block(seed, annulus, seed_call), monkeypatch)
         for th in (0.0, 1.5 * math.pi):
             block = _driver_block((0.05, 0.2, th, th + 0.5 * math.pi), _polar(complex(zeta)))
             self.check(ev._sqrt_a, block, monkeypatch)
@@ -333,15 +338,18 @@ class TestMarchedSqrtBlock:
         x0 = bridge.x0
         fieldd = _DiskField(phi_from_psi(bridge, resolve_map("b1:0.7")), x0, bridge.params)
         sq = fieldd._sqrt_v
-        # seed cells of the unit-disk grid next to -x0, and a cell around -x0
+        # seed cells of the unit-disk grid next to -x0 (their seed calls and
+        # their splits), and a cell around -x0
         cells = (
-            (0.0, (0.25, 0.5, 0.5 * math.pi, math.pi)),
-            (0.0, (0.25, 0.5, math.pi, 1.5 * math.pi)),
-            (-x0, (0.0, 2.0 * sq._dangers[0][1], 0.0, 0.5 * math.pi)),
+            (0.0, (0.25, 0.5, 0.5 * math.pi, math.pi), True),
+            (0.0, (0.25, 0.5, math.pi, 1.5 * math.pi), True),
+            (0.0, (0.25, 0.5, 0.5 * math.pi, math.pi), False),
+            (0.0, (0.25, 0.5, math.pi, 1.5 * math.pi), False),
+            (-x0, (0.0, 2.0 * sq._dangers[0][1], 0.0, 0.5 * math.pi), False),
         )
         reached = set()
-        for center, cell in cells:
-            idx = self.check(sq, _driver_block(cell, _polar(complex(center))), monkeypatch)
+        for center, cell, seed_call in cells:
+            idx = self.check(sq, _driver_block(cell, _polar(complex(center)), seed_call), monkeypatch)
             reached |= set(idx[idx >= 0].tolist())
         assert reached == {0}
 
@@ -360,10 +368,12 @@ class TestMarchedSqrtBlock:
         p = BridgeMaps.from_zeta(2.0).params
         L, Lp = p.L, p.L_prime
         plane = lambda x, y: x + 1j * y
-        # seed cells of the fundamental band that touch the danger disks at 0 and 2L
+        # seed cells of the fundamental band that touch the danger disks at 0
+        # and 2L: their seed calls and their splits
         reached = set()
         for cell in ((0.0, L, 0.0, 0.25 * Lp), (-L, 0.0, -0.25 * Lp, 0.0), (L, 2.0 * L, -0.25 * Lp, 0.0),
                      (2.0 * L, 3.0 * L, 0.0, 0.25 * Lp)):
-            idx = self.check(sq, _driver_block(cell, plane), monkeypatch)
-            reached |= set(idx[idx >= 0].tolist())
+            for seed_call in (True, False):
+                idx = self.check(sq, _driver_block(cell, plane, seed_call), monkeypatch)
+                reached |= set(idx[idx >= 0].tolist())
         assert reached == {0, 1}

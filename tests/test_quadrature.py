@@ -30,10 +30,10 @@ class TestDriver:
             return self.peaked(x, y)
 
         res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14), _Accumulator())
-        # each of the 16 seed cells alone, then its four children together
-        assert shapes[:32] == [(1, 8, 8), (4, 8, 8)] * 16
+        # one call per seed cell: the seed itself and its four children
+        assert shapes[:16] == [(5, 8, 8)] * 16
         # from then on, one call with all four children of each new cell
-        assert len(shapes) > 32 and set(shapes[32:]) == {(4, 8, 8)}
+        assert len(shapes) > 16 and set(shapes[16:]) == {(4, 8, 8)}
         assert res.n_evals == sum(math.prod(s) for s in shapes)
 
     def test_refinement_sequence_pinned(self):
