@@ -23,8 +23,12 @@ Implemented checks:
 
 The field Psi(z, zeta) combines three terms whose relative signs matter;
 its square-root factor sqrt(psi'(zeta)(z - zeta)/(psi(z) - psi(zeta))) is
-analytically continued from the value +1 at z = zeta along paths inside
-the exterior disk, never guessed pointwise.
+the analytic continuation of the value +1 at z = zeta inside the exterior
+disk.  For psi = z + b0 + b1/z, |b1| <= 1, that continuation has a closed
+form in principal roots whose arguments provably avoid the cut, and the
+sign is taken from it (see :class:`PsiEvaluator`); every other map is
+continued along paths by :class:`_MarchedSqrt`.  No sign is guessed from a
+principal root of the argument itself.
 """
 
 from __future__ import annotations
@@ -207,6 +211,19 @@ class _MarchedSqrt:
 class PsiEvaluator:
     """The three-term field Psi(z, zeta) for one exterior-disk map.
 
+    The root sqrt(A) of the first term is continued from the base value at
+    z = zeta.  For maps whose ``coefficients`` are ``(b0,)`` or
+    ``(b0, b1)``, i.e. psi(z) = z + b0 + b1/z (identity, the joukowski
+    family, ``b1:<c>``), A(z) = (1 - b1/zeta^2)/(1 - b1/(z zeta)).  With
+    |z|, |zeta| > 1 and |b1| <= 1 both factors have positive real part, so
+    base * sqrt(1 - b1/zeta^2)/sqrt(1 - b1/(z zeta)) with principal roots
+    is continuous on the exterior disk and is the continued root.  Only its
+    sign is used: the value stays +-sqrt(A) with A computed from ``value``.
+    A call any of whose nodes has |ref^2 - A| > 1e-6 |A| (coefficients that
+    do not describe ``value``, e.g. only the leading terms of a longer
+    expansion) is continued by :class:`_MarchedSqrt` instead, as are all
+    other Sigma maps.
+
     ``flip_sqrt_base`` starts the square-root continuation from -1 instead
     of +1; that flips the first term only and is detectable through the
     diagonal formula (used by the branch-convention tests).
@@ -230,8 +247,21 @@ class PsiEvaluator:
         self._diag_radius = 1e-7 * (1.0 + abs(zeta))
         base = -1.0 if flip_sqrt_base else 1.0
         self._sqrt_a = _MarchedSqrt(self._ratio_a, base, self._route)
+        coeffs = psi.coefficients
+        self._b1 = None
+        if coeffs is not None and len(coeffs) in (1, 2):
+            self._b1 = complex(coeffs[1]) if len(coeffs) == 2 else 0j
+            self._ref_top = base * np.sqrt(1.0 - self._b1 / zeta**2)
 
     # -- square-root factor ------------------------------------------------
+
+    def _sqrt_of_a(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """sqrt(A) at the off-diagonal nodes ``z``, where A(z) = ``a``."""
+        if self._b1 is not None:
+            ref = self._ref_top / np.sqrt(1.0 - self._b1 / (z * self.zeta))
+            if np.all(np.abs(ref * ref - a) <= 1e-6 * np.abs(a)):
+                return _MarchedSqrt._match(np.sqrt(a), ref)
+        return self._sqrt_a.block(z)
 
     def _ratio_a(self, z):
         """A(z) = psi'(zeta)(z - zeta)/(psi(z) - psi(zeta)); A(zeta) = 1."""
@@ -247,14 +277,18 @@ class PsiEvaluator:
         return out
 
     def _route(self, z: complex):
-        """Radial leg plus short arc chords from zeta to z, inside |z| > 1."""
-        rz = abs(z)
+        """Radial leg, short arc chords, radial leg from zeta to z, inside |z| > 1.
+
+        The arc runs at radius max(|z|, 1.01): a chord of at most 0.2 rad
+        dips to 0.995 of its radius, which would cross the unit circle.
+        """
+        ra = max(abs(z), 1.01)
         t0, t1 = np.angle(self.zeta), np.angle(z)
         dt = (t1 - t0 + math.pi) % (2.0 * math.pi) - math.pi
-        pts = [self.zeta, rz * np.exp(1j * t0)]
+        pts = [self.zeta, ra * np.exp(1j * t0)]
         n_arc = max(2, int(math.ceil(abs(dt) / 0.2)))
         for k in range(1, n_arc + 1):
-            pts.append(rz * np.exp(1j * (t0 + dt * k / n_arc)))
+            pts.append(ra * np.exp(1j * (t0 + dt * k / n_arc)))
         pts.append(z)
         return pts
 
@@ -272,8 +306,8 @@ class PsiEvaluator:
         far = ~near
         if far.any():
             zf = flat[far]
-            sq_a = self._sqrt_a.block(zf)
             val = self.psi.value(zf)
+            sq_a = self._sqrt_of_a(zf, self.dpsi_zeta * (zf - self.zeta) / (val - self.psi_zeta))
             s = np.sqrt(1.0 - 1.0 / (np.conj(self.zeta) * zf))
             term1 = sq_a * self.psi.deriv(zf) / (val - self.psi_zeta)
             term2 = (s / self.d) / (zf - self.zeta)

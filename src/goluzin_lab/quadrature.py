@@ -244,16 +244,23 @@ def _polar_patch(f, point: SingularPoint, radius, spec, acc):
 
     res = _adaptive_2d(g, (eps, radius, 0.0, 2.0 * math.pi), spec, acc)
     if point.exponent == -1.0:
-        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        ring1 = np.asarray(f(p + eps * np.exp(1j * theta)), dtype=np.float64)
-        ring2 = np.asarray(f(p + 2.0 * eps * np.exp(1j * theta)), dtype=np.float64)
-        acc.n_evals += 2 * theta.size
-        gamma1 = eps * float(ring1.mean())
-        gamma2 = 2.0 * eps * float(ring2.mean())
-        core = 2.0 * math.pi * eps * gamma1
-        core_err = 2.0 * math.pi * eps * abs(gamma1 - gamma2)
-        res = res + QuadratureResult(core, core_err, 0, True)
+        res = res + _ring_core(f, p, eps, acc)
     return res
+
+
+def _ring_core(f, center, eps, acc):
+    """Mass of a 1/r singularity inside the core |z - center| < eps.
+
+    r*f is nearly constant near the center, so the ring mean at r = eps
+    gives the core mass and the ring at 2 eps its error.
+    """
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    ring1 = np.asarray(f(center + eps * np.exp(1j * theta)), dtype=np.float64)
+    ring2 = np.asarray(f(center + 2.0 * eps * np.exp(1j * theta)), dtype=np.float64)
+    acc.n_evals += 2 * theta.size
+    gamma1 = eps * float(ring1.mean())
+    gamma2 = 2.0 * eps * float(ring2.mean())
+    return QuadratureResult(2.0 * math.pi * eps * gamma1, 2.0 * math.pi * eps * abs(gamma1 - gamma2), 0, True)
 
 
 def _patch_radii(points, default_radius, clearance):
@@ -338,15 +345,7 @@ def integrate_disk(f, spec: QuadratureSpec | None = None, center: complex = 0.0,
     if central:
         rho_in = central[0].core_fraction * radius
         if central[0].exponent == -1.0:
-            theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-            ring1 = np.asarray(f(center + rho_in * np.exp(1j * theta)), dtype=np.float64)
-            ring2 = np.asarray(f(center + 2.0 * rho_in * np.exp(1j * theta)), dtype=np.float64)
-            acc.n_evals += 2 * theta.size
-            g1 = rho_in * float(ring1.mean())
-            g2 = 2.0 * rho_in * float(ring2.mean())
-            core = QuadratureResult(
-                2.0 * math.pi * rho_in * g1, 2.0 * math.pi * rho_in * abs(g1 - g2), 0, True
-            )
+            core = _ring_core(f, center, rho_in, acc)
 
     def g(rho, theta):
         z = center + rho * np.exp(1j * theta)

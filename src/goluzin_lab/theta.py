@@ -86,6 +86,7 @@ class JacobiContext:
 
 
 def _as_array(z):
+    """``(complex array of z, z is a scalar)``; a scalar stays 0-d."""
     arr = np.asarray(z, dtype=np.complex128)
     return arr, arr.ndim == 0
 

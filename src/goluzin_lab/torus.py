@@ -27,7 +27,7 @@ import numpy as np
 from .elliptic import EllipticParams, params_from_x0
 from .errors import PoleError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_rect
-from .theta import JacobiContext, jacobi_Z, jacobi_sn_cn_dn, theta0_log_abs
+from .theta import JacobiContext, _as_array, jacobi_Z, jacobi_sn_cn_dn, theta0_log_abs
 
 __all__ = ["TorusGeometry", "GreenEvaluator", "green_G", "Q_D", "dz_Q_D", "dzbar_Q_D", "kernel_norm_integral"]
 
@@ -98,12 +98,6 @@ class GreenEvaluator:
         return 1j * math.sqrt(0.5 * x0 * (1.0 - x0**4))
 
 
-def _as_array(z):
-    arr = np.asarray(z, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    return (arr.reshape(1) if scalar else arr), scalar
-
-
 def green_G(ev: GreenEvaluator, z, zeta):
     """The explicit Green-type function G(z, zeta), extended-real valued.
 
@@ -114,8 +108,8 @@ def green_G(ev: GreenEvaluator, z, zeta):
     p = ev.params
     zarr, scalar_z = _as_array(z)
     warr, scalar_w = _as_array(zeta)
-    zr = ev.geometry.reduce(zarr)
-    wr = ev.geometry.reduce(warr)
+    zr = ev.geometry.reduce(np.atleast_1d(zarr))
+    wr = ev.geometry.reduce(np.atleast_1d(warr))
     M, K, Kp = p.M, p.K, p.K_prime
     ikp = 1j * Kp
     ctx = ev.ctx_kappa
@@ -138,7 +132,7 @@ def Q_D(ev: GreenEvaluator, z):
     """zeta-derivative of G at zeta = 0; lattice-periodic, odd, 1/z at 0."""
     p = ev.params
     arr, scalar = _as_array(z)
-    zr = ev.geometry.reduce(arr)
+    zr = ev.geometry.reduce(np.atleast_1d(arr))
     M, K, Kp = p.M, p.K, p.K_prime
     near_pole = np.abs(zr - ev.geometry.reduce(np.zeros_like(zr))) < _POLE_ATOL * max(p.L, p.L_prime)
     if np.any(near_pole):
@@ -156,7 +150,7 @@ def dz_Q_D(ev: GreenEvaluator, z):
     """Holomorphic Wirtinger derivative of Q_D: M^2 (E'/K' - 1/sn(Mz)^2)."""
     p = ev.params
     arr, scalar = _as_array(z)
-    zr = ev.geometry.reduce(arr)
+    zr = ev.geometry.reduce(np.atleast_1d(arr))
     sn, _, _ = jacobi_sn_cn_dn(ev.ctx_kappa, p.M * zr)
     sn = np.asarray(sn)
     if np.any(np.abs(sn) < _POLE_ATOL):
@@ -169,7 +163,7 @@ def dzbar_Q_D(ev: GreenEvaluator, z):
     """Anti-holomorphic derivative: M^2 (E/K - pi/(2KK') - dn(M conj z)^2)."""
     p = ev.params
     arr, scalar = _as_array(z)
-    zr = ev.geometry.reduce(arr)
+    zr = ev.geometry.reduce(np.atleast_1d(arr))
     _, _, dn = jacobi_sn_cn_dn(ev.ctx_kappa, p.M * np.conj(zr))
     dn = np.asarray(dn)
     val = p.M**2 * (-(dn**2) + p.E / p.K - math.pi / (2.0 * p.K * p.K_prime))

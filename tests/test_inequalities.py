@@ -1,9 +1,11 @@
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from goluzin_lab.catalog import resolve_map
+from goluzin_lab.catalog import catalog, resolve_map
 from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
 from goluzin_lab.errors import DomainError
 from goluzin_lab import inequalities
@@ -11,6 +13,7 @@ from goluzin_lab.inequalities import (
     PsiEvaluator,
     _DiskField,
     _MarchedSqrt,
+    _seg_point_dist,
     goluzin_bound,
     gronwall_check,
     koebe_bieberbach_bound,
@@ -150,6 +153,14 @@ class TestPsiField:
     def test_rejects_disk_maps(self):
         with pytest.raises(DomainError):
             PsiEvaluator(resolve_map("koebe"), 2.0)
+
+    def test_route_stays_in_exterior_disk(self):
+        # the pole of A at b1/zeta sits just inside the unit circle; a chord
+        # that dips inside would pass it and march the wrong sign
+        ev = PsiEvaluator(resolve_map("joukowski-pi3"), 1.0 + 1e-6)
+        for t in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+            route = np.array(ev._route(complex((1.0 + 1e-9) * np.exp(1j * t))))
+            assert _seg_point_dist(route[:-1], route[1:], 0j).min() > 1.0
 
 
 class TestPointwiseFromArea:
@@ -377,3 +388,101 @@ class TestMarchedSqrtBlock:
                 idx = self.check(sq, _driver_block(cell, plane, seed_call), monkeypatch)
                 reached |= set(idx[idx >= 0].tolist())
         assert reached == {0, 1}
+
+
+SIGMA_NAMES = [m.name for m in catalog() if m.map_class == "Sigma"] + [
+    "b1:0.5i",
+    f"b1:{0.99 * cmath.exp(1j)}",
+    "b1:-1",
+    f"b1:{cmath.exp(1j * math.pi / 3)}",
+]
+
+
+def _oracle_nodes(ev):
+    """Nodes next to the unit circle, just outside the diagonal disk of zeta,
+    and out to |z| = 1e6."""
+    th = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False) + 0.1
+    return {
+        "circle": np.concatenate([(1.0 + d) * np.exp(1j * th) for d in (1e-9, 1e-3)]),
+        "diagonal": ev.zeta + 1.5 * ev._diag_radius * np.exp(1j * th[::2]),
+        "far": np.geomspace(2.0, 1e6, 40) * np.exp(1j * (np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False) + 0.1)),
+    }
+
+
+class TestClosedFormSqrt:
+    """The sign of sqrt(A) in ``PsiEvaluator.field`` against the per-point march ``at``."""
+
+    @staticmethod
+    def field_root(ev, zs, monkeypatch):
+        """The root ``field`` uses at ``zs``, and whether ``block`` made it."""
+        roots, blocks = [], []
+        sqrt_of_a, block = PsiEvaluator._sqrt_of_a, _MarchedSqrt.block
+
+        def recorded(self, z, a):
+            roots.append(sqrt_of_a(self, z, a))
+            return roots[-1]
+
+        def counted(self, z):
+            blocks.append(z)
+            return block(self, z)
+
+        monkeypatch.setattr(PsiEvaluator, "_sqrt_of_a", recorded)
+        monkeypatch.setattr(_MarchedSqrt, "block", counted)
+        ev.field(zs)
+        monkeypatch.undo()
+        (g,) = roots
+        return g, bool(blocks)
+
+    @staticmethod
+    def marched(ev, zs):
+        return np.array([ev._sqrt_a.at(complex(z)) for z in zs])
+
+    @pytest.mark.parametrize("name", SIGMA_NAMES)
+    @pytest.mark.parametrize("zeta", [1.0 + 1e-6, 1.25, 3j, 1e3])
+    def test_sign_matches_march(self, name, zeta, monkeypatch):
+        ev = PsiEvaluator(resolve_map(name), zeta)
+        for group, zs in _oracle_nodes(ev).items():
+            g, used_block = self.field_root(ev, zs, monkeypatch)
+            ref = self.marched(ev, zs)
+            assert np.all(np.abs(g - ref) < np.abs(g + ref)), group
+            root = np.sqrt(ev._ratio_a(zs))
+            assert np.all((g == root) | (g == -root)), group
+            # psi'(zeta) = 1 - zeta^-2 ~ 2e-6: psi(z) - psi(zeta) cancels next
+            # to the diagonal and A misses the closed form by 6e-4, beyond the
+            # 1e-6 check, so that call is continued by block
+            fallback = name == "joukowski" and zeta == 1.0 + 1e-6 and group == "diagonal"
+            assert used_block == fallback, group
+
+    def test_coefficients_not_describing_value_take_block(self, monkeypatch):
+        # the identity's value with a b1 = 0.3 expansion: ref^2 misses A = 1,
+        # except next to zeta, where both are 1 to within 1e-8 and the sign of
+        # ref is the sign of the root
+        m = dataclasses.replace(resolve_map("identity"), coefficients=(0.0, 0.3))
+        ev = PsiEvaluator(m, 2.0)
+        for group, zs in _oracle_nodes(ev).items():
+            g, used_block = self.field_root(ev, zs, monkeypatch)
+            assert used_block == (group != "diagonal"), group
+            assert np.allclose(g, self.marched(ev, zs), rtol=1e-12, atol=0.0), group
+
+    @pytest.mark.parametrize("name", ["joukowski", "b1:0.7"])
+    @pytest.mark.parametrize("zeta", [1.25, 3j])
+    def test_closed_form_and_march_agree_bit_for_bit(self, name, zeta, monkeypatch):
+        blocks = []
+        block = _MarchedSqrt.block
+
+        def counted(self, z):
+            blocks.append(z)
+            return block(self, z)
+
+        monkeypatch.setattr(_MarchedSqrt, "block", counted)
+        m = resolve_map(name)
+        closed = verify_area_sigma(m, zeta)
+        assert not blocks
+        marched = verify_area_sigma(dataclasses.replace(m, coefficients=None), zeta)
+        assert blocks
+        assert (closed.ratio, closed.error_estimate, closed.status, closed.inputs["n_evals"]) == (
+            marched.ratio,
+            marched.error_estimate,
+            marched.status,
+            marched.inputs["n_evals"],
+        )
