@@ -28,6 +28,8 @@ class UnivalentMap:
 
     ``coefficients`` holds the leading expansion coefficients when known
     in closed form: (b0, b1, ...) for Sigma maps, (a2, a3, ...) for S maps.
+    ``source`` is ``(bridge, psi)`` for a unit-disk map that
+    :func:`~goluzin_lab.maps.phi_from_psi` made from the Sigma map psi.
     """
 
     name: str
@@ -37,6 +39,7 @@ class UnivalentMap:
     deriv2: Callable = field(repr=False)
     coefficients: tuple | None
     full_mapping: bool
+    source: tuple | None = field(default=None, repr=False)
 
 
 def _laurent_map(name: str, b1: complex, full_mapping: bool) -> UnivalentMap:

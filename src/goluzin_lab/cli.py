@@ -7,8 +7,9 @@ one map and base point), ``gronwall`` (the coefficient area theorem),
 ``selftest`` (fast internal invariant suite).
 
 Exit codes: 0 all checks hold (or reach their expected equality), 1 a
-bound is violated beyond tolerance, 2 numerical non-convergence, 64 usage
-error.  Complex literals use the form ``1.5+0.5i`` with no spaces.
+bound is violated beyond tolerance, 2 numerical non-convergence (also a
+square-root continuation that cannot fix a sign), 64 usage error.
+Complex literals use the form ``1.5+0.5i`` with no spaces.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .catalog import catalog, resolve_map
 from .elliptic import params_from_x0, x0_from_zeta_abs
-from .errors import QuadratureError
+from .errors import BranchAmbiguityError, QuadratureError
 from .inequalities import (
     AREA_SPEC,
     PsiEvaluator,
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except QuadratureError as exc:
+    except (QuadratureError, BranchAmbiguityError) as exc:  # before ValueError, which the latter subclasses
         log.error("non-convergence: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

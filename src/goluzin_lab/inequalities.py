@@ -24,11 +24,16 @@ Implemented checks:
 The field Psi(z, zeta) combines three terms whose relative signs matter;
 its square-root factor sqrt(psi'(zeta)(z - zeta)/(psi(z) - psi(zeta))) is
 the analytic continuation of the value +1 at z = zeta inside the exterior
-disk.  For psi = z + b0 + b1/z, |b1| <= 1, that continuation has a closed
-form in principal roots whose arguments provably avoid the cut, and the
-sign is taken from it (see :class:`PsiEvaluator`); every other map is
-continued along paths by :class:`_MarchedSqrt`.  No sign is guessed from a
-principal root of the argument itself.
+disk.  The disk form and the torus check carry square roots of the same
+kind.  For psi = z + b0 + b1/z, |b1| <= 1 (every catalog Sigma map), all
+three continuations have closed forms in principal roots of
+Q(z) = (psi(z) - psi(zeta))/(z - zeta) = 1 - b1/(z zeta), whose real part
+is positive on the exterior disk, and the sign is taken from them (see
+:class:`PsiEvaluator`, :class:`_DiskField` and
+:func:`torus_area_crosscheck`).  The march of :class:`_MarchedSqrt` runs
+for every other map and for a call whose nodes the closed form misses by
+more than 1e-6 relative.  No sign is guessed from a principal root of the
+argument itself.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ import numpy as np
 from .catalog import UnivalentMap, gronwall_sum
 from .elliptic import EllipticParams, params_from_x0, x0_from_zeta_abs
 from .errors import DomainError
-from .maps import BridgeMaps, marched_sqrt_path, phi_from_psi, sigma, sigma_prime
+from .maps import BridgeMaps, marched_sqrt_path, phi_from_psi, sigma
 from .quadrature import QuadratureSpec, SingularPoint, integrate_disk, integrate_exterior_disk, integrate_rect
+from .theta import jacobi_sn_cn_dn
 from .torus import GreenEvaluator, dz_Q_D
 
 __all__ = [
@@ -118,6 +124,34 @@ def _seg_point_dist(a: np.ndarray, b: np.ndarray, p: complex) -> np.ndarray:
     return np.abs(a + t * ab - p)
 
 
+def _laurent_b1(psi: UnivalentMap) -> complex | None:
+    """b1 when ``coefficients`` say psi = z + b0 + b1/z, else None."""
+    coeffs = psi.coefficients
+    if coeffs is None or len(coeffs) not in (1, 2):
+        return None
+    return complex(coeffs[1]) if len(coeffs) == 2 else 0j
+
+
+def _quotient_in_w(phi: UnivalentMap) -> Callable | None:
+    """w -> Q(eta_inv(w)) for a map made by ``phi_from_psi``, else None.
+
+    Q(z) = (psi(z) - psi(zeta))/(z - zeta) = 1 - b1/(z zeta) for
+    psi = z + b0 + b1/z; b1/(z zeta) is formed in w directly,
+    b1 |zeta| (w + x0)/(zeta^2 (1 + x0 w)), which stays finite at w = -x0
+    (Q = 1 there) where ``eta_inv`` has its pole.  For |z|, |zeta| > 1 and
+    |b1| <= 1, Re Q > 0, so a principal root of Q is continuous.
+    """
+    if phi.source is None:
+        return None
+    bridge, psi = phi.source
+    b1 = _laurent_b1(psi)
+    if b1 is None:
+        return None
+    x0, zeta = bridge.x0, bridge.zeta
+    c = b1 * abs(zeta) / zeta**2
+    return lambda w: 1.0 - c * (w + x0) / (1.0 + x0 * w)
+
+
 class _MarchedSqrt:
     """Block-continued square root of an analytic argument function.
 
@@ -174,6 +208,17 @@ class _MarchedSqrt:
     def _match(g: np.ndarray, ref) -> np.ndarray:
         flip = (g * np.conj(ref)).real < 0.0
         return np.where(flip, -g, g)
+
+    def signed_like(self, zs: np.ndarray, vals: np.ndarray, ref) -> np.ndarray:
+        """+-sqrt(vals) at ``zs`` with the sign of the closed form ``ref``.
+
+        ``vals`` must be the argument function at ``zs``.  Without a closed
+        form (``ref`` None), or when ref^2 misses vals by more than 1e-6
+        relative at any node, the call is continued by :meth:`block`.
+        """
+        if ref is not None and np.all(np.abs(ref * ref - vals) <= 1e-6 * np.abs(vals)):
+            return self._match(np.sqrt(vals), ref)
+        return self.block(zs)
 
     def block(self, zs: np.ndarray) -> np.ndarray:
         flat = np.asarray(zs, dtype=np.complex128).reshape(-1)
@@ -247,21 +292,18 @@ class PsiEvaluator:
         self._diag_radius = 1e-7 * (1.0 + abs(zeta))
         base = -1.0 if flip_sqrt_base else 1.0
         self._sqrt_a = _MarchedSqrt(self._ratio_a, base, self._route)
-        coeffs = psi.coefficients
-        self._b1 = None
-        if coeffs is not None and len(coeffs) in (1, 2):
-            self._b1 = complex(coeffs[1]) if len(coeffs) == 2 else 0j
+        self._b1 = _laurent_b1(psi)
+        if self._b1 is not None:
             self._ref_top = base * np.sqrt(1.0 - self._b1 / zeta**2)
 
     # -- square-root factor ------------------------------------------------
 
     def _sqrt_of_a(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         """sqrt(A) at the off-diagonal nodes ``z``, where A(z) = ``a``."""
+        ref = None
         if self._b1 is not None:
             ref = self._ref_top / np.sqrt(1.0 - self._b1 / (z * self.zeta))
-            if np.all(np.abs(ref * ref - a) <= 1e-6 * np.abs(a)):
-                return _MarchedSqrt._match(np.sqrt(a), ref)
-        return self._sqrt_a.block(z)
+        return self._sqrt_a.signed_like(z, a, ref)
 
     def _ratio_a(self, z):
         """A(z) = psi'(zeta)(z - zeta)/(psi(z) - psi(zeta)); A(zeta) = 1."""
@@ -364,7 +406,17 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | N
 
 
 class _DiskField:
-    """Integrand data for the unit-disk form of the area bound."""
+    """Integrand data for the unit-disk form of the area bound.
+
+    The root sqrt(V) is continued from sqrt(2 x0) at w = x0.  For a map
+    that ``phi_from_psi`` made from psi = z + b0 + b1/z (identity, the
+    joukowski family, ``b1:<c>``), psi(z) - psi(zeta) = (z - zeta) Q(z)
+    with z - zeta proportional to (w - x0)/(w + x0), so
+    sqrt(V(w)) = C (w + x0)/sqrt(Q(eta_inv(w))) with a principal root,
+    C = sqrt(2 x0) sqrt(Q(zeta))/(2 x0).  Only its sign is used, by the
+    rule of :meth:`_MarchedSqrt.signed_like`; every other map, and a call
+    the closed form misses, is continued by the march.
+    """
 
     def __init__(self, phi: UnivalentMap, x0: float, params: EllipticParams):
         self.phi = phi
@@ -381,6 +433,9 @@ class _DiskField:
             self._route,
             dangers=((complex(-x0), self._clear, 2),),
         )
+        self._q = _quotient_in_w(phi)
+        if self._q is not None:
+            self._ref_c = math.sqrt(2.0 * x0) * np.sqrt(self._q(x0)) / (2.0 * x0)
 
     def _ratio_v(self, w):
         """V(w) = (w^2 - x0^2)/phi(w); V(x0) = 2 x0, double zero at -x0."""
@@ -427,9 +482,15 @@ class _DiskField:
         pts.append(w)
         return pts
 
+    def _sqrt_of_v(self, w: np.ndarray) -> np.ndarray:
+        ref = None
+        if self._q is not None:
+            ref = self._ref_c * (w + self.x0) / np.sqrt(self._q(w))
+        return self._sqrt_v.signed_like(w, self._ratio_v(w), ref)
+
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
-        sqv = self._sqrt_v.block(w)
+        sqv = self._sqrt_of_v(w)
         t1 = self.phi.deriv(w) / self.phi.value(w) * sqv
         t2 = self.c2 * np.sqrt((1.0 - self.x0 * w) / (1.0 + self.x0 * w)) / (w - self.x0)
         t3 = self.c3 / np.sqrt(1.0 - self.x0**2 * w**2)
@@ -551,6 +612,14 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     against pi M^2 E' / (|b|^2 K').  The square root of phi(sigma(z)) is
     continued from a real anchor near 0 whose sign is pinned by requiring
     the 1/z^2 poles of the two terms to cancel.
+
+    For psi = z + b0 + b1/z, sigma^2 - x0^2 = -x0^2 cn^2(z + L) gives
+    sqrt(phi(sigma(z))) = K cn(z + L) sqrt(Q(eta_inv(sigma)))/(sigma + x0),
+    with K fixed at the anchor and a principal root of Q (see
+    :func:`_quotient_in_w`).  Only its sign is used, by the rule of
+    :meth:`_MarchedSqrt.signed_like`; every other map, and a call the closed
+    form misses, is continued by the march.  One sn-cn-dn call per integrand
+    call gives sigma, sigma' and cn.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
     zeta = complex(zeta)
@@ -582,12 +651,16 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
         pts.append(t)
         return pts
 
+    def on_sphere(z):
+        """sigma, sigma' and cn(z + L), with the float operations of ``sigma`` and ``sigma_prime``."""
+        sn, cn, dn = jacobi_sn_cn_dn(bridge.ctx_l, z + L)
+        return p.x0 * sn, p.x0 * cn * dn, cn
+
     anchor = 0.05 * L
-    f_anchor = complex(f_arg(np.array([anchor]))[0])
+    sig_a, dsig_a, cn_a = on_sphere(np.array([anchor], dtype=np.complex128))
+    f_anchor = complex(phi.value(sig_a)[0])
     q_anchor = dz_Q_D(ev, anchor)
-    dphi_anchor = complex(
-        phi.deriv(sigma(bridge, np.complex128(anchor))) * sigma_prime(bridge, np.complex128(anchor))
-    )
+    dphi_anchor = complex((phi.deriv(sig_a) * dsig_a)[0])
     best = None
     for sign in (1.0, -1.0):
         g = sign * complex(np.sqrt(f_anchor))
@@ -601,11 +674,16 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
         (complex(-2.0 * L), clear, -2),
     )
     sqrt_f = _MarchedSqrt(f_arg, base_value, route, dangers=dangers)
+    q = _quotient_in_w(phi)
+    if q is not None:
+        k_ref = base_value * (sig_a[0] + p.x0) / (cn_a[0] * np.sqrt(q(sig_a[0])))
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)
-        g = sqrt_f.block(z)
-        dphi = phi.deriv(sigma(bridge, z)) * sigma_prime(bridge, z)
+        sig, dsig, cn = on_sphere(z)
+        ref = None if q is None else k_ref * cn * np.sqrt(q(sig)) / (sig + p.x0)
+        g = sqrt_f.signed_like(z, phi.value(sig), ref)
+        dphi = phi.deriv(sig) * dsig
         val = -dphi / (2.0 * g**3) - dz_Q_D(ev, z) / b
         return np.abs(val) ** 2
 

@@ -12,7 +12,8 @@ unit-disk map pinned by phi(x0) = 0, phi(-x0) = inf, phi'(x0) = 1.
 
 Square roots of analytic data are continued from a base value along an
 explicit marching order (``sqrt_continued``); nothing here guesses a
-branch from a formula alone.
+branch from a formula alone.  The closed-form signs of the area checks
+live with the checks in :mod:`goluzin_lab.inequalities`.
 """
 
 from __future__ import annotations
@@ -310,7 +311,8 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
     phi(w) = c * (psi(eta_inv(w)) - psi(zeta)) with c fixed by the chain
     rule so that phi(x0) = 0, phi(-x0) = inf, and phi'(x0) = 1 hold
     exactly.  Full mappings stay full: the complement of the image only
-    moves by the affine factor c.
+    moves by the affine factor c.  The result records ``(bridge, psi)`` as
+    its ``source``.
     """
     if psi.map_class != "Sigma":
         raise ValueError("phi_from_psi expects an exterior-disk map")
@@ -353,6 +355,7 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
         deriv2=deriv2,
         coefficients=None,
         full_mapping=psi.full_mapping,
+        source=(bridge, psi),
     )
 
 

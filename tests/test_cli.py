@@ -170,3 +170,21 @@ class TestNonConvergenceExit:
 
         monkeypatch.setattr(cli_mod, "verify_area_sigma", boom)
         assert main(["area", "--map", "joukowski", "--zeta", "2.0"]) == 2
+
+    def test_branch_ambiguity_maps_to_exit_2(self, monkeypatch, capsys):
+        # BranchAmbiguityError subclasses ValueError; it is numeric, not usage
+        import goluzin_lab.cli as cli_mod
+        from goluzin_lab.errors import BranchAmbiguityError
+
+        def boom(*args, **kwargs):
+            raise BranchAmbiguityError("synthetic sign failure")
+
+        monkeypatch.setattr(cli_mod, "verify_area_disk", boom)
+        assert main(["area", "--map", "identity", "--zeta", "2.0", "--with-disk-form"]) == 2
+        assert "error: synthetic sign failure" in capsys.readouterr().err
+
+
+class TestLargeZetaDiskForm:
+    def test_identity_at_fifty_exits_0(self, capsys):
+        assert main(["area", "--map", "identity", "--zeta", "50", "--with-disk-form"]) == EXIT_OK
+        assert "area-disk" in capsys.readouterr().out
