@@ -14,8 +14,10 @@ there ``|Im u| <= K'/(2K)``, so the series takes a fixed number of terms
 set by the nome alone.  The exact quasi-period multipliers are reapplied
 afterwards, so the only hard failure mode is a multiplier that genuinely
 exceeds float range (:class:`ThetaOverflowError`).  sn/cn/dn are the theta
-quotients of DLMF 22.2, with all four theta values taken from one series
-call.
+quotients of DLMF 22.2.  Their four theta values come from one series call
+at two arguments, z and z - iK': theta0(w - K) is the series at w summed
+without its alternating signs, and its quasi-period multiplier is that of
+theta0(w) up to the sign (-1)**n of the iK' shift count n.
 
 All evaluators accept scalars or ndarrays and are pure; contexts are
 frozen and safe to share between threads.
@@ -185,12 +187,16 @@ def jacobi_sn_cn_dn(ctx: JacobiContext, z):
     z0, _, n_im = _reduce_cell(arr, 4.0 * K, 2.0 * Kp)
     parity = np.where(n_im % 2 == 0, 1.0, -1.0)
 
-    # One series call for the denominator theta0(z0) and the three numerators.
-    shifted = np.stack((z0, z0 - 1j * Kp, z0 - K - 1j * Kp, z0 - K))
-    zr, n, val, _, scale = _theta0_reduced(ctx, shifted)
+    # One series call at z0 and z0 - iK' gives all four theta values:
+    # theta0(w - K) is the series at w summed without the signs (-1)**n, and
+    # its quasi-period multiplier is theta0(w)'s times (-1)**n_shift.
+    zr, _, n = _reduce_cell(np.stack((z0, z0 - 1j * Kp)), 2.0 * K, 2.0 * Kp)
+    val, _, scale, val_half = theta_series(zr / (2.0 * K), ctx.nome, half_period=True)
     if np.any(np.abs(val[0]) < _POLE_RTOL * scale[0]):
         raise PoleError("sn/cn/dn evaluated at a pole (zero of theta0)")
-    denom, t_sn, t_cn, t_dn = _multiplier(ctx, zr, n) * val
+    mu = _multiplier(ctx, zr, n)
+    denom, t_sn = mu * val
+    t_dn, t_cn = mu * np.where(n % 2 == 0, 1.0, -1.0) * val_half
 
     # Quotient prefactors normalised so that sn(0) = 0, cn(0) = dn(0) = 1.
     pref = ctx.nome ** 0.25 * np.exp(-1j * math.pi * z0 / (2.0 * K))

@@ -52,6 +52,19 @@ def _reduced_arguments(ctx, rng, n=40):
     return rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-y_max, y_max, n)
 
 
+SCALE_RTOL = 1e-15
+_TWO_PI = 2.0 * math.pi
+
+
+def _jtheta4(u, h, dps):
+    """mpmath theta_4(pi u, h) and its u-derivative, the series of ``theta_series``."""
+    with mpmath.workdps(dps):
+        pu = [mpmath.pi * mpmath.mpc(x) for x in u]
+        ref = np.array([complex(mpmath.jtheta(4, x, h)) for x in pu])
+        dref = np.array([complex(mpmath.pi * mpmath.jtheta(4, x, h, 1)) for x in pu])
+    return ref, dref
+
+
 class TestThetaOracle:
     @pytest.mark.parametrize("tag", TAGS)
     @pytest.mark.parametrize("x0", [0.1, 0.5, 0.9, 0.999])
@@ -59,12 +72,38 @@ class TestThetaOracle:
         ctx = JacobiContext(params_from_x0(x0), tag)
         u = _reduced_arguments(ctx, rng)
         val, dval, scale = _kernels.theta_series(u, ctx.nome)
-        with mpmath.workdps(30):
-            pu = [mpmath.pi * mpmath.mpc(x) for x in u]
-            ref = np.array([complex(mpmath.jtheta(4, x, ctx.nome)) for x in pu])
-            dref = np.array([complex(mpmath.pi * mpmath.jtheta(4, x, ctx.nome, 1)) for x in pu])
+        ref, dref = _jtheta4(u, ctx.nome, 30)
         np.testing.assert_allclose(val, ref, rtol=1e-14)
         np.testing.assert_allclose(dval, dref, rtol=1e-14)
+        assert np.all(scale >= np.abs(val))
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_near_degenerate_modulus_within_scale(self, tag, rng):
+        # at x0 = 0.99999 the nome of kappa is 0.68 and the terms cancel:
+        # the error is bounded against the returned scale, not against |val|
+        ctx = JacobiContext(params_from_x0(0.99999), tag)
+        u = _reduced_arguments(ctx, rng)
+        val, dval, scale = _kernels.theta_series(u, ctx.nome)
+        ref, dref = _jtheta4(u, ctx.nome, 30)
+        assert np.all(np.abs(val - ref) <= SCALE_RTOL * scale)
+        assert np.all(np.abs(dval - dref) <= SCALE_RTOL * _TWO_PI * scale)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("x0", [1e-12, 1e-30, 1e-60])
+    def test_tiny_nome_on_cell_edge(self, x0, tag, rng):
+        # |Im u| = K'/(2K): term n of the cosine form is h**(n*n) * cosh(2 pi n |Im u|),
+        # a product of 0 and an overflow at h ~ 1e-241 (x0 = 1e-60 at modulus x0**2)
+        ctx = JacobiContext(params_from_x0(x0), tag)
+        y_max = ctx.quarter_Kp / (2.0 * ctx.quarter_K)
+        u = rng.uniform(-0.5, 0.5, 12) + 1j * y_max * np.tile([1.0, -1.0], 6)
+        val, dval, scale = _kernels.theta_series(u, ctx.nome)
+        assert np.all(np.isfinite(val)) and np.all(np.isfinite(dval)) and np.all(np.isfinite(scale))
+        # jtheta sums cosines that cancel to about 1/h: it needs that many digits
+        ref, dref = _jtheta4(u, ctx.nome, int(-math.log10(ctx.nome)) + 30)
+        # exp(2 pi i u) carries the rounding of u times |2 pi u|
+        tol = SCALE_RTOL * (1.0 + _TWO_PI * np.abs(u)) * scale
+        assert np.all(np.abs(val - ref) <= tol)
+        assert np.all(np.abs(dval - dref) <= _TWO_PI * tol)
         assert np.all(scale >= np.abs(val))
 
 
@@ -74,6 +113,13 @@ class TestThetaPaths:
         assert np.shape(val) == np.shape(dval) == np.shape(scale) == ()
 
 
+# About 2.5x the worst relative errors measured with one theta series per
+# numerator (1.8e-13 in the cell and 6.4e-13 at 7 cells, both at x0 = 0.99999
+# and modulus kappa); reading two numerators off shared terms must not need more.
+SNCNDN_RTOL_CELL = 4e-13
+SNCNDN_RTOL_FAR = 1.5e-12
+
+
 class TestSnCnDnOracle:
     @pytest.mark.parametrize("tag", TAGS)
     @pytest.mark.parametrize("x0", [0.1, 0.5, 0.9])
@@ -81,6 +127,36 @@ class TestSnCnDnOracle:
         ctx = JacobiContext(params_from_x0(x0), tag)
         K, Kp = ctx.quarter_K, ctx.quarter_Kp
         z = rng.uniform(-2.0 * K, 2.0 * K, 30) + 1j * rng.uniform(-0.9 * Kp, 0.9 * Kp, 30)
+        got = jacobi_sn_cn_dn(ctx, z)
+        with mpmath.workdps(30):
+            m = mpmath.mpf(ctx.k) ** 2
+            for name, values in zip(("sn", "cn", "dn"), got):
+                ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])
+                np.testing.assert_allclose(values, ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("x0", [0.99, 0.999, 0.99999])
+    @pytest.mark.parametrize("cells, rtol", [(0, SNCNDN_RTOL_CELL), (7, SNCNDN_RTOL_FAR)])
+    def test_near_degenerate_modulus_far_out(self, x0, tag, cells, rtol, rng):
+        # the reference modulus is m = 1 - k'**2: k itself rounds near 1, and
+        # m = k**2 would be 1.2e-6 off at x0 = 0.99999 (modulus kappa)
+        ctx = JacobiContext(params_from_x0(x0), tag)
+        K, Kp = ctx.quarter_K, ctx.quarter_Kp
+        z = rng.uniform(-2.0 * K, 2.0 * K, 20) + 1j * rng.uniform(-0.9 * Kp, 0.9 * Kp, 20)
+        z = z + cells * (4.0 * K * rng.choice([-1, 1], 20) + 2j * Kp * rng.choice([-1, 1], 20))
+        got = jacobi_sn_cn_dn(ctx, z)
+        with mpmath.workdps(30):
+            m = 1 - mpmath.mpf(ctx.k_prime) ** 2
+            for name, values in zip(("sn", "cn", "dn"), got):
+                ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])
+                np.testing.assert_allclose(values, ref, rtol=rtol)
+
+    @pytest.mark.parametrize("x0", [1e-40, 1e-60])
+    def test_tiny_modulus_real_axis(self, x0):
+        # z - iK' lies on the edge of the series' cell: a cosine series term
+        # h**(n*n) * cosh(2 pi n |Im u|) is 0 * inf there once h**2 < 1/DBL_MAX
+        ctx = JacobiContext(params_from_x0(x0), "x0_squared")
+        z = ctx.quarter_K * np.array([0.3, -0.7, 1.1, 1.9, 2.6]) + 0j
         got = jacobi_sn_cn_dn(ctx, z)
         with mpmath.workdps(30):
             m = mpmath.mpf(ctx.k) ** 2

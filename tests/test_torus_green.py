@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
 from goluzin_lab.errors import PoleError
 from goluzin_lab.quadrature import QuadratureSpec
 from goluzin_lab.torus import (
@@ -188,6 +190,36 @@ class TestDerivatives:
     def test_dz_pole_signal(self, green_half):
         with pytest.raises(PoleError):
             dz_Q_D(green_half, 0.0)
+
+
+class TestDzQDOracle:
+    """dz_Q_D against M^2 (E'/K' - 1/sn(M z)^2) evaluated by mpmath."""
+
+    @staticmethod
+    def _reference(p, z):
+        with mpmath.workdps(30):
+            kp = mpmath.mpf(p.kappa_prime)
+            m = 1 - kp**2  # kappa itself rounds near 1
+            big_m = 1 / (1 + kp)
+            e_over_k = mpmath.ellipe(kp**2) / mpmath.ellipk(kp**2)
+            sn = [mpmath.ellipfun("sn", big_m * mpmath.mpc(x), m=m) for x in z]
+            return np.array([complex(big_m**2 * (e_over_k - 1 / s**2)) for s in sn])
+
+    @pytest.mark.parametrize("zeta_abs, rtol", [(1.001, 2e-12), (1.25, 2e-14), (2.0, 2e-14), (3.0, 2e-14)])
+    def test_rectangle(self, zeta_abs, rtol, rng):
+        ev = GreenEvaluator.from_params(params_from_x0(x0_from_zeta_abs(zeta_abs)))
+        p = ev.params
+        z = rng.uniform(-2.0 * p.L, 2.0 * p.L, 30) + 1j * rng.uniform(-p.L_prime, p.L_prime, 30)
+        np.testing.assert_allclose(dz_Q_D(ev, z), self._reference(p, z), rtol=rtol)
+
+    @pytest.mark.parametrize("zeta_abs", [1.001, 1.25, 2.0, 3.0])
+    def test_ring_at_core_radius(self, zeta_abs):
+        # the torus cross-check excludes a core of radius 5e-4 L around the pole at 0;
+        # sn(M z) comes from theta0(M z - iK'), which rounds Im(M z) against K'
+        ev = GreenEvaluator.from_params(params_from_x0(x0_from_zeta_abs(zeta_abs)))
+        p = ev.params
+        z = 5e-4 * p.L * np.exp(2j * math.pi * (np.arange(16) + 0.5) / 16)
+        np.testing.assert_allclose(dz_Q_D(ev, z), self._reference(p, z), rtol=6e-12)
 
 
 class TestKernelNormIntegral:
