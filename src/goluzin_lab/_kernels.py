@@ -1,4 +1,6 @@
-"""Hot numeric kernels: AGM iteration and the theta series.
+"""Hot numeric kernels: AGM iteration, Carlson's R_F and the theta series.
+
+``carlson_rf`` is Carlson's duplication algorithm at complex arguments.
 
 Series convention (DLMF 20.2.4 in the variable pi*u): ``theta_series`` sums
 
@@ -55,6 +57,36 @@ def agm_complete(k: float, k_prime: float | None = None) -> tuple[float, float, 
         csum += pow2 * c * c
     big_k = math.pi / (2.0 * a)
     return big_k, big_k * (1.0 - csum), csum
+
+
+# (3r)**(-1/6) for r = 2**-53: after n duplications the series truncation
+# error is below r once _RF_Q * max|A0 - x0|/4**n drops below |A_n|.
+_RF_Q = (3.0 * 2.0**-53) ** (-1.0 / 6.0)
+
+
+def carlson_rf(x, y, z):
+    """Carlson's symmetric integral R_F(x, y, z) by duplication (DLMF 19.36.1).
+
+    Complex arguments off the negative real axis, at most one of them zero;
+    scalars or broadcastable ndarrays.  Principal square roots throughout,
+    so the result is the principal value (Carlson 1995, Numer. Algorithms 10).
+    """
+    x, y, z = (np.asarray(v, dtype=np.complex128) for v in (x, y, z))
+    a0 = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = _RF_Q * np.maximum(np.maximum(np.abs(dx), np.abs(dy)), np.abs(a0 - z))
+    a, pow4 = a0, 1.0
+    while np.any(q >= pow4 * np.abs(a)):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        pow4 *= 4.0
+    big_x, big_y = dx / (pow4 * a), dy / (pow4 * a)
+    big_z = -(big_x + big_y)
+    e2 = big_x * big_y - big_z * big_z
+    e3 = big_x * big_y * big_z
+    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+    return series / np.sqrt(a)
 
 
 def _term_count(h: float) -> int:

@@ -2,12 +2,11 @@
 exterior disk, and the unit disk, plus branch-tracked square roots.
 
 ``sigma`` wraps the rectangle onto the doubly slit sphere through sn at
-modulus x0**2; ``tau`` inverts it on the principal sheet by integrating
-``1/sqrt((1-t^2)(1-x0^4 t^2))`` from 0 to w/x0 along a path kept on the
-requested side of the real axis, with square-root substitutions at the
-branch points for real targets.  ``eta``/``eta_inv`` are the Moebius maps
-between the exterior disk (base point zeta) and the unit disk (base point
-x0), and ``phi_from_psi`` converts an exterior-disk map into the
+modulus x0**2; ``tau`` inverts it on the principal sheet in closed form,
+the incomplete integral of the first kind as one Carlson R_F, with the
+one-sided limit of that form on the slits.  ``eta``/``eta_inv`` are the
+Moebius maps between the exterior disk (base point zeta) and the unit disk
+(base point x0), and ``phi_from_psi`` converts an exterior-disk map into the
 unit-disk map pinned by phi(x0) = 0, phi(-x0) = inf, phi'(x0) = 1.
 
 Square roots of analytic data are continued from a base value along an
@@ -18,14 +17,15 @@ live with the checks in :mod:`goluzin_lab.inequalities`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import carlson_rf
 from .elliptic import EllipticParams, params_from_x0, x0_from_zeta_abs
-from .errors import BranchAmbiguityError, BranchCutError, PoleError, QuadratureError
-from .quadrature import _gl_rule
+from .errors import BranchAmbiguityError, BranchCutError, PoleError
 from .catalog import UnivalentMap
 from .theta import JacobiContext, jacobi_sn_cn_dn
 
@@ -40,7 +40,6 @@ __all__ = [
     "eta_inv",
     "phi_from_psi",
     "sqrt_continued",
-    "loop_sign_flip",
     "marched_sqrt_path",
 ]
 
@@ -95,161 +94,43 @@ def sigma_prime(bridge: BridgeMaps, z):
     return p.x0 * cn * dn
 
 
-def _adaptive_1d(f, a, b, tol, depth=0):
-    """Recursive GL quadrature of a smooth real/complex integrand."""
-    x, w = _gl_rule(24)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    whole = half * np.sum(w * f(mid + half * x))
-    left = 0.5 * (mid - a) * np.sum(w * f(0.5 * (a + mid) + 0.5 * (mid - a) * x))
-    right = 0.5 * (b - mid) * np.sum(w * f(0.5 * (mid + b) + 0.5 * (b - mid) * x))
-    if abs(whole - (left + right)) <= tol or depth >= 30:
-        return left + right
-    return _adaptive_1d(f, a, mid, 0.5 * tol, depth + 1) + _adaptive_1d(f, mid, b, 0.5 * tol, depth + 1)
-
-
-def _tau_real_pieces(x0: float, t: float, tol: float):
-    """(piece1, piece2, piece3) of the inversion integral for a real target t >= 0.
-
-    piece1 runs to min(t, 1), piece2 covers (1, min(t, X)) and enters with
-    a factor +-i, piece3 covers (X, t) and enters negatively; X = 1/x0^2.
-    Square-root substitutions remove every endpoint singularity.
-    """
-    x04 = x0**4
-    X = 1.0 / x0**2
-    if abs(t - X) <= 1e-15 * X:  # the slit tip up to rounding: sqrt(t - X) would amplify it
-        t = X
-
-    def base(s):
-        return 1.0 / np.sqrt((1.0 - s**2) * (1.0 - x04 * s**2))
-
-    t1 = min(t, 1.0)
-    if t1 <= 0.5:
-        p1 = _adaptive_1d(base, 0.0, t1, tol) if t1 > 0 else 0.0
-    else:
-        p1 = _adaptive_1d(base, 0.0, 0.5, tol)
-
-        def sub1(u):
-            s = 1.0 - u**2
-            return 2.0 / np.sqrt((1.0 + s) * (1.0 - x04 * s**2))
-
-        p1 += _adaptive_1d(sub1, math.sqrt(1.0 - t1), math.sqrt(0.5), tol)
-
-    p2 = 0.0
-    if t > 1.0:
-        t2 = min(t, X)
-        m = 0.5 * (1.0 + t2)
-
-        def sub2a(u):
-            s = 1.0 + u**2
-            return 2.0 / np.sqrt((s + 1.0) * (1.0 - x04 * s**2))
-
-        def sub2b(v):
-            s = X - v**2
-            return 2.0 / (x0 * np.sqrt((s**2 - 1.0) * (1.0 + x0**2 * s)))
-
-        p2 = _adaptive_1d(sub2a, 0.0, math.sqrt(m - 1.0), tol)
-        p2 += _adaptive_1d(sub2b, math.sqrt(X - t2), math.sqrt(X - m), tol)
-
-    p3 = 0.0
-    if t > X:
-
-        def sub3(u):
-            s = X + u**2
-            return 2.0 / (x0 * np.sqrt((s**2 - 1.0) * (1.0 + x0**2 * s)))
-
-        p3 = _adaptive_1d(sub3, 0.0, math.sqrt(t - X), tol)
-    return p1, p2, p3
-
-
-def _continue_sqrt_chain(fvals, g_prev):
-    """Sign-matched square roots along a chain; None when a step is too wide."""
-    fvals = np.asarray(fvals, dtype=np.complex128)
-    out = np.empty_like(fvals)
-    for i, fv in enumerate(fvals):
-        g = complex(np.sqrt(fv))
-        if abs(g - g_prev) > abs(g + g_prev):
-            g = -g
-        if abs(g - g_prev) > 0.8 * (abs(g) + abs(g_prev)):
-            return None, g_prev
-        out[i] = g
-        g_prev = g
-    return out, g_prev
-
-
-def _tau_segment(Ffun, t0, t1, g0, tol, depth=0):
-    """Integrate 1/sqrt(F) over [t0, t1] with branch continuity from g0 at t0.
-
-    Returns ``(integral, sqrt(F) at t1)``; subdivides whenever either the
-    16-vs-two-8 comparison misses the tolerance or a continuation step is
-    too wide to fix the sign safely.
-    """
-    x, w = _gl_rule(16)
-    half = 0.5 * (t1 - t0)
-    mid = t0 + half
-    nodes = np.concatenate([t0 + half * (x + 1.0), [t1]])
-    gv, g_end = _continue_sqrt_chain(Ffun(nodes), g0)
-    if gv is not None:
-        whole = half * np.sum(w / gv[:-1])
-        nodes_l = np.concatenate([t0 + 0.5 * half * (x + 1.0), [mid]])
-        gl, g_mid = _continue_sqrt_chain(Ffun(nodes_l), g0)
-        if gl is not None:
-            nodes_r = np.concatenate([mid + 0.5 * half * (x + 1.0), [t1]])
-            gr, g_end2 = _continue_sqrt_chain(Ffun(nodes_r), g_mid)
-            if gr is not None and abs(g_end2 - g_end) < 0.5 * (abs(g_end) + abs(g_end2)):
-                halves = 0.5 * half * (np.sum(w / gl[:-1]) + np.sum(w / gr[:-1]))
-                if abs(whole - halves) <= tol or depth >= 26:
-                    return halves, g_end2
-    if depth >= 26:
-        raise QuadratureError("tau contour integration failed to converge")
-    left, g_mid = _tau_segment(Ffun, t0, mid, g0, 0.5 * tol, depth + 1)
-    right, g_end = _tau_segment(Ffun, mid, t1, g_mid, 0.5 * tol, depth + 1)
-    return left + right, g_end
-
-
-def tau(bridge: BridgeMaps, w, side: str = "auto", tol: float = 1e-12) -> complex:
+def tau(bridge: BridgeMaps, w, side: str = "auto") -> complex:
     """Inverse of sigma on the principal sheet.
 
     ``side`` ('+' or '-') selects the boundary value for real w with
     |w| > x0, where the two sides of the slit map to different edges;
     real w with |w| <= x0 is unambiguous.  tau(x0) = 0, tau(0) = -L,
     tau(-x0) = -2L, and tau(1/x0) from above is iL'.
+
+    tau(w) = F(arcsin T; x0^4) - L = T R_F(1 - T^2, 1 - x0^4 T^2, 1) - L with
+    T = w/x0 (DLMF 19.25(i)).  The arguments are scaled by s^2, s = 1/max(1, |T|),
+    which R_F's degree -1/2 turns into the factor s, so no finite w overflows.
     """
     p = bridge.params
-    x0, L = p.x0, p.L
+    x0 = p.x0
     w = complex(w)
-    T = w / x0
-    if abs(T.imag) <= _REAL_TOL * (1.0 + abs(T)):
-        t = T.real
-        if t < 0.0:
-            flipped = "auto" if side == "auto" else ("-" if side == "+" else "+")
-            return -tau(bridge, -w, flipped, tol) - 2.0 * L
-        if abs(t) > 1.0 and side == "auto":
+    c = 1.0
+    on_slit = abs(w.imag) <= _REAL_TOL * (x0 + abs(w)) and abs(w.real) > x0
+    if on_slit:
+        if side == "auto":
             raise BranchCutError(
                 "tau is two-sided for real w with |w| > x0; pass side='+' or side='-'"
             )
-        p1, p2, p3 = _tau_real_pieces(x0, t, tol)
-        orient = 1.0 if side in ("auto", "+") else -1.0
-        return complex(p1 - p3 - L) + 1j * orient * p2
-
-    x04 = x0**4
-
-    def F(ts):
-        return (1.0 - ts**2) * (1.0 - x04 * ts**2)
-
-    sgn = 1.0 if T.imag > 0 else -1.0
-    lift = 0.2
-    if abs(T.imag) >= lift:
-        waypoints = [0.0, 1j * T.imag, T]
-    else:
-        waypoints = [0.0, 1j * sgn * lift, T.real + 1j * sgn * lift, T]
-    total = 0.0 + 0.0j
-    g = 1.0 + 0.0j
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        if abs(b - a) < 1e-300:
-            continue
-        seg, g = _tau_segment(lambda s, a=a, b=b: F(a + (b - a) * s), 0.0, 1.0, g, tol, 0)
-        total += seg * (b - a)
-    return total - L
+        # The one-sided limit: Im T^2 has the sign of T*side, so x and y reach
+        # the negative axis with Im of sign -T*side.  There R_F(x, y, z) =
+        # sqrt(c) R_F(cx, cy, cz) for the quarter turn c = +-i of sign T*side,
+        # which moves all three arguments off the cut without crossing it.
+        w = complex(w.real)
+        c = 1j * math.copysign(1.0, w.real) * (1.0 if side == "+" else -1.0)
+    r = max(x0, abs(w))
+    s = x0 / r
+    # s^2 (1 - T^2) and s^2 (1 - x0^4 T^2), free of cancellation near the branch
+    # points +-x0 and, through 1 - x0^4 = (1 - x0)(1 + x0)(1 + x0^2), near x0 = 1
+    x = (x0 - w) / r * ((x0 + w) / r)
+    y = x0**4 * x + (1.0 - x0) * (1.0 + x0) * (1.0 + x0 * x0) * s * s
+    if on_slit and abs(r * x0 - 1.0) <= 1e-15:
+        y = 0.0  # the slit tip up to rounding: y would enter R_F through its square root
+    return w / r * cmath.sqrt(c) * complex(carlson_rf(c * x, c * y, c * s * s)) - p.L
 
 
 def tau_prime(bridge: BridgeMaps, w, side: str = "auto"):
@@ -405,19 +286,6 @@ def sqrt_continued(args, tracker: BranchTracker):
         ref = tracker.base_value if i == 0 else out[parents[i]]
         out[i] = -g if abs(g - ref) > abs(g + ref) else g
     return out.reshape(args.shape)
-
-
-def loop_sign_flip(args) -> bool:
-    """True when continuing sqrt around the closed loop ``args`` flips sign.
-
-    ``args`` lists the argument values along the loop; the first entry is
-    re-visited implicitly.  A flip means the loop winds an odd number of
-    times around 0.
-    """
-    args = np.asarray(args, dtype=np.complex128).reshape(-1)
-    g0 = complex(np.sqrt(args[0]))
-    chain = sqrt_continued(np.append(args, args[0]), BranchTracker(base_value=g0))
-    return bool(abs(chain[-1] + g0) < abs(chain[-1] - g0))
 
 
 def marched_sqrt_path(func, waypoints, base_value, max_doublings: int = 8):

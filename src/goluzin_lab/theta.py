@@ -26,13 +26,14 @@ frozen and safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import theta_series
 from .elliptic import EllipticParams
-from .errors import PoleError, ThetaOverflowError
+from .errors import DomainError, PoleError, ThetaOverflowError
 
 __all__ = [
     "JacobiContext",
@@ -65,6 +66,9 @@ class JacobiContext:
             raise ValueError(f"unknown modulus_tag {self.modulus_tag!r}")
         if not 0.0 < self.nome < 1.0:
             raise ValueError("nome of the selected modulus must lie in (0, 1)")
+        if self.nome * sys.float_info.max < 1.0:
+            # theta_series divides by q = exp(2 pi i u), whose modulus reaches 1/nome
+            raise DomainError(f"nome {self.nome:.3g} is below 1/DBL_MAX; |zeta| is too large")
 
     @property
     def k(self) -> float:

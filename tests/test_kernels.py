@@ -5,9 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from goluzin_lab import _kernels
 from goluzin_lab.elliptic import params_from_x0
+from goluzin_lab.maps import BridgeMaps
 from goluzin_lab.theta import JacobiContext, jacobi_sn_cn_dn
 
 TAGS = ("kappa", "x0_squared")
@@ -163,3 +165,58 @@ class TestSnCnDnOracle:
             for name, values in zip(("sn", "cn", "dn"), got):
                 ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])
                 np.testing.assert_allclose(values, ref, rtol=1e-13)
+
+    def test_smallest_nome_in_float_range(self):
+        # |zeta| = 1e76 gives the nome 3.9e-307 at modulus x0**2, just above
+        # the 1/DBL_MAX that JacobiContext accepts
+        ctx = BridgeMaps.from_zeta(1e76).ctx_l
+        assert 1e-307 < ctx.nome < 1e-306
+        z = np.array([0.3 * ctx.quarter_K, 0.1 + 0.2j])
+        sn, _, _ = jacobi_sn_cn_dn(ctx, z)
+        with mpmath.workdps(40):
+            m = mpmath.mpf(ctx.k) ** 2
+            ref = np.array([complex(mpmath.ellipfun("sn", mpmath.mpc(x), m=m)) for x in z])
+        assert np.all(np.isfinite(sn))
+        np.testing.assert_allclose(sn, ref, rtol=1e-12)
+
+
+class TestCarlsonRF:
+    # Carlson (1995), Numer. Algorithms 10, section 3: the published check values
+    @pytest.mark.parametrize(
+        "args, ref",
+        [
+            ((1.0, 2.0, 0.0), 1.3110287771461),
+            ((1j, -1j, 0.0), 1.8540746773014),
+            ((1j - 1.0, 1j, 0.0), 0.79612586584234 - 1.2138566698365j),
+            ((2.0, 3.0, 4.0), 0.58408284167715),
+            ((1j - 1.0, 1j, 1.0 - 1j), 0.93912050218619 - 0.53296252018635j),
+        ],
+    )
+    def test_published_values(self, args, ref):
+        # the references carry 14 significant digits
+        assert abs(complex(_kernels.carlson_rf(*args)) - ref) < 1e-13
+
+    def test_matches_scipy_off_the_cut(self, rng):
+        def draw(n=400):
+            return 10.0 ** rng.uniform(-8, 8, n) * np.exp(1j * rng.uniform(-0.999 * math.pi, 0.999 * math.pi, n))
+
+        x, y, z = draw(), draw(), draw()
+        got = _kernels.carlson_rf(x, y, z)
+        np.testing.assert_allclose(got, scipy.special.elliprf(x, y, z), rtol=2e-15)
+
+    @pytest.mark.parametrize("x0", [1e-6, 0.3, 0.9])
+    def test_one_argument_zero(self, x0):
+        # tau's arguments at the branch point w = x0, R_F(0, 1 - x0**4, 1) = K(x0**2),
+        # and at the slit tip w = 1/x0, scaled by x0**4 and turned off the cut by i
+        got = complex(_kernels.carlson_rf(0.0, (1.0 - x0**2) * (1.0 + x0**2), 1.0))
+        with mpmath.workdps(40):
+            ref = float(mpmath.ellipk(mpmath.mpf(x0) ** 4))
+        assert got == pytest.approx(ref, rel=2e-15)
+        tip = (1j * (x0**4 - 1.0), 0.0, 1j * x0**4)
+        got = complex(_kernels.carlson_rf(*tip))
+        assert got == pytest.approx(complex(scipy.special.elliprf(*tip)), rel=2e-15)
+
+    def test_broadcasts(self):
+        got = _kernels.carlson_rf(np.array([[1.0], [2.0]]), np.array([2.0, 3.0, 4.0]), 4.0)
+        assert got.shape == (2, 3)
+        assert complex(got[1, 1]) == pytest.approx(0.58408284167715, rel=1e-13)

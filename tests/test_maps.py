@@ -1,18 +1,21 @@
 import math
+import types
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goluzin_lab.catalog import resolve_map
-from goluzin_lab.errors import BranchAmbiguityError, BranchCutError, PoleError
+from goluzin_lab.elliptic import params_from_x0
+from goluzin_lab.errors import BranchAmbiguityError, BranchCutError, DomainError, PoleError
 from goluzin_lab.maps import (
     BranchTracker,
     BridgeMaps,
     eta,
     eta_inv,
-    loop_sign_flip,
     marched_sqrt_path,
     phi_from_psi,
     sigma,
@@ -31,6 +34,11 @@ def bridge():
 
 
 class TestSigmaTau:
+    def test_nome_below_float_range_rejected(self):
+        # |zeta| = 1e80 gives the nome 4e-323 at modulus x0**2; sn was NaN there
+        with pytest.raises(DomainError):
+            BridgeMaps.from_zeta(1e80)
+
     def test_boundary_triple(self, bridge):
         p = bridge.params
         assert abs(tau(bridge, p.x0)) < 1e-12
@@ -87,6 +95,76 @@ class TestSigmaTau:
             z = tau(bridge, float(w))
             assert abs(z.imag) < 1e-12
             assert -2 * p.L < z.real < 0.0
+
+
+def _tau_reference(params, w, side=None):
+    """T R_F(1 - T^2, 1 - x0^4 T^2, 1) - L at 40 digits, T = w/x0.
+
+    On the slits T is moved off the axis by 1e-60 |T| to the requested side.
+    L is the package's own: params_from_x0 rounds it as x0 -> 1, and tau only
+    subtracts it.
+    """
+    with mpmath.workdps(40):
+        t = mpmath.mpc(w) / params.x0
+        if side is not None:
+            t += (1 if side == "+" else -1) * 1j * mpmath.mpf(10) ** -60 * abs(t)
+        rf = mpmath.elliprf(1 - t**2, 1 - mpmath.mpf(params.x0) ** 4 * t**2, 1)
+        return complex(t * rf) - params.L
+
+
+def _tau_close(params, got, ref):
+    return abs(got - ref) <= 1e-14 * (abs(ref) + params.L_prime)
+
+
+class TestTauOracle:
+    @pytest.mark.parametrize(
+        "zeta, w",
+        [
+            (1e3, 1e8j),  # the contour integration raised QuadratureError here
+            (1e8, 1e8j),
+            (1e8, 1000 + 1j),  # and returned -0.000968 + 26.714706i here
+            (2.0, 1e150 * (1 + 1j)),  # and overflowed on T**2 here
+            (2.0, 1e200j),
+        ],
+    )
+    def test_far_from_the_tested_grid(self, zeta, w):
+        bridge = BridgeMaps.from_zeta(zeta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tau(bridge, w)
+        assert _tau_close(bridge.params, got, _tau_reference(bridge.params, w))
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    @pytest.mark.parametrize("t", [1.5, 0.999, 1.001, 1e3, 1e6])
+    def test_slits(self, bridge, t, side):
+        # t in units of the slit tip 1/x0, on both slits
+        p = bridge.params
+        for w in (t / p.x0, -t / p.x0):
+            got = tau(bridge, w, side)
+            assert _tau_close(p, got, _tau_reference(p, w, side))
+
+    @given(
+        x0=st.floats(1e-12, 1.0 - 1e-9),
+        log_r=st.floats(-300.0, 300.0),
+        arg=st.floats(-math.pi, math.pi, exclude_min=True),
+        on_slit=st.booleans(),
+        side=st.sampled_from(["+", "-"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_whole_domain(self, x0, log_r, arg, on_slit, side):
+        # tau reads only bridge.params; x0 within 1e-8 of 1 has no float |zeta| > 1
+        params = params_from_x0(x0)
+        bridge = types.SimpleNamespace(params=params)
+        w = 10.0**log_r * (math.copysign(1.0, arg) if on_slit else complex(math.cos(arg), math.sin(arg)))
+        if abs(w.imag) <= 1e-13 * (x0 + abs(w)) and abs(w.real) > x0:
+            w = w.real  # tau reads w within 1e-13 relative of a slit as on it
+        else:
+            side = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tau(bridge, w, side or "auto")
+        assert math.isfinite(got.real) and math.isfinite(got.imag)
+        assert _tau_close(params, got, _tau_reference(params, w, side))
 
 
 class TestTauPrime:
@@ -223,11 +301,6 @@ class TestSqrtContinued:
         parents = (0, 0, 1, 2, 3)
         out = sqrt_continued(args, BranchTracker(base_value=1.0, parents=parents))
         np.testing.assert_allclose(out**2, args, atol=1e-14)
-
-    def test_winding_loop_flips_sign(self):
-        t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-        assert loop_sign_flip(np.exp(1j * t))
-        assert not loop_sign_flip(3.0 + np.exp(1j * t))
 
     def test_zero_crossing_raises(self):
         args = np.array([1.0, 0.5, 1e-16, 0.5], dtype=complex)
