@@ -74,6 +74,10 @@ EQ_FLOOR_QUADRATURE = 5e-3
 #: enough to separate the 0.5% equality band from genuine inequality.
 AREA_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
 
+#: relative accuracy to which the float spacing next to zeta must resolve the
+#: offsets of the core ring zeta + eps e^{i theta} of its polar patch
+_RING_OFFSET_ACCURACY = 1e-4
+
 
 @dataclass
 class VerificationReport:
@@ -172,12 +176,15 @@ class _MarchedSqrt:
     depends on node positions only.
 
     Invariant: a call must not straddle a line of the driver's seed grid.
-    The first round continues every node from the one marched node, over
-    hops as long as the call is wide, and the half-plane test cannot vouch
-    for a hop that long; a danger disk's reference node (its farthest
-    member) also moves with the call's extent.  The torus real axis is a
-    sheet boundary of the cross-check's route, so a call spanning it signs
-    nodes on the wrong sheet.
+    The driver keeps it: a seed's call, ``(5, order, order)``, spans that
+    seed cell, and the one ``(16, order, order)`` call per refinement spans
+    the refined cell, which lies inside one seed cell.  The first round
+    continues every node from the one marched node, over hops as long as
+    the call is wide, and the half-plane test cannot vouch for a hop that
+    long; a danger disk's reference node (its farthest member) also moves
+    with the call's extent.  The torus real axis is a sheet boundary of the
+    cross-check's route, so a call spanning it signs nodes on the wrong
+    sheet.
     """
 
     def __init__(self, arg_func: Callable, base_value: complex, route_fn: Callable, dangers: tuple = ()):
@@ -339,24 +346,28 @@ class PsiEvaluator:
     def field(self, z):
         """Psi(z, zeta); near-diagonal arguments return the exact limit."""
         zs = np.asarray(z, dtype=np.complex128)
-        scalar = zs.ndim == 0
-        flat = zs.reshape(-1).copy()
-        out = np.empty_like(flat)
-        near = np.abs(flat - self.zeta) < self._diag_radius
+        flat = zs.reshape(-1)
+        u = flat - self.zeta
+        near = np.abs(u) < self._diag_radius
         if near.any():
-            out[near] = self.at_diagonal()
-        far = ~near
-        if far.any():
-            zf = flat[far]
-            val = self.psi.value(zf)
-            sq_a = self._sqrt_of_a(zf, self.dpsi_zeta * (zf - self.zeta) / (val - self.psi_zeta))
-            s = np.sqrt(1.0 - 1.0 / (np.conj(self.zeta) * zf))
-            term1 = sq_a * self.psi.deriv(zf) / (val - self.psi_zeta)
-            term2 = (s / self.d) / (zf - self.zeta)
-            term3 = self.ep_over_kp / (self.d * s * zf)
-            out[far] = term1 - term2 + term3
-        out = out.reshape(zs.shape) if not scalar else out
-        return complex(out[0]) if scalar else out
+            out = np.full_like(flat, self.at_diagonal())
+            far = ~near
+            if far.any():
+                out[far] = self._off_diagonal(flat[far], u[far])
+        else:
+            out = self._off_diagonal(flat, u)
+        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+
+    def _off_diagonal(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Psi at nodes ``z`` outside the diagonal disk, where u = z - zeta."""
+        val = self.psi.value(z)
+        dv = val - self.psi_zeta
+        sq_a = self._sqrt_of_a(z, self.dpsi_zeta * u / dv)
+        s = np.sqrt(1.0 - 1.0 / (np.conj(self.zeta) * z))
+        term1 = sq_a * self.psi.deriv(z) / dv
+        term2 = (s / self.d) / u
+        term3 = self.ep_over_kp / (self.d * s * z)
+        return term1 - term2 + term3
 
     def at_diagonal(self) -> complex:
         """Closed form of Psi(zeta, zeta)."""
@@ -383,15 +394,25 @@ def psi_at_diagonal(ev: PsiEvaluator) -> complex:
 
 
 def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | None = None) -> VerificationReport:
-    """Exterior-disk area bound; equality status iff psi is a full mapping."""
+    """Exterior-disk area bound; equality status iff psi is a full mapping.
+
+    Raises ``DomainError`` from |zeta| = 2^23 (about 8.4e6) on: there the
+    float spacing next to zeta exceeds 1e-4 of the offset eps = 1e-5 of the
+    core ring of its polar patch (radius 1), and from |zeta| ~ 3e11 the ring
+    rounds onto zeta itself.
+    """
     spec = spec or AREA_SPEC
     zeta = complex(zeta)
+    point = SingularPoint(zeta, -1.0)
+    # the patch radius is at most 1, so no core ring sits farther out than core_fraction
+    if math.ulp(abs(zeta)) > _RING_OFFSET_ACCURACY * point.core_fraction:
+        raise DomainError(f"|zeta| = {abs(zeta):.3g} is too large: floats next to zeta do not resolve the core ring of its patch")
     ev = PsiEvaluator(psi, zeta)
 
     def f(z):
         return np.abs(ev.field(z)) ** 2 / np.abs(z - zeta)
 
-    res = integrate_exterior_disk(f, spec.with_points(SingularPoint(zeta, -1.0)))
+    res = integrate_exterior_disk(f, spec.with_points(point))
     a2 = abs(zeta) ** 2
     rhs = 2.0 * math.pi * ev.ep_over_kp * abs(zeta) / (a2 - 1.0)
     inputs = {

@@ -139,7 +139,8 @@ def tau_prime(bridge: BridgeMaps, w, side: str = "auto"):
     The four principal-branch factors below are individually analytic on
     the doubly slit plane, so their product is the analytic continuation
     of the positive value 1/x0 at w = 0; real w beyond the slit tips is
-    resolved by nudging to the requested side.
+    resolved by nudging to the requested side.  Each factor is scaled by
+    r = max(x0, |w|), as in :func:`tau`, so no finite w overflows.
     """
     p = bridge.params
     x0 = p.x0
@@ -151,14 +152,11 @@ def tau_prime(bridge: BridgeMaps, w, side: str = "auto"):
         if side == "auto":
             raise BranchCutError("tau_prime needs side='+' or side='-' on the slits")
         w = complex(w.real, (1.0 if side == "+" else -1.0) * 1e-14 * (1.0 + abs(w.real)))
-    root = (
-        x0
-        * np.sqrt(1.0 - w / x0)
-        * np.sqrt(1.0 + w / x0)
-        * np.sqrt(1.0 - x0 * w)
-        * np.sqrt(1.0 + x0 * w)
-    )
-    return 1.0 / root
+    r = max(x0, abs(w))
+    s, v = x0 / r, w / r
+    # x0 sqrt(1 -+ w/x0) = sqrt(x0 r) sqrt(s -+ v) and sqrt(1 -+ x0 w) = sqrt(r) sqrt(1/r -+ x0 v)
+    root = r * np.sqrt(s - v) * np.sqrt(s + v) * np.sqrt(1.0 / r - x0 * v) * np.sqrt(1.0 / r + x0 * v)
+    return 1.0 / root / r
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ a ring estimate (exponent -1 only).  Integrands must be vectorized maps
 from complex ndarrays of any shape to real ndarrays of the same shape, and
 must be pure.
 
-The driver calls an integrand once per cell it splits, with the four
-children as ``(4, order, order)`` arrays; a seed cell's call carries the
-seed itself and its four children as ``(5, order, order)``.  No call
-straddles a line of the 4 x 4 seed grid: the torus check relies on that,
-as it continues its square root apart above and below the real axis.
+The driver calls an integrand once per cell it refines, with the four
+children of each of that cell's four children, its 16 grandchildren, as
+``(16, order, order)`` arrays; a seed cell's call carries the seed itself
+and its four children as ``(5, order, order)``.  No call straddles a line
+of the 4 x 4 seed grid: the torus check relies on that, as it continues
+its square root apart above and below the real axis.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def _cells_integral(g, cells, order, acc):
     zero = np.zeros((len(cells), order, order))
     vals = np.asarray(g(xs[:, :, None] + zero, ys[:, None, :] + zero), dtype=np.float64)
     acc.n_evals += vals.size
-    return [float(hx[k]) * float(hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
+    rows = w @ vals  # w @ vals[k] for every k, bit for bit
+    return [float(hx[k]) * float(hy[k]) * float(rows[k] @ w) for k in range(len(cells))]
 
 
 def _split(cell):
@@ -155,24 +157,19 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
     err_total = 0.0
     frozen_err = 0.0
 
-    def make_node(cell, coarse, depth):
-        """Heap entry of ``cell``; a seed (``coarse`` None) gets its own rule
-        from the call that sums its four children."""
+    def make_node(cell, coarse, fine_parts, depth):
+        """Heap entry of ``cell`` from its own rule and its four children's."""
         nonlocal counter
-        kids = _split(cell)
-        if coarse is None:
-            coarse, *fine_parts = _cells_integral(g, (cell, *kids), order, acc)
-        else:
-            fine_parts = _cells_integral(g, kids, order, acc)
         fine = math.fsum(fine_parts)
         err = abs(fine - coarse)
         if not math.isfinite(err):
             err = math.inf
         counter += 1
-        return (-err, counter, cell, fine, depth, tuple(zip(kids, fine_parts)))
+        return (-err, counter, cell, fine, depth, tuple(zip(_split(cell), fine_parts)))
 
     for cell in seeds:
-        node = make_node(cell, None, 0)
+        coarse, *fine_parts = _cells_integral(g, (cell, *_split(cell)), order, acc)
+        node = make_node(cell, coarse, fine_parts, 0)
         heapq.heappush(heap, node)
         value += node[3]
         err_total += -node[0]
@@ -191,8 +188,10 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
         refinements += 1
         value -= fine
         err_total -= err
-        for child_cell, child_coarse in kids:
-            node = make_node(child_cell, child_coarse, depth + 1)
+        # one call for the 16 grandchildren; child i sums slice [4i, 4i + 4)
+        parts = _cells_integral(g, [gk for child_cell, _ in kids for gk in _split(child_cell)], order, acc)
+        for i, (child_cell, child_coarse) in enumerate(kids):
+            node = make_node(child_cell, child_coarse, parts[4 * i : 4 * i + 4], depth + 1)
             heapq.heappush(heap, node)
             value += node[3]
             err_total += -node[0]

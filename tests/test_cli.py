@@ -188,3 +188,12 @@ class TestLargeZetaDiskForm:
     def test_identity_at_fifty_exits_0(self, capsys):
         assert main(["area", "--map", "identity", "--zeta", "50", "--with-disk-form"]) == EXIT_OK
         assert "area-disk" in capsys.readouterr().out
+
+
+class TestLargeZetaSigmaForm:
+    @pytest.mark.parametrize("zeta", ["3e11", "1e12", "1e20", "1e40"])
+    def test_unresolved_core_ring_exits_64(self, zeta, capsys):
+        # these printed lhs=inf err=nan status=violated and exited 1
+        assert main(["area", "--map", "joukowski", "--zeta", zeta]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "core ring" in captured.err

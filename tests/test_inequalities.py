@@ -244,6 +244,16 @@ class TestAreaSigma:
         assert r.status == "equality"
         assert abs(r.ratio - 1.0) < 5e-3
 
+    @pytest.mark.parametrize("zeta", [2.0**23, 1e7j, 3e11, 1e12, 1e20, 1e40, 1e300 * cmath.exp(1j)])
+    def test_unresolved_core_ring_raises(self, zeta):
+        # the float spacing next to zeta exceeds 1e-4 of the core-ring offset 1e-5
+        with pytest.raises(DomainError):
+            verify_area_sigma(resolve_map("joukowski"), zeta)
+
+    def test_last_resolved_core_ring_gives_a_verdict(self):
+        r = verify_area_sigma(resolve_map("joukowski"), 2.0**23 - 1.0)
+        assert r.status == "equality" and math.isfinite(r.lhs) and math.isfinite(r.error_estimate)
+
     def test_partial_coefficient_sits_between_identity_and_equality(self):
         rid = verify_area_sigma(resolve_map("identity"), 1.5, AREA_TEST_SPEC)
         r07 = verify_area_sigma(resolve_map("b1:0.7"), 1.5, AREA_TEST_SPEC)
@@ -284,15 +294,16 @@ class TestTorusCrossCheck:
 
 
 def _driver_block(cell, to_plane, seed=False):
-    """The nodes of one driver call: the four children of ``cell``, (4, 8, 8),
-    or for a seed cell the cell itself and its four children, (5, 8, 8)."""
+    """The nodes of one driver call: the 16 grandchildren of ``cell`` when the
+    driver refines it, (16, 8, 8), or for a seed cell the cell itself and its
+    four children, (5, 8, 8)."""
     calls = []
 
     def g(x, y):
         calls.append(to_plane(x, y))
         return np.zeros(x.shape)
 
-    cells = (cell, *_split(cell)) if seed else _split(cell)
+    cells = (cell, *_split(cell)) if seed else [gk for kid in _split(cell) for gk in _split(kid)]
     _cells_integral(g, cells, 8, _Accumulator())
     assert len(calls) == 1 and calls[0].shape == (len(cells), 8, 8)
     return calls[0]
@@ -336,7 +347,7 @@ class TestMarchedSqrtBlock:
         log_r0 = math.log(max(4.0, 2.2 * abs(zeta)))
         annulus = lambda s, theta: np.exp(s + 1j * theta)
         # the inner annulus seed cell in the direction of zeta (its seed call
-        # and its split), and the cells of the polar patch around zeta on
+        # and its refinement), and the cells of the polar patch around zeta on
         # either side of its radial line
         seed = (0.0, 0.25 * log_r0, th0, th0 + 0.5 * math.pi)
         for seed_call in (True, False):
@@ -351,7 +362,7 @@ class TestMarchedSqrtBlock:
         fieldd = _DiskField(phi_from_psi(bridge, resolve_map("b1:0.7")), x0, bridge.params)
         sq = fieldd._sqrt_v
         # seed cells of the unit-disk grid next to -x0 (their seed calls and
-        # their splits), and a cell around -x0
+        # their refinements), and a cell around -x0
         cells = (
             (0.0, (0.25, 0.5, 0.5 * math.pi, math.pi), True),
             (0.0, (0.25, 0.5, math.pi, 1.5 * math.pi), True),
@@ -381,7 +392,7 @@ class TestMarchedSqrtBlock:
         L, Lp = p.L, p.L_prime
         plane = lambda x, y: x + 1j * y
         # seed cells of the fundamental band that touch the danger disks at 0
-        # and 2L: their seed calls and their splits
+        # and 2L: their seed calls and their refinements
         reached = set()
         for cell in ((0.0, L, 0.0, 0.25 * Lp), (-L, 0.0, -0.25 * Lp, 0.0), (L, 2.0 * L, -0.25 * Lp, 0.0),
                      (2.0 * L, 3.0 * L, 0.0, 0.25 * Lp)):

@@ -203,6 +203,22 @@ class TestTauPrime:
             with pytest.raises(PoleError):
                 tau_prime(bridge, bp)
 
+    @pytest.mark.parametrize(
+        "w", [0.1 + 0.3j, -2.0 - 0.3j, 1e10 * (1 + 2j), 1e100 * (1 + 1j), 1e154 * (-1 + 0.5j), 1e160j, 1e200 * (1 + 1j), 1e300j]
+    )
+    def test_large_arguments_against_mpmath(self, bridge, w):
+        # the unscaled product overflowed from |w| ~ 1e154 on
+        x0 = mpmath.mpf(bridge.x0)
+        with mpmath.workdps(40):
+            t = mpmath.mpc(w)
+            ref = 1 / (x0 * mpmath.sqrt(1 - t / x0) * mpmath.sqrt(1 + t / x0) * mpmath.sqrt(1 - x0 * t) * mpmath.sqrt(1 + x0 * t))
+            ref = complex(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = complex(tau_prime(bridge, w))
+        # the true value is subnormal or zero from |w| ~ 1e155 on
+        assert abs(got - ref) <= 1e-15 * abs(ref) + 2.0 * math.ulp(0.0)
+
 
 class TestMoebius:
     def test_inverse_pair(self, bridge, rng):

@@ -1,15 +1,20 @@
+import heapq
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from goluzin_lab import quadrature
 from goluzin_lab.errors import QuadratureError
 from goluzin_lab.quadrature import (
+    _MAX_REFINEMENTS,
+    QuadratureResult,
     QuadratureSpec,
     SingularPoint,
     _Accumulator,
     _adaptive_2d,
+    _split,
     integrate_disk,
     integrate_exterior_disk,
     integrate_rect,
@@ -32,8 +37,8 @@ class TestDriver:
         res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14), _Accumulator())
         # one call per seed cell: the seed itself and its four children
         assert shapes[:16] == [(5, 8, 8)] * 16
-        # from then on, one call with all four children of each new cell
-        assert len(shapes) > 16 and set(shapes[16:]) == {(4, 8, 8)}
+        # from then on, one call per refined cell with its 16 grandchildren
+        assert len(shapes) > 16 and set(shapes[16:]) == {(16, 8, 8)}
         assert res.n_evals == sum(math.prod(s) for s in shapes)
 
     def test_refinement_sequence_pinned(self):
@@ -44,6 +49,117 @@ class TestDriver:
         assert res.error == 6.977618136061459e-10
         assert res.n_evals == 15360
         assert res.converged
+
+
+def _four_call_driver(g, domain, spec, acc):
+    """The driver as it was with one ``(4, order, order)`` call per new child
+    of a refined cell, each cell summed as ``w @ vals[k] @ w``."""
+    a0, a1, b0, b1 = domain
+    order = spec.base_order
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def cells_integral(cells):
+        c0, c1, d0, d1 = np.asarray(cells, dtype=np.float64).T
+        hx, hy = 0.5 * (c1 - c0), 0.5 * (d1 - d0)
+        xs = (0.5 * (c0 + c1))[:, None] + hx[:, None] * x
+        ys = (0.5 * (d0 + d1))[:, None] + hy[:, None] * x
+        zero = np.zeros((len(cells), order, order))
+        vals = np.asarray(g(xs[:, :, None] + zero, ys[:, None, :] + zero), dtype=np.float64)
+        acc.n_evals += vals.size
+        return [float(hx[k]) * float(hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
+
+    seeds = [
+        (a0 + (a1 - a0) * i / 4, a0 + (a1 - a0) * (i + 1) / 4, b0 + (b1 - b0) * j / 4, b0 + (b1 - b0) * (j + 1) / 4)
+        for i in range(4)
+        for j in range(4)
+    ]
+    heap, counter, value, err_total, frozen_err = [], 0, 0.0, 0.0, 0.0
+
+    def make_node(cell, coarse, depth):
+        nonlocal counter
+        kids = _split(cell)
+        if coarse is None:
+            coarse, *fine_parts = cells_integral((cell, *kids))
+        else:
+            fine_parts = cells_integral(kids)
+        fine = math.fsum(fine_parts)
+        err = abs(fine - coarse)
+        if not math.isfinite(err):
+            err = math.inf
+        counter += 1
+        return (-err, counter, cell, fine, depth, tuple(zip(kids, fine_parts)))
+
+    for cell in seeds:
+        node = make_node(cell, None, 0)
+        heapq.heappush(heap, node)
+        value += node[3]
+        err_total += -node[0]
+    refinements = 0
+    while heap:
+        if err_total + frozen_err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            break
+        neg_err, _, cell, fine, depth, kids = heapq.heappop(heap)
+        err = -neg_err
+        if depth >= spec.max_depth or refinements >= _MAX_REFINEMENTS:
+            frozen_err += err
+            err_total -= err
+            continue
+        refinements += 1
+        value -= fine
+        err_total -= err
+        for child_cell, child_coarse in kids:
+            node = make_node(child_cell, child_coarse, depth + 1)
+            heapq.heappush(heap, node)
+            value += node[3]
+            err_total += -node[0]
+    total_err = err_total + frozen_err
+    return QuadratureResult(value, total_err, acc.n_evals, bool(total_err <= max(spec.abs_tol, spec.rel_tol * abs(value))))
+
+
+class TestMergedRefinementCall:
+    """The driver against the four-calls-per-refinement driver it replaced."""
+
+    @staticmethod
+    def same(a, b):
+        return (a.value, a.error, a.n_evals, a.converged) == (b.value, b.error, b.n_evals, b.converged)
+
+    @staticmethod
+    def both(integrate, monkeypatch):
+        new = integrate()
+        monkeypatch.setattr(quadrature, "_adaptive_2d", _four_call_driver)
+        old = integrate()
+        monkeypatch.undo()
+        return new, old
+
+    @pytest.mark.parametrize("max_depth", [14, 1])
+    def test_peaked_bit_for_bit(self, max_depth):
+        # depth 1 freezes cells at the depth cap
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_depth=max_depth)
+        new = _adaptive_2d(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec, _Accumulator())
+        old = _four_call_driver(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec, _Accumulator())
+        assert self.same(new, old)
+        assert new.converged == (max_depth == 14)
+
+    def test_rect_with_interior_points(self, monkeypatch):
+        p, q = 0.2 + 0.1j, -0.5 - 0.3j
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(p, -1.0), SingularPoint(q, -1.0)))
+        f = lambda z: np.cos(z.real) / np.abs(z - p) + 1.0 / np.abs(z - q)
+        new, old = self.both(lambda: integrate_rect(f, (-1, 1, -1, 1), spec), monkeypatch)
+        assert self.same(new, old)
+
+    def test_disk_with_interior_points(self, monkeypatch):
+        p, q = 0.4 + 0.0j, -0.3 + 0.5j
+        spec = QuadratureSpec(rel_tol=1e-8, singular_points=(SingularPoint(0j, -1.0), SingularPoint(p, -1.0), SingularPoint(q, -1.0)))
+        f = lambda z: 1.0 / np.abs(z) + 1.0 / np.abs(z - p) + np.abs(z) ** 2 / np.abs(z - q)
+        new, old = self.both(lambda: integrate_disk(f, spec), monkeypatch)
+        assert self.same(new, old)
+
+    def test_exterior_disk_with_point_near_unit_circle(self, monkeypatch):
+        p = 1.02 * np.exp(0.4j)
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(p, -1.0),))
+        f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
+        new, old = self.both(lambda: integrate_exterior_disk(f, spec), monkeypatch)
+        assert self.same(new, old)
 
 
 class TestRect:
