@@ -50,7 +50,7 @@ from .errors import DomainError
 from .maps import BridgeMaps, marched_sqrt_path, phi_from_psi, sigma
 from .quadrature import QuadratureSpec, SingularPoint, integrate_disk, integrate_exterior_disk, integrate_rect
 from .theta import jacobi_sn_cn_dn
-from .torus import GreenEvaluator, dz_Q_D
+from .torus import GreenEvaluator, _dz_Q_D_landen
 
 __all__ = [
     "VerificationReport",
@@ -458,14 +458,17 @@ class _DiskField:
         if self._q is not None:
             self._ref_c = math.sqrt(2.0 * x0) * np.sqrt(self._q(x0)) / (2.0 * x0)
 
-    def _ratio_v(self, w):
-        """V(w) = (w^2 - x0^2)/phi(w); V(x0) = 2 x0, double zero at -x0."""
+    def _ratio_v(self, w, phi_w=None):
+        """V(w) = (w^2 - x0^2)/phi(w); V(x0) = 2 x0, double zero at -x0.
+
+        ``phi_w``, when given, is phi(w) already evaluated by the caller.
+        """
         w = np.asarray(w, dtype=np.complex128)
         out = np.empty_like(w)
         near = np.abs(w - self.x0) < self._near
         far = ~near
         if far.any():
-            out[far] = (w[far] ** 2 - self.x0**2) / self.phi.value(w[far])
+            out[far] = (w[far] ** 2 - self.x0**2) / (self.phi.value(w[far]) if phi_w is None else phi_w[far])
         if near.any():
             out[near] = 2.0 * self.x0
         return out
@@ -503,16 +506,16 @@ class _DiskField:
         pts.append(w)
         return pts
 
-    def _sqrt_of_v(self, w: np.ndarray) -> np.ndarray:
+    def _sqrt_of_v(self, w: np.ndarray, phi_w=None) -> np.ndarray:
         ref = None
         if self._q is not None:
             ref = self._ref_c * (w + self.x0) / np.sqrt(self._q(w))
-        return self._sqrt_v.signed_like(w, self._ratio_v(w), ref)
+        return self._sqrt_v.signed_like(w, self._ratio_v(w, phi_w), ref)
 
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
-        sqv = self._sqrt_of_v(w)
-        t1 = self.phi.deriv(w) / self.phi.value(w) * sqv
+        phi_w = self.phi.value(w)
+        t1 = self.phi.deriv(w) / phi_w * self._sqrt_of_v(w, phi_w)
         t2 = self.c2 * np.sqrt((1.0 - self.x0 * w) / (1.0 + self.x0 * w)) / (w - self.x0)
         t3 = self.c3 / np.sqrt(1.0 - self.x0**2 * w**2)
         return np.abs(t1 - t2 - t3) ** 2 / np.abs(w**2 - self.x0**2)
@@ -639,8 +642,9 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     with K fixed at the anchor and a principal root of Q (see
     :func:`_quotient_in_w`).  Only its sign is used, by the rule of
     :meth:`_MarchedSqrt.signed_like`; every other map, and a call the closed
-    form misses, is continued by the march.  One sn-cn-dn call per integrand
-    call gives sigma, sigma' and cn.
+    form misses, is continued by the march.  One sn-cn-dn call at modulus
+    x0^2 per integrand call gives sigma, sigma', cn(z + L) and, through
+    Landen's transformation, dz_Q_D (:func:`~goluzin_lab.torus.dz_Q_D`).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
     zeta = complex(zeta)
@@ -673,14 +677,14 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
         return pts
 
     def on_sphere(z):
-        """sigma, sigma' and cn(z + L), with the float operations of ``sigma`` and ``sigma_prime``."""
+        """sigma, sigma', sn(z + L) and cn(z + L), with the float operations of ``sigma`` and ``sigma_prime``."""
         sn, cn, dn = jacobi_sn_cn_dn(bridge.ctx_l, z + L)
-        return p.x0 * sn, p.x0 * cn * dn, cn
+        return p.x0 * sn, p.x0 * cn * dn, sn, cn
 
     anchor = 0.05 * L
-    sig_a, dsig_a, cn_a = on_sphere(np.array([anchor], dtype=np.complex128))
+    sig_a, dsig_a, sn_a, cn_a = on_sphere(np.array([anchor], dtype=np.complex128))
     f_anchor = complex(phi.value(sig_a)[0])
-    q_anchor = dz_Q_D(ev, anchor)
+    q_anchor = complex(_dz_Q_D_landen(p, sn_a, cn_a)[0])
     dphi_anchor = complex((phi.deriv(sig_a) * dsig_a)[0])
     best = None
     for sign in (1.0, -1.0):
@@ -701,11 +705,11 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)
-        sig, dsig, cn = on_sphere(z)
+        sig, dsig, sn, cn = on_sphere(z)
         ref = None if q is None else k_ref * cn * np.sqrt(q(sig)) / (sig + p.x0)
         g = sqrt_f.signed_like(z, phi.value(sig), ref)
         dphi = phi.deriv(sig) * dsig
-        val = -dphi / (2.0 * g**3) - dz_Q_D(ev, z) / b
+        val = -dphi / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
         return np.abs(val) ** 2
 
     # phi(sigma(z)) ~ z^2 loses relative accuracy below |z| ~ 1e-4 through

@@ -210,24 +210,51 @@ def jacobi_sn_cn_dn(ctx: JacobiContext, z):
     return _out(sn, scalar), _out(parity * cn, scalar), _out(parity * dn, scalar)
 
 
+def _landen_terms(kp: float, xi, c):
+    """``(1 - xi, (1 + kp) - (1 - kp) xi)`` for xi = sn(u; x0**2), c = cn(u; x0**2).
+
+    Landen's transformation reads sn(M (u - L); kappa)**2 as their quotient.
+    Next to xi = 1 (u near L, where sn(M(u - L)) vanishes) the difference
+    is formed as c**2/(1 + xi), which keeps the relative accuracy of c;
+    where Re xi <= 0 it is formed as written, so xi = -1 divides by nothing.
+    """
+    xi = np.asarray(xi)
+    one_minus = np.asarray(1.0 - xi)  # an array also for a 0-d xi, to be written into
+    np.divide(np.asarray(c) ** 2, 1.0 + xi, out=one_minus, where=xi.real > 0.0)
+    return one_minus, (1.0 + kp) - (1.0 - kp) * xi
+
+
+def _shifted_sn_cn(ctx_l: JacobiContext, z):
+    """sn(z + L) and cn(z + L) at modulus x0**2, and where z is at their poles.
+
+    The poles are z = +-L + iL' modulo the periods; the call is made at
+    z = L there instead, and the caller puts in its limit.
+    """
+    L, Lp = ctx_l.quarter_K, ctx_l.quarter_Kp
+    z0, _, _ = _reduce_cell(z, 4.0 * L, 2.0 * Lp)
+    at_pole = np.abs(np.abs(z0.real) - L) + np.abs(np.abs(z0.imag) - Lp) < 1e-12 * (L + Lp)
+    sn, cn, _ = jacobi_sn_cn_dn(ctx_l, np.where(at_pole, L, z0) + L)
+    return sn, cn, at_pole
+
+
 def landen_sn_sq(ctx_kappa: JacobiContext, z):
     """[sn(M z; kappa)]**2 computed through the modulus-halving bridge.
 
-    Uses xi(z) = cn(z; x0**2)/dn(z; x0**2) and
-    sn^2 = (1 - xi)/(1 + kappa' - (1 - kappa')*xi); agrees with squaring
+    With xi = sn(z + L; x0**2) = cn(z; x0**2)/dn(z; x0**2) it is
+    (1 - xi)/(1 + kappa' - (1 - kappa')*xi), with 1 - xi taken without
+    cancellation next to z = 0 (see :func:`_landen_terms`), and its limit
+    1/(1 - kappa') at the poles of xi; agrees with squaring
     ``jacobi_sn_cn_dn`` at modulus kappa evaluated at M*z.
     """
     if ctx_kappa.modulus_tag != "kappa":
         raise ValueError("landen_sn_sq expects a context at modulus kappa")
     arr, scalar = _as_array(z)
-    ctx_l = JacobiContext(ctx_kappa.params, "x0_squared")
-    _, cn_l, dn_l = jacobi_sn_cn_dn(ctx_l, arr)
-    xi = np.asarray(cn_l) / np.asarray(dn_l)
-    kp = ctx_kappa.params.kappa_prime
-    denom = (1.0 + kp) - (1.0 - kp) * xi
+    kp = ctx_kappa.k_prime
+    xi, c, at_pole = _shifted_sn_cn(JacobiContext(ctx_kappa.params, "x0_squared"), arr)
+    one_minus, denom = _landen_terms(kp, xi, c)
     if np.any(np.abs(denom) < 1e-12 * (1.0 + np.abs(xi))):
         raise PoleError("landen_sn_sq denominator vanishes")
-    return _out((1.0 - xi) / denom, scalar)
+    return _out(np.where(at_pole, 1.0 / (1.0 - kp), one_minus / denom), scalar)
 
 
 def sn_shift_residuals(ctx_l: JacobiContext, u):

@@ -27,7 +27,7 @@ import numpy as np
 from .elliptic import EllipticParams, params_from_x0
 from .errors import PoleError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_rect
-from .theta import JacobiContext, _as_array, jacobi_Z, jacobi_sn_cn_dn, theta0_log_abs
+from .theta import JacobiContext, _as_array, _landen_terms, _shifted_sn_cn, jacobi_Z, jacobi_sn_cn_dn, theta0_log_abs
 
 __all__ = ["TorusGeometry", "GreenEvaluator", "green_G", "Q_D", "dz_Q_D", "dzbar_Q_D", "kernel_norm_integral"]
 
@@ -74,10 +74,15 @@ class TorusGeometry:
 
 @dataclass(frozen=True)
 class GreenEvaluator:
-    """Green-type function and its derived quantities at one modulus."""
+    """Green-type function and its derived quantities.
+
+    ``ctx_kappa`` carries the theta functions of G and Q_D, ``ctx_l`` the
+    modulus x0**2 that :func:`dz_Q_D` reads through Landen's transformation.
+    """
 
     geometry: TorusGeometry
     ctx_kappa: JacobiContext
+    ctx_l: JacobiContext
 
     @classmethod
     def from_x0(cls, x0: float) -> "GreenEvaluator":
@@ -85,7 +90,7 @@ class GreenEvaluator:
 
     @classmethod
     def from_params(cls, params: EllipticParams) -> "GreenEvaluator":
-        return cls(TorusGeometry(params), JacobiContext(params, "kappa"))
+        return cls(TorusGeometry(params), JacobiContext(params, "kappa"), JacobiContext(params, "x0_squared"))
 
     @property
     def params(self) -> EllipticParams:
@@ -146,16 +151,33 @@ def Q_D(ev: GreenEvaluator, z):
     return complex(val[0]) if scalar else val
 
 
+def _dz_Q_D_landen(p: EllipticParams, sn, cn):
+    """dz_Q_D at z from sn = sn(z + L; x0**2) and cn = cn(z + L; x0**2).
+
+    Landen's transformation gives 1/sn(M z; kappa)^2 = (1 + kappa' -
+    (1 - kappa') sn)/(1 - sn) (:func:`~goluzin_lab.theta._landen_terms`).
+    Raises :class:`PoleError` where |sn(M z; kappa)| < 1e-12, i.e. on the
+    lattice orbit of 0.
+    """
+    one_minus, lin = _landen_terms(p.kappa_prime, sn, cn)
+    if np.any(np.abs(one_minus) < _POLE_ATOL**2 * np.abs(lin)):
+        raise PoleError("dz_Q_D evaluated on the lattice orbit of 0")
+    return p.M**2 * (p.E_prime / p.K_prime - lin / one_minus)
+
+
 def dz_Q_D(ev: GreenEvaluator, z):
-    """Holomorphic Wirtinger derivative of Q_D: M^2 (E'/K' - 1/sn(Mz)^2)."""
+    """Holomorphic Wirtinger derivative of Q_D: M^2 (E'/K' - 1/sn(Mz; kappa)^2).
+
+    Evaluated from one sn-cn-dn call at modulus x0**2, at reduce(z) + L,
+    through :func:`_dz_Q_D_landen`; raises :class:`PoleError` on the
+    lattice orbit of 0.  At z = +-L + iL' modulo the lattice, the poles of
+    sn(z + L; x0**2) on the edge of D, it takes the limit
+    1/sn(M z; kappa)^2 = 1 - kappa'.
+    """
     p = ev.params
     arr, scalar = _as_array(z)
-    zr = ev.geometry.reduce(np.atleast_1d(arr))
-    sn, _, _ = jacobi_sn_cn_dn(ev.ctx_kappa, p.M * zr)
-    sn = np.asarray(sn)
-    if np.any(np.abs(sn) < _POLE_ATOL):
-        raise PoleError("dz_Q_D evaluated at a zero of sn")
-    val = p.M**2 * (-1.0 / sn**2 + p.E_prime / p.K_prime)
+    sn, cn, at_pole = _shifted_sn_cn(ev.ctx_l, np.atleast_1d(arr))
+    val = np.where(at_pole, p.M**2 * (p.E_prime / p.K_prime - (1.0 - p.kappa_prime)), _dz_Q_D_landen(p, sn, cn))
     return complex(val[0]) if scalar else val
 
 

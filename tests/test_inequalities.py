@@ -9,7 +9,7 @@ import pytest
 from goluzin_lab.catalog import catalog, resolve_map
 from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
 from goluzin_lab.errors import DomainError
-from goluzin_lab import inequalities
+from goluzin_lab import inequalities, maps, theta, torus
 from goluzin_lab.inequalities import (
     PsiEvaluator,
     _DiskField,
@@ -27,6 +27,7 @@ from goluzin_lab.inequalities import (
 )
 from goluzin_lab.maps import BridgeMaps, phi_from_psi
 from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _Accumulator, _cells_integral, _split
+from goluzin_lab.theta import jacobi_sn_cn_dn
 
 AREA_TEST_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
 
@@ -711,6 +712,48 @@ class TestClosedFormTorusSqrt:
             marched.status,
             marched.inputs["n_evals"],
         )
+
+
+class TestOneEvaluationPerCall:
+    """What one integrand call of the torus cross-check and of the disk form evaluates."""
+
+    @pytest.mark.parametrize("name", ["joukowski", "identity", "b1:0.7"])
+    @pytest.mark.parametrize("zeta", [2.0, 3j])
+    def test_one_sn_cn_dn_call_per_torus_integrand_call(self, name, zeta, monkeypatch):
+        # sigma, sigma', cn(z + L) and dz_Q_D all come from one call at modulus x0^2
+        f, _ = _torus_parts(name, zeta, monkeypatch)
+        p = BridgeMaps.from_zeta(zeta).params
+        tags = []
+
+        def counted(ctx, z):
+            tags.append(ctx.modulus_tag)
+            return jacobi_sn_cn_dn(ctx, z)
+
+        for module in (theta, torus, maps, inequalities):
+            monkeypatch.setattr(module, "jacobi_sn_cn_dn", counted)
+        for seed in (True, False):
+            z = _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), lambda x, y: x + 1j * y, seed)
+            tags.clear()
+            (_,), blocks = _roots_used(lambda: f(z), monkeypatch)
+            assert blocks == 0
+            assert tags == ["x0_squared"]
+
+    @pytest.mark.parametrize("name", ["joukowski", "identity", "b1:0.7"])
+    def test_one_phi_call_per_disk_integrand_call(self, name):
+        fieldd = _disk_field(name, 2.0)
+        sizes = []
+        value = fieldd.phi.value
+
+        def counted(w):
+            sizes.append(np.shape(w))
+            return value(w)
+
+        counting = _DiskField(dataclasses.replace(fieldd.phi, value=counted), fieldd.x0, BridgeMaps.from_zeta(2.0).params)
+        for seed in (True, False):
+            w = _disk_call(seed)
+            sizes.clear()
+            assert np.array_equal(counting.integrand(w), fieldd.integrand(w))
+            assert sizes == [w.shape]
 
 
 class TestDiskFormLargeZeta:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,9 @@ from goluzin_lab.theta import (
     theta0,
     theta0_prime,
 )
+
+# the Landen form evaluates both of its branches; neither may warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _grid_away_from_zeros(p, n=20):
@@ -146,6 +150,30 @@ class TestLanden:
 
     def test_zero_at_origin(self, ctx_kappa):
         assert abs(landen_sn_sq(ctx_kappa, 0.0)) < 1e-12
+
+    @pytest.mark.parametrize("z", [1e-5, 1e-6 * (1 + 1j), 1e-3 - 2e-3j, 0.3 + 0.1j])
+    def test_small_argument_against_mpmath(self, z):
+        # 1 - cn/dn cancels next to z = 0: 3.5e-6 off at z = 1e-5 when formed by subtraction
+        p = params_from_x0(0.27)
+        with mpmath.workdps(30):
+            kp = mpmath.mpf(p.kappa_prime)
+            ref = complex(mpmath.ellipfun("sn", mpmath.mpc(z) / (1 + kp), m=1 - kp**2) ** 2)
+        assert landen_sn_sq(JacobiContext(p, "kappa"), z) == pytest.approx(ref, rel=2e-10, abs=0.0)
+
+    def test_pole_signal(self, ctx_kappa, params_half):
+        # sn(M z; kappa) has a pole where M z = iK'
+        with pytest.raises(PoleError):
+            landen_sn_sq(ctx_kappa, 1j * params_half.K_prime / params_half.M)
+
+    def test_at_poles_of_the_shifted_sn(self, ctx_kappa, params_half):
+        # xi = sn(z + L; x0^2) has poles at z = +-L + iL', where sn(M z; kappa)^2 = 1/(1 - kappa')
+        p = params_half
+        for z in (p.L + 1j * p.L_prime, -p.L + 1j * p.L_prime, 3.0 * p.L - 1j * p.L_prime):
+            assert landen_sn_sq(ctx_kappa, z) == pytest.approx(1.0 / (1.0 - p.kappa_prime), rel=1e-14)
+
+    def test_half_period(self, ctx_kappa, params_half):
+        # z = 2L gives xi = -1 and sn(M 2L; kappa) = sn(K; kappa) = 1
+        assert landen_sn_sq(ctx_kappa, 2.0 * params_half.L) == pytest.approx(1.0, rel=1e-14)
 
     def test_requires_kappa_context(self, ctx_l):
         with pytest.raises(ValueError):

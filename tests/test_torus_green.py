@@ -16,6 +16,9 @@ from goluzin_lab.torus import (
     kernel_norm_integral,
 )
 
+# the Landen form of dz_Q_D evaluates both of its branches; neither may warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _interior_points(p, rng, n=10):
     return rng.uniform(-2 * p.L, 2 * p.L, n) + 1j * rng.uniform(-0.45 * p.L_prime, 0.45 * p.L_prime, n)
@@ -205,21 +208,60 @@ class TestDzQDOracle:
             sn = [mpmath.ellipfun("sn", big_m * mpmath.mpc(x), m=m) for x in z]
             return np.array([complex(big_m**2 * (e_over_k - 1 / s**2)) for s in sn])
 
-    @pytest.mark.parametrize("zeta_abs, rtol", [(1.001, 2e-12), (1.25, 2e-14), (2.0, 2e-14), (3.0, 2e-14)])
+    @pytest.mark.parametrize(
+        "zeta_abs, rtol",
+        [(1.001, 2e-12), (1.25, 2e-14), (2.0, 2e-14), (3.0, 2e-14), (1.0001, 1.5e-11), (10.0, 2e-13), (100.0, 3e-13)],
+    )
     def test_rectangle(self, zeta_abs, rtol, rng):
         ev = GreenEvaluator.from_params(params_from_x0(x0_from_zeta_abs(zeta_abs)))
         p = ev.params
         z = rng.uniform(-2.0 * p.L, 2.0 * p.L, 30) + 1j * rng.uniform(-p.L_prime, p.L_prime, 30)
         np.testing.assert_allclose(dz_Q_D(ev, z), self._reference(p, z), rtol=rtol)
 
-    @pytest.mark.parametrize("zeta_abs", [1.001, 1.25, 2.0, 3.0])
+    @pytest.mark.parametrize("zeta_abs", [1.0001, 1.001, 1.25, 2.0, 3.0, 10.0, 100.0])
     def test_ring_at_core_radius(self, zeta_abs):
         # the torus cross-check excludes a core of radius 5e-4 L around the pole at 0;
-        # sn(M z) comes from theta0(M z - iK'), which rounds Im(M z) against K'
+        # there cn(z + L; x0^2) is read off theta sums that cancel next to its zero
         ev = GreenEvaluator.from_params(params_from_x0(x0_from_zeta_abs(zeta_abs)))
         p = ev.params
         z = 5e-4 * p.L * np.exp(2j * math.pi * (np.arange(16) + 0.5) / 16)
         np.testing.assert_allclose(dz_Q_D(ev, z), self._reference(p, z), rtol=6e-12)
+
+    @pytest.mark.parametrize(
+        "zeta_abs, rtol",
+        [(1.0001, 1.5e-11), (1.001, 1e-12), (1.25, 2e-14), (2.0, 2e-14), (3.0, 2e-14), (10.0, 2e-14), (100.0, 2e-14)],
+    )
+    def test_near_half_period(self, zeta_abs, rtol):
+        # z = +-2L is where sn(z + L; x0^2) = -1, the branch the Landen form takes as 1 - xi
+        ev = GreenEvaluator.from_params(params_from_x0(x0_from_zeta_abs(zeta_abs)))
+        p = ev.params
+        th = 2j * math.pi * (np.arange(8) + 0.5) / 8
+        z = np.concatenate(
+            [s * 2.0 * p.L + r * p.L * np.exp(th) for s in (1, -1) for r in (1e-2, 1e-5, 1e-8)] + [[2.0 * p.L, -2.0 * p.L]]
+        )
+        np.testing.assert_allclose(dz_Q_D(ev, z), self._reference(p, z), rtol=rtol)
+        # sn(M 2L; kappa) = sn(K; kappa) = 1
+        assert dz_Q_D(ev, 2.0 * p.L) == pytest.approx(p.M**2 * (p.E_prime / p.K_prime - 1.0), rel=rtol)
+
+    @pytest.mark.parametrize("zeta_abs", [1.0001, 1.25, 2.0, 100.0])
+    def test_at_poles_of_the_shifted_sn(self, zeta_abs):
+        # sn(z + L; x0^2) has poles at z = +-L + iL', where 1/sn(M z; kappa)^2 = 1 - kappa'
+        ev = GreenEvaluator.from_params(params_from_x0(x0_from_zeta_abs(zeta_abs)))
+        p = ev.params
+        corners = np.array([s * p.L + t * 1j * p.L_prime for s in (1, -1) for t in (1, -1)] + [3.0 * p.L + 1j * p.L_prime])
+        z = np.concatenate([corners + d * p.L * np.exp(0.7j) for d in (0.0, 1e-11, 1e-6)])
+        np.testing.assert_allclose(dz_Q_D(ev, z), self._reference(p, z), rtol=1e-13)
+
+    @pytest.mark.parametrize("zeta_abs", [1.0001, 2.0, 100.0])
+    @pytest.mark.parametrize("lattice_point", ["0", "4L", "2iL'", "4L+2iL'"])
+    def test_pole_on_lattice_orbit_of_zero(self, zeta_abs, lattice_point):
+        ev = GreenEvaluator.from_params(params_from_x0(x0_from_zeta_abs(zeta_abs)))
+        p = ev.params
+        z = {"0": 0.0, "4L": 4.0 * p.L, "2iL'": 2j * p.L_prime, "4L+2iL'": 4.0 * p.L + 2j * p.L_prime}[lattice_point]
+        with pytest.raises(PoleError):
+            dz_Q_D(ev, z)
+        with pytest.raises(PoleError):
+            dz_Q_D(ev, np.array([0.3 * p.L, z]))
 
 
 class TestKernelNormIntegral:
