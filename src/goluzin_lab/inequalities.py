@@ -25,15 +25,16 @@ The field Psi(z, zeta) combines three terms whose relative signs matter;
 its square-root factor sqrt(psi'(zeta)(z - zeta)/(psi(z) - psi(zeta))) is
 the analytic continuation of the value +1 at z = zeta inside the exterior
 disk.  The disk form and the torus check carry square roots of the same
-kind.  For psi = z + b0 + b1/z, |b1| <= 1 (every catalog Sigma map), all
-three continuations have closed forms in principal roots of
-Q(z) = (psi(z) - psi(zeta))/(z - zeta) = 1 - b1/(z zeta), whose real part
-is positive on the exterior disk, and the sign is taken from them (see
-:class:`PsiEvaluator`, :class:`_DiskField` and
-:func:`torus_area_crosscheck`).  The march of :class:`_MarchedSqrt` runs
-for every other map and for a call whose nodes the closed form misses by
-more than 1e-6 relative.  No sign is guessed from a principal root of the
-argument itself.
+kind, and all three are quotients of one root.  Univalence makes
+Q(z) = (psi(z) - psi(zeta))/(z - zeta) zero-free on |z| > 1 with
+Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued there
+(:func:`_quotient_root`).  For psi = z + b0 + b1/z, |b1| <= 1 (every
+catalog Sigma map), R is the principal root of 1 - b1/(z zeta); every
+other map, and every node at which that closed form misses the check's
+own argument by more than 1e-6 relative, gets R from a march along the ray
+from infinity to the node (:class:`_MarchedSqrt`).  Each check takes only
+the sign from R, so a node's sign depends on its position alone and not
+on the other nodes of its integrand call.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import numpy as np
 
 from .catalog import UnivalentMap, gronwall_sum
 from .elliptic import EllipticParams, params_from_x0, x0_from_zeta_abs
-from .errors import DomainError
-from .maps import BridgeMaps, marched_sqrt_path, phi_from_psi, sigma
+from .errors import BranchAmbiguityError, DomainError
+from .maps import BridgeMaps, phi_from_psi
 from .quadrature import QuadratureSpec, SingularPoint, integrate_disk, integrate_exterior_disk, integrate_rect
 from .theta import jacobi_sn_cn_dn
 from .torus import GreenEvaluator, _dz_Q_D_landen
@@ -119,15 +120,6 @@ def _cfmt(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _seg_point_dist(a: np.ndarray, b: np.ndarray, p: complex) -> np.ndarray:
-    """Distance from point p to the segments [a_i, b_i]."""
-    ab = b - a
-    denom = np.abs(ab) ** 2
-    t = np.where(denom > 0.0, ((p - a) * np.conj(ab)).real / np.where(denom > 0, denom, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.abs(a + t * ab - p)
-
-
 def _laurent_b1(psi: UnivalentMap) -> complex | None:
     """b1 when ``coefficients`` say psi = z + b0 + b1/z, else None."""
     coeffs = psi.coefficients
@@ -136,145 +128,116 @@ def _laurent_b1(psi: UnivalentMap) -> complex | None:
     return complex(coeffs[1]) if len(coeffs) == 2 else 0j
 
 
-def _quotient_in_w(phi: UnivalentMap) -> Callable | None:
-    """w -> Q(eta_inv(w)) for a map made by ``phi_from_psi``, else None.
-
-    Q(z) = (psi(z) - psi(zeta))/(z - zeta) = 1 - b1/(z zeta) for
-    psi = z + b0 + b1/z; b1/(z zeta) is formed in w directly,
-    b1 |zeta| (w + x0)/(zeta^2 (1 + x0 w)), which stays finite at w = -x0
-    (Q = 1 there) where ``eta_inv`` has its pole.  For |z|, |zeta| > 1 and
-    |b1| <= 1, Re Q > 0, so a principal root of Q is continuous.
-    """
-    if phi.source is None:
-        return None
-    bridge, psi = phi.source
-    b1 = _laurent_b1(psi)
-    if b1 is None:
-        return None
-    x0, zeta = bridge.x0, bridge.zeta
-    c = b1 * abs(zeta) / zeta**2
-    return lambda w: 1.0 - c * (w + x0) / (1.0 + x0 * w)
-
-
 class _MarchedSqrt:
-    """Block-continued square root of an analytic argument function.
+    """sqrt(f) continued from the root ``base`` of f(start) along the segment
+    from ``start`` to each node.
 
-    ``dangers`` lists (center, radius, order) disks around the argument's
-    zeros/poles (order = local power of the argument, e.g. +2 for a double
-    zero).  Inside a danger disk the sign is matched against the local
-    model g ~ g_ref * ((z-c)/(z_ref-c))**(order/2), which is single-valued
-    for even order.
-
-    Outside the danger disks, ``block`` continues the root between nodes of
-    the block, as the parent chain of :class:`BranchTracker` does.  The
-    first node is marched along the caller's route.  Then, round after
-    round, every unresolved node takes its sign from its nearest resolved
-    node, provided the argument ratio of the two lies in the right
-    half-plane and the segment between them stays clear of every danger
-    disk.  A round that resolves nothing marches the first unresolved node
-    in full and the rounds go on from there.  Deterministic: everything
-    depends on node positions only.
-
-    Invariant: a call must not straddle a line of the driver's seed grid.
-    The driver keeps it: a seed's call, ``(5, order, order)``, spans that
-    seed cell, and the one ``(16, order, order)`` call per refinement spans
-    the refined cell, which lies inside one seed cell.  The first round
-    continues every node from the one marched node, over hops as long as
-    the call is wide, and the half-plane test cannot vouch for a hop that
-    long; a danger disk's reference node (its farthest member) also moves
-    with the call's extent.  The torus real axis is a sheet boundary of the
-    cross-check's route, so a call spanning it signs nodes on the wrong
-    sheet.
+    ``f`` must be analytic and zero-free on a convex set holding ``start``
+    and the nodes.  :meth:`block` marches node x along
+    start + t (x - start), t = k/n for k = 1..n, with n = 8 doubled (up to
+    2048) for that node alone until every ratio of consecutive values lies
+    in the right half-plane; its sign is the parity of the flips along its
+    ray, as in the linear chain of :func:`~goluzin_lab.maps.sqrt_continued`.
+    So a node's root depends on its position only.  ``closed``, when given,
+    is a principal-root formula for the same root.
     """
 
-    def __init__(self, arg_func: Callable, base_value: complex, route_fn: Callable, dangers: tuple = ()):
-        self._func = arg_func
-        self._base = complex(base_value)
-        self._route = route_fn
-        self._dangers = tuple((complex(c), float(r), int(m)) for c, r, m in dangers)
-        for _, _, m in self._dangers:
-            if m % 2:
-                raise ValueError("danger disks must have even local order")
+    def __init__(self, f: Callable, start: complex, base: complex, closed: Callable | None = None):
+        self._f, self._start, self._base = f, complex(start), complex(base)
+        self.closed = closed
 
-    def at(self, z: complex) -> complex:
-        return marched_sqrt_path(self._func, self._route(z), self._base)
+    def block(self, x) -> np.ndarray:
+        flat = np.asarray(x, dtype=np.complex128).reshape(-1)
+        out = np.full_like(flat, self._base)
+        todo = np.flatnonzero(flat != self._start)
+        n = 8
+        while n <= 2048:
+            if not todo.size:
+                return out.reshape(np.shape(x))
+            vals = np.asarray(self._f(self._start + (flat[todo, None] - self._start) * (np.arange(1, n + 1) / n)))
+            ratio = vals / np.concatenate((np.full((todo.size, 1), self._base**2), vals[:, :-1]), axis=1)
+            ok = np.all(ratio.real > 1e-3 * np.abs(ratio), axis=1)
+            root = np.sqrt(vals[ok])
+            prev = np.concatenate((np.full((root.shape[0], 1), self._base), root[:, :-1]), axis=1)
+            odd = np.sum(np.abs(root - prev) > np.abs(root + prev), axis=1) % 2 == 1
+            out[todo[ok]] = np.where(odd, -root[:, -1], root[:, -1])
+            todo, n = todo[~ok], 2 * n
+        raise BranchAmbiguityError("could not march the square root along a ray")
 
-    def _danger_index(self, flat: np.ndarray) -> np.ndarray:
-        idx = np.full(flat.shape, -1, dtype=np.int64)
-        for k, (c, r, _) in enumerate(self._dangers):
-            idx[(idx < 0) & (np.abs(flat - c) < r)] = k
-        return idx
+    def at(self, x) -> np.ndarray:
+        """The root at the nodes ``x``, checked as in :meth:`signed_like`."""
+        x = np.asarray(x, dtype=np.complex128)
+        return self.signed_like(x, self._f(x), lambda r: r)
 
-    def _segments_clear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ok = np.ones(b.shape, dtype=bool)
-        for c, r, _ in self._dangers:
-            ok &= _seg_point_dist(a, b, c) >= 0.9 * r
-        return ok
+    def signed_like(self, x, vals: np.ndarray, form: Callable) -> np.ndarray:
+        """+-sqrt(vals) with the sign of form(R), R this root at the nodes ``x``.
 
-    @staticmethod
-    def _match(g: np.ndarray, ref) -> np.ndarray:
-        flip = (g * np.conj(ref)).real < 0.0
-        return np.where(flip, -g, g)
-
-    def signed_like(self, zs: np.ndarray, vals: np.ndarray, ref) -> np.ndarray:
-        """+-sqrt(vals) at ``zs`` with the sign of the closed form ``ref``.
-
-        ``vals`` must be the argument function at ``zs``.  Without a closed
-        form (``ref`` None), or when ref^2 misses vals by more than 1e-6
-        relative at any node, the call is continued by :meth:`block`.
+        ``vals`` must be form(R)**2.  The closed form serves every node at
+        which form(closed)**2 is within 1e-6 relative of ``vals``; the march
+        serves the others, such as every node of a map whose coefficients do
+        not describe its value.
         """
-        if ref is not None and np.all(np.abs(ref * ref - vals) <= 1e-6 * np.abs(vals)):
-            return self._match(np.sqrt(vals), ref)
-        return self.block(zs)
+        if self.closed is None:
+            ref = form(self.block(x))
+        else:
+            r = self.closed(x)
+            ref = form(r)
+            miss = ~(np.abs(ref * ref - vals) <= 1e-6 * np.abs(vals))
+            if miss.any():
+                r[miss] = self.block(x[miss])
+                ref = form(r)
+        g = np.sqrt(vals)
+        return np.where((g * np.conj(ref)).real < 0.0, -g, g)
 
-    def block(self, zs: np.ndarray) -> np.ndarray:
-        flat = np.asarray(zs, dtype=np.complex128).reshape(-1)
-        vals = np.asarray(self._func(flat), dtype=np.complex128)
-        g = np.empty_like(vals)
-        danger_of = self._danger_index(flat)
 
-        todo = np.flatnonzero(danger_of < 0)
-        done = todo[:0]
-        while todo.size:
-            ok = np.zeros(todo.shape, dtype=bool)
-            if done.size:
-                step = max(1, 2**20 // done.size)  # rows per chunk: bounds the distance matrix
-                near = [np.argmin(np.abs(flat[todo[s : s + step], None] - flat[done]), axis=1) for s in range(0, todo.size, step)]
-                ref = done[np.concatenate(near)]
-                ratio = vals[todo] / vals[ref]
-                ok = (ratio.real > 1e-3 * np.abs(ratio)) & self._segments_clear(flat[ref], flat[todo])
-                g[todo[ok]] = self._match(np.sqrt(vals[todo[ok]]), g[ref[ok]])
-            if not ok.any():  # no resolved node reaches any: march the first one
-                g[todo[0]] = self._match(np.sqrt(vals[todo[0]]), self.at(complex(flat[todo[0]])))
-                ok[0] = True
-            done, todo = np.append(done, todo[ok]), todo[~ok]
+def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
+    """R = sqrt(Q) as a function of u = 1/z, with R = 1 at u = 0 (z = inf).
 
-        for k, (c, _, order) in enumerate(self._dangers):
-            members = np.flatnonzero(danger_of == k)
-            if not members.size:
-                continue
-            sub = members[np.argmax(np.abs(flat[members] - c))]
-            g_sub = self.at(complex(flat[sub]))
-            local = ((flat[members] - c) / (flat[sub] - c)) ** (order // 2)
-            g[members] = self._match(np.sqrt(vals[members]), g_sub * local)
-        return g.reshape(np.shape(zs))
+    Q(z) = (psi(z) - psi(zeta))/(z - zeta), and psi'(zeta) +
+    psi''(zeta)(z - zeta)/2 next to zeta.  The march runs along the ray
+    z/t, t from 0 to 1, which is the segment [0, u].  For
+    psi = z + b0 + b1/z, Q = 1 - (b1/zeta) u has positive real part for
+    |u| < 1 < |zeta| and |b1| <= 1, and R is its principal root.
+    """
+    zeta = complex(zeta)
+    psi_zeta, dpsi, ddpsi = (complex(f(np.complex128(zeta))) for f in (psi.value, psi.deriv, psi.deriv2))
+    near = 1e-7 * (1.0 + abs(zeta))
+
+    def q(u):
+        z = 1.0 / u
+        d = z - zeta
+        close = np.abs(d) < near
+        return np.where(close, dpsi + 0.5 * ddpsi * d, (psi.value(z) - psi_zeta) / np.where(close, 1.0, d))
+
+    b1 = _laurent_b1(psi)
+    closed = None if b1 is None else (lambda u: np.sqrt(1.0 - (b1 / zeta) * u))
+    return _MarchedSqrt(q, 0.0, 1.0, closed)
+
+
+def _disk_root(source: tuple, x0: float):
+    """R of a map that ``phi_from_psi`` made, and the coordinate it takes w in.
+
+    ``source`` is the map's ``(bridge, psi)``; R is psi's
+    :func:`_quotient_root` at u = 1/eta_inv(w) = (w + x0)/(unit (1 + x0 w)),
+    unit = zeta/|zeta|, which is finite at w = -x0 (u = 0, R = 1).
+    """
+    bridge, psi = source
+    unit = bridge.zeta / abs(bridge.zeta)
+    return _quotient_root(psi, bridge.zeta), lambda w: (w + x0) / (unit * (1.0 + x0 * w))
 
 
 class PsiEvaluator:
     """The three-term field Psi(z, zeta) for one exterior-disk map.
 
     The root sqrt(A) of the first term is continued from the base value at
-    z = zeta.  For maps whose ``coefficients`` are ``(b0,)`` or
-    ``(b0, b1)``, i.e. psi(z) = z + b0 + b1/z (identity, the joukowski
-    family, ``b1:<c>``), A(z) = (1 - b1/zeta^2)/(1 - b1/(z zeta)).  With
-    |z|, |zeta| > 1 and |b1| <= 1 both factors have positive real part, so
-    base * sqrt(1 - b1/zeta^2)/sqrt(1 - b1/(z zeta)) with principal roots
-    is continuous on the exterior disk and is the continued root.  Only its
-    sign is used: the value stays +-sqrt(A) with A computed from ``value``.
-    A call any of whose nodes has |ref^2 - A| > 1e-6 |A| (coefficients that
-    do not describe ``value``, e.g. only the leading terms of a longer
-    expansion) is continued by :class:`_MarchedSqrt` instead, as are all
-    other Sigma maps.
+    z = zeta.  A(z) = Q(zeta)/Q(z), so it is base * R(zeta)/R(z) with the
+    root R of :func:`_quotient_root`: the principal root of
+    1 - b1/(z zeta) for maps whose ``coefficients`` are ``(b0,)`` or
+    ``(b0, b1)`` (identity, the joukowski family, ``b1:<c>``), marched along
+    the ray from infinity for every other map and at every node where that
+    closed form misses A by more than 1e-6 relative (coefficients that do
+    not describe ``value``).  Only its sign is used: the value stays
+    +-sqrt(A) with A computed from ``value``.
 
     ``flip_sqrt_base`` starts the square-root continuation from -1 instead
     of +1; that flips the first term only and is detectable through the
@@ -298,48 +261,14 @@ class PsiEvaluator:
         self.ddpsi_zeta = complex(psi.deriv2(np.complex128(zeta)))
         self._diag_radius = 1e-7 * (1.0 + abs(zeta))
         base = -1.0 if flip_sqrt_base else 1.0
-        self._sqrt_a = _MarchedSqrt(self._ratio_a, base, self._route)
-        self._b1 = _laurent_b1(psi)
-        if self._b1 is not None:
-            self._ref_top = base * np.sqrt(1.0 - self._b1 / zeta**2)
+        self._root = _quotient_root(psi, zeta)
+        self._top = base * complex(self._root.at([1.0 / zeta])[0])
 
     # -- square-root factor ------------------------------------------------
 
     def _sqrt_of_a(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         """sqrt(A) at the off-diagonal nodes ``z``, where A(z) = ``a``."""
-        ref = None
-        if self._b1 is not None:
-            ref = self._ref_top / np.sqrt(1.0 - self._b1 / (z * self.zeta))
-        return self._sqrt_a.signed_like(z, a, ref)
-
-    def _ratio_a(self, z):
-        """A(z) = psi'(zeta)(z - zeta)/(psi(z) - psi(zeta)); A(zeta) = 1."""
-        z = np.asarray(z, dtype=np.complex128)
-        u = z - self.zeta
-        out = np.empty_like(z)
-        near = np.abs(u) < self._diag_radius
-        far = ~near
-        if far.any():
-            out[far] = self.dpsi_zeta * u[far] / (self.psi.value(z[far]) - self.psi_zeta)
-        if near.any():
-            out[near] = 1.0 - 0.5 * (self.ddpsi_zeta / self.dpsi_zeta) * u[near]
-        return out
-
-    def _route(self, z: complex):
-        """Radial leg, short arc chords, radial leg from zeta to z, inside |z| > 1.
-
-        The arc runs at radius max(|z|, 1.01): a chord of at most 0.2 rad
-        dips to 0.995 of its radius, which would cross the unit circle.
-        """
-        ra = max(abs(z), 1.01)
-        t0, t1 = np.angle(self.zeta), np.angle(z)
-        dt = (t1 - t0 + math.pi) % (2.0 * math.pi) - math.pi
-        pts = [self.zeta, ra * np.exp(1j * t0)]
-        n_arc = max(2, int(math.ceil(abs(dt) / 0.2)))
-        for k in range(1, n_arc + 1):
-            pts.append(ra * np.exp(1j * (t0 + dt * k / n_arc)))
-        pts.append(z)
-        return pts
+        return self._root.signed_like(1.0 / z, a, lambda r: self._top / r)
 
     # -- field values --------------------------------------------------------
 
@@ -429,14 +358,14 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | N
 class _DiskField:
     """Integrand data for the unit-disk form of the area bound.
 
-    The root sqrt(V) is continued from sqrt(2 x0) at w = x0.  For a map
-    that ``phi_from_psi`` made from psi = z + b0 + b1/z (identity, the
-    joukowski family, ``b1:<c>``), psi(z) - psi(zeta) = (z - zeta) Q(z)
-    with z - zeta proportional to (w - x0)/(w + x0), so
-    sqrt(V(w)) = C (w + x0)/sqrt(Q(eta_inv(w))) with a principal root,
-    C = sqrt(2 x0) sqrt(Q(zeta))/(2 x0).  Only its sign is used, by the
-    rule of :meth:`_MarchedSqrt.signed_like`; every other map, and a call
-    the closed form misses, is continued by the march.
+    The root sqrt(V) is continued from sqrt(2 x0) at w = x0.  With
+    psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
+    (w - x0)/(w + x0), sqrt(V(w)) = sqrt(2 x0) R(zeta) (w + x0)/(2 x0 R(z'))
+    at z' = eta_inv(w), with the root R of :func:`_disk_root`.  A map
+    without a ``source`` takes R from (w + x0)^2/V(w), a constant multiple
+    of Q(z') that is zero-free on the unit disk, continued from sqrt(2 x0)
+    at w = x0.  Only the sign is used, by the rule of
+    :meth:`_MarchedSqrt.signed_like`.
     """
 
     def __init__(self, phi: UnivalentMap, x0: float, params: EllipticParams):
@@ -446,17 +375,12 @@ class _DiskField:
         self.c2 = (1.0 + x0**2) * math.sqrt(2.0 * x0) / math.sqrt(1.0 - x0**4)
         self.c3 = ep_over_kp * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
         self._near = 1e-9
-        self._lift = min(0.4, 0.7 * (1.0 - x0))
-        self._clear = min(0.4 * x0, self._lift / 1.6)
-        self._sqrt_v = _MarchedSqrt(
-            self._ratio_v,
-            math.sqrt(2.0 * x0),
-            self._route,
-            dangers=((complex(-x0), self._clear, 2),),
-        )
-        self._q = _quotient_in_w(phi)
-        if self._q is not None:
-            self._ref_c = math.sqrt(2.0 * x0) * np.sqrt(self._q(x0)) / (2.0 * x0)
+        if phi.source is None:
+            self._root = _MarchedSqrt(lambda w: (w + x0) ** 2 / self._ratio_v(w), x0, math.sqrt(2.0 * x0))
+            self._coord = lambda w: w
+        else:
+            self._root, self._coord = _disk_root(phi.source, x0)
+        self._top = math.sqrt(2.0 * x0) * complex(self._root.at([self._coord(x0)])[0]) / (2.0 * x0)
 
     def _ratio_v(self, w, phi_w=None):
         """V(w) = (w^2 - x0^2)/phi(w); V(x0) = 2 x0, double zero at -x0.
@@ -473,44 +397,9 @@ class _DiskField:
             out[near] = 2.0 * self.x0
         return out
 
-    def _route(self, w: complex):
-        """From x0 to w without crossing the real axis near the zero at -x0.
-
-        Paths travel in the closed half-plane of the target; targets close
-        to -x0 are reached along a circle of 1.5x the danger radius and
-        then radially, so the argument of V never sweeps more than the
-        densification of :func:`marched_sqrt_path` can follow.
-        """
-        w = complex(w)
-        x0, c = self.x0, complex(-self.x0)
-        d = w - c
-        rd = abs(d)
-        ring = 1.5 * self._clear
-        sgn = 1.0 if w.imag >= 0 else -1.0
-        lift = 1j * sgn * self._lift
-        if rd >= ring and float(_seg_point_dist(np.array([x0 + 0j]), np.array([w]), c)[0]) >= ring:
-            return [complex(x0), w]
-        pts = [complex(x0), x0 + lift]
-        if rd >= ring:
-            if abs(w.imag) < self._lift:
-                pts.append(complex(w.real, sgn * self._lift))
-            pts.append(w)
-            return pts
-        start = sgn * math.pi / 2.0
-        target = math.atan2(d.imag, d.real)
-        swing = (target - start + math.pi) % (2.0 * math.pi) - math.pi
-        steps = max(1, int(math.ceil(abs(swing) / 0.4)))
-        pts += [c + lift, c + 1j * sgn * ring]
-        for k in range(1, steps + 1):
-            pts.append(c + ring * np.exp(1j * (start + swing * k / steps)))
-        pts.append(w)
-        return pts
-
     def _sqrt_of_v(self, w: np.ndarray, phi_w=None) -> np.ndarray:
-        ref = None
-        if self._q is not None:
-            ref = self._ref_c * (w + self.x0) / np.sqrt(self._q(w))
-        return self._sqrt_v.signed_like(w, self._ratio_v(w, phi_w), ref)
+        form = lambda r: self._top * (w + self.x0) / r
+        return self._root.signed_like(self._coord(w), self._ratio_v(w, phi_w), form)
 
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
@@ -637,14 +526,13 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     continued from a real anchor near 0 whose sign is pinned by requiring
     the 1/z^2 poles of the two terms to cancel.
 
-    For psi = z + b0 + b1/z, sigma^2 - x0^2 = -x0^2 cn^2(z + L) gives
-    sqrt(phi(sigma(z))) = K cn(z + L) sqrt(Q(eta_inv(sigma)))/(sigma + x0),
-    with K fixed at the anchor and a principal root of Q (see
-    :func:`_quotient_in_w`).  Only its sign is used, by the rule of
-    :meth:`_MarchedSqrt.signed_like`; every other map, and a call the closed
-    form misses, is continued by the march.  One sn-cn-dn call at modulus
-    x0^2 per integrand call gives sigma, sigma', cn(z + L) and, through
-    Landen's transformation, dz_Q_D (:func:`~goluzin_lab.torus.dz_Q_D`).
+    With sigma^2 - x0^2 = -x0^2 cn^2(z + L), the root is
+    sqrt(phi(sigma(z))) = K cn(z + L) R(z')/(sigma + x0) at
+    z' = eta_inv(sigma), with K fixed at the anchor and the root R of
+    :func:`_disk_root`.  Only its sign is used, by the rule of
+    :meth:`_MarchedSqrt.signed_like`.  One sn-cn-dn call at modulus x0^2 per
+    integrand call gives sigma, sigma', cn(z + L) and, through Landen's
+    transformation, dz_Q_D (:func:`~goluzin_lab.torus.dz_Q_D`).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
     zeta = complex(zeta)
@@ -654,27 +542,6 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     phi = phi_from_psi(bridge, psi)
     L, Lp = p.L, p.L_prime
     b = ev.b_const
-
-    def f_arg(z):
-        return np.asarray(phi.value(sigma(bridge, np.asarray(z, dtype=np.complex128))), dtype=np.complex128)
-
-    corridor = 0.25 * Lp
-    clear = min(0.125 * Lp, 0.2 * L)
-    centers = (0.0, 2.0 * L, -2.0 * L)
-
-    # stays on the target's side of the real axis; no cubature call straddles it
-    def route(t: complex):
-        anchor = 0.05 * L
-        sgn = 1.0 if t.imag >= 0 else -1.0
-        pts = [anchor, anchor + 1j * sgn * corridor, complex(t.real, sgn * corridor)]
-        for c in centers:
-            d = t - c
-            if abs(d) < clear:
-                entry = c + clear * (d / abs(d) if d != 0 else 1.0)
-                pts.append(entry)
-                break
-        pts.append(t)
-        return pts
 
     def on_sphere(z):
         """sigma, sigma', sn(z + L) and cn(z + L), with the float operations of ``sigma`` and ``sigma_prime``."""
@@ -693,21 +560,13 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
         if best is None or cand < best[0]:
             best = (cand, sign)
     base_value = best[1] * complex(np.sqrt(f_anchor))
-    dangers = (
-        (0.0 + 0.0j, clear, 2),
-        (complex(2.0 * L), clear, -2),
-        (complex(-2.0 * L), clear, -2),
-    )
-    sqrt_f = _MarchedSqrt(f_arg, base_value, route, dangers=dangers)
-    q = _quotient_in_w(phi)
-    if q is not None:
-        k_ref = base_value * (sig_a[0] + p.x0) / (cn_a[0] * np.sqrt(q(sig_a[0])))
+    root, coord = _disk_root(phi.source, p.x0)
+    k = base_value * (sig_a[0] + p.x0) / (cn_a[0] * complex(root.at(coord(sig_a))[0]))
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)
         sig, dsig, sn, cn = on_sphere(z)
-        ref = None if q is None else k_ref * cn * np.sqrt(q(sig)) / (sig + p.x0)
-        g = sqrt_f.signed_like(z, phi.value(sig), ref)
+        g = root.signed_like(coord(sig), phi.value(sig), lambda r: k * cn * r / (sig + p.x0))
         dphi = phi.deriv(sig) * dsig
         val = -dphi / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
         return np.abs(val) ** 2

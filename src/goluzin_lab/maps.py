@@ -244,19 +244,17 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
 
 @dataclass(frozen=True)
 class BranchTracker:
-    """Continuation data: where the branch is pinned and the marching order.
+    """Continuation data: the value node 0 is continued from.
 
-    ``parents[i]`` is the index each node is continued from (must be
-    smaller than i); ``parents[0]`` is ignored, node 0 matches
-    ``base_value``.  ``parents=None`` means the linear chain 0,1,2,...
+    The marching order is the linear chain 0, 1, 2, ... of the flattened
+    arguments.
     """
 
     base_value: complex
-    parents: tuple[int, ...] | None = None
 
 
 def sqrt_continued(args, tracker: BranchTracker):
-    """Square roots of ``args`` continued along the tracker's marching order.
+    """Square roots of ``args`` continued along the linear chain from ``tracker.base_value``.
 
     Every output satisfies g**2 == args exactly up to rounding; a value
     within 1e-13 of zero (relative to the largest argument) makes the
@@ -268,22 +266,15 @@ def sqrt_continued(args, tracker: BranchTracker):
     if np.any(np.abs(flat) < 1e-13 * scale) or scale == 0.0:
         raise BranchAmbiguityError("square-root continuation hit a zero argument")
     root = np.sqrt(flat)
-    parents = tracker.parents
-    if not parents:
-        # Node i keeps the sign of node i-1 when the roots r_i, r_{i-1} are
-        # closer than r_i, -r_{i-1}, flips it when farther, and takes + on a
-        # tie (or NaN); the sign is the parity of the flips since the last tie.
-        prev = np.concatenate(([complex(tracker.base_value)], root[:-1]))
-        apart, together = np.abs(root - prev), np.abs(root + prev)
-        flips = np.cumsum(apart > together)
-        tie = ~(apart > together) & ~(together > apart)
-        odd = (flips - np.maximum.accumulate(np.where(tie, flips, 0))) % 2 == 1
-        return np.where(odd, -root, root).reshape(args.shape)
-    out = np.empty_like(flat)
-    for i, g in enumerate(root):
-        ref = tracker.base_value if i == 0 else out[parents[i]]
-        out[i] = -g if abs(g - ref) > abs(g + ref) else g
-    return out.reshape(args.shape)
+    # Node i keeps the sign of node i-1 when the roots r_i, r_{i-1} are
+    # closer than r_i, -r_{i-1}, flips it when farther, and takes + on a
+    # tie (or NaN); the sign is the parity of the flips since the last tie.
+    prev = np.concatenate(([complex(tracker.base_value)], root[:-1]))
+    apart, together = np.abs(root - prev), np.abs(root + prev)
+    flips = np.cumsum(apart > together)
+    tie = ~(apart > together) & ~(together > apart)
+    odd = (flips - np.maximum.accumulate(np.where(tie, flips, 0))) % 2 == 1
+    return np.where(odd, -root, root).reshape(args.shape)
 
 
 def marched_sqrt_path(func, waypoints, base_value, max_doublings: int = 8):

@@ -15,12 +15,13 @@ a ring estimate (exponent -1 only).  Integrands must be vectorized maps
 from complex ndarrays of any shape to real ndarrays of the same shape, and
 must be pure.
 
-The driver calls an integrand once per cell it refines, with the four
-children of each of that cell's four children, its 16 grandchildren, as
-``(16, order, order)`` arrays; a seed cell's call carries the seed itself
-and its four children as ``(5, order, order)``.  No call straddles a line
-of the 4 x 4 seed grid: the torus check relies on that, as it continues
-its square root apart above and below the real axis.
+The driver calls an integrand once per band of the 4 x 4 seed grid, with
+the four seeds of one first-parameter band and the four children of each,
+as ``(20, order, order)`` arrays, and then once per cell it refines, with
+the four children of each of that cell's four children, its 16
+grandchildren, as ``(16, order, order)`` arrays.  No call carries more
+than 20 cells.  A cell's sum depends on its own nodes only, so the value
+at a node must not depend on the other nodes of its call.
 """
 
 from __future__ import annotations
@@ -167,12 +168,16 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
         counter += 1
         return (-err, counter, cell, fine, depth, tuple(zip(_split(cell), fine_parts)))
 
-    for cell in seeds:
-        coarse, *fine_parts = _cells_integral(g, (cell, *_split(cell)), order, acc)
-        node = make_node(cell, coarse, fine_parts, 0)
-        heapq.heappush(heap, node)
-        value += node[3]
-        err_total += -node[0]
+    # one call per first-parameter band: seed k of the band sums slice [5k, 5k + 5)
+    for i in range(0, len(seeds), ny):
+        band = seeds[i : i + ny]
+        parts = _cells_integral(g, [c for cell in band for c in (cell, *_split(cell))], order, acc)
+        for k, cell in enumerate(band):
+            coarse, *fine_parts = parts[5 * k : 5 * k + 5]
+            node = make_node(cell, coarse, fine_parts, 0)
+            heapq.heappush(heap, node)
+            value += node[3]
+            err_total += -node[0]
 
     refinements = 0
     while heap:

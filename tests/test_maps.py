@@ -312,12 +312,6 @@ class TestSqrtContinued:
         out = sqrt_continued(args, BranchTracker(base_value=np.sqrt(args[0])))
         np.testing.assert_allclose(out, np.sqrt(args), rtol=1e-12)
 
-    def test_parent_marching_order(self):
-        args = np.array([1.0, 1.0j, -1.0, 1.0j, 1.0], dtype=complex)
-        parents = (0, 0, 1, 2, 3)
-        out = sqrt_continued(args, BranchTracker(base_value=1.0, parents=parents))
-        np.testing.assert_allclose(out**2, args, atol=1e-14)
-
     def test_zero_crossing_raises(self):
         args = np.array([1.0, 0.5, 1e-16, 0.5], dtype=complex)
         with pytest.raises(BranchAmbiguityError):

@@ -14,6 +14,7 @@ from goluzin_lab.quadrature import (
     SingularPoint,
     _Accumulator,
     _adaptive_2d,
+    _cells_integral,
     _split,
     integrate_disk,
     integrate_exterior_disk,
@@ -35,11 +36,36 @@ class TestDriver:
             return self.peaked(x, y)
 
         res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14), _Accumulator())
-        # one call per seed cell: the seed itself and its four children
-        assert shapes[:16] == [(5, 8, 8)] * 16
+        # one call per first-parameter band of seeds: four seeds and their children
+        assert shapes[:4] == [(20, 8, 8)] * 4
         # from then on, one call per refined cell with its 16 grandchildren
-        assert len(shapes) > 16 and set(shapes[16:]) == {(16, 8, 8)}
+        assert len(shapes) > 4 and set(shapes[4:]) == {(16, 8, 8)}
         assert res.n_evals == sum(math.prod(s) for s in shapes)
+
+    def test_seed_calls_cover_one_band_each(self):
+        firsts = []
+
+        def g(x, y):
+            firsts.append((x.min(), x.max()))
+            return self.peaked(x, y)
+
+        _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-2, abs_tol=1e-2), _Accumulator())
+        for i, (lo, hi) in enumerate(firsts[:4]):
+            assert 0.25 * i < lo and hi < 0.25 * (i + 1)
+
+    def test_cell_sum_independent_of_call_layout(self):
+        # a cell's sum comes from its own nodes only: alone, in a seed band's
+        # call, in a refinement's call, or anywhere in a longer call
+        rng = np.random.default_rng(3)
+        cells = [tuple(np.sort(rng.uniform(0.0, 2.0, 2))) + tuple(np.sort(rng.uniform(-1.0, 1.0, 2))) for _ in range(80)]
+        alone = [_cells_integral(self.peaked, [c], 8, _Accumulator())[0] for c in cells]
+        for n in (5, 16, 20, 80):
+            for k in range(0, len(cells), n):
+                batch = _cells_integral(self.peaked, cells[k : k + n], 8, _Accumulator())
+                assert [v.hex() for v in batch] == [v.hex() for v in alone[k : k + n]]
+        shuffled = rng.permutation(len(cells))
+        batch = _cells_integral(self.peaked, [cells[i] for i in shuffled], 8, _Accumulator())
+        assert [v.hex() for v in batch] == [alone[i].hex() for i in shuffled]
 
     def test_refinement_sequence_pinned(self):
         # value, error and evaluation count of the one-cell-per-call driver:
