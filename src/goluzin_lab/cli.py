@@ -96,10 +96,6 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
 
 
-def format_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
 def _emit(reports: list[VerificationReport], fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True)

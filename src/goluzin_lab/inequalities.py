@@ -56,8 +56,6 @@ from .torus import GreenEvaluator, _dz_Q_D_landen
 __all__ = [
     "VerificationReport",
     "PsiEvaluator",
-    "psi_field",
-    "psi_at_diagonal",
     "verify_area_sigma",
     "verify_area_disk",
     "goluzin_bound",
@@ -229,8 +227,8 @@ def _disk_root(source: tuple, x0: float):
 class PsiEvaluator:
     """The three-term field Psi(z, zeta) for one exterior-disk map.
 
-    The root sqrt(A) of the first term is continued from the base value at
-    z = zeta.  A(z) = Q(zeta)/Q(z), so it is base * R(zeta)/R(z) with the
+    The root sqrt(A) of the first term is continued from the value +1 at
+    z = zeta.  A(z) = Q(zeta)/Q(z), so it is R(zeta)/R(z) with the
     root R of :func:`_quotient_root`: the principal root of
     1 - b1/(z zeta) for maps whose ``coefficients`` are ``(b0,)`` or
     ``(b0, b1)`` (identity, the joukowski family, ``b1:<c>``), marched along
@@ -238,13 +236,9 @@ class PsiEvaluator:
     closed form misses A by more than 1e-6 relative (coefficients that do
     not describe ``value``).  Only its sign is used: the value stays
     +-sqrt(A) with A computed from ``value``.
-
-    ``flip_sqrt_base`` starts the square-root continuation from -1 instead
-    of +1; that flips the first term only and is detectable through the
-    diagonal formula (used by the branch-convention tests).
     """
 
-    def __init__(self, psi: UnivalentMap, zeta: complex, params: EllipticParams | None = None, flip_sqrt_base: bool = False):
+    def __init__(self, psi: UnivalentMap, zeta: complex):
         if psi.map_class != "Sigma":
             raise DomainError("PsiEvaluator needs an exterior-disk (Sigma) map")
         zeta = complex(zeta)
@@ -252,7 +246,7 @@ class PsiEvaluator:
             raise DomainError("the base point must satisfy |zeta| > 1")
         self.psi = psi
         self.zeta = zeta
-        self.params = params or params_from_x0(x0_from_zeta_abs(abs(zeta)))
+        self.params = params_from_x0(x0_from_zeta_abs(abs(zeta)))
         self.ep_over_kp = self.params.E_prime / self.params.K_prime
         # sqrt(1 - |zeta|^-2) = complementary modulus kappa'
         self.d = math.sqrt(1.0 - 1.0 / abs(zeta) ** 2)
@@ -260,9 +254,8 @@ class PsiEvaluator:
         self.dpsi_zeta = complex(psi.deriv(np.complex128(zeta)))
         self.ddpsi_zeta = complex(psi.deriv2(np.complex128(zeta)))
         self._diag_radius = 1e-7 * (1.0 + abs(zeta))
-        base = -1.0 if flip_sqrt_base else 1.0
         self._root = _quotient_root(psi, zeta)
-        self._top = base * complex(self._root.at([1.0 / zeta])[0])
+        self._top = complex(self._root.at([1.0 / zeta])[0])
 
     # -- square-root factor ------------------------------------------------
 
@@ -308,14 +301,6 @@ class PsiEvaluator:
             - (2.0 - a2) / (2.0 * (a2 - 1.0) * zeta)
             + self.ep_over_kp * a2 / ((a2 - 1.0) * zeta)
         )
-
-
-def psi_field(ev: PsiEvaluator, z):
-    return ev.field(z)
-
-
-def psi_at_diagonal(ev: PsiEvaluator) -> complex:
-    return ev.at_diagonal()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Deterministic adaptive 2D quadrature for rectangles, disks, and the
-compactified exterior disk.
+"""Deterministic adaptive 2D quadrature for rectangles, the unit disk, and
+the compactified exterior disk.
 
 The driver keeps a max-heap of cells keyed by a local error estimate
 (|tensor Gauss-Legendre on the cell - sum over its four children|) and
@@ -7,13 +7,28 @@ refines the worst cell until the summed estimate drops under the budget
 ``max(abs_tol, rel_tol * |value|)``.  Everything is evaluated in a fixed
 order, so identical inputs give identical results.
 
-Integrable point singularities are handled by partition of unity: a
-radial bump confines the singular behaviour to a polar patch around each
-tagged point, where the area element cancels a ``1/|z - p|`` blow-up
-exactly; the leftover mass inside the innermost radius is recovered from
-a ring estimate (exponent -1 only).  Integrands must be vectorized maps
-from complex ndarrays of any shape to real ndarrays of the same shape, and
-must be pure.
+One polar drive serves every round region: the driver in polar
+coordinates on eps < |z - c| < radius, where the area element cancels a
+``1/|z - c|`` blow-up exactly, plus a ring estimate of the core
+|z - c| < eps.  Integrable point singularities are handled by partition
+of unity: a radial bump confines the singular behaviour to a polar patch
+around each tagged point, and the region's own grid takes f times one
+minus every bump.  The unit disk is one polar drive.  The exterior disk
+is the annulus 1 < |z| < r0 on a log-polar grid plus the tail |z| > r0,
+which u = 1/z maps onto the disk |u| < 1/r0: there the integrand
+f(1/u)/|u|^4 of an f decaying like |z|**-3 has a 1/|u| blow-up at u = 0,
+and one decaying like |z|**-4 is bounded there.
+
+The ring estimate takes the core's integrand to grow like
+|z - c|**exponent, with exponent -1 (a 1/r blow-up) or 0 (bounded): each
+tagged point declares its exponent, and the tail takes whichever of the
+two its ring means fit.
+
+Integrands must be vectorized maps from complex ndarrays of any shape to
+real ndarrays of the same shape, and must be pure.  A result's
+``n_evals`` is the number of points the integrand received: every drive
+node it was called on, and every ring point, each once.  Far-field nodes
+where the bumps leave no weight are not passed to it and not counted.
 
 The driver calls an integrand once per band of the 4 x 4 seed grid, with
 the four seeds of one first-parameter band and the four children of each,
@@ -26,6 +41,7 @@ at a node must not depend on the other nodes of its call.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import warnings
@@ -46,14 +62,18 @@ __all__ = [
 ]
 
 _CORE_FRACTION = 1e-5  # inner cutoff of a polar patch, relative to its radius
+_ORDER = 8  # Gauss-Legendre nodes per cell side
+_MAX_DEPTH = 14
 _MAX_REFINEMENTS = 40_000
+_RING = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
 @dataclass(frozen=True)
 class SingularPoint:
     """A tagged integrable singularity, f ~ c*|z - location|**exponent.
 
-    ``core_fraction`` sets the excluded-core radius as a fraction of the
+    ``exponent`` is -1 (a 1/r blow-up) or 0 (bounded) and sets the ring
+    estimate of the excluded core.  ``core_fraction`` sets the excluded-core radius as a fraction of the
     polar patch radius; raise it for integrands whose evaluation degrades
     near the singular point (the excluded mass is recovered from a ring
     estimate either way).
@@ -61,7 +81,6 @@ class SingularPoint:
 
     location: complex
     exponent: float = -1.0
-    patch_radius: float | None = None
     core_fraction: float = _CORE_FRACTION
 
     def __post_init__(self):
@@ -73,12 +92,10 @@ class SingularPoint:
 class QuadratureSpec:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
-    max_depth: int = 14
-    base_order: int = 8
     singular_points: tuple[SingularPoint, ...] = field(default_factory=tuple)
 
     def with_points(self, *points: SingularPoint) -> "QuadratureSpec":
-        return QuadratureSpec(self.rel_tol, self.abs_tol, self.max_depth, self.base_order, tuple(points))
+        return dataclasses.replace(self, singular_points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -98,29 +115,20 @@ class QuadratureResult:
 
 
 @lru_cache(maxsize=None)
-def _gl_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _gl_rule():
+    return np.polynomial.legendre.leggauss(_ORDER)
 
 
-class _Accumulator:
-    """Shared evaluation counter for one integrate_* call."""
-
-    def __init__(self):
-        self.n_evals = 0
-
-
-def _cells_integral(g, cells, order, acc):
+def _cells_integral(g, cells):
     """Tensor GL sums over each cell from one ``(n_cells, order, order)`` call
     of ``g``; each sum uses its own slice, whatever shares the call."""
     a0, a1, b0, b1 = np.asarray(cells, dtype=np.float64).T
-    x, w = _gl_rule(order)
+    x, w = _gl_rule()
     hx, hy = 0.5 * (a1 - a0), 0.5 * (b1 - b0)
     xs = (0.5 * (a0 + a1))[:, None] + hx[:, None] * x
     ys = (0.5 * (b0 + b1))[:, None] + hy[:, None] * x
-    zero = np.zeros((len(cells), order, order))
+    zero = np.zeros((len(cells), _ORDER, _ORDER))
     vals = np.asarray(g(xs[:, :, None] + zero, ys[:, None, :] + zero), dtype=np.float64)
-    acc.n_evals += vals.size
     rows = w @ vals  # w @ vals[k] for every k, bit for bit
     return [float(hx[k]) * float(hy[k]) * float(rows[k] @ w) for k in range(len(cells))]
 
@@ -131,29 +139,21 @@ def _split(cell):
     return ((a0, am, b0, bm), (am, a1, b0, bm), (a0, am, bm, b1), (am, a1, bm, b1))
 
 
-def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
+def _adaptive_2d(g, domain, spec: QuadratureSpec) -> QuadratureResult:
     """Adaptive tensor GL over the parameter rectangle ``domain``.
 
     ``g`` receives broadcast 2-d arrays of the two parameters and must
     return the integrand already multiplied by the area-element Jacobian.
     """
     a0, a1, b0, b1 = domain
-    order = spec.base_order
-    seeds = []
-    nx = ny = 4
-    for i in range(nx):
-        for j in range(ny):
-            seeds.append(
-                (
-                    a0 + (a1 - a0) * i / nx,
-                    a0 + (a1 - a0) * (i + 1) / nx,
-                    b0 + (b1 - b0) * j / ny,
-                    b0 + (b1 - b0) * (j + 1) / ny,
-                )
-            )
-
+    seeds = [
+        (a0 + (a1 - a0) * i / 4, a0 + (a1 - a0) * (i + 1) / 4, b0 + (b1 - b0) * j / 4, b0 + (b1 - b0) * (j + 1) / 4)
+        for i in range(4)
+        for j in range(4)
+    ]
     heap = []
     counter = 0
+    n_evals = 0
     value = 0.0
     err_total = 0.0
     frozen_err = 0.0
@@ -169,9 +169,11 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
         return (-err, counter, cell, fine, depth, tuple(zip(_split(cell), fine_parts)))
 
     # one call per first-parameter band: seed k of the band sums slice [5k, 5k + 5)
-    for i in range(0, len(seeds), ny):
-        band = seeds[i : i + ny]
-        parts = _cells_integral(g, [c for cell in band for c in (cell, *_split(cell))], order, acc)
+    for i in range(0, len(seeds), 4):
+        band = seeds[i : i + 4]
+        cells = [c for cell in band for c in (cell, *_split(cell))]
+        parts = _cells_integral(g, cells)
+        n_evals += _ORDER**2 * len(cells)
         for k, cell in enumerate(band):
             coarse, *fine_parts = parts[5 * k : 5 * k + 5]
             node = make_node(cell, coarse, fine_parts, 0)
@@ -186,7 +188,7 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
             break
         neg_err, _, cell, fine, depth, kids = heapq.heappop(heap)
         err = -neg_err
-        if depth >= spec.max_depth or refinements >= _MAX_REFINEMENTS:
+        if depth >= _MAX_DEPTH or refinements >= _MAX_REFINEMENTS:
             frozen_err += err
             err_total -= err
             continue
@@ -194,7 +196,9 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
         value -= fine
         err_total -= err
         # one call for the 16 grandchildren; child i sums slice [4i, 4i + 4)
-        parts = _cells_integral(g, [gk for child_cell, _ in kids for gk in _split(child_cell)], order, acc)
+        cells = [gk for child_cell, _ in kids for gk in _split(child_cell)]
+        parts = _cells_integral(g, cells)
+        n_evals += _ORDER**2 * len(cells)
         for i, (child_cell, child_coarse) in enumerate(kids):
             node = make_node(child_cell, child_coarse, parts[4 * i : 4 * i + 4], depth + 1)
             heapq.heappush(heap, node)
@@ -203,7 +207,7 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec, acc: _Accumulator):
 
     total_err = err_total + frozen_err
     budget = max(spec.abs_tol, spec.rel_tol * abs(value))
-    return QuadratureResult(value, total_err, acc.n_evals, bool(total_err <= budget))
+    return QuadratureResult(value, total_err, n_evals, bool(total_err <= budget))
 
 
 def _smooth_cut(r, r_in, r_out):
@@ -213,74 +217,86 @@ def _smooth_cut(r, r_in, r_out):
     return 1.0 - s
 
 
-def _far_weight(z, patches):
-    w = np.ones(z.shape, dtype=np.float64)
-    for p, radius in patches:
-        w *= 1.0 - _smooth_cut(np.abs(z - p), 0.5 * radius, radius)
-    return w
+def _ring_core(g, center, eps, exponent):
+    """Mass of g(z, rho) inside the core rho = |z - center| < eps, and the
+    ring means gamma(eps), gamma(2 eps) of rho*g.
+
+    For g ~ c*rho**exponent, gamma(rho) grows like rho**(1 + exponent), so
+    the core mass is 2 pi eps gamma(eps)/(2 + exponent), and its error is
+    how far gamma(2 eps) is from 2**(1 + exponent) gamma(eps), scaled
+    alike.  An ``exponent`` of None takes -1 or 0, whichever the ratio
+    gamma(2 eps)/gamma(eps) is nearer (1 or 2; the split is at 1.4).
+    """
+    gamma1 = eps * float(np.asarray(g(center + eps * _RING, eps), dtype=np.float64).mean())
+    gamma2 = 2.0 * eps * float(np.asarray(g(center + 2.0 * eps * _RING, 2.0 * eps), dtype=np.float64).mean())
+    if exponent is None:
+        exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
+    scale = 2.0 * math.pi * eps / (2.0 + exponent)
+    growth = 2.0 ** (1.0 + exponent)
+    core = QuadratureResult(scale * gamma1, scale * abs(gamma1 - gamma2 / growth), 2 * _RING.size, True)
+    return core, gamma1, gamma2
 
 
-def _masked_far_integrand(f, patches):
-    def g(z):
-        w = _far_weight(z, patches)
+def _polar(g, center, radius, eps, exponent, spec):
+    """The polar drive: integral of g(z, rho) over rho = |z - center| < radius.
+
+    The driver integrates over eps < rho < radius in polar coordinates; for
+    eps > 0 the core comes from the ring estimate for ``exponent``.
+    Returns the result and the ring means (None without a core).
+    """
+
+    def h(rho, theta):
+        return g(center + rho * np.exp(1j * theta), rho) * rho
+
+    res = _adaptive_2d(h, (eps, radius, 0.0, 2.0 * math.pi), spec)
+    if eps == 0.0:
+        return res, None
+    core, *gammas = _ring_core(g, center, eps, exponent)
+    return res + core, gammas
+
+
+def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureResult:
+    """``drive(far)`` plus one polar patch per singular point in ``points``.
+
+    Each patch integrates f times a radial bump around its point, out to
+    the smallest of ``radius``, ``clearance(location)`` and 0.4 of the
+    distance to any other point.  ``far`` is f times one minus every bump.
+    The sum runs (drive + patch_1) + patch_2 + ...; the drive's count is
+    the number of points ``far`` passed on to f.
+    """
+    locs = [p.location for p in points]
+    radii = []
+    for i, loc in enumerate(locs):
+        room = clearance(loc)
+        if not room > 0.0:
+            raise ValueError(f"singular point {loc} is not inside the {region}")
+        r = min([radius, room] + [0.4 * abs(loc - q) for j, q in enumerate(locs) if j != i])
+        if not r > 0.0:
+            raise ValueError(f"singular point {loc} leaves no room for a polar patch")
+        radii.append(r)
+
+    received = 0
+
+    def far(z):
+        nonlocal received
+        w = np.ones(z.shape, dtype=np.float64)
+        for p, r in zip(locs, radii):
+            w *= 1.0 - _smooth_cut(np.abs(z - p), 0.5 * r, r)
         out = np.zeros(z.shape, dtype=np.float64)
         mask = w > 0.0
+        received += int(np.count_nonzero(mask))
         if mask.any():
             out[mask] = np.asarray(f(z[mask]), dtype=np.float64) * w[mask]
         return out
 
-    return g
+    def patch(point, r):
+        def bumped(z, rho):
+            return np.asarray(f(z), dtype=np.float64) * _smooth_cut(rho, 0.5 * r, r)
 
+        return _polar(bumped, point.location, r, point.core_fraction * r, point.exponent, spec)[0]
 
-def _polar_patch(f, point: SingularPoint, radius, spec, acc):
-    """Integral of f * bump over the disk around one singular point.
-
-    Polar coordinates absorb a 1/r singularity; the uncovered core
-    r < eps is recovered by a ring estimate when exponent == -1.
-    """
-    p = point.location
-    eps = point.core_fraction * radius
-
-    def g(rho, theta):
-        z = p + rho * np.exp(1j * theta)
-        cut = _smooth_cut(rho, 0.5 * radius, radius)
-        return np.asarray(f(z), dtype=np.float64) * cut * rho
-
-    res = _adaptive_2d(g, (eps, radius, 0.0, 2.0 * math.pi), spec, acc)
-    if point.exponent == -1.0:
-        res = res + _ring_core(f, p, eps, acc)
-    return res
-
-
-def _ring_core(f, center, eps, acc):
-    """Mass of a 1/r singularity inside the core |z - center| < eps.
-
-    r*f is nearly constant near the center, so the ring mean at r = eps
-    gives the core mass and the ring at 2 eps its error.
-    """
-    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    ring1 = np.asarray(f(center + eps * np.exp(1j * theta)), dtype=np.float64)
-    ring2 = np.asarray(f(center + 2.0 * eps * np.exp(1j * theta)), dtype=np.float64)
-    acc.n_evals += 2 * theta.size
-    gamma1 = eps * float(ring1.mean())
-    gamma2 = 2.0 * eps * float(ring2.mean())
-    return QuadratureResult(2.0 * math.pi * eps * gamma1, 2.0 * math.pi * eps * abs(gamma1 - gamma2), 0, True)
-
-
-def _patch_radii(points, default_radius, clearance):
-    """Disjoint patch radii: respect user overrides, spacing, and clearance."""
-    radii = []
-    locs = [p.location for p in points]
-    for i, p in enumerate(points):
-        r = p.patch_radius if p.patch_radius is not None else default_radius
-        for j, q in enumerate(locs):
-            if j != i:
-                r = min(r, 0.4 * abs(p.location - q))
-        r = min(r, clearance(p.location))
-        if r <= 0.0:
-            raise ValueError(f"singular point {p.location} leaves no room for a polar patch")
-        radii.append(r)
-    return radii
+    outer = dataclasses.replace(drive(far), n_evals=received)
+    return sum((patch(p, r) for p, r in zip(points, radii)), outer)
 
 
 def _check(result: QuadratureResult, what: str) -> QuadratureResult:
@@ -298,128 +314,69 @@ def integrate_rect(f, rect, spec: QuadratureSpec | None = None) -> QuadratureRes
     """
     spec = spec or QuadratureSpec()
     x0, x1, y0, y1 = (float(v) for v in rect)
-    acc = _Accumulator()
-    inside = []
-    for p in spec.singular_points:
-        zx, zy = p.location.real, p.location.imag
-        if not (x0 < zx < x1 and y0 < zy < y1):
-            raise ValueError(f"singular point {p.location} is not interior to the rectangle")
-        inside.append(p)
 
     def clearance(loc):
         return 0.8 * min(loc.real - x0, x1 - loc.real, loc.imag - y0, y1 - loc.imag)
 
-    default = 0.25 * min(x1 - x0, y1 - y0)
-    radii = _patch_radii(inside, default, clearance)
-    patches = list(zip((p.location for p in inside), radii))
+    def grid(far):
+        return _adaptive_2d(lambda x, y: far(x + 1j * y), (x0, x1, y0, y1), spec)
 
-    far = _masked_far_integrand(f, patches)
-
-    def g(x, y):
-        return far(x + 1j * y)
-
-    total = _adaptive_2d(g, (x0, x1, y0, y1), spec, acc)
-    for p, r in zip(inside, radii):
-        total = total + _polar_patch(f, p, r, spec, acc)
+    total = _patched(f, spec.singular_points, 0.25 * min(x1 - x0, y1 - y0), clearance, "rectangle", spec, grid)
     return _check(total, "integrate_rect")
 
 
-def integrate_disk(f, spec: QuadratureSpec | None = None, center: complex = 0.0, radius: float = 1.0) -> QuadratureResult:
-    """Integrate ``f(z) dA`` over the disk |z - center| < radius."""
+def integrate_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Integrate ``f(z) dA`` over the unit disk.
+
+    A singular point at the origin sets the core of the disk's own polar
+    grid; every other one gets a polar patch.
+    """
     spec = spec or QuadratureSpec()
-    acc = _Accumulator()
-    center = complex(center)
-    radius = float(radius)
+    central = [p for p in spec.singular_points if abs(p.location) < 1e-12]
+    eps, exponent = (central[0].core_fraction, central[0].exponent) if central else (0.0, None)
 
-    central = [p for p in spec.singular_points if abs(p.location - center) < 1e-12 * radius]
-    interior = [p for p in spec.singular_points if p not in central]
-    for p in interior:
-        if not abs(p.location - center) < radius:
-            raise ValueError(f"singular point {p.location} is not inside the disk")
+    def disk(far):
+        return _polar(lambda z, rho: far(z), 0j, 1.0, eps, exponent, spec)[0]
 
-    def clearance(loc):
-        return 0.8 * (radius - abs(loc - center))
-
-    radii = _patch_radii(interior, 0.25 * radius, clearance)
-    patches = list(zip((p.location for p in interior), radii))
-    far = _masked_far_integrand(f, patches)
-
-    rho_in = 0.0
-    core = QuadratureResult(0.0, 0.0, 0, True)
-    if central:
-        rho_in = central[0].core_fraction * radius
-        if central[0].exponent == -1.0:
-            core = _ring_core(f, center, rho_in, acc)
-
-    def g(rho, theta):
-        z = center + rho * np.exp(1j * theta)
-        return far(z) * rho
-
-    total = _adaptive_2d(g, (rho_in, radius, 0.0, 2.0 * math.pi), spec, acc) + core
-    for p, r in zip(interior, radii):
-        total = total + _polar_patch(f, p, r, spec, acc)
+    points = [p for p in spec.singular_points if p not in central]
+    total = _patched(f, points, 0.25, lambda loc: 0.8 * (1.0 - abs(loc)), "disk", spec, disk)
     return _check(total, "integrate_disk")
 
 
-def integrate_exterior_disk(f, spec: QuadratureSpec | None = None, decay_check: bool = True) -> QuadratureResult:
+def integrate_exterior_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integrate ``f(z) dA`` over |z| > 1 for integrands decaying like |z|**-3.
 
-    The region splits into the annulus 1 < |z| <= R0 (log-polar grid,
-    singular points handled by polar patches) and the tail, compactified
-    by u = 1/z onto a punctured disk where the image integrand carries an
-    exponent -1 singularity at u = 0.
+    The region splits into the annulus 1 < |z| <= r0 (log-polar grid,
+    singular points handled by polar patches) and the tail, the disk
+    |u| < 1/r0 under u = 1/z (one polar drive with a ring core at u = 0,
+    of exponent -1 for f ~ |z|**-3 and 0 for f ~ |z|**-4, read from its
+    ring means).  Warns when those say f decays more slowly than |z|**-3.
     """
     spec = spec or QuadratureSpec()
-    acc = _Accumulator()
-    pts = list(spec.singular_points)
-    for p in pts:
-        if abs(p.location) <= 1.0:
-            raise ValueError(f"singular point {p.location} is not in the exterior disk")
-    r_max = max((abs(p.location) for p in pts), default=1.0)
-    r0 = max(4.0, 2.2 * r_max)
+    r0 = max(4.0, 2.2 * max((abs(p.location) for p in spec.singular_points), default=1.0))
 
     def clearance(loc):
         return 0.8 * min(abs(loc) - 1.0, r0 - abs(loc))
 
-    radii = _patch_radii(pts, 1.0, clearance)
-    patches = list(zip((p.location for p in pts), radii))
-    far = _masked_far_integrand(f, patches)
+    def annulus(far):
+        def g(s, theta):
+            return far(np.exp(s + 1j * theta)) * np.exp(2.0 * s)
 
-    def g_annulus(s, theta):
-        z = np.exp(s + 1j * theta)
-        return far(z) * np.exp(2.0 * s)
+        return _adaptive_2d(g, (0.0, math.log(r0), 0.0, 2.0 * math.pi), spec)
 
-    total = _adaptive_2d(g_annulus, (0.0, math.log(r0), 0.0, 2.0 * math.pi), spec, acc)
-    for p, r in zip(pts, radii):
-        total = total + _polar_patch(f, p, r, spec, acc)
+    total = _patched(f, spec.singular_points, 1.0, clearance, "exterior disk", spec, annulus)
 
-    # tail via inversion: dA(z) = dA(u)/|u|^4
+    def tail(u, rho):
+        """The integrand in u = 1/z, rho = |u|: dA(z) = dA(u)/|u|^4."""
+        return np.asarray(f(1.0 / u), dtype=np.float64) / rho**4
+
     u_out = 1.0 / r0
-    eps_u = _CORE_FRACTION * u_out
-
-    def g_cap(rho, theta):
-        u = rho * np.exp(1j * theta)
-        return np.asarray(f(1.0 / u), dtype=np.float64) / rho**3
-
-    total = total + _adaptive_2d(g_cap, (eps_u, u_out, 0.0, 2.0 * math.pi), spec, acc)
-
-    # Mass of the uncovered core rho < eps_u.  With f = O(|z|^-3) the
-    # parameter-space integrand g_cap is bounded near rho = 0, so a
-    # midpoint ring estimate recovers it to O(eps^2).
-    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    g_mid = np.asarray(f(1.0 / (0.5 * eps_u * np.exp(1j * theta))), dtype=np.float64) / (0.5 * eps_u) ** 3
-    g_edge = np.asarray(f(1.0 / (eps_u * np.exp(1j * theta))), dtype=np.float64) / eps_u**3
-    acc.n_evals += 2 * theta.size
-    mid, edge = float(g_mid.mean()), float(g_edge.mean())
-    core = 2.0 * math.pi * eps_u * mid
-    core_err = 2.0 * math.pi * eps_u * abs(mid - edge)
-    total = total + QuadratureResult(core, core_err, 0, True)
-
-    # g_cap growing toward rho = 0 signals decay slower than |z|^-3.
-    if decay_check and abs(mid) > spec.abs_tol and abs(mid) > 1.4 * abs(edge):
+    cap, (gamma1, gamma2) = _polar(tail, 0j, u_out, _CORE_FRACTION * u_out, None, spec)
+    # |u| tail(u) growing toward u = 0 signals decay slower than |z|^-3
+    if abs(gamma1) > spec.abs_tol and abs(gamma1) > 1.4 * abs(gamma2):
         warnings.warn(
             "exterior-disk integrand decays more slowly than |z|^-3; tail may be inaccurate",
             RuntimeWarning,
             stacklevel=2,
         )
-    return _check(total, "integrate_exterior_disk")
+    return _check(total + cap, "integrate_exterior_disk")

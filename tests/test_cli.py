@@ -5,7 +5,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from goluzin_lab.cli import EXIT_OK, EXIT_USAGE, format_complex, main, parse_complex
+from goluzin_lab.cli import EXIT_OK, EXIT_USAGE, main, parse_complex
+from goluzin_lab.inequalities import _cfmt
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
 
@@ -19,7 +20,7 @@ class TestComplexLiterals:
     @pytest.mark.parametrize("text", ["1.5+0.5i", "2", "3i", "-1.25-0.75i", "1e2+1e-3i"])
     def test_round_trip(self, text):
         z = parse_complex(text)
-        assert parse_complex(format_complex(z)) == z
+        assert parse_complex(_cfmt(z)) == z
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

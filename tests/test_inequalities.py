@@ -18,14 +18,12 @@ from goluzin_lab.inequalities import (
     gronwall_check,
     koebe_bieberbach_bound,
     pointwise_from_area,
-    psi_at_diagonal,
-    psi_field,
     torus_area_crosscheck,
     verify_area_disk,
     verify_area_sigma,
 )
 from goluzin_lab.maps import BridgeMaps, eta_inv, marched_sqrt_path, phi_from_psi, sigma
-from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _Accumulator, _cells_integral, _split
+from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _cells_integral, _split
 from goluzin_lab.theta import jacobi_sn_cn_dn
 
 AREA_TEST_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
@@ -119,29 +117,30 @@ class TestPsiField:
         vals = []
         for radius in (1e2, 1e3, 1e4):
             z = complex(radius, radius / 3)
-            vals.append(abs(psi_field(ev, z) * z))
+            vals.append(abs(ev.field(z) * z))
         assert np.ptp(vals) < 0.05 * vals[0]
 
     def test_diagonal_limit_matches_formula(self):
         ev = PsiEvaluator(resolve_map("joukowski"), 2.0)
-        assert abs(psi_field(ev, 2.0) - psi_at_diagonal(ev)) < 1e-12
-        approached = psi_field(ev, 2.0 + 1e-5 + 1e-5j)
-        assert abs(approached - psi_at_diagonal(ev)) < 1e-4
+        assert abs(ev.field(2.0) - ev.at_diagonal()) < 1e-12
+        approached = ev.field(2.0 + 1e-5 + 1e-5j)
+        assert abs(approached - ev.at_diagonal()) < 1e-4
 
     def test_joukowski_diagonal_closed_form(self):
         # |Psi(t, t)| = (E'/K') t/(t^2-1) for the full mapping at real t
         for t in (1.2, 2.0, 3.0):
             ev = PsiEvaluator(resolve_map("joukowski"), t)
-            assert abs(psi_at_diagonal(ev)) == pytest.approx(
+            assert abs(ev.at_diagonal()) == pytest.approx(
                 ev.ep_over_kp * t / (t * t - 1.0), rel=1e-12
             )
 
     def test_flipped_base_sign_is_detected_by_diagonal(self):
         ev = PsiEvaluator(resolve_map("joukowski"), 2.0)
-        flipped = PsiEvaluator(resolve_map("joukowski"), 2.0, flip_sqrt_base=True)
+        flipped = PsiEvaluator(resolve_map("joukowski"), 2.0)
+        flipped._top = -flipped._top  # continue the square root from -1 instead of +1
         z = 2.0 + 1e-5
-        assert abs(psi_field(ev, z) - psi_at_diagonal(ev)) < 1e-4
-        assert abs(psi_field(flipped, z) - psi_at_diagonal(ev)) > 1e3
+        assert abs(ev.field(z) - ev.at_diagonal()) < 1e-4
+        assert abs(flipped.field(z) - ev.at_diagonal()) > 1e3
 
     def test_field_magnitude_invariant_under_rotation_of_map(self, rng):
         # rotating the omitted-segment direction rotates the field
@@ -149,7 +148,7 @@ class TestPsiField:
         for theta in (math.pi / 3, math.pi / 2):
             ev = PsiEvaluator(resolve_map(f"joukowski-pi{3 if theta == math.pi/3 else 2}"), 1.8)
             bound = ev.ep_over_kp * 1.8 / (1.8**2 - 1.0)
-            assert abs(psi_at_diagonal(ev)) <= bound * (1 + 1e-12)
+            assert abs(ev.at_diagonal()) <= bound * (1 + 1e-12)
 
     def test_rejects_disk_maps(self):
         with pytest.raises(DomainError):
@@ -199,7 +198,7 @@ class TestPointwiseFromArea:
             ev = PsiEvaluator(resolve_map(name), zeta)
             area = verify_area_sigma(resolve_map(name), zeta, AREA_TEST_SPEC)
             factor = ev.ep_over_kp * abs(zeta) / ((abs(zeta) ** 2 - 1.0) * 2.0 * math.pi)
-            lhs_sq = abs(psi_at_diagonal(ev)) ** 2
+            lhs_sq = abs(ev.at_diagonal()) ** 2
             assert lhs_sq <= area.lhs * factor * (1.0 + 5e-3)
 
 
@@ -320,7 +319,7 @@ def _driver_block(cell, to_plane, seed=False, b_lo=0.0):
         cells = [c for seed_cell in band for c in (seed_cell, *_split(seed_cell))]
     else:
         cells = [gk for kid in _split(cell) for gk in _split(kid)]
-    _cells_integral(g, cells, 8, _Accumulator())
+    _cells_integral(g, cells)
     assert len(calls) == 1 and calls[0].shape == (len(cells), 8, 8)
     return calls[0]
 
@@ -801,7 +800,7 @@ class TestGeneralMapsAnyCallLayout:
         }[form]
         batched = run()
         cells_integral = quadrature._cells_integral
-        single = lambda g, cells, order, acc: [v for c in cells for v in cells_integral(g, [c], order, acc)]
+        single = lambda g, cells: [v for c in cells for v in cells_integral(g, [c])]
         monkeypatch.setattr(quadrature, "_cells_integral", single)
         assert _verdict(run()) == _verdict(batched)
 

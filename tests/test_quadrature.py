@@ -12,7 +12,6 @@ from goluzin_lab.quadrature import (
     QuadratureResult,
     QuadratureSpec,
     SingularPoint,
-    _Accumulator,
     _adaptive_2d,
     _cells_integral,
     _split,
@@ -35,7 +34,7 @@ class TestDriver:
             shapes.append(x.shape)
             return self.peaked(x, y)
 
-        res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14), _Accumulator())
+        res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
         # one call per first-parameter band of seeds: four seeds and their children
         assert shapes[:4] == [(20, 8, 8)] * 4
         # from then on, one call per refined cell with its 16 grandchildren
@@ -49,7 +48,7 @@ class TestDriver:
             firsts.append((x.min(), x.max()))
             return self.peaked(x, y)
 
-        _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-2, abs_tol=1e-2), _Accumulator())
+        _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-2, abs_tol=1e-2))
         for i, (lo, hi) in enumerate(firsts[:4]):
             assert 0.25 * i < lo and hi < 0.25 * (i + 1)
 
@@ -58,40 +57,42 @@ class TestDriver:
         # call, in a refinement's call, or anywhere in a longer call
         rng = np.random.default_rng(3)
         cells = [tuple(np.sort(rng.uniform(0.0, 2.0, 2))) + tuple(np.sort(rng.uniform(-1.0, 1.0, 2))) for _ in range(80)]
-        alone = [_cells_integral(self.peaked, [c], 8, _Accumulator())[0] for c in cells]
+        alone = [_cells_integral(self.peaked, [c])[0] for c in cells]
         for n in (5, 16, 20, 80):
             for k in range(0, len(cells), n):
-                batch = _cells_integral(self.peaked, cells[k : k + n], 8, _Accumulator())
+                batch = _cells_integral(self.peaked, cells[k : k + n])
                 assert [v.hex() for v in batch] == [v.hex() for v in alone[k : k + n]]
         shuffled = rng.permutation(len(cells))
-        batch = _cells_integral(self.peaked, [cells[i] for i in shuffled], 8, _Accumulator())
+        batch = _cells_integral(self.peaked, [cells[i] for i in shuffled])
         assert [v.hex() for v in batch] == [alone[i].hex() for i in shuffled]
 
     def test_refinement_sequence_pinned(self):
         # value, error and evaluation count of the one-cell-per-call driver:
         # batching the children must not change any of them
-        res = _adaptive_2d(self.peaked, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14), _Accumulator())
+        res = _adaptive_2d(self.peaked, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
         assert res.value == 11.641648803072352
         assert res.error == 6.977618136061459e-10
         assert res.n_evals == 15360
         assert res.converged
 
 
-def _four_call_driver(g, domain, spec, acc):
+def _four_call_driver(g, domain, spec):
     """The driver as it was with one ``(4, order, order)`` call per new child
     of a refined cell, each cell summed as ``w @ vals[k] @ w``."""
     a0, a1, b0, b1 = domain
-    order = spec.base_order
+    order = 8
+    n_evals = 0
     x, w = np.polynomial.legendre.leggauss(order)
 
     def cells_integral(cells):
+        nonlocal n_evals
         c0, c1, d0, d1 = np.asarray(cells, dtype=np.float64).T
         hx, hy = 0.5 * (c1 - c0), 0.5 * (d1 - d0)
         xs = (0.5 * (c0 + c1))[:, None] + hx[:, None] * x
         ys = (0.5 * (d0 + d1))[:, None] + hy[:, None] * x
         zero = np.zeros((len(cells), order, order))
         vals = np.asarray(g(xs[:, :, None] + zero, ys[:, None, :] + zero), dtype=np.float64)
-        acc.n_evals += vals.size
+        n_evals += vals.size
         return [float(hx[k]) * float(hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
 
     seeds = [
@@ -126,7 +127,7 @@ def _four_call_driver(g, domain, spec, acc):
             break
         neg_err, _, cell, fine, depth, kids = heapq.heappop(heap)
         err = -neg_err
-        if depth >= spec.max_depth or refinements >= _MAX_REFINEMENTS:
+        if depth >= quadrature._MAX_DEPTH or refinements >= _MAX_REFINEMENTS:
             frozen_err += err
             err_total -= err
             continue
@@ -139,7 +140,7 @@ def _four_call_driver(g, domain, spec, acc):
             value += node[3]
             err_total += -node[0]
     total_err = err_total + frozen_err
-    return QuadratureResult(value, total_err, acc.n_evals, bool(total_err <= max(spec.abs_tol, spec.rel_tol * abs(value))))
+    return QuadratureResult(value, total_err, n_evals, bool(total_err <= max(spec.abs_tol, spec.rel_tol * abs(value))))
 
 
 class TestMergedRefinementCall:
@@ -158,11 +159,12 @@ class TestMergedRefinementCall:
         return new, old
 
     @pytest.mark.parametrize("max_depth", [14, 1])
-    def test_peaked_bit_for_bit(self, max_depth):
+    def test_peaked_bit_for_bit(self, max_depth, monkeypatch):
         # depth 1 freezes cells at the depth cap
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_depth=max_depth)
-        new = _adaptive_2d(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec, _Accumulator())
-        old = _four_call_driver(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec, _Accumulator())
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+        new = _adaptive_2d(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec)
+        old = _four_call_driver(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec)
         assert self.same(new, old)
         assert new.converged == (max_depth == 14)
 
@@ -188,6 +190,54 @@ class TestMergedRefinementCall:
         assert self.same(new, old)
 
 
+class TestEvaluationCount:
+    """``n_evals`` is the number of points the integrand received."""
+
+    @staticmethod
+    def counting(f):
+        seen = [0]
+
+        def g(z):
+            seen[0] += z.size
+            return f(z)
+
+        return g, seen
+
+    @pytest.mark.parametrize(
+        "integrate",
+        [
+            lambda f: integrate_disk(f, QuadratureSpec(rel_tol=1e-9)),
+            lambda f: integrate_rect(f, (-1.0, 2.0, 1.0, 1.5), QuadratureSpec(rel_tol=1e-9)),
+        ],
+    )
+    def test_patch_free_count_is_points_received(self, integrate):
+        # without patches the integrand receives every node
+        f, seen = self.counting(lambda z: np.cos(z.real) + z.imag**2)
+        assert integrate(f).n_evals == seen[0]
+
+    def test_exterior_disk_count(self):
+        # every node of the annulus and of the tail, and the tail's ring
+        # points, each once: a running total over drives would read 15,360
+        f, seen = self.counting(lambda z: np.abs(z) ** -3.0)
+        assert integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-9)).n_evals == seen[0] == 10_368
+
+    @pytest.mark.parametrize("region", ["rect", "disk", "exterior"])
+    def test_tagged_count_is_points_received(self, region):
+        # with points tagged the bumps keep far-field nodes out of the
+        # integrand's calls; the count holds what it did receive, drive
+        # nodes and ring points, and no node it never saw
+        p, q = 0.4 + 0.1j, -0.3 + 0.5j
+        points = {"rect": (p, q), "disk": (0j, p, q), "exterior": (3 * p, 3 * q)}[region]
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=tuple(SingularPoint(c) for c in points))
+        f, seen = self.counting(lambda z: sum(1.0 / np.abs(z - c) for c in points))
+        integrate = {
+            "rect": lambda: integrate_rect(f, (-1, 1, -1, 1), spec),
+            "disk": lambda: integrate_disk(f, spec),
+            "exterior": lambda: integrate_exterior_disk(lambda z: f(z) * np.abs(z) ** -3.0, spec),
+        }[region]
+        assert integrate().n_evals == seen[0]
+
+
 class TestRect:
     def test_constant(self):
         res = integrate_rect(lambda z: np.ones_like(z.real), (0, 1, 0, 1))
@@ -198,16 +248,17 @@ class TestRect:
         res = integrate_rect(lambda z: z.real**15 * z.imag**14, (0, 1, 0, 1))
         assert res.value == pytest.approx((1 / 16) * (1 / 15), abs=1e-13)
 
-    def test_inverse_distance_against_deep_reference(self):
+    def test_inverse_distance_against_deep_reference(self, monkeypatch):
         # reference computed with a 100x tighter tolerance (same oracle family,
         # independent refinement depth); closed form is 8*log(1+sqrt(2))
         sp = SingularPoint(0j, -1.0)
         spec = QuadratureSpec(rel_tol=1e-6, singular_points=(sp,))
         res = integrate_rect(lambda z: 1.0 / np.abs(z), (-1, 1, -1, 1), spec)
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 16)
         deep = integrate_rect(
             lambda z: 1.0 / np.abs(z),
             (-1, 1, -1, 1),
-            QuadratureSpec(rel_tol=1e-8, max_depth=16, singular_points=(sp,)),
+            QuadratureSpec(rel_tol=1e-8, singular_points=(sp,)),
         )
         assert abs(res.value - deep.value) <= max(res.error, 1e-8)
         assert res.value == pytest.approx(8.0 * math.log(1.0 + math.sqrt(2.0)), rel=1e-6)
@@ -248,9 +299,10 @@ class TestRect:
                 QuadratureSpec(singular_points=(SingularPoint(2 + 2j, -1.0),)),
             )
 
-    def test_nonconvergence_carries_partial_result(self):
+    def test_nonconvergence_carries_partial_result(self, monkeypatch):
         # untagged 1/r singularity cannot converge at shallow depth
-        spec = QuadratureSpec(rel_tol=1e-10, max_depth=3)
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
+        spec = QuadratureSpec(rel_tol=1e-10)
         with pytest.raises(QuadratureError) as exc_info:
             integrate_rect(lambda z: 1.0 / np.abs(z), (-1, 1, -1, 1), spec)
         partial = exc_info.value.partial
@@ -276,10 +328,37 @@ class TestDisk:
         assert res.value == pytest.approx(math.pi / 2.0, rel=1e-10)
 
 
+    @pytest.mark.parametrize(
+        "f, exact",
+        [
+            (lambda z: np.ones(z.shape), math.pi),
+            # pi + pi/4 + 2 pi J1(1)
+            (lambda z: 1.0 + z.real**2 + np.cos(z.imag), 1.25 * math.pi + 2.0 * math.pi * 0.44005058574493355),
+        ],
+        ids=["constant", "smooth"],
+    )
+    def test_central_bounded_point_keeps_its_core(self, f, exact):
+        # a bounded point at the center still has its core |z| < eps, of
+        # mass pi eps^2 f(0) = 3.1e-10 f(0): the ring estimate recovers it
+        # rather than doubling or dropping it
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, singular_points=(SingularPoint(0j, 0.0),))
+        res = integrate_disk(f, spec)
+        assert abs(res.value - exact) <= max(res.error, 1e-14)
+        assert abs(res.value - exact) <= 1e-14
+
+
 class TestExteriorDisk:
     def test_quartic_decay(self):
         res = integrate_exterior_disk(lambda z: np.abs(z) ** -4.0, QuadratureSpec(rel_tol=1e-9))
         assert res.value == pytest.approx(math.pi, rel=1e-8)
+
+    @pytest.mark.parametrize("power, exact", [(-3.0, 2.0 * math.pi), (-4.0, math.pi)])
+    def test_tail_core_fits_the_decay(self, power, exact):
+        # the tail's core, |u| < 2.5e-6 under u = 1/z, is a 1/|u| blow-up
+        # for |z|^-3 and bounded for |z|^-4; a 1/|u| estimate of the latter
+        # would double its mass pi (2.5e-6)^2 = 2e-11
+        res = integrate_exterior_disk(lambda z: np.abs(z) ** power, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15))
+        assert abs(res.value - exact) <= 1e-14
 
     def test_cubic_decay(self):
         res = integrate_exterior_disk(lambda z: np.abs(z) ** -3.0, QuadratureSpec(rel_tol=1e-9))
