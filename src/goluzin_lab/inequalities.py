@@ -34,7 +34,9 @@ other map, and every node at which that closed form misses the check's
 own argument by more than 1e-6 relative, gets R from a march along the ray
 from infinity to the node (:class:`_MarchedSqrt`).  Each check takes only
 the sign from R, so a node's sign depends on its position alone and not
-on the other nodes of its integrand call.
+on the other nodes of its integrand call.  Where the closed form serves,
+Re Q > 0 keeps R within pi/4 of the positive real axis, and the sign is
+read off the check's own factor with no root taken.
 """
 
 from __future__ import annotations
@@ -136,13 +138,17 @@ class _MarchedSqrt:
     2048) for that node alone until every ratio of consecutive values lies
     in the right half-plane; its sign is the parity of the flips along its
     ray, as in the linear chain of :func:`~goluzin_lab.maps.sqrt_continued`.
-    So a node's root depends on its position only.  ``closed``, when given,
-    is a principal-root formula for the same root.
+    So a node's root depends on its position only.  ``closed_arg``, when
+    given, is a formula q for f whose principal root is this root.
     """
 
-    def __init__(self, f: Callable, start: complex, base: complex, closed: Callable | None = None):
+    def __init__(self, f: Callable, start: complex, base: complex, closed_arg: Callable | None = None):
         self._f, self._start, self._base = f, complex(start), complex(base)
-        self.closed = closed
+        self._q = closed_arg
+
+    def closed(self, x) -> np.ndarray:
+        """The principal root of the closed form at the nodes ``x``."""
+        return np.sqrt(self._q(x))
 
     def block(self, x) -> np.ndarray:
         flat = np.asarray(x, dtype=np.complex128).reshape(-1)
@@ -165,26 +171,27 @@ class _MarchedSqrt:
     def at(self, x) -> np.ndarray:
         """The root at the nodes ``x``, checked as in :meth:`signed_like`."""
         x = np.asarray(x, dtype=np.complex128)
-        return self.signed_like(x, self._f(x), lambda r: r)
+        return self.signed_like(x, self._f(x), (1.0, 1))
 
-    def signed_like(self, x, vals: np.ndarray, form: Callable) -> np.ndarray:
-        """+-sqrt(vals) with the sign of form(R), R this root at the nodes ``x``.
+    def signed_like(self, x, vals: np.ndarray, form: tuple) -> np.ndarray:
+        """+-sqrt(vals) with the sign of c R**p, R this root at the nodes ``x``.
 
-        ``vals`` must be form(R)**2.  The closed form serves every node at
-        which form(closed)**2 is within 1e-6 relative of ``vals``; the march
-        serves the others, such as every node of a map whose coefficients do
-        not describe its value.
+        ``form`` is (c, p), p = +-1, and ``vals`` must be (c R**p)**2.  The
+        closed form q serves every node where Re q > 0 and c**2 q**p is within
+        1e-6 relative of ``vals``: R = sqrt(q) lies within pi/4 of the positive
+        real axis there, so c R**p has the sign of c and no root is taken.
+        The march serves the others, such as every node of a map whose
+        coefficients do not describe its value.
         """
-        if self.closed is None:
-            ref = form(self.block(x))
-        else:
-            r = self.closed(x)
-            ref = form(r)
-            miss = ~(np.abs(ref * ref - vals) <= 1e-6 * np.abs(vals))
-            if miss.any():
-                r[miss] = self.block(x[miss])
-                ref = form(r)
-        g = np.sqrt(vals)
+        c, p = form
+        g, ref = np.sqrt(vals), c
+        miss = np.ones(g.shape, dtype=bool)
+        if self._q is not None:
+            q = self._q(x)
+            miss = ~((np.abs(c * c * q**p - vals) <= 1e-6 * np.abs(vals)) & (q.real > 0.0))
+        if miss.any():
+            ref = np.array(np.broadcast_to(c, g.shape), dtype=np.complex128)
+            ref[miss] *= self.block(x[miss]) ** p
         return np.where((g * np.conj(ref)).real < 0.0, -g, g)
 
 
@@ -208,8 +215,8 @@ def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
         return np.where(close, dpsi + 0.5 * ddpsi * d, (psi.value(z) - psi_zeta) / np.where(close, 1.0, d))
 
     b1 = _laurent_b1(psi)
-    closed = None if b1 is None else (lambda u: np.sqrt(1.0 - (b1 / zeta) * u))
-    return _MarchedSqrt(q, 0.0, 1.0, closed)
+    closed_arg = None if b1 is None else (lambda u: 1.0 - (b1 / zeta) * u)
+    return _MarchedSqrt(q, 0.0, 1.0, closed_arg)
 
 
 def _disk_root(source: tuple, x0: float):
@@ -261,7 +268,7 @@ class PsiEvaluator:
 
     def _sqrt_of_a(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         """sqrt(A) at the off-diagonal nodes ``z``, where A(z) = ``a``."""
-        return self._root.signed_like(1.0 / z, a, lambda r: self._top / r)
+        return self._root.signed_like(1.0 / z, a, (self._top, -1))
 
     # -- field values --------------------------------------------------------
 
@@ -383,7 +390,7 @@ class _DiskField:
         return out
 
     def _sqrt_of_v(self, w: np.ndarray, phi_w=None) -> np.ndarray:
-        form = lambda r: self._top * (w + self.x0) / r
+        form = (self._top * (w + self.x0), -1)
         return self._root.signed_like(self._coord(w), self._ratio_v(w, phi_w), form)
 
     def integrand(self, w):
@@ -517,7 +524,7 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     :func:`_disk_root`.  Only its sign is used, by the rule of
     :meth:`_MarchedSqrt.signed_like`.  One sn-cn-dn call at modulus x0^2 per
     integrand call gives sigma, sigma', cn(z + L) and, through Landen's
-    transformation, dz_Q_D (:func:`~goluzin_lab.torus.dz_Q_D`).
+    transformation, dz_Q_D (:func:`~goluzin_lab.torus._dz_Q_D_landen`).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
     zeta = complex(zeta)
@@ -551,7 +558,7 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)
         sig, dsig, sn, cn = on_sphere(z)
-        g = root.signed_like(coord(sig), phi.value(sig), lambda r: k * cn * r / (sig + p.x0))
+        g = root.signed_like(coord(sig), phi.value(sig), (k * cn / (sig + p.x0), 1))
         dphi = phi.deriv(sig) * dsig
         val = -dphi / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
         return np.abs(val) ** 2

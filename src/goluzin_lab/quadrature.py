@@ -36,7 +36,11 @@ as ``(20, order, order)`` arrays, and then once per cell it refines, with
 the four children of each of that cell's four children, its 16
 grandchildren, as ``(16, order, order)`` arrays.  No call carries more
 than 20 cells.  A cell's sum depends on its own nodes only, so the value
-at a node must not depend on the other nodes of its call.
+at a node must not depend on the other nodes of its call.  A call's two
+parameter axes come as ``(n, order, 1)`` and ``(n, 1, order)`` arrays, so
+exp(s), exp(i theta), a radial bump or |u|**-4 is computed once per axis
+node, and its n cell sums come from one batched product, each the dot
+product of a cell summed alone.
 """
 
 from __future__ import annotations
@@ -73,10 +77,10 @@ class SingularPoint:
     """A tagged integrable singularity, f ~ c*|z - location|**exponent.
 
     ``exponent`` is -1 (a 1/r blow-up) or 0 (bounded) and sets the ring
-    estimate of the excluded core.  ``core_fraction`` sets the excluded-core radius as a fraction of the
-    polar patch radius; raise it for integrands whose evaluation degrades
-    near the singular point (the excluded mass is recovered from a ring
-    estimate either way).
+    estimate of the excluded core.  ``core_fraction`` sets the excluded-core
+    radius as a fraction of the polar patch radius; raise it for integrands
+    whose evaluation degrades near the singular point (the excluded mass is
+    recovered from a ring estimate either way).
     """
 
     location: complex
@@ -120,17 +124,19 @@ def _gl_rule():
 
 
 def _cells_integral(g, cells):
-    """Tensor GL sums over each cell from one ``(n_cells, order, order)`` call
-    of ``g``; each sum uses its own slice, whatever shares the call."""
+    """Tensor GL sums over each cell from one call of ``g`` on all their
+    nodes; each sum uses its own slice, whatever shares the call."""
     a0, a1, b0, b1 = np.asarray(cells, dtype=np.float64).T
     x, w = _gl_rule()
     hx, hy = 0.5 * (a1 - a0), 0.5 * (b1 - b0)
     xs = (0.5 * (a0 + a1))[:, None] + hx[:, None] * x
     ys = (0.5 * (b0 + b1))[:, None] + hy[:, None] * x
-    zero = np.zeros((len(cells), _ORDER, _ORDER))
-    vals = np.asarray(g(xs[:, :, None] + zero, ys[:, None, :] + zero), dtype=np.float64)
+    shape = (len(cells), _ORDER, _ORDER)
+    vals = np.asarray(g(xs[:, :, None], ys[:, None, :]), dtype=np.float64)
+    if vals.shape != shape:
+        vals = np.ascontiguousarray(np.broadcast_to(vals, shape))
     rows = w @ vals  # w @ vals[k] for every k, bit for bit
-    return [float(hx[k]) * float(hy[k]) * float(rows[k] @ w) for k in range(len(cells))]
+    return (hx * hy * np.matmul(rows[:, None, :], w)[:, 0]).tolist()  # rows[k] @ w, one ddot each
 
 
 def _split(cell):
@@ -142,8 +148,8 @@ def _split(cell):
 def _adaptive_2d(g, domain, spec: QuadratureSpec) -> QuadratureResult:
     """Adaptive tensor GL over the parameter rectangle ``domain``.
 
-    ``g`` receives broadcast 2-d arrays of the two parameters and must
-    return the integrand already multiplied by the area-element Jacobian.
+    ``g`` takes the parameters as ``(n, order, 1)``, ``(n, 1, order)`` arrays and
+    returns, broadcastable to ``(n, order, order)``, f times the Jacobian.
     """
     a0, a1, b0, b1 = domain
     seeds = [
@@ -281,12 +287,18 @@ def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureRes
         nonlocal received
         w = np.ones(z.shape, dtype=np.float64)
         for p, r in zip(locs, radii):
-            w *= 1.0 - _smooth_cut(np.abs(z - p), 0.5 * r, r)
+            d = np.abs(z - p)
+            bumped = d < r  # one minus the bump is exactly 1 from d = r out
+            if bumped.any():
+                w[bumped] *= 1.0 - _smooth_cut(d[bumped], 0.5 * r, r)
+        live = w > 0.0
+        n_live = int(np.count_nonzero(live))
+        received += n_live
+        if n_live == z.size:
+            return np.asarray(f(z), dtype=np.float64) * w
         out = np.zeros(z.shape, dtype=np.float64)
-        mask = w > 0.0
-        received += int(np.count_nonzero(mask))
-        if mask.any():
-            out[mask] = np.asarray(f(z[mask]), dtype=np.float64) * w[mask]
+        if n_live:
+            out[live] = np.asarray(f(z[live]), dtype=np.float64) * w[live]
         return out
 
     def patch(point, r):
@@ -360,7 +372,8 @@ def integrate_exterior_disk(f, spec: QuadratureSpec | None = None) -> Quadrature
 
     def annulus(far):
         def g(s, theta):
-            return far(np.exp(s + 1j * theta)) * np.exp(2.0 * s)
+            # exp(s + i theta) bit for bit, as cexp is exp(s) (cos + i sin)(theta)
+            return far(np.exp(s + 0j) * np.exp(1j * theta)) * np.exp(2.0 * s)
 
         return _adaptive_2d(g, (0.0, math.log(r0), 0.0, 2.0 * math.pi), spec)
 

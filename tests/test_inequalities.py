@@ -301,6 +301,32 @@ class TestTorusCrossCheck:
         assert abs(rt.ratio - rs.ratio) < 5e-3
 
 
+class TestVerdictBits:
+    """Ratio and error estimate as float hex, and n_evals, of five area checks
+    (x86_64, glibc libm, numpy 2.4 with OpenBLAS).  A change that only makes
+    the same arithmetic faster keeps every bit of them."""
+
+    PINS = [
+        ("sigma", "joukowski", 1.25, "0x1.ffffa6b8721cap-1", "0x1.6afcfad9ec255p-10", 28977),
+        ("sigma", "b1:0.7", 3j, "0x1.dbd14405959a4p-1", "0x1.1a2a956388023p-13", 23170),
+        ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c2200a249p-1", "0x1.da8ee668e5851p-14", 23632),
+        ("disk", "joukowski", 2.0, "0x1.ffff98ad703f9p-1", "0x1.8cd3afd3a85cbp-11", 20020),
+        ("torus", "joukowski", 2.0, "0x1.ffff8e4113b24p-1", "0x1.1a99b80832870p-9", 10196),
+    ]
+
+    @pytest.mark.parametrize("form,name,zeta,ratio,error,n_evals", PINS)
+    def test_pinned(self, form, name, zeta, ratio, error, n_evals):
+        m = resolve_map(name)
+        if form == "sigma":
+            r = verify_area_sigma(m, zeta)
+        elif form == "disk":
+            bridge = BridgeMaps.from_zeta(zeta)
+            r = verify_area_disk(phi_from_psi(bridge, m), bridge.x0)
+        else:
+            r = torus_area_crosscheck(m, zeta)
+        assert (r.ratio.hex(), r.error_estimate.hex(), r.inputs["n_evals"]) == (ratio, error, n_evals)
+
+
 def _driver_block(cell, to_plane, seed=False, b_lo=0.0):
     """The nodes of one driver call: the 16 grandchildren of ``cell`` when the
     driver refines it, (16, 8, 8), or for a seed cell the call of its
@@ -333,6 +359,24 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _psi_driver_calls(zeta):
+    """u = 1/z at the nodes of four driver calls of the sigma form: the inner
+    annulus seed cell in the direction of zeta (its band's seed call and its
+    refinement), and the cells of the polar patch around zeta on either side
+    of its radial line, out to 0.2 or the patch's clearance."""
+    arg = float(np.angle(zeta)) % (2.0 * math.pi)
+    th0 = 0.5 * math.pi * math.floor(arg / (0.5 * math.pi))
+    log_r0 = math.log(max(4.0, 2.2 * abs(zeta)))
+    annulus = lambda s, theta: 1.0 / np.exp(s + 1j * theta)
+    seed = (0.0, 0.25 * log_r0, th0, th0 + 0.5 * math.pi)
+    calls = [_driver_block(seed, annulus, seed_call) for seed_call in (True, False)]
+    hi = min(0.2, 0.8 * (abs(zeta) - 1.0))
+    for th in (0.0, 1.5 * math.pi):
+        patch = (0.25 * hi, hi, th, th + 0.5 * math.pi)
+        calls.append(_driver_block(patch, lambda rho, t: 1.0 / _polar(complex(zeta))(rho, t)))
+    return calls
+
+
 class TestMarchedSqrtBlock:
     """``block``, the ray march of R, on whole driver calls: against the
     principal-root closed form of R, and node by node against itself."""
@@ -353,19 +397,8 @@ class TestMarchedSqrtBlock:
     @pytest.mark.parametrize("zeta", [1.25, 2.0, 3j])
     def test_psi_field(self, name, zeta):
         ev = PsiEvaluator(resolve_map(name), zeta)
-        arg = float(np.angle(zeta)) % (2.0 * math.pi)
-        th0 = 0.5 * math.pi * math.floor(arg / (0.5 * math.pi))
-        log_r0 = math.log(max(4.0, 2.2 * abs(zeta)))
-        annulus = lambda s, theta: 1.0 / np.exp(s + 1j * theta)
-        # the inner annulus seed cell in the direction of zeta (its band's seed
-        # call and its refinement), and the cells of the polar patch around
-        # zeta on either side of its radial line, in u = 1/z
-        seed = (0.0, 0.25 * log_r0, th0, th0 + 0.5 * math.pi)
-        for seed_call in (True, False):
-            self.check(ev._root, _driver_block(seed, annulus, seed_call))
-        for th in (0.0, 1.5 * math.pi):
-            patch = _driver_block((0.05, 0.2, th, th + 0.5 * math.pi), lambda rho, t: 1.0 / _polar(complex(zeta))(rho, t))
-            self.check(ev._root, patch)
+        for u in _psi_driver_calls(zeta):
+            self.check(ev._root, u)
 
     def test_disk_form_danger_disk(self):
         # next to the double zero of V at -x0, where R(eta_inv(w)) -> 1
@@ -768,6 +801,95 @@ class TestClosedFormTorusSqrt:
             marched.status,
             marched.inputs["n_evals"],
         )
+
+
+def _disk_driver_calls(x0):
+    """w at the nodes of driver calls of the disk form next to +-x0: the seed
+    call of the unit-disk band holding |w| = x0, the refinements of its four
+    seed cells, and the innermost seed band of the patch around each of +-x0."""
+    i = min(int(4.0 * x0), 3)
+    calls = [_driver_block((0.25 * i, 0.25 * (i + 1), 0.0, 0.5 * math.pi), _polar(0j), seed=True)]
+    for q in range(4):
+        cell = (0.25 * i, 0.25 * (i + 1), 0.5 * math.pi * q, 0.5 * math.pi * (q + 1))
+        calls.append(_driver_block(cell, _polar(0j)))
+    r = min(0.25, 0.8 * (1.0 - x0), 0.8 * x0)
+    for center in (x0, -x0):
+        calls.append(_driver_block((1e-5 * r, 0.25 * r, 0.0, 0.5 * math.pi), _polar(complex(center)), seed=True))
+    return calls
+
+
+def _torus_driver_calls(zeta):
+    """z at the nodes of the four seed calls of the torus band -L..3L x +-L'/2."""
+    p = BridgeMaps.from_zeta(zeta).params
+    xy = lambda x, y: x + 1j * y
+    return [
+        _driver_block((a, a + p.L, 0.0, 0.25 * p.L_prime), xy, seed=True, b_lo=-0.5 * p.L_prime)
+        for a in (-p.L, 0.0, p.L, 2.0 * p.L)
+    ]
+
+
+class TestClosedNodeSector:
+    """At every node the closed form serves, R = sqrt(Q) lies within pi/4 of
+    the positive real axis, so the sign ``signed_like`` reads off the factor c
+    without a root is the one the principal root R gives, node by node."""
+
+    @staticmethod
+    def signed_like_calls(call, monkeypatch):
+        seen = []
+        signed_like = _MarchedSqrt.signed_like
+
+        def recorded(self, x, vals, form):
+            seen.append((self, x, vals, form, signed_like(self, x, vals, form)))
+            return seen[-1][-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_MarchedSqrt, "signed_like", recorded)
+            call()
+        return seen
+
+    @pytest.mark.parametrize("name", SIGMA_NAMES)
+    @pytest.mark.parametrize("zeta", [1.0 + 1e-6, 1.25, 3j, 1e3])
+    @pytest.mark.parametrize("form", ["sigma", "disk", "torus"])
+    def test_root_free_sign_is_the_root_sign(self, form, name, zeta, monkeypatch):
+        if form == "sigma":
+            ev = PsiEvaluator(resolve_map(name), zeta)
+            calls = [lambda z=1.0 / u: ev.field(z) for u in _psi_driver_calls(zeta)]
+        elif form == "disk":
+            fieldd = _disk_field(name, zeta)
+            calls = [lambda w=w: fieldd.integrand(w) for w in _disk_driver_calls(fieldd.x0)]
+        else:
+            f, _ = _torus_parts(name, zeta, monkeypatch)
+            calls = [lambda z=z: f(z) for z in _torus_driver_calls(zeta)]
+        n_closed = 0
+        for call in calls:
+            for root, x, vals, (c, p), got in self.signed_like_calls(call, monkeypatch):
+                # the rule with the root: the sign of c R**p at each node the closed form serves
+                r = root.closed(x)
+                ref = c * r if p > 0 else c / r
+                closed = np.abs(ref * ref - vals) <= 1e-6 * np.abs(vals)
+                assert np.all(np.abs(np.angle(r[closed])) < 0.25 * math.pi)
+                g = np.sqrt(vals)
+                want = np.where((g * np.conj(ref)).real < 0.0, -g, g)
+                assert _same_bits(got[closed], want[closed])
+                n_closed += int(np.count_nonzero(closed))
+        # psi'(zeta) = 1 - zeta^-2 ~ 2e-6 for joukowski at 1 + 1e-6: phi(sigma)
+        # cancels and misses the closed form by about 2e-3 at every torus node
+        all_marched = form == "torus" and name == "joukowski" and zeta == 1.0 + 1e-6
+        assert n_closed == 0 if all_marched else n_closed > 0
+
+    def test_nodes_outside_the_sector_are_marched(self, monkeypatch):
+        # q = 1 - 2u leaves the right half-plane for Re u >= 1/2, where R may
+        # be farther than pi/4 from the real axis: those nodes are marched
+        f = lambda u: 1.0 - 2.0 * u
+        u = np.array([0.1 + 0.2j, 0.4 - 0.3j, 0.5 + 0.1j, 0.9 + 0.5j, 0.9 - 0.5j, 2.0 + 1.0j])
+        marched = []
+        block = _MarchedSqrt.block
+        monkeypatch.setattr(_MarchedSqrt, "block", lambda self, x: marched.append(x) or block(self, x))
+        got = _MarchedSqrt(f, 0.0, 1.0, f).at(u)
+        assert len(marched) == 1 and np.array_equal(marched[0], u[2:])
+        # q(t u) stays off the negative real axis along each ray, so the
+        # continued root is the principal one
+        assert np.allclose(got, np.sqrt(f(u)), rtol=1e-12, atol=0.0)
 
 
 def _verdict(r):

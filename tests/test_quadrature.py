@@ -30,8 +30,9 @@ class TestDriver:
         shapes = []
 
         def g(x, y):
-            assert x.shape == y.shape
-            shapes.append(x.shape)
+            # the two parameter axes, each along its own array axis
+            assert x.shape[2] == 1 and y.shape[1] == 1
+            shapes.append(np.broadcast_shapes(x.shape, y.shape))
             return self.peaked(x, y)
 
         res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
@@ -65,6 +66,24 @@ class TestDriver:
         shuffled = rng.permutation(len(cells))
         batch = _cells_integral(self.peaked, [cells[i] for i in shuffled])
         assert [v.hex() for v in batch] == [alone[i].hex() for i in shuffled]
+
+    def test_batched_sums_match_per_cell_formula(self):
+        # each cell summed alone as hx hy ((w @ vals[k]) @ w) on full (order,
+        # order) values, for integrands of both axes, of one axis, and constant
+        rng = np.random.default_rng(5)
+        x, w = np.polynomial.legendre.leggauss(8)
+        integrands = (self.peaked, lambda a, b: np.exp(a), lambda a, b: np.cos(3.0 * b), lambda a, b: np.float64(1.7))
+        for n in (1, 5, 16, 20, 20, 20):
+            cells = [tuple(np.sort(rng.uniform(0.0, 2.0, 2))) + tuple(np.sort(rng.uniform(-1.0, 1.0, 2))) for _ in range(n)]
+            a0, a1, b0, b1 = np.asarray(cells).T
+            hx, hy = 0.5 * (a1 - a0), 0.5 * (b1 - b0)
+            full = np.zeros((n, 8, 8))
+            xs = (0.5 * (a0 + a1))[:, None, None] + hx[:, None, None] * x[:, None] + full
+            ys = (0.5 * (b0 + b1))[:, None, None] + hy[:, None, None] * x + full
+            for g in integrands:
+                vals = np.asarray(g(xs, ys)) + full
+                want = [float(hx[k]) * float(hy[k]) * float((w @ vals[k]) @ w) for k in range(n)]
+                assert [v.hex() for v in _cells_integral(g, cells)] == [v.hex() for v in want]
 
     def test_refinement_sequence_pinned(self):
         # value, error and evaluation count of the one-cell-per-call driver:
@@ -188,6 +207,70 @@ class TestMergedRefinementCall:
         f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
         new, old = self.both(lambda: integrate_exterior_disk(f, spec), monkeypatch)
         assert self.same(new, old)
+
+
+class TestFarWeight:
+    """The far-field integrand f times one minus every bump, which takes each
+    bump only at nodes closer to its point than its radius r, against the
+    weight of every bump at every node, bit for bit."""
+
+    @staticmethod
+    def f(z):
+        return 1.0 + np.abs(z) ** 2 + np.cos(z.real)
+
+    def far_of(self, points, radius):
+        """The far-field integrand ``_patched`` hands to its drive."""
+        seen = []
+
+        def drive(far):
+            seen.append(far)
+            return QuadratureResult(0.0, 0.0, 0, True)
+
+        quadrature._patched(self.f, points, radius, lambda loc: 1.0, "plane", QuadratureSpec(), drive)
+        return seen[0]
+
+    def every_bump(self, locs, r, z):
+        w = np.ones(z.shape)
+        for p in locs:
+            w *= 1.0 - quadrature._smooth_cut(np.abs(z - p), 0.5 * r, r)
+        out = np.zeros(z.shape)
+        live = w > 0.0
+        out[live] = self.f(z[live]) * w[live]
+        return out
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_matches_every_bump_at_every_node(self):
+        # two neighbouring patches, r = 0.4 of their distance (patches never
+        # overlap), and nodes exactly at d = r and d = r/2 from each point
+        p1 = 0.25 + 0.5j
+        p2 = p1 + 0.3125
+        r = min(0.125, 0.4 * abs(p2 - p1))
+        assert r == 0.125
+        far = self.far_of((SingularPoint(p1), SingularPoint(p2)), 0.125)
+        xs, ys = np.meshgrid(np.linspace(0.0, 0.8, 40), np.linspace(0.25, 0.75, 32))
+        grid = (xs + 1j * ys).reshape(4, 8, 40)
+        ring = np.array([p + d * e for p in (p1, p2) for d in (r, 0.5 * r) for e in (1, -1, 1j, -1j)])
+        assert np.all(np.abs(ring - np.repeat([p1, p2], 8)) == np.tile(np.repeat([r, 0.5 * r], 4), 2))
+        # just inside r, where one minus the bump is below 1 by a few ulps or rounds to 1
+        edge = np.array([p + r * (1.0 - 2.0**-k) * np.exp(1j * k) for p in (p1, p2) for k in range(1, 25)])
+        for z in (grid, ring.reshape(2, 2, 4), edge.reshape(2, 4, 6)):
+            assert self.same_bits(far(z), self.every_bump((p1, p2), r, z))
+        got = far(ring).reshape(2, 2, 4)
+        assert np.array_equal(got[:, 0], self.f(ring.reshape(2, 2, 4)[:, 0]))  # d = r: no bump left
+        assert np.all(got[:, 1] == 0.0)  # d = r/2: no far field left
+
+    def test_all_live_and_all_dead_calls(self):
+        p = 0.25 + 0.5j
+        far = self.far_of((SingularPoint(p),), 0.125)
+        z = p + np.linspace(0.13, 0.5, 64).reshape(1, 8, 8) * np.exp(1j * np.linspace(0.0, 6.0, 8))
+        assert self.same_bits(far(z), self.f(z))
+        dead = p + np.linspace(0.0, 0.0625, 64).reshape(1, 8, 8) * np.exp(1j * np.linspace(0.0, 6.0, 8))
+        assert self.same_bits(far(dead), np.zeros(dead.shape))
+        mixed = np.concatenate([z, dead])
+        assert self.same_bits(far(mixed), self.every_bump((p,), 0.125, mixed))
 
 
 class TestEvaluationCount:
