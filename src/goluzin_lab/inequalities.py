@@ -41,6 +41,7 @@ read off the check's own factor with no root taken.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -519,9 +520,11 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     the 1/z^2 poles of the two terms to cancel.
 
     With sigma^2 - x0^2 = -x0^2 cn^2(z + L), the root is
-    sqrt(phi(sigma(z))) = K cn(z + L) R(z')/(sigma + x0) at
-    z' = eta_inv(sigma), with K fixed at the anchor and the root R of
-    :func:`_disk_root`.  Only its sign is used, by the rule of
+    sqrt(phi(sigma(z))) = k cn(z + L) R(z')/(sigma + x0) at
+    z' = eta_inv(sigma), with the root R of :func:`_disk_root`.  Since
+    phi(sigma) = -(2 x0/psi'(zeta)) x0^2 cn^2(z + L) Q(z')/(sigma + x0)^2,
+    k = +-x0 sqrt(-2 x0/psi'(zeta)); the anchor gives only its sign.
+    Only the root's sign is used, by the rule of
     :meth:`_MarchedSqrt.signed_like`.  One sn-cn-dn call at modulus x0^2 per
     integrand call gives sigma, sigma', cn(z + L) and, through Landen's
     transformation, dz_Q_D (:func:`~goluzin_lab.torus._dz_Q_D_landen`).
@@ -553,7 +556,9 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
             best = (cand, sign)
     base_value = best[1] * complex(np.sqrt(f_anchor))
     root, coord = _disk_root(phi.source, p.x0)
-    k = base_value * (sig_a[0] + p.x0) / (cn_a[0] * complex(root.at(coord(sig_a))[0]))
+    k_anchor = base_value * (sig_a[0] + p.x0) / (cn_a[0] * complex(root.at(coord(sig_a))[0]))
+    k = p.x0 * cmath.sqrt(-2.0 * p.x0 / complex(psi.deriv(np.complex128(zeta))))
+    k = k if (k * k_anchor.conjugate()).real > 0.0 else -k
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)

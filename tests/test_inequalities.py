@@ -311,7 +311,7 @@ class TestVerdictBits:
         ("sigma", "b1:0.7", 3j, "0x1.dbd14405959a4p-1", "0x1.1a2a956388023p-13", 23170),
         ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c2200a249p-1", "0x1.da8ee668e5851p-14", 23632),
         ("disk", "joukowski", 2.0, "0x1.ffff98ad703f9p-1", "0x1.8cd3afd3a85cbp-11", 20020),
-        ("torus", "joukowski", 2.0, "0x1.ffff8e4113b24p-1", "0x1.1a99b80832870p-9", 10196),
+        ("torus", "joukowski", 2.0, "0x1.ffff8de3c0e5dp-1", "0x1.1a9b06a3a74c2p-9", 10196),
     ]
 
     @pytest.mark.parametrize("form,name,zeta,ratio,error,n_evals", PINS)
@@ -325,6 +325,31 @@ class TestVerdictBits:
         else:
             r = torus_area_crosscheck(m, zeta)
         assert (r.ratio.hex(), r.error_estimate.hex(), r.inputs["n_evals"]) == (ratio, error, n_evals)
+
+
+class TestTorusRatiosHeld:
+    """The nine bridge torus checks against their ratios (float hex) and
+    n_evals when sn, cn and dn came from a theta series at two arguments
+    with quasi-period multipliers.  Rebuilding that arithmetic moves the
+    ratio by rounding only: far less than the check's error bar."""
+
+    REFERENCE = [
+        ("joukowski", 1.25, "0x1.000141b7df687p+0", 10240),
+        ("joukowski", 2.0, "0x1.ffff8e4113b24p-1", 10196),
+        ("joukowski", 3j, "0x1.0000259b4bf01p+0", 10180),
+        ("identity", 1.25, "0x1.1f7098b128f00p-1", 10240),
+        ("identity", 2.0, "0x1.8a1677d901cfcp-1", 10196),
+        ("identity", 3j, "0x1.be7c15ba3238fp-1", 10180),
+        ("b1:0.7", 1.25, "0x1.65e1f56245160p-1", 10240),
+        ("b1:0.7", 2.0, "0x1.bd7c54b9101bep-1", 10196),
+        ("b1:0.7", 3j, "0x1.dbd1a2d6e3641p-1", 10180),
+    ]
+
+    @pytest.mark.parametrize("name,zeta,ratio,n_evals", REFERENCE)
+    def test_within_a_thousandth_of_the_error_bar(self, name, zeta, ratio, n_evals):
+        r = torus_area_crosscheck(resolve_map(name), zeta)
+        assert r.inputs["n_evals"] == n_evals
+        assert abs(r.ratio - float.fromhex(ratio)) <= 1e-3 * r.error_estimate / r.rhs
 
 
 def _driver_block(cell, to_plane, seed=False, b_lo=0.0):
@@ -872,10 +897,7 @@ class TestClosedNodeSector:
                 want = np.where((g * np.conj(ref)).real < 0.0, -g, g)
                 assert _same_bits(got[closed], want[closed])
                 n_closed += int(np.count_nonzero(closed))
-        # psi'(zeta) = 1 - zeta^-2 ~ 2e-6 for joukowski at 1 + 1e-6: phi(sigma)
-        # cancels and misses the closed form by about 2e-3 at every torus node
-        all_marched = form == "torus" and name == "joukowski" and zeta == 1.0 + 1e-6
-        assert n_closed == 0 if all_marched else n_closed > 0
+        assert n_closed > 0
 
     def test_nodes_outside_the_sector_are_marched(self, monkeypatch):
         # q = 1 - 2u leaves the right half-plane for Re u >= 1/2, where R may

@@ -9,6 +9,7 @@ import scipy.special
 
 from goluzin_lab import _kernels
 from goluzin_lab.elliptic import params_from_x0
+from goluzin_lab.errors import PoleError
 from goluzin_lab.maps import BridgeMaps
 from goluzin_lab.theta import JacobiContext, jacobi_sn_cn_dn
 
@@ -109,6 +110,42 @@ class TestThetaOracle:
         assert np.all(scale >= np.abs(val))
 
 
+def _jtheta_all(u, h, dps):
+    """mpmath theta_1..theta_4 at pi u, the first two divided by h**(1/4)."""
+    with mpmath.workdps(dps):
+        h4 = mpmath.mpf(h) ** 0.25
+        pu = [mpmath.pi * mpmath.mpc(x) for x in u]
+        return np.array(
+            [[complex(mpmath.jtheta(i, x, h) / (h4 if i < 3 else 1)) for x in pu] for i in (1, 2, 3, 4)]
+        )
+
+
+class TestQuarterThetas:
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("x0", [1e-30, 0.1, 0.5, 0.9, 0.999])
+    def test_matches_mpmath_jtheta(self, x0, tag, rng):
+        ctx = JacobiContext(params_from_x0(x0), tag)
+        y_max = ctx.quarter_Kp / (4.0 * ctx.quarter_K)
+        u = rng.uniform(-0.25, 0.25, 30) + 1j * rng.uniform(-y_max, y_max, 30)
+        thetas, scale = _kernels.theta_series(u, ctx.nome, quarter=True)
+        ref = _jtheta_all(u, ctx.nome, 30 + int(-math.log10(ctx.nome)))
+        np.testing.assert_allclose(thetas, ref, rtol=1e-14)
+        assert np.all(scale >= np.abs(thetas[0]))
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("x0", [0.1, 0.5, 0.9])
+    def test_theta1_relative_next_to_its_zero(self, x0, tag):
+        # theta1 ~ 2 pi u h**(1/4) is formed as sin v times a sum near 1
+        ctx = JacobiContext(params_from_x0(x0), tag)
+        u = np.array([1e-9, -3e-12j, 1e-15 * (1 + 1j), 2e-300 - 1e-300j])
+        thetas, _ = _kernels.theta_series(u, ctx.nome, quarter=True)
+        np.testing.assert_allclose(thetas[0], _jtheta_all(u, ctx.nome, 30)[0], rtol=1e-15)
+
+    def test_shapes(self):
+        thetas, scale = _kernels.theta_series(np.zeros((2, 3)), 0.06, quarter=True)
+        assert thetas.shape == (4, 2, 3) and scale.shape == (2, 3)
+
+
 class TestThetaPaths:
     def test_scalar_shape(self):
         val, dval, scale = _kernels.theta_series(0.25 + 0.1j, 0.06)
@@ -153,6 +190,58 @@ class TestSnCnDnOracle:
                 ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])
                 np.testing.assert_allclose(values, ref, rtol=rtol)
 
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("x0", [0.1, 0.5, 0.9, 0.99999])
+    @pytest.mark.parametrize("cells, rtol", [(0, SNCNDN_RTOL_CELL), (3, SNCNDN_RTOL_FAR)])
+    def test_every_reduction_branch(self, x0, tag, cells, rtol, rng):
+        # z = t + jK + s iK' for each j in -2..2, s in -1..1, t inside the
+        # quarter cell on the side that keeps z in that (j, s) sub-cell, then
+        # moved by cells*4K and cells*2iK' steps of both parities
+        ctx = JacobiContext(params_from_x0(x0), tag)
+        K, Kp = ctx.quarter_K, ctx.quarter_Kp
+        z = []
+        for j in range(-2, 3):
+            for s in (-1, 0, 1):
+                x = rng.uniform(-0.45, 0.45, 2) if abs(j) < 2 else -np.sign(j) * rng.uniform(0.0, 0.45, 2)
+                y = rng.uniform(-0.45, 0.45, 2) if s == 0 else -s * rng.uniform(0.0, 0.45, 2)
+                z.extend((j + x) * K + 1j * (s + y) * Kp)
+        z = np.array(z)
+        z = z + cells * 4.0 * K * rng.choice([-1, 1], z.size) + 2j * Kp * rng.integers(-cells, cells + 1, z.size)
+        got = jacobi_sn_cn_dn(ctx, z)
+        with mpmath.workdps(30):
+            m = 1 - mpmath.mpf(ctx.k_prime) ** 2 if ctx.k_prime < ctx.k else mpmath.mpf(ctx.k) ** 2
+            for name, values in zip(("sn", "cn", "dn"), got):
+                ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])
+                np.testing.assert_allclose(values, ref, rtol=rtol)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("x0", [0.1, 0.5, 0.99999])
+    @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (-1, 1), (2, -1), (0, -2), (-3, 3)])
+    def test_pole_signal_on_the_lattice(self, x0, tag, m, n):
+        ctx = JacobiContext(params_from_x0(x0), tag)
+        K, Kp = ctx.quarter_K, ctx.quarter_Kp
+        with pytest.raises(PoleError):
+            jacobi_sn_cn_dn(ctx, 1j * Kp + 2 * m * K + 2j * n * Kp)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("x0", [0.1, 0.5, 0.99999])
+    def test_no_pole_at_the_zeros_of_dn(self, x0, tag):
+        # K + iK' and its images: dn = 0, sn = +-1/k and cn = -+ik'/k are finite
+        ctx = JacobiContext(params_from_x0(x0), tag)
+        K, Kp, k, kp = ctx.quarter_K, ctx.quarter_Kp, ctx.k, ctx.k_prime
+        z = np.array([K + 1j * Kp, -K + 1j * Kp, K - 1j * Kp, 3 * K + 3j * Kp])
+        sn, cn, dn = jacobi_sn_cn_dn(ctx, z)
+        np.testing.assert_allclose(sn * k * np.array([1, -1, 1, -1]), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(cn * k / kp * np.array([1, -1, -1, 1]), -1j, rtol=1e-14)
+        assert np.all(np.abs(dn) < 1e-14)
+
+    def test_non_finite_arguments_give_nan(self):
+        ctx = JacobiContext(params_from_x0(0.5), "x0_squared")
+        with np.errstate(invalid="ignore"):
+            got = jacobi_sn_cn_dn(ctx, np.array([np.nan, complex(np.inf, 0.0), complex(0.2, np.nan), 0.3]))
+        for values in got:
+            assert np.all(np.isnan(values[:3])) and np.isfinite(values[3])
+
     @pytest.mark.parametrize("x0", [1e-40, 1e-60])
     def test_tiny_modulus_real_axis(self, x0):
         # z - iK' lies on the edge of the series' cell: a cosine series term
@@ -161,6 +250,21 @@ class TestSnCnDnOracle:
         z = ctx.quarter_K * np.array([0.3, -0.7, 1.1, 1.9, 2.6]) + 0j
         got = jacobi_sn_cn_dn(ctx, z)
         with mpmath.workdps(30):
+            m = mpmath.mpf(ctx.k) ** 2
+            for name, values in zip(("sn", "cn", "dn"), got):
+                ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])
+                np.testing.assert_allclose(values, ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("x0", [1e-40, 1e-60])
+    def test_tiny_modulus_off_axis(self, x0, rng):
+        # |x**(+-2)| reaches 1/sqrt(h) ~ 1e80 on the quarter cell's edge while
+        # theta3 and theta4 stay near 1: only theta1 may signal a pole.
+        # ellipfun sums cancelling terms there and needs digits like 1/h
+        ctx = JacobiContext(params_from_x0(x0), "x0_squared")
+        K, Kp = ctx.quarter_K, ctx.quarter_Kp
+        z = rng.uniform(-2.0 * K, 2.0 * K, 12) + 1j * Kp * np.linspace(-0.95, 0.95, 12)
+        got = jacobi_sn_cn_dn(ctx, z)
+        with mpmath.workdps(int(-math.log10(ctx.nome)) + 30):
             m = mpmath.mpf(ctx.k) ** 2
             for name, values in zip(("sn", "cn", "dn"), got):
                 ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])

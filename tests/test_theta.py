@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from goluzin_lab.elliptic import params_from_x0
 from goluzin_lab.errors import PoleError, ThetaOverflowError
+from goluzin_lab.maps import BridgeMaps
 from goluzin_lab.theta import (
     JacobiContext,
     jacobi_Z,
@@ -137,6 +138,41 @@ class TestSnCnDn:
             return
         sn, cn, dn = jacobi_sn_cn_dn(ctx, z)
         assert abs(sn**2 + cn**2 - 1.0) < 1e-10
+
+
+def _ellipfun_at(ctx, name, z):
+    """mpmath's Jacobi function at the rounded arguments z, modulus ctx.k, 30 digits."""
+    with mpmath.workdps(30):
+        m = mpmath.mpf(ctx.k) ** 2
+        return np.array([complex(mpmath.ellipfun(name, mpmath.mpc(x), m=m)) for x in z])
+
+
+BRIDGE_ZETAS = [1.001, 1.25, 2.0, 3j, 100.0]
+
+
+class TestNextToZeros:
+    """Relative accuracy next to the zeros of sn (at 0) and cn (at L), at the
+    modulus x0**2 of the bridge: theta1 is summed as sin v times a series
+    near 1, so a small argument costs no digits."""
+
+    ANGLES = np.exp(2j * math.pi * np.arange(8) / 8 + 0.3j)
+
+    @pytest.mark.parametrize("zeta", BRIDGE_ZETAS)
+    def test_sn_next_to_its_zero(self, zeta):
+        ctx = BridgeMaps.from_zeta(zeta).ctx_l
+        z = 1e-6 * ctx.quarter_K * self.ANGLES
+        sn, _, _ = jacobi_sn_cn_dn(ctx, z)
+        np.testing.assert_allclose(sn, _ellipfun_at(ctx, "sn", z), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("zeta", BRIDGE_ZETAS)
+    def test_cn_next_to_its_zero(self, zeta):
+        # the floor is the rounding of L itself: cn ~ -k'(z - L) there, and
+        # z - L carries L's last bit, 1.1e-16 L against |z - L| = 5e-4 L
+        ctx = BridgeMaps.from_zeta(zeta).ctx_l
+        L = ctx.quarter_K
+        z = L + 5e-4 * L * self.ANGLES
+        _, cn, _ = jacobi_sn_cn_dn(ctx, z)
+        np.testing.assert_allclose(cn, _ellipfun_at(ctx, "cn", z), rtol=6e-13, atol=0.0)
 
 
 class TestLanden:
