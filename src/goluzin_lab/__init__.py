@@ -23,9 +23,9 @@ from .inequalities import (
     verify_area_disk,
     verify_area_sigma,
 )
-from .maps import BridgeMaps, BranchTracker, eta, eta_inv, phi_from_psi, sigma, sqrt_continued, tau, tau_prime
+from .maps import BridgeMaps, eta, eta_inv, phi_from_psi, sigma, sqrt_continued, tau, tau_prime
 from .quadrature import QuadratureResult, QuadratureSpec, SingularPoint, integrate_disk, integrate_exterior_disk, integrate_rect
-from .theta import JacobiContext, jacobi_Z, jacobi_sn_cn_dn, landen_sn_sq, sn_shift_residuals, theta0, theta0_prime
+from .theta import JacobiContext, jacobi_Z, jacobi_sn_cn_dn, landen_sn_sq, theta0, theta0_prime
 from .torus import GreenEvaluator, Q_D, TorusGeometry, dz_Q_D, dzbar_Q_D, green_G, kernel_norm_integral
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchAmbiguityError",
     "BranchCutError",
-    "BranchTracker",
     "BridgeMaps",
     "DomainError",
     "EllipticParams",
@@ -74,7 +73,6 @@ __all__ = [
     "pointwise_from_area",
     "resolve_map",
     "sigma",
-    "sn_shift_residuals",
     "sqrt_continued",
     "tau",
     "tau_prime",

@@ -28,15 +28,18 @@ disk.  The disk form and the torus check carry square roots of the same
 kind, and all three are quotients of one root.  Univalence makes
 Q(z) = (psi(z) - psi(zeta))/(z - zeta) zero-free on |z| > 1 with
 Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued there
-(:func:`_quotient_root`).  For psi = z + b0 + b1/z, |b1| <= 1 (every
-catalog Sigma map), R is the principal root of 1 - b1/(z zeta); every
-other map, and every node at which that closed form misses the check's
-own argument by more than 1e-6 relative, gets R from a march along the ray
-from infinity to the node (:class:`_MarchedSqrt`).  Each check takes only
-the sign from R, so a node's sign depends on its position alone and not
-on the other nodes of its integrand call.  Where the closed form serves,
-Re Q > 0 keeps R within pi/4 of the positive real axis, and the sign is
-read off the check's own factor with no root taken.
+(:func:`_quotient_root`).  Every root of the three checks comes from this
+one origin, R = 1 at u = 1/z = 0, and one closed-form reference value,
+R(zeta): it fixes the factor of the disk form and the sign of the torus
+constant.  For psi = z + b0 + b1/z, |b1| <= 1 (every catalog Sigma map), R
+is the principal root of 1 - b1/(z zeta); every other map, and every node
+at which that closed form misses the check's own argument by more than
+1e-6 relative, gets R from a march along the segment from u = 0 to the
+node (:class:`_MarchedSqrt`).  Each check takes only the sign from R, so a
+node's sign depends on its position alone and not on the other nodes of
+its integrand call.  Where the closed form serves, Re Q > 0 keeps R within
+pi/4 of the positive real axis, and the sign is read off the check's own
+factor with no root taken.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from .catalog import UnivalentMap, gronwall_sum
 from .elliptic import EllipticParams, params_from_x0, x0_from_zeta_abs
-from .errors import BranchAmbiguityError, DomainError
+from .errors import BranchAmbiguityError, DomainError, QuadratureError
 from .maps import BridgeMaps, phi_from_psi
 from .quadrature import QuadratureSpec, SingularPoint, integrate_disk, integrate_exterior_disk, integrate_rect
 from .theta import jacobi_sn_cn_dn
@@ -130,40 +133,35 @@ def _laurent_b1(psi: UnivalentMap) -> complex | None:
 
 
 class _MarchedSqrt:
-    """sqrt(f) continued from the root ``base`` of f(start) along the segment
-    from ``start`` to each node.
+    """sqrt(f) continued from the value 1 at 0, where f(0) = 1, along the
+    segment from 0 to each node.
 
-    ``f`` must be analytic and zero-free on a convex set holding ``start``
-    and the nodes.  :meth:`block` marches node x along
-    start + t (x - start), t = k/n for k = 1..n, with n = 8 doubled (up to
-    2048) for that node alone until every ratio of consecutive values lies
-    in the right half-plane; its sign is the parity of the flips along its
-    ray, as in the linear chain of :func:`~goluzin_lab.maps.sqrt_continued`.
-    So a node's root depends on its position only.  ``closed_arg``, when
-    given, is a formula q for f whose principal root is this root.
+    ``f`` must be analytic and zero-free on a convex set holding 0 and the
+    nodes.  :meth:`block` marches node x along t x, t = k/n for k = 1..n,
+    with n = 8 doubled (up to 2048) for that node alone until every ratio of
+    consecutive values lies in the right half-plane; its sign is the parity
+    of the flips along its ray, as in the linear chain of
+    :func:`~goluzin_lab.maps.sqrt_continued`.  So a node's root depends on
+    its position only.  ``closed_arg``, when given, is a formula q for f
+    whose principal root is this root.
     """
 
-    def __init__(self, f: Callable, start: complex, base: complex, closed_arg: Callable | None = None):
-        self._f, self._start, self._base = f, complex(start), complex(base)
-        self._q = closed_arg
-
-    def closed(self, x) -> np.ndarray:
-        """The principal root of the closed form at the nodes ``x``."""
-        return np.sqrt(self._q(x))
+    def __init__(self, f: Callable, closed_arg: Callable | None = None):
+        self._f, self._q = f, closed_arg
 
     def block(self, x) -> np.ndarray:
         flat = np.asarray(x, dtype=np.complex128).reshape(-1)
-        out = np.full_like(flat, self._base)
-        todo = np.flatnonzero(flat != self._start)
+        out = np.ones_like(flat)
+        todo = np.flatnonzero(flat != 0.0)
         n = 8
         while n <= 2048:
             if not todo.size:
                 return out.reshape(np.shape(x))
-            vals = np.asarray(self._f(self._start + (flat[todo, None] - self._start) * (np.arange(1, n + 1) / n)))
-            ratio = vals / np.concatenate((np.full((todo.size, 1), self._base**2), vals[:, :-1]), axis=1)
+            vals = np.asarray(self._f(flat[todo, None] * (np.arange(1, n + 1) / n)))
+            ratio = vals / np.concatenate((np.ones((todo.size, 1)), vals[:, :-1]), axis=1)
             ok = np.all(ratio.real > 1e-3 * np.abs(ratio), axis=1)
             root = np.sqrt(vals[ok])
-            prev = np.concatenate((np.full((root.shape[0], 1), self._base), root[:, :-1]), axis=1)
+            prev = np.concatenate((np.ones((root.shape[0], 1)), root[:, :-1]), axis=1)
             odd = np.sum(np.abs(root - prev) > np.abs(root + prev), axis=1) % 2 == 1
             out[todo[ok]] = np.where(odd, -root[:, -1], root[:, -1])
             todo, n = todo[~ok], 2 * n
@@ -217,7 +215,7 @@ def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
 
     b1 = _laurent_b1(psi)
     closed_arg = None if b1 is None else (lambda u: 1.0 - (b1 / zeta) * u)
-    return _MarchedSqrt(q, 0.0, 1.0, closed_arg)
+    return _MarchedSqrt(q, closed_arg)
 
 
 def _disk_root(source: tuple, x0: float):
@@ -351,14 +349,13 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | N
 class _DiskField:
     """Integrand data for the unit-disk form of the area bound.
 
-    The root sqrt(V) is continued from sqrt(2 x0) at w = x0.  With
-    psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
+    With psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
     (w - x0)/(w + x0), sqrt(V(w)) = sqrt(2 x0) R(zeta) (w + x0)/(2 x0 R(z'))
     at z' = eta_inv(w), with the root R of :func:`_disk_root`.  A map
-    without a ``source`` takes R from (w + x0)^2/V(w), a constant multiple
-    of Q(z') that is zero-free on the unit disk, continued from sqrt(2 x0)
-    at w = x0.  Only the sign is used, by the rule of
-    :meth:`_MarchedSqrt.signed_like`.
+    without a ``source`` takes R as the root of (w + x0)^2/(2 x0 V(w)), a
+    constant multiple of Q(z') that is zero-free on the unit disk and 1 at
+    w = x0, marched in s = w - x0 from s = 0.  Only the sign is used, by the
+    rule of :meth:`_MarchedSqrt.signed_like`.
     """
 
     def __init__(self, phi: UnivalentMap, x0: float, params: EllipticParams):
@@ -369,8 +366,8 @@ class _DiskField:
         self.c3 = ep_over_kp * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
         self._near = 1e-9
         if phi.source is None:
-            self._root = _MarchedSqrt(lambda w: (w + x0) ** 2 / self._ratio_v(w), x0, math.sqrt(2.0 * x0))
-            self._coord = lambda w: w
+            self._root = _MarchedSqrt(lambda s: (s + x0 + x0) ** 2 / self._ratio_v(s + x0) / (2.0 * x0))
+            self._coord = lambda w: w - x0
         else:
             self._root, self._coord = _disk_root(phi.source, x0)
         self._top = math.sqrt(2.0 * x0) * complex(self._root.at([self._coord(x0)])[0]) / (2.0 * x0)
@@ -488,22 +485,33 @@ def pointwise_from_area(ev: PsiEvaluator) -> VerificationReport:
     return _report("pointwise-from-area", lhs, rhs, 1e-14 * rhs, EQ_FLOOR_POINTWISE, inputs)
 
 
-def gronwall_check(psi: UnivalentMap, spec: QuadratureSpec | None = None, n_max: int = 64) -> VerificationReport:
-    """Area theorem: (1/pi) integral of |psi' - 1|^2 equals sum n |b_n|^2 <= 1."""
+def gronwall_check(psi: UnivalentMap, spec: QuadratureSpec | None = None) -> VerificationReport:
+    """Area theorem: (1/pi) integral of |psi' - 1|^2 equals sum n |b_n|^2 <= 1.
+
+    The coefficient sum runs to n = 64.  Raises ``QuadratureError`` when the
+    two routes disagree by more than the check's band max(1e-6, 3 err): then
+    one of them is wrong (coefficients that do not describe ``value``), and
+    no error bar should cover it.
+    """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 
     def f(z):
         return np.abs(psi.deriv(z) - 1.0) ** 2 / math.pi
 
     res = integrate_exterior_disk(f, spec)
-    coeff = gronwall_sum(psi, n_max)
+    coeff = gronwall_sum(psi)
+    residual = abs(res.value - coeff)
+    if residual > max(1e-6, 3.0 * res.error):
+        raise QuadratureError(
+            f"area integral {res.value:.10g} and coefficient sum {coeff:.10g} differ by {residual:.3g}", partial=res
+        )
     inputs = {
         "map": psi.name,
         "coefficient_sum": coeff,
-        "route_residual": abs(res.value - coeff),
+        "route_residual": residual,
         "n_evals": res.n_evals,
     }
-    return _report("gronwall", res.value, 1.0, max(res.error, abs(res.value - coeff)), 1e-6, inputs)
+    return _report("gronwall", res.value, 1.0, max(res.error, residual), 1e-6, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +523,17 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
 
     Integrates |d/dz [ (phi o sigma)^(-1/2) ] - (1/b) dz_Q_D|^2 over one
     fundamental band (shifted so both covering branch points are interior)
-    against pi M^2 E' / (|b|^2 K').  The square root of phi(sigma(z)) is
-    continued from a real anchor near 0 whose sign is pinned by requiring
-    the 1/z^2 poles of the two terms to cancel.
+    against pi M^2 E' / (|b|^2 K').
 
     With sigma^2 - x0^2 = -x0^2 cn^2(z + L), the root is
     sqrt(phi(sigma(z))) = k cn(z + L) R(z')/(sigma + x0) at
     z' = eta_inv(sigma), with the root R of :func:`_disk_root`.  Since
     phi(sigma) = -(2 x0/psi'(zeta)) x0^2 cn^2(z + L) Q(z')/(sigma + x0)^2,
-    k = +-x0 sqrt(-2 x0/psi'(zeta)); the anchor gives only its sign.
-    Only the root's sign is used, by the rule of
-    :meth:`_MarchedSqrt.signed_like`.  One sn-cn-dn call at modulus x0^2 per
-    integrand call gives sigma, sigma', cn(z + L) and, through Landen's
+    k = +-x0 sqrt(-2 x0/psi'(zeta)).  The 1/z^2 poles of the two terms
+    cancel for k = -i x0 sqrt(2 x0)/R(zeta), which fixes the sign; k keeps
+    the value of the first form.  Only the root's sign is used, by the rule
+    of :meth:`_MarchedSqrt.signed_like`.  One sn-cn-dn call at modulus x0^2
+    per integrand call gives sigma, sigma', cn(z + L) and, through Landen's
     transformation, dz_Q_D (:func:`~goluzin_lab.torus._dz_Q_D_landen`).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
@@ -537,32 +544,15 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     phi = phi_from_psi(bridge, psi)
     L, Lp = p.L, p.L_prime
     b = ev.b_const
-
-    def on_sphere(z):
-        """sigma, sigma', sn(z + L) and cn(z + L), with the float operations of ``sigma`` and ``sigma_prime``."""
-        sn, cn, dn = jacobi_sn_cn_dn(bridge.ctx_l, z + L)
-        return p.x0 * sn, p.x0 * cn * dn, sn, cn
-
-    anchor = 0.05 * L
-    sig_a, dsig_a, sn_a, cn_a = on_sphere(np.array([anchor], dtype=np.complex128))
-    f_anchor = complex(phi.value(sig_a)[0])
-    q_anchor = complex(_dz_Q_D_landen(p, sn_a, cn_a)[0])
-    dphi_anchor = complex((phi.deriv(sig_a) * dsig_a)[0])
-    best = None
-    for sign in (1.0, -1.0):
-        g = sign * complex(np.sqrt(f_anchor))
-        cand = abs(-dphi_anchor / (2.0 * g**3) - q_anchor / b)
-        if best is None or cand < best[0]:
-            best = (cand, sign)
-    base_value = best[1] * complex(np.sqrt(f_anchor))
     root, coord = _disk_root(phi.source, p.x0)
-    k_anchor = base_value * (sig_a[0] + p.x0) / (cn_a[0] * complex(root.at(coord(sig_a))[0]))
     k = p.x0 * cmath.sqrt(-2.0 * p.x0 / complex(psi.deriv(np.complex128(zeta))))
-    k = k if (k * k_anchor.conjugate()).real > 0.0 else -k
+    k = k if (1j * k * complex(root.at([coord(p.x0)])[0])).real > 0.0 else -k
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)
-        sig, dsig, sn, cn = on_sphere(z)
+        # sigma and sigma' with the float operations of ``sigma`` and ``sigma_prime``
+        sn, cn, dn = jacobi_sn_cn_dn(bridge.ctx_l, z + L)
+        sig, dsig = p.x0 * sn, p.x0 * cn * dn
         g = root.signed_like(coord(sig), phi.value(sig), (k * cn / (sig + p.x0), 1))
         dphi = phi.deriv(sig) * dsig
         val = -dphi / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b

@@ -31,7 +31,6 @@ from .theta import JacobiContext, jacobi_sn_cn_dn
 
 __all__ = [
     "BridgeMaps",
-    "BranchTracker",
     "sigma",
     "sigma_prime",
     "tau",
@@ -242,19 +241,9 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
 # branch-tracked square roots
 
 
-@dataclass(frozen=True)
-class BranchTracker:
-    """Continuation data: the value node 0 is continued from.
-
-    The marching order is the linear chain 0, 1, 2, ... of the flattened
-    arguments.
-    """
-
-    base_value: complex
-
-
-def sqrt_continued(args, tracker: BranchTracker):
-    """Square roots of ``args`` continued along the linear chain from ``tracker.base_value``.
+def sqrt_continued(args, base_value):
+    """Square roots of ``args`` continued along the linear chain 0, 1, 2, ...
+    of the flattened arguments, node 0 from ``base_value``.
 
     Every output satisfies g**2 == args exactly up to rounding; a value
     within 1e-13 of zero (relative to the largest argument) makes the
@@ -269,7 +258,7 @@ def sqrt_continued(args, tracker: BranchTracker):
     # Node i keeps the sign of node i-1 when the roots r_i, r_{i-1} are
     # closer than r_i, -r_{i-1}, flips it when farther, and takes + on a
     # tie (or NaN); the sign is the parity of the flips since the last tie.
-    prev = np.concatenate(([complex(tracker.base_value)], root[:-1]))
+    prev = np.concatenate(([complex(base_value)], root[:-1]))
     apart, together = np.abs(root - prev), np.abs(root + prev)
     flips = np.cumsum(apart > together)
     tie = ~(apart > together) & ~(together > apart)
@@ -277,24 +266,24 @@ def sqrt_continued(args, tracker: BranchTracker):
     return np.where(odd, -root, root).reshape(args.shape)
 
 
-def marched_sqrt_path(func, waypoints, base_value, max_doublings: int = 8):
+def marched_sqrt_path(func, waypoints, base_value):
     """Continue sqrt(func) along a polyline, densifying legs as needed.
 
     ``func`` maps a complex ndarray to the (nonvanishing) argument values;
-    the continuation refines each leg until consecutive arguments stay in
-    the same half-plane, then marches the sign.  Returns the sqrt value at
-    the final waypoint.
+    the continuation refines each leg (8 steps, doubled up to 2048) until
+    consecutive arguments stay in the same half-plane, then marches the
+    sign.  Returns the sqrt value at the final waypoint.
     """
     waypoints = np.array([complex(p) for p in waypoints], dtype=np.complex128)
     a, step = waypoints[:-1, None], (waypoints[1:] - waypoints[:-1])[:, None]
     n = 8
-    for attempt in range(max_doublings + 1):
+    while n <= 2048:
         ts = np.linspace(0.0, 1.0, n + 1)[1:]
         pts = np.concatenate((waypoints[:1], (a + step * ts).reshape(-1)))
         vals = np.asarray(func(pts), dtype=np.complex128)
         ratios = vals[1:] / vals[:-1]
         if np.all(ratios.real > 1e-3 * np.abs(ratios)):
-            g = sqrt_continued(vals, BranchTracker(base_value=base_value))
+            g = sqrt_continued(vals, base_value)
             return complex(g[-1])
         n *= 2
     raise BranchAmbiguityError("could not march the square root along the path")

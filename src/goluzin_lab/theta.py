@@ -52,7 +52,6 @@ __all__ = [
     "jacobi_Z",
     "jacobi_sn_cn_dn",
     "landen_sn_sq",
-    "sn_shift_residuals",
 ]
 
 _POLE_RTOL = 1e-13
@@ -300,26 +299,3 @@ def landen_sn_sq(ctx_kappa: JacobiContext, z):
     if np.any(np.abs(denom) < 1e-12 * (1.0 + np.abs(xi))):
         raise PoleError("landen_sn_sq denominator vanishes")
     return _out(np.where(at_pole, 1.0 / (1.0 - kp), one_minus / denom), scalar)
-
-
-def sn_shift_residuals(ctx_l: JacobiContext, u):
-    """Residuals of the two sn shift identities at modulus x0**2.
-
-    Returns ``(r_imag, r_real)`` with
-    ``r_imag = sn(u + iL') - 1/(x0**2 sn(u))`` and
-    ``r_real = sn(u + L) - cn(u)/dn(u)``.  :func:`jacobi_sn_cn_dn` applies
-    these identities itself, so the residuals check them against
-    themselves up to rounding; the mpmath oracles are the independent check.
-    """
-    if ctx_l.modulus_tag != "x0_squared":
-        raise ValueError("sn_shift_residuals expects a context at modulus x0**2")
-    arr, scalar = _as_array(u)
-    L, Lp = ctx_l.quarter_K, ctx_l.quarter_Kp
-    x0sq = ctx_l.k
-    sn_u, cn_u, dn_u = jacobi_sn_cn_dn(ctx_l, arr)
-    sn_u = np.asarray(sn_u)
-    sn_shift_im, _, _ = jacobi_sn_cn_dn(ctx_l, arr + 1j * Lp)
-    sn_shift_re, _, _ = jacobi_sn_cn_dn(ctx_l, arr + L)
-    r_imag = np.asarray(sn_shift_im) - 1.0 / (x0sq * sn_u)
-    r_real = np.asarray(sn_shift_re) - np.asarray(cn_u) / np.asarray(dn_u)
-    return _out(r_imag, scalar), _out(r_real, scalar)

@@ -103,7 +103,7 @@ class TestCoefficients:
 
     def test_extraction_route_in_gronwall_sum(self):
         m = dataclasses.replace(resolve_map("b1:0.7"), coefficients=None)
-        assert gronwall_sum(m, 24) == pytest.approx(0.49, abs=1e-10)
+        assert gronwall_sum(m) == pytest.approx(0.49, abs=1e-10)
 
     def test_area_bound_on_catalog(self):
         for m in _sigma_maps():

@@ -5,6 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from goluzin_lab.catalog import resolve_map
 from goluzin_lab.cli import EXIT_OK, EXIT_USAGE, main, parse_complex
 from goluzin_lab.inequalities import _cfmt
 
@@ -171,6 +172,17 @@ class TestNonConvergenceExit:
 
         monkeypatch.setattr(cli_mod, "verify_area_sigma", boom)
         assert main(["area", "--map", "joukowski", "--zeta", "2.0"]) == 2
+
+    def test_disagreeing_gronwall_routes_exit_2(self, monkeypatch, capsys):
+        # coefficients that do not describe the map's value: the two routes
+        # of the area theorem disagree beyond the check's band
+        import dataclasses
+
+        import goluzin_lab.cli as cli_mod
+
+        wrong = dataclasses.replace(resolve_map("b1:0.5"), coefficients=(0.0, 0.9))
+        monkeypatch.setattr(cli_mod, "resolve_map", lambda name: wrong)
+        assert main(["gronwall", "--map", "b1:0.5"]) == 2
 
     def test_branch_ambiguity_maps_to_exit_2(self, monkeypatch, capsys):
         # BranchAmbiguityError subclasses ValueError; it is numeric, not usage

@@ -8,7 +8,7 @@ import pytest
 
 from goluzin_lab.catalog import catalog, resolve_map
 from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
-from goluzin_lab.errors import DomainError
+from goluzin_lab.errors import DomainError, QuadratureError
 from goluzin_lab import inequalities, maps, quadrature, theta, torus
 from goluzin_lab.inequalities import (
     PsiEvaluator,
@@ -217,6 +217,23 @@ class TestGronwall:
         assert r.inputs["route_residual"] < 1e-6
         assert r.status == ("holds" if expected < 1 else "equality")
 
+    def test_extracted_coefficients(self):
+        # sampled at radius 2, rounding grew by 2^n and the sum read 9.4e7 (equality)
+        m = resolve_map("b1:0.5")
+        with_coeffs = gronwall_check(m)
+        r = gronwall_check(dataclasses.replace(m, coefficients=None))
+        assert r.status == with_coeffs.status == "holds"
+        assert r.inputs["coefficient_sum"] == pytest.approx(0.25, abs=1e-12)
+        assert r.ratio == pytest.approx(0.25, abs=1e-12)
+        assert r.error_estimate < 1e-12
+
+    def test_disagreeing_routes_raise(self):
+        # the integral reads 0.25 and the coefficients 0.81: the residual 0.56
+        # was added to the error bar, and the verdict read equality
+        m = dataclasses.replace(resolve_map("b1:0.5"), coefficients=(0.0, 0.9))
+        with pytest.raises(QuadratureError):
+            gronwall_check(m)
+
 
 class TestAreaSigma:
     def test_joukowski_equality_at_two(self):
@@ -409,7 +426,7 @@ class TestMarchedSqrtBlock:
     @staticmethod
     def check(root, xs):
         g = root.block(xs)
-        ref = root.closed(xs)
+        ref = np.sqrt(root._q(xs))
         assert np.all(np.abs(g - ref) < np.abs(g + ref))
         assert np.allclose(g, ref, rtol=1e-9, atol=0.0)
         # each node is marched on its own ray: the call's layout does not matter
@@ -451,7 +468,7 @@ class TestMarchedSqrtBlock:
             sizes.append(x.shape[1])
             return np.exp(10j * math.pi * x)
 
-        root = _MarchedSqrt(f, 0.0, 1.0)
+        root = _MarchedSqrt(f)
         x = np.linspace(0.05, 1.0, 20) + 0.01j
         g = root.block(x)
         assert sizes == [8, 16, 32]
@@ -652,21 +669,21 @@ def _torus_parts(name, zeta, monkeypatch, **changes):
 
 
 def _torus_marched(f, f_arg, zeta, z, monkeypatch):
-    """sqrt(phi(sigma)) continued from the anchor 0.05 L, with the sign the
-    integrand pins there, up or down to a corridor at height L'/4 on the
-    node's side of the real axis, along it, and to the node; nodes within
-    ``clear`` of the double zero at 0 or the double poles at +-2L are entered
-    radially from that circle."""
+    """sqrt(phi(sigma)) continued from the integrand's own root at 0.05 L, up
+    or down to a corridor at height L'/4 on the node's side of the real axis,
+    along it, and to the node; nodes within ``clear`` of the double zero at 0
+    or the double poles at +-2L are entered radially from that circle.  The
+    sign at 0.05 L itself is checked by ``TestTorusPolesCancel``."""
     p = BridgeMaps.from_zeta(zeta).params
     L, Lp = p.L, p.L_prime
-    anchor = 0.05 * L
-    (base,), _ = _roots_used(lambda: f(np.array([anchor + 0j])), monkeypatch)
+    start = 0.05 * L
+    (base,), _ = _roots_used(lambda: f(np.array([start + 0j])), monkeypatch)
     clear = min(0.125 * Lp, 0.2 * L)
     out = []
     for t in z:
         t = complex(t)
         sgn = 1.0 if t.imag >= 0 else -1.0
-        pts = [anchor, anchor + 0.25j * sgn * Lp, complex(t.real, 0.25 * sgn * Lp)]
+        pts = [start, start + 0.25j * sgn * Lp, complex(t.real, 0.25 * sgn * Lp)]
         for c in (0.0, 2.0 * L, -2.0 * L):
             if 0 < abs(t - c) < clear:
                 pts.append(c + clear * (t - c) / abs(t - c))
@@ -828,6 +845,28 @@ class TestClosedFormTorusSqrt:
         )
 
 
+POLE_MAPS = [m.name for m in catalog() if m.map_class == "Sigma"] + ["b1:0.3+0.4i", "b1:-1", "b1:-0.9i"]
+POLE_ZETAS = [1.25, 2.0, 3j, 5.0 * cmath.exp(0.7j), -2.0, -1.5j, 20.0, 1.1 * cmath.exp(2.5j), 1e3, 1e6j]
+
+
+class TestTorusPolesCancel:
+    """The sign of k is the one at which the 1/u^2 poles of -dphi/(2 g^3) and
+    dz_Q_D/b cancel at u = 0: on a ring around 0 the integrand stays bounded.
+    Closer to the unit circle than |zeta| = 1.25 (1.001, 1 + 1e-6), phi(sigma)
+    loses digits to cancellation on such a ring."""
+
+    @pytest.mark.parametrize("name", POLE_MAPS)
+    def test_integrand_bounded_next_to_zero(self, name, monkeypatch):
+        for zeta in POLE_ZETAS:
+            f, _ = _torus_parts(name, zeta, monkeypatch)
+            p = BridgeMaps.from_zeta(zeta).params
+            b = torus.GreenEvaluator.from_params(p).b_const
+            r = 0.1 * min(p.L, p.L_prime)
+            u = r * np.exp(2j * math.pi * np.arange(8) / 8 + 0.2j)
+            # a flipped k leaves 4 |residue|^2 |b|^2 of order 4 here
+            assert np.max(f(u) * r**4 * abs(b) ** 2) < 1e-2, zeta
+
+
 def _disk_driver_calls(x0):
     """w at the nodes of driver calls of the disk form next to +-x0: the seed
     call of the unit-disk band holding |w| = x0, the refinements of its four
@@ -889,7 +928,7 @@ class TestClosedNodeSector:
         for call in calls:
             for root, x, vals, (c, p), got in self.signed_like_calls(call, monkeypatch):
                 # the rule with the root: the sign of c R**p at each node the closed form serves
-                r = root.closed(x)
+                r = np.sqrt(root._q(x))
                 ref = c * r if p > 0 else c / r
                 closed = np.abs(ref * ref - vals) <= 1e-6 * np.abs(vals)
                 assert np.all(np.abs(np.angle(r[closed])) < 0.25 * math.pi)
@@ -907,7 +946,7 @@ class TestClosedNodeSector:
         marched = []
         block = _MarchedSqrt.block
         monkeypatch.setattr(_MarchedSqrt, "block", lambda self, x: marched.append(x) or block(self, x))
-        got = _MarchedSqrt(f, 0.0, 1.0, f).at(u)
+        got = _MarchedSqrt(f, f).at(u)
         assert len(marched) == 1 and np.array_equal(marched[0], u[2:])
         # q(t u) stays off the negative real axis along each ray, so the
         # continued root is the principal one

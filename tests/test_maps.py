@@ -12,7 +12,6 @@ from goluzin_lab.catalog import resolve_map
 from goluzin_lab.elliptic import params_from_x0
 from goluzin_lab.errors import BranchAmbiguityError, BranchCutError, DomainError, PoleError
 from goluzin_lab.maps import (
-    BranchTracker,
     BridgeMaps,
     eta,
     eta_inv,
@@ -290,14 +289,14 @@ class TestPhiFromPsi:
 class TestSqrtContinued:
     def test_constant_grid(self):
         args = np.ones(16, dtype=complex)
-        out = sqrt_continued(args, BranchTracker(base_value=1.0))
+        out = sqrt_continued(args, 1.0)
         np.testing.assert_allclose(out, 1.0)
 
     def test_squares_back(self, rng):
         # a random smooth walk avoiding zero
         t = np.linspace(0, 4 * math.pi, 200)
         args = (2.0 + np.cos(t)) * np.exp(1j * t)
-        out = sqrt_continued(args, BranchTracker(base_value=np.sqrt(args[0])))
+        out = sqrt_continued(args, np.sqrt(args[0]))
         np.testing.assert_allclose(out**2, args, rtol=1e-12)
         steps = np.abs(np.diff(out))
         assert steps.max() < 0.5  # continuous along the chain
@@ -309,13 +308,13 @@ class TestSqrtContinued:
         z = rng.uniform(1.05, 5.0, 64) * np.exp(1j * rng.uniform(0, 2 * math.pi, 64))
         args = 1.0 - 1.0 / (np.conj(zeta) * z)
         assert np.all(args.real > 0)
-        out = sqrt_continued(args, BranchTracker(base_value=np.sqrt(args[0])))
+        out = sqrt_continued(args, np.sqrt(args[0]))
         np.testing.assert_allclose(out, np.sqrt(args), rtol=1e-12)
 
     def test_zero_crossing_raises(self):
         args = np.array([1.0, 0.5, 1e-16, 0.5], dtype=complex)
         with pytest.raises(BranchAmbiguityError):
-            sqrt_continued(args, BranchTracker(base_value=1.0))
+            sqrt_continued(args, 1.0)
 
     @given(st.integers(min_value=1, max_value=6))
     @settings(max_examples=12, deadline=None)
@@ -323,7 +322,7 @@ class TestSqrtContinued:
         # continuing sqrt along k half-turns multiplies by exp(i pi k / 2) * ...
         t = np.linspace(0, k * math.pi, 32 * k + 1)
         args = np.exp(1j * t)
-        out = sqrt_continued(args, BranchTracker(base_value=1.0))
+        out = sqrt_continued(args, 1.0)
         assert abs(out[-1] - np.exp(0.5j * t[-1])) < 1e-10
 
 
@@ -359,7 +358,7 @@ class TestVectorizedChain:
                 args = rng.uniform(0.5, 2.0) * np.exp(1j * t)
             base = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-3, 3)
             ref = _loop_chain(args, base)
-            out = sqrt_continued(args, BranchTracker(base_value=base))
+            out = sqrt_continued(args, base)
             assert self.same_bits(out, ref)
             flipped += int(np.any(out != np.sqrt(args)))
         assert flipped > 100
@@ -370,7 +369,7 @@ class TestVectorizedChain:
         args = np.array([4.0, -4.0, 1.0, 1j, -1j, -1.0, 1.0, -9.0], dtype=complex)
         for base in (1.0, -1.0, 1j, 2.0 - 3.0j):
             ref = _loop_chain(args, base)
-            assert self.same_bits(sqrt_continued(args, BranchTracker(base_value=base)), ref)
+            assert self.same_bits(sqrt_continued(args, base), ref)
         root = np.sqrt(complex(args[1]))
         assert abs(root - np.sqrt(args[0])) == abs(root + np.sqrt(args[0]))
 
@@ -378,7 +377,7 @@ class TestVectorizedChain:
         rng = np.random.default_rng(7)
         args = (rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))) * 1e4
         base = -7.5 + 0.25j
-        out = sqrt_continued(args, BranchTracker(base_value=base))
+        out = sqrt_continued(args, base)
         assert out.shape == args.shape
         assert self.same_bits(out.reshape(-1), _loop_chain(args, base))
 
