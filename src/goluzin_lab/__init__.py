@@ -25,7 +25,7 @@ from .inequalities import (
 )
 from .maps import BridgeMaps, eta, eta_inv, phi_from_psi, sigma, sqrt_continued, tau, tau_prime
 from .quadrature import QuadratureResult, QuadratureSpec, SingularPoint, integrate_disk, integrate_exterior_disk, integrate_rect
-from .theta import JacobiContext, jacobi_Z, jacobi_sn_cn_dn, landen_sn_sq, theta0, theta0_prime
+from .theta import JacobiContext, jacobi_Z, jacobi_sn_cn_dn, theta0, theta0_prime
 from .torus import GreenEvaluator, Q_D, TorusGeometry, dz_Q_D, dzbar_Q_D, green_G, kernel_norm_integral
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "jacobi_sn_cn_dn",
     "kernel_norm_integral",
     "koebe_bieberbach_bound",
-    "landen_sn_sq",
     "params_from_x0",
     "phi_from_psi",
     "pointwise_from_area",

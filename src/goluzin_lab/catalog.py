@@ -56,10 +56,11 @@ def _laurent_map(name: str, b1: complex, full_mapping: bool) -> UnivalentMap:
     )
 
 
-def _identity_sigma() -> UnivalentMap:
+def _identity(name: str, map_class: str) -> UnivalentMap:
+    """z itself, as a Sigma or an S map."""
     return UnivalentMap(
-        name="identity",
-        map_class="Sigma",
+        name=name,
+        map_class=map_class,
         value=lambda z: z + np.zeros_like(z),
         deriv=lambda z: np.ones_like(z),
         deriv2=lambda z: np.zeros_like(z),
@@ -80,18 +81,6 @@ def _koebe() -> UnivalentMap:
     )
 
 
-def _identity_disk() -> UnivalentMap:
-    return UnivalentMap(
-        name="identity-disk",
-        map_class="S",
-        value=lambda z: z + np.zeros_like(z),
-        deriv=lambda z: np.ones_like(z),
-        deriv2=lambda z: np.zeros_like(z),
-        coefficients=(0.0,),
-        full_mapping=False,
-    )
-
-
 def catalog() -> list[UnivalentMap]:
     """All registered test maps.
 
@@ -100,14 +89,14 @@ def catalog() -> list[UnivalentMap]:
     plain z + 1/z; |b1| < 1 leaves an ellipse of positive area uncovered.
     """
     return [
-        _identity_sigma(),
+        _identity("identity", "Sigma"),
         _laurent_map("joukowski", 1.0, True),
         _laurent_map("joukowski-pi3", cmath.exp(1j * math.pi / 3.0), True),
         _laurent_map("joukowski-pi2", cmath.exp(1j * math.pi / 2.0), True),
         _laurent_map("b1:0.3", 0.3, False),
         _laurent_map("b1:0.7", 0.7, False),
         _koebe(),
-        _identity_disk(),
+        _identity("identity-disk", "S"),
     ]
 
 

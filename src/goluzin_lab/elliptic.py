@@ -21,7 +21,7 @@ K' = M*L'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._kernels import agm_complete
 from .errors import DomainError
@@ -80,24 +80,9 @@ class EllipticParams:
         return self.K - 2.0 * self.M * self.L, self.K_prime - self.M * self.L_prime
 
     def to_dict(self) -> dict:
-        return {
-            "x0": self.x0,
-            "kappa": self.kappa,
-            "kappa_prime": self.kappa_prime,
-            "l": self.l,
-            "l_prime": self.l_prime,
-            "M": self.M,
-            "K": self.K,
-            "K_prime": self.K_prime,
-            "E": self.E,
-            "E_prime": self.E_prime,
-            "L": self.L,
-            "L_prime": self.L_prime,
-            "nome_h": self.nome_h,
-            "zeta_abs": self.zeta_abs,
-            "legendre_residual": self.legendre_residual(),
-            "landen_residuals": list(self.landen_residuals()),
-        }
+        """Every field except ``E_gap``, plus the Legendre and Landen residuals."""
+        out = {k: v for k, v in asdict(self).items() if k != "E_gap"}
+        return out | {"legendre_residual": self.legendre_residual(), "landen_residuals": list(self.landen_residuals())}
 
 
 def params_from_x0(x0: float) -> EllipticParams:

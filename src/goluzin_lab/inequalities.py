@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -79,6 +79,10 @@ EQ_FLOOR_QUADRATURE = 5e-3
 #: enough to separate the 0.5% equality band from genuine inequality.
 AREA_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
 
+#: radius, relative to 1 + |zeta|, of the disk around zeta inside which Q and
+#: Psi take their limits at zeta instead of a difference quotient
+_DIAG_RADIUS = 1e-7
+
 #: relative accuracy to which the float spacing next to zeta must resolve the
 #: offsets of the core ring zeta + eps e^{i theta} of its polar patch
 _RING_OFFSET_ACCURACY = 1e-4
@@ -97,15 +101,7 @@ class VerificationReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "error_estimate": self.error_estimate,
-            "status": self.status,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
 
 def _report(inequality, lhs, rhs, err, floor, inputs) -> VerificationReport:
@@ -205,7 +201,7 @@ def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
     """
     zeta = complex(zeta)
     psi_zeta, dpsi, ddpsi = (complex(f(np.complex128(zeta))) for f in (psi.value, psi.deriv, psi.deriv2))
-    near = 1e-7 * (1.0 + abs(zeta))
+    near = _DIAG_RADIUS * (1.0 + abs(zeta))
 
     def q(u):
         z = 1.0 / u
@@ -259,7 +255,7 @@ class PsiEvaluator:
         self.psi_zeta = complex(psi.value(np.complex128(zeta)))
         self.dpsi_zeta = complex(psi.deriv(np.complex128(zeta)))
         self.ddpsi_zeta = complex(psi.deriv2(np.complex128(zeta)))
-        self._diag_radius = 1e-7 * (1.0 + abs(zeta))
+        self._diag_radius = _DIAG_RADIUS * (1.0 + abs(zeta))
         self._root = _quotient_root(psi, zeta)
         self._top = complex(self._root.at([1.0 / zeta])[0])
 

@@ -10,7 +10,10 @@ four theta factors and a linear correction; it vanishes on gamma(+-), is
 symmetric, and carries logarithmic singularities of opposite signs at
 z = zeta and z = -zeta (returned as +-inf).  ``Q_D`` is its zeta-derivative
 at zeta = 0, with a ``1/z`` singularity on the lattice orbit of 0; the two
-Wirtinger derivatives of Q_D have sn/dn closed forms.
+Wirtinger derivatives of Q_D have sn/dn closed forms.  The holomorphic one,
+M^2 (E'/K' - 1/sn(M z; kappa)^2), is read from xi = sn(z + L; x0**2) through
+Landen's transformation, with 1 - xi taken as cn(z + L)^2/(1 + xi) so the
+pole at 0 costs no accuracy to cancellation (:func:`_dz_Q_D_landen`).
 
 G is odd under the mirror z -> -z and changes sign under the boundary
 reflection z -> conj(z) + iL' (both modulo the lattice); ``reduce`` brings
@@ -27,7 +30,7 @@ import numpy as np
 from .elliptic import EllipticParams, params_from_x0
 from .errors import PoleError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_rect
-from .theta import JacobiContext, _as_array, _landen_terms, _shifted_sn_cn, jacobi_Z, jacobi_sn_cn_dn, theta0_log_abs
+from .theta import JacobiContext, _as_array, jacobi_Z, jacobi_sn_cn_dn, theta0_log_abs
 
 __all__ = ["TorusGeometry", "GreenEvaluator", "green_G", "Q_D", "dz_Q_D", "dzbar_Q_D", "kernel_norm_integral"]
 
@@ -155,11 +158,16 @@ def _dz_Q_D_landen(p: EllipticParams, sn, cn):
     """dz_Q_D at z from sn = sn(z + L; x0**2) and cn = cn(z + L; x0**2).
 
     Landen's transformation gives 1/sn(M z; kappa)^2 = (1 + kappa' -
-    (1 - kappa') sn)/(1 - sn) (:func:`~goluzin_lab.theta._landen_terms`).
+    (1 - kappa') sn)/(1 - sn).  Next to sn = 1 (z near 0, the pole) 1 - sn
+    is formed as cn^2/(1 + sn), which keeps the relative accuracy of cn;
+    where Re sn <= 0 it is formed as written, so sn = -1 divides by nothing.
     Raises :class:`PoleError` where |sn(M z; kappa)| < 1e-12, i.e. on the
     lattice orbit of 0.
     """
-    one_minus, lin = _landen_terms(p.kappa_prime, sn, cn)
+    sn = np.asarray(sn)
+    one_minus = np.asarray(1.0 - sn)  # an array also for a 0-d sn, to be written into
+    np.divide(np.asarray(cn) ** 2, 1.0 + sn, out=one_minus, where=sn.real > 0.0)
+    lin = (1.0 + p.kappa_prime) - (1.0 - p.kappa_prime) * sn
     if np.any(np.abs(one_minus) < _POLE_ATOL**2 * np.abs(lin)):
         raise PoleError("dz_Q_D evaluated on the lattice orbit of 0")
     return p.M**2 * (p.E_prime / p.K_prime - lin / one_minus)
@@ -171,12 +179,14 @@ def dz_Q_D(ev: GreenEvaluator, z):
     Evaluated from one sn-cn-dn call at modulus x0**2, at reduce(z) + L,
     through :func:`_dz_Q_D_landen`; raises :class:`PoleError` on the
     lattice orbit of 0.  At z = +-L + iL' modulo the lattice, the poles of
-    sn(z + L; x0**2) on the edge of D, it takes the limit
-    1/sn(M z; kappa)^2 = 1 - kappa'.
+    sn(z + L; x0**2) on the edge of D, the call is made at z = L instead
+    and the limit 1/sn(M z; kappa)^2 = 1 - kappa' is put in.
     """
     p = ev.params
     arr, scalar = _as_array(z)
-    sn, cn, at_pole = _shifted_sn_cn(ev.ctx_l, np.atleast_1d(arr))
+    zr = ev.geometry.reduce(np.atleast_1d(arr))
+    at_pole = np.abs(np.abs(zr.real) - p.L) + np.abs(np.abs(zr.imag) - p.L_prime) < _POLE_ATOL * (p.L + p.L_prime)
+    sn, cn, _ = jacobi_sn_cn_dn(ev.ctx_l, np.where(at_pole, p.L, zr) + p.L)
     val = np.where(at_pole, p.M**2 * (p.E_prime / p.K_prime - (1.0 - p.kappa_prime)), _dz_Q_D_landen(p, sn, cn))
     return complex(val[0]) if scalar else val
 

@@ -1044,7 +1044,7 @@ class TestDiskFormLargeZeta:
         "name,zeta",
         [
             pytest.param(name, 20.0, marks=pytest.mark.xfail(strict=True, reason=(
-                "the sigma form misses by 1.3e-3 at |zeta| = 20 against err/rhs 1e-4 (ROADMAP item 2)"
+                "the sigma form misses by 1.3e-3 at |zeta| = 20 against err/rhs 1e-4 (ROADMAP item 4)"
             )))
             for name in ("identity", "joukowski")
         ]

@@ -243,6 +243,12 @@ class TestDzQDOracle:
         # sn(M 2L; kappa) = sn(K; kappa) = 1
         assert dz_Q_D(ev, 2.0 * p.L) == pytest.approx(p.M**2 * (p.E_prime / p.K_prime - 1.0), rel=rtol)
 
+    @pytest.mark.parametrize("z", [1e-5, 1e-6 * (1 + 1j), 1e-3 - 2e-3j, 0.3 + 0.1j])
+    def test_small_argument(self, z):
+        # 1 - sn(z + L; x0^2) cancels next to z = 0 unless it is taken as cn^2/(1 + sn)
+        ev = GreenEvaluator.from_x0(0.27)
+        assert dz_Q_D(ev, z) == pytest.approx(self._reference(ev.params, [z])[0], rel=2e-10, abs=0.0)
+
     @pytest.mark.parametrize("zeta_abs", [1.0001, 1.25, 2.0, 100.0])
     def test_at_poles_of_the_shifted_sn(self, zeta_abs):
         # sn(z + L; x0^2) has poles at z = +-L + iL', where 1/sn(M z; kappa)^2 = 1 - kappa'
