@@ -173,6 +173,77 @@ class TestNextToZeros:
         np.testing.assert_allclose(cn, _ellipfun_at(ctx, "cn", z), rtol=6e-13, atol=0.0)
 
 
+def _landen_sn_sq(p, z):
+    """[sn(M z; kappa)]**2 from xi = sn(z + L; x0**2) and cn(z + L; x0**2).
+
+    Landen's transformation reads it as (1 - xi)/(1 + kappa' - (1 - kappa') xi);
+    where Re xi > 0, 1 - xi is taken as cn**2/(1 + xi), as the torus layer does
+    next to z = 0; elsewhere as written, so xi = -1 divides by nothing.
+    """
+    xi, cn, _ = jacobi_sn_cn_dn(JacobiContext(p, "x0_squared"), np.asarray(z) + p.L)
+    kp = p.kappa_prime
+    one_minus = np.asarray(1.0 - xi)
+    np.divide(cn**2, 1.0 + xi, out=one_minus, where=xi.real > 0.0)
+    return one_minus / ((1.0 + kp) - (1.0 - kp) * xi)
+
+
+class TestLanden:
+    """sn and cn at modulus x0**2 against sn at modulus kappa through Landen's transformation."""
+
+    def test_bridge_matches_direct_square(self, ctx_kappa, params_half, rng):
+        p = params_half
+        z = rng.uniform(-0.9 * p.L, 0.9 * p.L, 20) + 1j * rng.uniform(-0.4 * p.L_prime, 0.4 * p.L_prime, 20)
+        lhs = _landen_sn_sq(p, z)
+        sn, _, _ = jacobi_sn_cn_dn(ctx_kappa, p.M * z)
+        rel = np.abs(lhs - sn**2) / (1.0 + np.abs(sn**2))
+        assert np.max(rel) < 1e-9
+
+    def test_zero_at_origin(self, params_half):
+        # cn(L; x0^2) = 0
+        assert abs(_landen_sn_sq(params_half, 0.0)) < 1e-12
+
+    @pytest.mark.parametrize("z", [1e-5, 1e-6 * (1 + 1j), 1e-3 - 2e-3j, 0.3 + 0.1j])
+    def test_small_argument_against_mpmath(self, z):
+        # cn(z + L; x0^2) keeps its relative accuracy next to its zero at z = 0
+        p = params_from_x0(0.27)
+        with mpmath.workdps(30):
+            kp = mpmath.mpf(p.kappa_prime)
+            ref = complex(mpmath.ellipfun("sn", mpmath.mpc(z) / (1 + kp), m=1 - kp**2) ** 2)
+        assert complex(_landen_sn_sq(p, z)) == pytest.approx(ref, rel=2e-10, abs=0.0)
+
+    def test_pole_signal(self, ctx_kappa, ctx_l, params_half):
+        # M z = iK' is z = iL', where xi = sn(L + iL'; x0^2) = 1/l zeroes the bridge's denominator
+        p = params_half
+        xi, _, _ = jacobi_sn_cn_dn(ctx_l, p.L + 1j * p.L_prime)
+        assert xi == pytest.approx(1.0 / p.l, rel=1e-12)
+        with pytest.raises(PoleError):
+            jacobi_sn_cn_dn(ctx_kappa, 1j * p.K_prime)
+        assert 1j * p.K_prime / p.M == pytest.approx(1j * p.L_prime, rel=1e-13)
+
+    def test_at_poles_of_the_shifted_sn(self, ctx_kappa, ctx_l, params_half):
+        # xi = sn(z + L; x0^2) has poles at z = +-L + iL', where sn(M z; kappa)^2 = 1/(1 - kappa')
+        p = params_half
+        for z in (p.L + 1j * p.L_prime, -p.L + 1j * p.L_prime, 3.0 * p.L - 1j * p.L_prime):
+            with pytest.raises(PoleError):
+                jacobi_sn_cn_dn(ctx_l, z + p.L)
+            sn, _, _ = jacobi_sn_cn_dn(ctx_kappa, p.M * z)
+            assert sn**2 == pytest.approx(1.0 / (1.0 - p.kappa_prime), rel=1e-12)
+
+    def test_half_period(self, ctx_kappa, params_half):
+        # z = 2L gives xi = -1 and sn(M 2L; kappa) = sn(K; kappa) = 1
+        p = params_half
+        assert complex(_landen_sn_sq(p, 2.0 * p.L)) == pytest.approx(1.0, rel=1e-14)
+        sn, _, _ = jacobi_sn_cn_dn(ctx_kappa, p.M * 2.0 * p.L)
+        assert sn**2 == pytest.approx(1.0, rel=1e-14)
+
+    def test_requires_kappa_context(self, ctx_kappa, ctx_l, params_half):
+        # the bridge joins the two contexts: l = (1 - kappa')/(1 + kappa') and K = 2 M L
+        kp = ctx_kappa.k_prime
+        assert ctx_l.k == pytest.approx((1.0 - kp) / (1.0 + kp), rel=1e-14)
+        assert ctx_kappa.quarter_K == pytest.approx(2.0 * params_half.M * ctx_l.quarter_K, rel=1e-14)
+        assert ctx_kappa.modulus_tag == "kappa" and ctx_l.modulus_tag == "x0_squared"
+
+
 class TestShiftIdentities:
     def test_at_L(self, ctx_l, params_half):
         p = params_half
