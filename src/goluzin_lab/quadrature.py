@@ -30,17 +30,21 @@ real ndarrays of the same shape, and must be pure.  A result's
 node it was called on, and every ring point, each once.  Far-field nodes
 where the bumps leave no weight are not passed to it and not counted.
 
-The driver calls an integrand once per band of the 4 x 4 seed grid, with
-the four seeds of one first-parameter band and the four children of each,
-as ``(20, order, order)`` arrays, and then once per cell it refines, with
-the four children of each of that cell's four children, its 16
-grandchildren, as ``(16, order, order)`` arrays.  No call carries more
-than 20 cells.  A cell's sum depends on its own nodes only, so the value
-at a node must not depend on the other nodes of its call.  A call's two
-parameter axes come as ``(n, order, 1)`` and ``(n, 1, order)`` arrays, so
-exp(s), exp(i theta), a radial bump or |u|**-4 is computed once per axis
-node, and its n cell sums come from one batched product, each the dot
-product of a cell summed alone.
+Each drive starts from a seed grid sized to its region.  The grids that
+carry the far field (the log-polar annulus, the rectangle, the unit-disk
+grid) seed 4 x 4, and the driver calls the integrand once per
+first-parameter band, with its four seeds and the four children of each,
+as ``(20, order, order)`` arrays.  The polar patches and the tail, whose
+bump or ring core confines the work, seed 2 x 2: their four seeds and
+children go out in one such call.  Then the driver calls the integrand
+once per cell it refines, with the four children of each of that cell's
+four children, its 16 grandchildren, as ``(16, order, order)`` arrays.
+No call carries more than 20 cells.  A cell's sum depends on its own
+nodes only, so the value at a node must not depend on the other nodes of
+its call.  A call's two parameter axes come as ``(n, order, 1)`` and
+``(n, 1, order)`` arrays, so exp(s), exp(i theta), a radial bump or
+|u|**-4 is computed once per axis node, and its n cell sums come from one
+batched product, each the dot product of a cell summed alone.
 """
 
 from __future__ import annotations
@@ -145,17 +149,21 @@ def _split(cell):
     return ((a0, am, b0, bm), (am, a1, b0, bm), (a0, am, bm, b1), (am, a1, bm, b1))
 
 
-def _adaptive_2d(g, domain, spec: QuadratureSpec) -> QuadratureResult:
-    """Adaptive tensor GL over the parameter rectangle ``domain``.
+def _adaptive_2d(g, domain, spec: QuadratureSpec, seed_grid=4) -> QuadratureResult:
+    """Adaptive tensor GL over the parameter rectangle ``domain``, seeded
+    with a ``seed_grid`` x ``seed_grid`` grid of cells.
 
     ``g`` takes the parameters as ``(n, order, 1)``, ``(n, 1, order)`` arrays and
     returns, broadcastable to ``(n, order, order)``, f times the Jacobian.
+    The seeds go out four to a call, each with its four children: one call
+    per first-parameter band of a 4 x 4 grid, one call for all of a 2 x 2.
     """
     a0, a1, b0, b1 = domain
+    m = seed_grid
     seeds = [
-        (a0 + (a1 - a0) * i / 4, a0 + (a1 - a0) * (i + 1) / 4, b0 + (b1 - b0) * j / 4, b0 + (b1 - b0) * (j + 1) / 4)
-        for i in range(4)
-        for j in range(4)
+        (a0 + (a1 - a0) * i / m, a0 + (a1 - a0) * (i + 1) / m, b0 + (b1 - b0) * j / m, b0 + (b1 - b0) * (j + 1) / m)
+        for i in range(m)
+        for j in range(m)
     ]
     heap = []
     counter = 0
@@ -174,7 +182,7 @@ def _adaptive_2d(g, domain, spec: QuadratureSpec) -> QuadratureResult:
         counter += 1
         return (-err, counter, cell, fine, depth, tuple(zip(_split(cell), fine_parts)))
 
-    # one call per first-parameter band: seed k of the band sums slice [5k, 5k + 5)
+    # four seeds per call: seed k of the call sums slice [5k, 5k + 5)
     for i in range(0, len(seeds), 4):
         band = seeds[i : i + 4]
         cells = [c for cell in band for c in (cell, *_split(cell))]
@@ -243,18 +251,19 @@ def _ring_core(g, center, eps, exponent):
     return core, gamma1, gamma2
 
 
-def _polar(g, center, radius, eps, exponent, spec):
+def _polar(g, center, radius, eps, exponent, spec, seed_grid=4):
     """The polar drive: integral of g(z, rho) over rho = |z - center| < radius.
 
-    The driver integrates over eps < rho < radius in polar coordinates; for
-    eps > 0 the core comes from the ring estimate for ``exponent``.
-    Returns the result and the ring means (None without a core).
+    The driver integrates over eps < rho < radius in polar coordinates,
+    from a ``seed_grid`` x ``seed_grid`` seed grid; for eps > 0 the core
+    comes from the ring estimate for ``exponent``.  Returns the result and
+    the ring means (None without a core).
     """
 
     def h(rho, theta):
         return g(center + rho * np.exp(1j * theta), rho) * rho
 
-    res = _adaptive_2d(h, (eps, radius, 0.0, 2.0 * math.pi), spec)
+    res = _adaptive_2d(h, (eps, radius, 0.0, 2.0 * math.pi), spec, seed_grid)
     if eps == 0.0:
         return res, None
     core, *gammas = _ring_core(g, center, eps, exponent)
@@ -305,7 +314,7 @@ def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureRes
         def bumped(z, rho):
             return np.asarray(f(z), dtype=np.float64) * _smooth_cut(rho, 0.5 * r, r)
 
-        return _polar(bumped, point.location, r, point.core_fraction * r, point.exponent, spec)[0]
+        return _polar(bumped, point.location, r, point.core_fraction * r, point.exponent, spec, 2)[0]
 
     outer = dataclasses.replace(drive(far), n_evals=received)
     return sum((patch(p, r) for p, r in zip(points, radii)), outer)
@@ -384,7 +393,7 @@ def integrate_exterior_disk(f, spec: QuadratureSpec | None = None) -> Quadrature
         return np.asarray(f(1.0 / u), dtype=np.float64) / rho**4
 
     u_out = 1.0 / r0
-    cap, (gamma1, gamma2) = _polar(tail, 0j, u_out, _CORE_FRACTION * u_out, None, spec)
+    cap, (gamma1, gamma2) = _polar(tail, 0j, u_out, _CORE_FRACTION * u_out, None, spec, 2)
     # |u| tail(u) growing toward u = 0 signals decay slower than |z|^-3
     if abs(gamma1) > spec.abs_tol and abs(gamma1) > 1.4 * abs(gamma2):
         warnings.warn(

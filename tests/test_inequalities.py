@@ -23,7 +23,7 @@ from goluzin_lab.inequalities import (
     verify_area_sigma,
 )
 from goluzin_lab.maps import BridgeMaps, eta_inv, marched_sqrt_path, phi_from_psi, sigma
-from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _cells_integral, _split
+from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _adaptive_2d, _cells_integral, _split
 from goluzin_lab.theta import jacobi_sn_cn_dn
 
 AREA_TEST_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
@@ -324,11 +324,11 @@ class TestVerdictBits:
     the same arithmetic faster keeps every bit of them."""
 
     PINS = [
-        ("sigma", "joukowski", 1.25, "0x1.ffffa6b8721cap-1", "0x1.6afcfad9ec255p-10", 28977),
-        ("sigma", "b1:0.7", 3j, "0x1.dbd14405959a4p-1", "0x1.1a2a956388023p-13", 23170),
-        ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c2200a249p-1", "0x1.da8ee668e5851p-14", 23632),
-        ("disk", "joukowski", 2.0, "0x1.ffff98ad703f9p-1", "0x1.8cd3afd3a85cbp-11", 20020),
-        ("torus", "joukowski", 2.0, "0x1.ffff8de3c0e5dp-1", "0x1.1a9b06a3a74c2p-9", 10196),
+        ("sigma", "joukowski", 1.25, "0x1.ffffa6bad7f46p-1", "0x1.6b4541f78ee1dp-10", 21297),
+        ("sigma", "b1:0.7", 3j, "0x1.dbd14405febdfp-1", "0x1.1dc9048b4550bp-13", 15490),
+        ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c20ccce2bp-1", "0x1.e275f91f79d51p-14", 15952),
+        ("disk", "joukowski", 2.0, "0x1.ffff98ad751ddp-1", "0x1.8cd7c7c7c34fbp-11", 12340),
+        ("torus", "joukowski", 2.0, "0x1.ffff8de683379p-1", "0x1.1aa2151ae6fcap-9", 6356),
     ]
 
     @pytest.mark.parametrize("form,name,zeta,ratio,error,n_evals", PINS)
@@ -345,21 +345,22 @@ class TestVerdictBits:
 
 
 class TestTorusRatiosHeld:
-    """The nine bridge torus checks against their ratios (float hex) and
-    n_evals when sn, cn and dn came from a theta series at two arguments
-    with quasi-period multipliers.  Rebuilding that arithmetic moves the
-    ratio by rounding only: far less than the check's error bar."""
+    """The nine bridge torus checks against their ratios (float hex) when sn,
+    cn and dn came from a theta series at two arguments with quasi-period
+    multipliers and the patch at 0 seeded 4 x 4, and against their n_evals.
+    Rebuilding that arithmetic and seeding the patch 2 x 2 move the ratio
+    by far less than the check's error bar."""
 
     REFERENCE = [
-        ("joukowski", 1.25, "0x1.000141b7df687p+0", 10240),
-        ("joukowski", 2.0, "0x1.ffff8e4113b24p-1", 10196),
-        ("joukowski", 3j, "0x1.0000259b4bf01p+0", 10180),
-        ("identity", 1.25, "0x1.1f7098b128f00p-1", 10240),
-        ("identity", 2.0, "0x1.8a1677d901cfcp-1", 10196),
-        ("identity", 3j, "0x1.be7c15ba3238fp-1", 10180),
-        ("b1:0.7", 1.25, "0x1.65e1f56245160p-1", 10240),
-        ("b1:0.7", 2.0, "0x1.bd7c54b9101bep-1", 10196),
-        ("b1:0.7", 3j, "0x1.dbd1a2d6e3641p-1", 10180),
+        ("joukowski", 1.25, "0x1.000141b7df687p+0", 6400),
+        ("joukowski", 2.0, "0x1.ffff8e4113b24p-1", 6356),
+        ("joukowski", 3j, "0x1.0000259b4bf01p+0", 6340),
+        ("identity", 1.25, "0x1.1f7098b128f00p-1", 6400),
+        ("identity", 2.0, "0x1.8a1677d901cfcp-1", 6356),
+        ("identity", 3j, "0x1.be7c15ba3238fp-1", 6340),
+        ("b1:0.7", 1.25, "0x1.65e1f56245160p-1", 6400),
+        ("b1:0.7", 2.0, "0x1.bd7c54b9101bep-1", 6356),
+        ("b1:0.7", 3j, "0x1.dbd1a2d6e3641p-1", 6340),
     ]
 
     @pytest.mark.parametrize("name,zeta,ratio,n_evals", REFERENCE)
@@ -369,27 +370,52 @@ class TestTorusRatiosHeld:
         assert abs(r.ratio - float.fromhex(ratio)) <= 1e-3 * r.error_estimate / r.rhs
 
 
-def _driver_block(cell, to_plane, seed=False, b_lo=0.0):
-    """The nodes of one driver call: the 16 grandchildren of ``cell`` when the
-    driver refines it, (16, 8, 8), or for a seed cell the call of its
-    first-parameter band, the four seeds above ``b_lo`` of the cell's height
-    and their children, (20, 8, 8)."""
+def _driver_block(cell, to_plane):
+    """The nodes of the driver call that refines ``cell``: its 16
+    grandchildren, (16, 8, 8)."""
     calls = []
 
     def g(x, y):
         calls.append(to_plane(x, y))
         return np.zeros(x.shape)
 
-    if seed:
-        a0, a1, b0, b1 = cell
-        h = b1 - b0
-        band = [(a0, a1, b_lo + j * h, b_lo + (j + 1) * h) for j in range(4)]
-        cells = [c for seed_cell in band for c in (seed_cell, *_split(seed_cell))]
-    else:
-        cells = [gk for kid in _split(cell) for gk in _split(kid)]
+    cells = [gk for kid in _split(cell) for gk in _split(kid)]
     _cells_integral(g, cells)
     assert len(calls) == 1 and calls[0].shape == (len(cells), 8, 8)
     return calls[0]
+
+
+def _seed_call(domain, to_plane, k=0, seed_grid=4):
+    """The nodes of the driver's seed call ``k`` on ``domain``, four seeds
+    and their children, (20, 8, 8): the k-th first-parameter band of a
+    4 x 4 seed grid, or all of a 2 x 2 one (k = 0).  Recorded from the
+    driver, which stops after its seeds on a zero integrand."""
+    calls = []
+
+    def g(x, y):
+        calls.append(to_plane(x, y))
+        return np.zeros(calls[-1].shape)
+
+    _adaptive_2d(g, domain, QuadratureSpec(abs_tol=math.inf), seed_grid)
+    assert len(calls) == seed_grid**2 // 4 and calls[k].shape == (20, 8, 8)
+    return calls[k]
+
+
+_UNIT_DISK = (0.0, 1.0, 0.0, 2.0 * math.pi)
+
+
+def _patch_seed_call(center, radius, core_fraction, to_plane=lambda z: z):
+    """The nodes of the one seed call of the polar patch of ``radius``
+    around ``center``: its 2 x 2 seeds and their children."""
+    at = _polar(center)
+    domain = (core_fraction * radius, radius, 0.0, 2.0 * math.pi)
+    return _seed_call(domain, lambda rho, theta: to_plane(at(rho, theta)), seed_grid=2)
+
+
+def _torus_rect(p):
+    """The torus band -L..3L x +-L'/2 and its patch radius at 0."""
+    rect = (-p.L, 3.0 * p.L, -0.5 * p.L_prime, 0.5 * p.L_prime)
+    return rect, min(0.25 * min(4.0 * p.L, p.L_prime), 0.8 * min(p.L, 0.5 * p.L_prime))
 
 
 def _polar(center):
@@ -402,16 +428,19 @@ def _same_bits(a, b):
 
 
 def _psi_driver_calls(zeta):
-    """u = 1/z at the nodes of four driver calls of the sigma form: the inner
+    """u = 1/z at the nodes of five driver calls of the sigma form: the inner
     annulus seed cell in the direction of zeta (its band's seed call and its
-    refinement), and the cells of the polar patch around zeta on either side
-    of its radial line, out to 0.2 or the patch's clearance."""
+    refinement), the seed call of the polar patch around zeta, and the cells
+    of that patch on either side of its radial line, out to 0.2 or the
+    patch's clearance."""
     arg = float(np.angle(zeta)) % (2.0 * math.pi)
     th0 = 0.5 * math.pi * math.floor(arg / (0.5 * math.pi))
-    log_r0 = math.log(max(4.0, 2.2 * abs(zeta)))
+    r0 = max(4.0, 2.2 * abs(zeta))
     annulus = lambda s, theta: 1.0 / np.exp(s + 1j * theta)
-    seed = (0.0, 0.25 * log_r0, th0, th0 + 0.5 * math.pi)
-    calls = [_driver_block(seed, annulus, seed_call) for seed_call in (True, False)]
+    seed = (0.0, 0.25 * math.log(r0), th0, th0 + 0.5 * math.pi)
+    calls = [_seed_call((0.0, math.log(r0), 0.0, 2.0 * math.pi), annulus), _driver_block(seed, annulus)]
+    radius = min(1.0, 0.8 * min(abs(zeta) - 1.0, r0 - abs(zeta)))
+    calls.append(_patch_seed_call(complex(zeta), radius, 1e-5, lambda z: 1.0 / z))
     hi = min(0.2, 0.8 * (abs(zeta) - 1.0))
     for th in (0.0, 1.5 * math.pi):
         patch = (0.25 * hi, hi, th, th + 0.5 * math.pi)
@@ -448,16 +477,18 @@ class TestMarchedSqrtBlock:
         x0 = bridge.x0
         fieldd = _DiskField(phi_from_psi(bridge, resolve_map("b1:0.7")), x0, bridge.params)
         clear = min(0.4 * x0, min(0.4, 0.7 * (1.0 - x0)) / 1.6)
-        # seed cells of the unit-disk grid next to -x0 (their band's seed calls
-        # and their refinements), and a cell around -x0
-        cells = (
-            (0.0, (0.25, 0.5, 0.5 * math.pi, math.pi), True),
-            (0.0, (0.25, 0.5, 0.5 * math.pi, math.pi), False),
-            (0.0, (0.25, 0.5, math.pi, 1.5 * math.pi), False),
-            (-x0, (0.0, 2.0 * clear, 0.0, 0.5 * math.pi), False),
+        # seed cells of the unit-disk grid next to -x0 (their band's seed call
+        # and their refinements), a cell around -x0 and the seed call of the
+        # patch there
+        calls = (
+            _seed_call(_UNIT_DISK, _polar(0j), 1),
+            _driver_block((0.25, 0.5, 0.5 * math.pi, math.pi), _polar(0j)),
+            _driver_block((0.25, 0.5, math.pi, 1.5 * math.pi), _polar(0j)),
+            _driver_block((0.0, 2.0 * clear, 0.0, 0.5 * math.pi), _polar(complex(-x0))),
+            _patch_seed_call(complex(-x0), min(0.25, 0.8 * (1.0 - x0), 0.8 * x0), 1e-5),
         )
-        for center, cell, seed_call in cells:
-            self.check(fieldd._root, fieldd._coord(_driver_block(cell, _polar(complex(center)), seed_call)))
+        for w in calls:
+            self.check(fieldd._root, fieldd._coord(w))
 
     def test_densified_rays_depend_on_their_node_only(self):
         # exp(10 pi i x) winds 5 times on [0, 1]: rays out to x = 1 need n = 32
@@ -636,8 +667,11 @@ def _disk_nodes(fieldd, n=300):
 
 
 def _disk_call(seed=True):
-    """One integrand call of the cubature on the unit-disk seed cell next to -x0."""
-    return _driver_block((0.25, 0.5, 0.5 * math.pi, math.pi), _polar(0j), seed)
+    """One integrand call of the cubature on the unit-disk seed cell next to
+    -x0: its band's seed call, or its refinement."""
+    if seed:
+        return _seed_call(_UNIT_DISK, _polar(0j), 1)
+    return _driver_block((0.25, 0.5, 0.5 * math.pi, math.pi), _polar(0j))
 
 
 def _disk_marched(fieldd, w):
@@ -821,7 +855,7 @@ class TestClosedFormTorusSqrt:
         plain, _ = _torus_parts("identity", 2.0, monkeypatch, coefficients=None)
         p = BridgeMaps.from_zeta(2.0).params
         # one integrand call of the cubature: the seed band across the real axis
-        z = _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), lambda x, y: x + 1j * y, seed=True, b_lo=-0.5 * p.L_prime)
+        z = _seed_call(_torus_rect(p)[0], lambda x, y: x + 1j * y, 1)
         (g,), blocks = _roots_used(lambda: f(z), monkeypatch)
         assert blocks == 1
         (g_plain,), _ = _roots_used(lambda: plain(z), monkeypatch)
@@ -870,26 +904,24 @@ class TestTorusPolesCancel:
 def _disk_driver_calls(x0):
     """w at the nodes of driver calls of the disk form next to +-x0: the seed
     call of the unit-disk band holding |w| = x0, the refinements of its four
-    seed cells, and the innermost seed band of the patch around each of +-x0."""
+    seed cells, and the seed call of the patch around each of +-x0."""
     i = min(int(4.0 * x0), 3)
-    calls = [_driver_block((0.25 * i, 0.25 * (i + 1), 0.0, 0.5 * math.pi), _polar(0j), seed=True)]
+    calls = [_seed_call(_UNIT_DISK, _polar(0j), i)]
     for q in range(4):
         cell = (0.25 * i, 0.25 * (i + 1), 0.5 * math.pi * q, 0.5 * math.pi * (q + 1))
         calls.append(_driver_block(cell, _polar(0j)))
     r = min(0.25, 0.8 * (1.0 - x0), 0.8 * x0)
     for center in (x0, -x0):
-        calls.append(_driver_block((1e-5 * r, 0.25 * r, 0.0, 0.5 * math.pi), _polar(complex(center)), seed=True))
+        calls.append(_patch_seed_call(complex(center), r, 1e-5))
     return calls
 
 
 def _torus_driver_calls(zeta):
-    """z at the nodes of the four seed calls of the torus band -L..3L x +-L'/2."""
-    p = BridgeMaps.from_zeta(zeta).params
+    """z at the nodes of the four seed calls of the torus band -L..3L x +-L'/2
+    and of the seed call of its patch at 0."""
+    rect, r = _torus_rect(BridgeMaps.from_zeta(zeta).params)
     xy = lambda x, y: x + 1j * y
-    return [
-        _driver_block((a, a + p.L, 0.0, 0.25 * p.L_prime), xy, seed=True, b_lo=-0.5 * p.L_prime)
-        for a in (-p.L, 0.0, p.L, 2.0 * p.L)
-    ]
+    return [_seed_call(rect, xy, k) for k in range(4)] + [_patch_seed_call(0j, r, 5e-4)]
 
 
 class TestClosedNodeSector:
@@ -1005,8 +1037,8 @@ class TestOneEvaluationPerCall:
 
         for module in (theta, torus, maps, inequalities):
             monkeypatch.setattr(module, "jacobi_sn_cn_dn", counted)
-        for seed in (True, False):
-            z = _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), lambda x, y: x + 1j * y, seed, -0.5 * p.L_prime)
+        xy = lambda x, y: x + 1j * y
+        for z in (_seed_call(_torus_rect(p)[0], xy, 1), _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), xy)):
             tags.clear()
             (_,), blocks = _roots_used(lambda: f(z), monkeypatch)
             assert blocks == 0

@@ -95,10 +95,12 @@ class TestDriver:
         assert res.converged
 
 
-def _four_call_driver(g, domain, spec):
+def _four_call_driver(g, domain, spec, seed_grid=4):
     """The driver as it was with one ``(4, order, order)`` call per new child
-    of a refined cell, each cell summed as ``w @ vals[k] @ w``."""
+    of a refined cell, each cell summed as ``w @ vals[k] @ w``, on the same
+    ``seed_grid`` x ``seed_grid`` seed grid."""
     a0, a1, b0, b1 = domain
+    m = seed_grid
     order = 8
     n_evals = 0
     x, w = np.polynomial.legendre.leggauss(order)
@@ -115,9 +117,9 @@ def _four_call_driver(g, domain, spec):
         return [float(hx[k]) * float(hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
 
     seeds = [
-        (a0 + (a1 - a0) * i / 4, a0 + (a1 - a0) * (i + 1) / 4, b0 + (b1 - b0) * j / 4, b0 + (b1 - b0) * (j + 1) / 4)
-        for i in range(4)
-        for j in range(4)
+        (a0 + (a1 - a0) * i / m, a0 + (a1 - a0) * (i + 1) / m, b0 + (b1 - b0) * j / m, b0 + (b1 - b0) * (j + 1) / m)
+        for i in range(m)
+        for j in range(m)
     ]
     heap, counter, value, err_total, frozen_err = [], 0, 0.0, 0.0, 0.0
 
@@ -300,9 +302,11 @@ class TestEvaluationCount:
 
     def test_exterior_disk_count(self):
         # every node of the annulus and of the tail, and the tail's ring
-        # points, each once: a running total over drives would read 15,360
+        # points, each once: the annulus's 16 seeds and their children, 80
+        # cells of 64 nodes (5,120), the tail's 4 seeds and their children,
+        # 20 cells (1,280), and two rings of 64 points (128)
         f, seen = self.counting(lambda z: np.abs(z) ** -3.0)
-        assert integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-9)).n_evals == seen[0] == 10_368
+        assert integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-9)).n_evals == seen[0] == 6_528
 
     @pytest.mark.parametrize("region", ["rect", "disk", "exterior"])
     def test_tagged_count_is_points_received(self, region):
@@ -319,6 +323,115 @@ class TestEvaluationCount:
             "exterior": lambda: integrate_exterior_disk(lambda z: f(z) * np.abs(z) ** -3.0, spec),
         }[region]
         assert integrate().n_evals == seen[0]
+
+
+class TestSeedGrid:
+    """Each drive opens with its seed calls, four seeds and their children a
+    call: the grids that carry the far field (the log-polar annulus, the
+    rectangle, the unit-disk grid) seed 4 x 4 in four calls, and the
+    bump-confined polar patches and the tail cap seed 2 x 2 in one."""
+
+    @staticmethod
+    def drives(integrate, monkeypatch):
+        """The shapes of the integrand calls of each drive, in drive order."""
+        seen = []
+        driver = quadrature._adaptive_2d
+
+        def recording(g, domain, spec, *args):
+            shapes = []
+            seen.append(shapes)
+
+            def h(x, y):
+                shapes.append(np.broadcast_shapes(x.shape, y.shape))
+                return g(x, y)
+
+            return driver(h, domain, spec, *args)
+
+        monkeypatch.setattr(quadrature, "_adaptive_2d", recording)
+        integrate()
+        return seen
+
+    @staticmethod
+    def opens_with(shapes, n_seed_calls):
+        assert shapes[:n_seed_calls] == [(20, 8, 8)] * n_seed_calls
+        assert set(shapes[n_seed_calls:]) <= {(16, 8, 8)}
+
+    def test_exterior_disk(self, monkeypatch):
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(2.0 + 0.5j),))
+        f = lambda z: np.abs(z) ** -3.0 / np.abs(z - (2.0 + 0.5j))
+        annulus, patch, tail = self.drives(lambda: integrate_exterior_disk(f, spec), monkeypatch)
+        self.opens_with(annulus, 4)
+        self.opens_with(patch, 1)
+        self.opens_with(tail, 1)
+        assert len(annulus) > 4 and len(patch) > 1 and len(tail) > 1
+
+    def test_disk(self, monkeypatch):
+        p, q = 0.4 + 0.1j, -0.3 + 0.5j
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(0j), SingularPoint(p), SingularPoint(q)))
+        f = lambda z: 1.0 / np.abs(z) + 1.0 / np.abs(z - p) + 1.0 / np.abs(z - q)
+        grid, *patches = self.drives(lambda: integrate_disk(f, spec), monkeypatch)
+        self.opens_with(grid, 4)
+        assert len(patches) == 2
+        for shapes in patches:
+            self.opens_with(shapes, 1)
+
+    def test_rect(self, monkeypatch):
+        p = 0.2 + 0.1j
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(p),))
+        grid, patch = self.drives(lambda: integrate_rect(lambda z: 1.0 / np.abs(z - p), (-1, 1, -1, 1), spec), monkeypatch)
+        self.opens_with(grid, 4)
+        self.opens_with(patch, 1)
+
+
+def _confined(rho, a):
+    """(1 - (rho/a)^2)^2 for rho < a, else 0: C^1 at rho = a."""
+    return np.where(rho < a, (1.0 - (rho / a) ** 2) ** 2, 0.0)
+
+
+class TestSeededErrorBars:
+    """The error bar of a 2 x 2-seeded polar drive covers its true error.
+    The confined integrands leave one region all the mass and every other
+    region exactly zero, so the result is that region's alone; their kink
+    at rho = a falls inside a cell, where the driver must refine."""
+
+    TOLS = [2e-4, 1e-6]
+
+    @staticmethod
+    def covered(res, exact):
+        assert abs(res.value - exact) <= res.error
+
+    @pytest.mark.parametrize("rel_tol", TOLS)
+    def test_disk_patch(self, rel_tol):
+        # the patch at p has radius 0.25; a = 0.075 < 0.125, where the far field's weight is 0
+        p, a = 0.4 + 0.1j, 0.075
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(p),))
+        res = integrate_disk(lambda z: _confined(np.abs(z - p), a) / np.abs(z - p), spec)
+        self.covered(res, 16.0 * math.pi * a / 15.0)
+
+    @pytest.mark.parametrize("rel_tol", TOLS)
+    def test_exterior_patch(self, rel_tol):
+        # the patch at 2 has radius 0.8 = 0.8 * (|p| - 1)
+        p, a = 2.0 + 0.0j, 0.24
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(p),))
+        res = integrate_exterior_disk(lambda z: _confined(np.abs(z - p), a) / np.abs(z - p), spec)
+        self.covered(res, 16.0 * math.pi * a / 15.0)
+
+    @pytest.mark.parametrize("rel_tol", TOLS)
+    def test_tail(self, rel_tol):
+        # the tail is |u| < 1/4 under u = 1/z, where the integrand is _confined(|u|, a)
+        a = 0.075
+        res = integrate_exterior_disk(lambda z: _confined(1.0 / np.abs(z), a) / np.abs(z) ** 4, QuadratureSpec(rel_tol=rel_tol))
+        self.covered(res, math.pi * a**2 / 3.0)
+
+    @pytest.mark.parametrize("rel_tol", TOLS)
+    def test_exterior_quartic_with_a_tagged_point(self, rel_tol):
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(2.0 + 0.0j, 0.0),))
+        self.covered(integrate_exterior_disk(lambda z: np.abs(z) ** -4.0, spec), math.pi)
+
+    @pytest.mark.parametrize("rel_tol", TOLS)
+    def test_disk_quadratic_with_tagged_points(self, rel_tol):
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(0.4 + 0j, 0.0), SingularPoint(-0.3 + 0.5j, 0.0)))
+        self.covered(integrate_disk(lambda z: np.abs(z) ** 2, spec), 0.5 * math.pi)
 
 
 class TestRect:
