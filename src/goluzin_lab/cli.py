@@ -15,6 +15,7 @@ Complex literals use the form ``1.5+0.5i`` with no spaces.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -86,6 +87,7 @@ def _checked(convert, ok, what):
 _jobs = _checked(int, lambda n: n >= 1, "a worker count of at least 1")
 _rel_tol = _checked(float, lambda t: math.isfinite(t) and t > 0.0, "a finite positive tolerance")
 _abs_tol = _checked(float, lambda t: math.isfinite(t) and t >= 0.0, "a finite non-negative tolerance")
+_out = _checked(str, lambda path: os.path.isdir(os.path.dirname(os.path.abspath(path))), "in an existing directory")
 
 
 def parse_complex(text: str) -> complex:
@@ -96,7 +98,8 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
 
 
-def _emit(reports: list[VerificationReport], fmt: str, out_path: str | None) -> None:
+def _emit(reports: list[VerificationReport], fmt: str, out_path: str | None) -> int:
+    """Write the reports; return their exit code."""
     if fmt == "json":
         text = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True)
     elif fmt == "csv":
@@ -123,15 +126,17 @@ def _emit(reports: list[VerificationReport], fmt: str, out_path: str | None) -> 
                 f"err={r.error_estimate:.2e} status={r.status}"
             )
         text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _exit_code(reports: list[VerificationReport]) -> int:
+    _write(text, out_path)
     return EXIT_VIOLATION if any(r.status == "violated" for r in reports) else EXIT_OK
+
+
+def _write(text: str, out_path: str | None) -> None:
+    try:
+        out = open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:  # a usage error (exit 64), not a verdict
+        raise ValueError(f"cannot write the report: {exc}") from exc
+    with out as stream:
+        stream.write(text)
 
 
 def _spec_from_args(args, default: QuadratureSpec) -> QuadratureSpec:
@@ -142,19 +147,12 @@ def _spec_from_args(args, default: QuadratureSpec) -> QuadratureSpec:
 
 
 def _cmd_params(args) -> int:
-    if args.x0 is not None:
-        params = params_from_x0(args.x0)
-    else:
-        params = params_from_x0(x0_from_zeta_abs(args.zeta_abs))
+    params = params_from_x0(args.x0 if args.x0 is not None else x0_from_zeta_abs(args.zeta_abs))
     payload = params.to_dict()
     text = json.dumps(payload, indent=2, sort_keys=True) if args.format != "csv" else "\n".join(
         f"{k},{v}" for k, v in sorted(payload.items())
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write(text + "\n", args.out)
     return EXIT_OK
 
 
@@ -167,8 +165,7 @@ def _cmd_pointwise(args) -> int:
     else:
         reports.append(goluzin_bound(m, z))
         reports.append(pointwise_from_area(PsiEvaluator(m, z)))
-    _emit(reports, args.format, args.out)
-    return _exit_code(reports)
+    return _emit(reports, args.format, args.out)
 
 
 def _cmd_area(args) -> int:
@@ -179,16 +176,14 @@ def _cmd_area(args) -> int:
     if args.with_disk_form:
         bridge = BridgeMaps.from_zeta(zeta)
         reports.append(verify_area_disk(phi_from_psi(bridge, m), bridge.x0, spec))
-    _emit(reports, args.format, args.out)
-    return _exit_code(reports)
+    return _emit(reports, args.format, args.out)
 
 
 def _cmd_gronwall(args) -> int:
     m = resolve_map(args.map)
     spec = _spec_from_args(args, QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12))
     reports = [gronwall_check(m, spec)]
-    _emit(reports, args.format, args.out)
-    return _exit_code(reports)
+    return _emit(reports, args.format, args.out)
 
 
 def _sweep_grid():
@@ -216,8 +211,7 @@ def _cmd_sweep(args) -> int:
     else:
         chunks = [_sweep_task(*t) for t in tasks]
     reports = [r for chunk in chunks for r in chunk]
-    _emit(reports, args.format, args.out)
-    return _exit_code(reports)
+    return _emit(reports, args.format, args.out)
 
 
 def _cmd_selftest(args) -> int:
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
+        p.add_argument("--out", type=_out, default=None, help="write the report to this path instead of stdout")
         p.add_argument("--rel-tol", type=_rel_tol, default=None)
         p.add_argument("--abs-tol", type=_abs_tol, default=None)
 
@@ -288,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--x0", type=float)
     grp.add_argument("--zeta-abs", type=float)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out, default=None)
     p.set_defaults(fn=_cmd_params)
 
     p = sub.add_parser("pointwise", help="pointwise derivative-ratio bounds at one point")

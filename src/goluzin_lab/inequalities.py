@@ -319,7 +319,7 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | N
     """
     spec = spec or AREA_SPEC
     zeta = complex(zeta)
-    point = SingularPoint(zeta, -1.0)
+    point = SingularPoint(zeta)
     # the patch radius is at most 1, so no core ring sits farther out than core_fraction
     if math.ulp(abs(zeta)) > _RING_OFFSET_ACCURACY * point.core_fraction:
         raise DomainError(f"|zeta| = {abs(zeta):.3g} is too large: floats next to zeta do not resolve the core ring of its patch")
@@ -404,7 +404,7 @@ def verify_area_disk(phi: UnivalentMap, x0: float, spec: QuadratureSpec | None =
     if abs(dphi - 1.0) > 1e-8 or abs(complex(phi.value(np.complex128(x0)))) > 1e-8:
         raise DomainError("phi must satisfy phi(x0) = 0 and phi'(x0) = 1")
     fieldd = _DiskField(phi, x0, params)
-    points = (SingularPoint(complex(x0), -1.0), SingularPoint(complex(-x0), -1.0))
+    points = (SingularPoint(complex(x0)), SingularPoint(complex(-x0)))
     res = integrate_disk(fieldd.integrand, spec.with_points(*points))
     rhs = math.pi * (params.E_prime / params.K_prime) * (1.0 + x0**2) / (x0 * (1.0 - x0**2))
     inputs = {
@@ -489,6 +489,8 @@ def gronwall_check(psi: UnivalentMap, spec: QuadratureSpec | None = None) -> Ver
     one of them is wrong (coefficients that do not describe ``value``), and
     no error bar should cover it.
     """
+    if psi.map_class != "Sigma":
+        raise DomainError("gronwall_check needs an exterior-disk (Sigma) map")
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 
     def f(z):
@@ -554,10 +556,11 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
         val = -dphi / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
         return np.abs(val) ** 2
 
-    # phi(sigma(z)) ~ z^2 loses relative accuracy below |z| ~ 1e-4 through
-    # cancellation in psi(eta_inv) - psi(zeta); keep the excluded core above
-    # that scale (its mass is recovered from the ring estimate).
-    points = (SingularPoint(0.0 + 0.0j, -1.0, core_fraction=5e-4),)
+    # The poles cancel at 0: the integrand is bounded there, as the core's
+    # ring means read.  phi(sigma(z)) ~ z^2 loses relative accuracy below
+    # |z| ~ 1e-4 through cancellation in psi(eta_inv) - psi(zeta); keep the
+    # excluded core above that scale (its mass comes from the ring estimate).
+    points = (SingularPoint(0.0 + 0.0j, core_fraction=5e-4),)
     rect = (-L, 3.0 * L, -0.5 * Lp, 0.5 * Lp)
     res = integrate_rect(integrand, rect, spec.with_points(*points))
     rhs = math.pi * p.M**2 * p.E_prime / (abs(b) ** 2 * p.K_prime)

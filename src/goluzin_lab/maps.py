@@ -77,13 +77,18 @@ class BridgeMaps:
 
 
 def sigma(bridge: BridgeMaps, z):
-    """x0 * sn(z + L; x0^2); sn poles are returned as complex infinity."""
+    """x0 * sn(z + L; x0^2), and complex infinity at each node on a pole of sn."""
     p = bridge.params
+    z = np.asarray(z, dtype=np.complex128)
     try:
-        sn, _, _ = jacobi_sn_cn_dn(bridge.ctx_l, np.asarray(z, dtype=np.complex128) + p.L)
+        return p.x0 * jacobi_sn_cn_dn(bridge.ctx_l, z + p.L)[0]
     except PoleError:
-        return complex(math.inf, 0.0)
-    return p.x0 * sn
+        if z.ndim == 0:
+            return complex(math.inf, 0.0)
+    pole = np.reshape([sigma(bridge, v) == math.inf for v in z.flat], z.shape)
+    out = np.full(z.shape, complex(math.inf, 0.0))
+    out[~pole] = p.x0 * jacobi_sn_cn_dn(bridge.ctx_l, z[~pole] + p.L)[0]
+    return out
 
 
 def sigma_prime(bridge: BridgeMaps, z):

@@ -7,22 +7,21 @@ refines the worst cell until the summed estimate drops under the budget
 ``max(abs_tol, rel_tol * |value|)``.  Everything is evaluated in a fixed
 order, so identical inputs give identical results.
 
-One polar drive serves every round region: the driver in polar
+One polar drive serves every patch and the tail: the driver in polar
 coordinates on eps < |z - c| < radius, where the area element cancels a
 ``1/|z - c|`` blow-up exactly, plus a ring estimate of the core
 |z - c| < eps.  Integrable point singularities are handled by partition
 of unity: a radial bump confines the singular behaviour to a polar patch
 around each tagged point, and the region's own grid takes f times one
-minus every bump.  The unit disk is one polar drive.  The exterior disk
-is the annulus 1 < |z| < r0 on a log-polar grid plus the tail |z| > r0,
-which u = 1/z maps onto the disk |u| < 1/r0: there the integrand
-f(1/u)/|u|^4 of an f decaying like |z|**-3 has a 1/|u| blow-up at u = 0,
-and one decaying like |z|**-4 is bounded there.
+minus every bump.  The exterior disk is the annulus 1 < |z| < r0 on a
+log-polar grid plus the tail |z| > r0, which u = 1/z maps onto the disk
+|u| < 1/r0: there the integrand f(1/u)/|u|^4 of an f decaying like
+|z|**-3 has a 1/|u| blow-up at u = 0, and one decaying like |z|**-4 is
+bounded there.
 
 The ring estimate takes the core's integrand to grow like
-|z - c|**exponent, with exponent -1 (a 1/r blow-up) or 0 (bounded): each
-tagged point declares its exponent, and the tail takes whichever of the
-two its ring means fit.
+|z - c|**exponent, with exponent -1 (a 1/r blow-up) or 0 (bounded),
+whichever of the two its ring means fit; no caller declares it.
 
 Integrands must be vectorized maps from complex ndarrays of any shape to
 real ndarrays of the same shape, and must be pure.  A result's
@@ -31,8 +30,8 @@ node it was called on, and every ring point, each once.  Far-field nodes
 where the bumps leave no weight are not passed to it and not counted.
 
 Each drive starts from a seed grid sized to its region.  The grids that
-carry the far field (the log-polar annulus, the rectangle, the unit-disk
-grid) seed 4 x 4, and the driver calls the integrand once per
+carry the far field (the log-polar annulus, the rectangle, the polar grid
+of the unit disk) seed 4 x 4, and the driver calls the integrand once per
 first-parameter band, with its four seeds and the four children of each,
 as ``(20, order, order)`` arrays.  The polar patches and the tail, whose
 bump or ring core confines the work, seed 2 x 2: their four seeds and
@@ -78,22 +77,21 @@ _RING = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 @dataclass(frozen=True)
 class SingularPoint:
-    """A tagged integrable singularity, f ~ c*|z - location|**exponent.
+    """A tagged integrable point of f: a 1/|z - location| blow-up or a
+    bounded point, as the ring means of its core tell.
 
-    ``exponent`` is -1 (a 1/r blow-up) or 0 (bounded) and sets the ring
-    estimate of the excluded core.  ``core_fraction`` sets the excluded-core
-    radius as a fraction of the polar patch radius; raise it for integrands
-    whose evaluation degrades near the singular point (the excluded mass is
-    recovered from a ring estimate either way).
+    ``core_fraction``, in (0, 1), sets the excluded-core radius as a
+    fraction of the polar patch radius; raise it for integrands whose
+    evaluation degrades near the point (the excluded mass is recovered from
+    a ring estimate either way).
     """
 
     location: complex
-    exponent: float = -1.0
     core_fraction: float = _CORE_FRACTION
 
     def __post_init__(self):
-        if self.exponent not in (-1.0, 0.0):
-            raise ValueError("only exponents -1 (1/r) and 0 (bounded) are supported")
+        if not 0.0 < self.core_fraction < 1.0:
+            raise ValueError(f"core_fraction {self.core_fraction!r} is not in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -231,42 +229,38 @@ def _smooth_cut(r, r_in, r_out):
     return 1.0 - s
 
 
-def _ring_core(g, center, eps, exponent):
+def _ring_core(g, center, eps):
     """Mass of g(z, rho) inside the core rho = |z - center| < eps, and the
     ring means gamma(eps), gamma(2 eps) of rho*g.
 
     For g ~ c*rho**exponent, gamma(rho) grows like rho**(1 + exponent), so
     the core mass is 2 pi eps gamma(eps)/(2 + exponent), and its error is
     how far gamma(2 eps) is from 2**(1 + exponent) gamma(eps), scaled
-    alike.  An ``exponent`` of None takes -1 or 0, whichever the ratio
-    gamma(2 eps)/gamma(eps) is nearer (1 or 2; the split is at 1.4).
+    alike.  The exponent is -1 (a 1/r blow-up) or 0 (bounded), whichever
+    the ratio gamma(2 eps)/gamma(eps) is nearer (1 or 2; the split is at 1.4).
     """
     gamma1 = eps * float(np.asarray(g(center + eps * _RING, eps), dtype=np.float64).mean())
     gamma2 = 2.0 * eps * float(np.asarray(g(center + 2.0 * eps * _RING, 2.0 * eps), dtype=np.float64).mean())
-    if exponent is None:
-        exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
+    exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
     scale = 2.0 * math.pi * eps / (2.0 + exponent)
     growth = 2.0 ** (1.0 + exponent)
     core = QuadratureResult(scale * gamma1, scale * abs(gamma1 - gamma2 / growth), 2 * _RING.size, True)
     return core, gamma1, gamma2
 
 
-def _polar(g, center, radius, eps, exponent, spec, seed_grid=4):
+def _polar(g, center, radius, eps, spec):
     """The polar drive: integral of g(z, rho) over rho = |z - center| < radius.
 
-    The driver integrates over eps < rho < radius in polar coordinates,
-    from a ``seed_grid`` x ``seed_grid`` seed grid; for eps > 0 the core
-    comes from the ring estimate for ``exponent``.  Returns the result and
-    the ring means (None without a core).
+    The driver integrates over eps < rho < radius in polar coordinates from
+    a 2 x 2 seed grid, and the core rho < eps comes from the ring estimate.
+    Returns the result and the ring means.
     """
 
     def h(rho, theta):
         return g(center + rho * np.exp(1j * theta), rho) * rho
 
-    res = _adaptive_2d(h, (eps, radius, 0.0, 2.0 * math.pi), spec, seed_grid)
-    if eps == 0.0:
-        return res, None
-    core, *gammas = _ring_core(g, center, eps, exponent)
+    res = _adaptive_2d(h, (eps, radius, 0.0, 2.0 * math.pi), spec, 2)
+    core, *gammas = _ring_core(g, center, eps)
     return res + core, gammas
 
 
@@ -314,7 +308,7 @@ def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureRes
         def bumped(z, rho):
             return np.asarray(f(z), dtype=np.float64) * _smooth_cut(rho, 0.5 * r, r)
 
-        return _polar(bumped, point.location, r, point.core_fraction * r, point.exponent, spec, 2)[0]
+        return _polar(bumped, point.location, r, point.core_fraction * r, spec)[0]
 
     outer = dataclasses.replace(drive(far), n_evals=received)
     return sum((patch(p, r) for p, r in zip(points, radii)), outer)
@@ -349,18 +343,15 @@ def integrate_rect(f, rect, spec: QuadratureSpec | None = None) -> QuadratureRes
 def integrate_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integrate ``f(z) dA`` over the unit disk.
 
-    A singular point at the origin sets the core of the disk's own polar
-    grid; every other one gets a polar patch.
+    Each singular point in ``spec``, the origin included, gets a polar
+    patch; the bump-weighted remainder goes to the disk's polar grid.
     """
     spec = spec or QuadratureSpec()
-    central = [p for p in spec.singular_points if abs(p.location) < 1e-12]
-    eps, exponent = (central[0].core_fraction, central[0].exponent) if central else (0.0, None)
 
     def disk(far):
-        return _polar(lambda z, rho: far(z), 0j, 1.0, eps, exponent, spec)[0]
+        return _adaptive_2d(lambda rho, theta: far(rho * np.exp(1j * theta)) * rho, (0.0, 1.0, 0.0, 2.0 * math.pi), spec)
 
-    points = [p for p in spec.singular_points if p not in central]
-    total = _patched(f, points, 0.25, lambda loc: 0.8 * (1.0 - abs(loc)), "disk", spec, disk)
+    total = _patched(f, spec.singular_points, 0.25, lambda loc: 0.8 * (1.0 - abs(loc)), "disk", spec, disk)
     return _check(total, "integrate_disk")
 
 
@@ -393,7 +384,7 @@ def integrate_exterior_disk(f, spec: QuadratureSpec | None = None) -> Quadrature
         return np.asarray(f(1.0 / u), dtype=np.float64) / rho**4
 
     u_out = 1.0 / r0
-    cap, (gamma1, gamma2) = _polar(tail, 0j, u_out, _CORE_FRACTION * u_out, None, spec, 2)
+    cap, (gamma1, gamma2) = _polar(tail, 0j, u_out, _CORE_FRACTION * u_out, spec)
     # |u| tail(u) growing toward u = 0 signals decay slower than |z|^-3
     if abs(gamma1) > spec.abs_tol and abs(gamma1) > 1.4 * abs(gamma2):
         warnings.warn(

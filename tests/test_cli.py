@@ -153,6 +153,17 @@ class TestExitCodes:
         assert self.code_of(["area", "--map", "joukowski", "--zeta", "2.0", flag, value]) == EXIT_USAGE
         assert self.code_of(["gronwall", "--map", "joukowski", flag, value]) == EXIT_USAGE
 
+    def test_class_s_gronwall_is_64_without_integrating(self, monkeypatch, capsys):
+        # koebe ran 12.6 s of cubature, warned about slow decay and exited 2
+        from goluzin_lab import inequalities
+
+        def integrated(*args, **kwargs):
+            raise AssertionError("the area integral ran for a class S map")
+
+        monkeypatch.setattr(inequalities, "integrate_exterior_disk", integrated)
+        assert main(["gronwall", "--map", "koebe"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_zero_abs_tol_is_accepted(self, capsys):
         assert main(["gronwall", "--map", "joukowski", "--abs-tol", "0"]) == EXIT_OK
 
@@ -160,6 +171,43 @@ class TestExitCodes:
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a usage error: exit 64 with a
+    message and no traceback (it exited 1, the violated code, with an
+    uncaught FileNotFoundError)."""
+
+    COMMANDS = {
+        "params": ["params", "--x0", "0.5"],
+        "pointwise": ["pointwise", "--map", "joukowski", "--z", "2.0"],
+        "sweep": ["sweep", "--maps", "joukowski"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_missing_directory_is_64_before_any_check(self, command, tmp_path, monkeypatch, capsys):
+        # sweep --area computed every check before failing
+        import goluzin_lab.cli as cli_mod
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a check ran before the report path was refused")
+
+        for name in ("params_from_x0", "goluzin_bound", "_sweep_task"):
+            monkeypatch.setattr(cli_mod, name, ran)
+        target = tmp_path / "missing" / "report"
+        argv = self.COMMANDS[command] + ["--area"] * (command == "sweep") + ["--out", str(target)]
+        assert TestExitCodes.code_of(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unopenable_report_is_64_in_one_line(self, command, tmp_path, capsys):
+        # the path is a directory: only opening it tells
+        assert main(self.COMMANDS[command] + ["--out", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestNonConvergenceExit:

@@ -1,8 +1,14 @@
+import dataclasses
 import importlib
+import pathlib
+import re
 
 import pytest
 
 import goluzin_lab
+from goluzin_lab.quadrature import QuadratureSpec, SingularPoint
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 MODULES = ["catalog", "elliptic", "inequalities", "maps", "quadrature", "theta", "torus"]
 
@@ -22,3 +28,13 @@ def test_star_import():
 def test_module_exports_resolve(name):
     module = importlib.import_module(f"goluzin_lab.{name}")
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+def test_readme_names_every_settable_value():
+    # the settable-value count of ROADMAP aim 2, as README states it
+    text = " ".join(README.read_text().split())
+    found = re.search(r"The settable values are `QuadratureSpec\(([^)]*)\)` and `SingularPoint\(([^)]*)\)`", text)
+    assert found is not None
+    named = [[name.strip() for name in group.split(",")] for group in found.groups()]
+    assert named == [[f.name for f in dataclasses.fields(cls)] for cls in (QuadratureSpec, SingularPoint)]
+    assert sum(map(len, named)) == 5

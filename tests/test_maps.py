@@ -64,6 +64,18 @@ class TestSigmaTau:
         p = bridge.params
         assert sigma(bridge, -p.L + 1j * p.L_prime) == complex(math.inf, 0.0)
 
+    def test_sigma_pole_in_an_array_is_infinite_only_there(self, bridge):
+        # one pole used to turn the whole array into one scalar inf
+        p = bridge.params
+        pole = -p.L + 1j * p.L_prime
+        for z in (np.array([0.1, pole, 0.3]), np.array([[0.1, pole], [0.3, pole + 2.0 * p.L]])):
+            got = sigma(bridge, z)
+            poles = np.isin(z, [pole, pole + 2.0 * p.L])
+            assert got.shape == z.shape
+            assert np.all(got[poles] == complex(math.inf, 0.0))
+            # the regular nodes keep the bits of a call without the poles
+            assert np.array_equal(got[~poles].view(np.uint64), sigma(bridge, z[~poles]).view(np.uint64))
+
     def test_round_trip_sigma_tau(self, bridge, rng):
         ws = rng.uniform(-2.5, 2.5, 25) + 1j * rng.uniform(0.05, 2.5, 25)
         ws = np.concatenate([ws, np.conj(ws)])
