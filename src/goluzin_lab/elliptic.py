@@ -94,7 +94,7 @@ def params_from_x0(x0: float) -> EllipticParams:
     kappa = 2.0 * x0 / (1.0 + x0sq)
     kappa_prime = (1.0 - x0sq) / (1.0 + x0sq)
     l = x0sq
-    l_prime = math.sqrt((1.0 - l) * (1.0 + l))
+    l_prime = math.sqrt((1.0 - x0) * (1.0 + x0) * (1.0 + x0sq))  # 1 - l^2 without rounding l
     big_m = 1.0 / (1.0 + kappa_prime)
     big_k, big_e, e_gap = agm_complete(kappa, kappa_prime)
     big_kp, big_ep, _ = agm_complete(kappa_prime, kappa)

@@ -8,16 +8,16 @@ refines the worst cell until the summed estimate drops under the budget
 order, so identical inputs give identical results.
 
 One polar drive serves every patch and the tail: the driver in polar
-coordinates on eps < |z - c| < radius, where the area element cancels a
-``1/|z - c|`` blow-up exactly, plus a ring estimate of the core
-|z - c| < eps.  Integrable point singularities are handled by partition
-of unity: a radial bump confines the singular behaviour to a polar patch
-around each tagged point, and the region's own grid takes f times one
-minus every bump.  The exterior disk is the annulus 1 < |z| < r0 on a
-log-polar grid plus the tail |z| > r0, which u = 1/z maps onto the disk
-|u| < 1/r0: there the integrand f(1/u)/|u|^4 of an f decaying like
-|z|**-3 has a 1/|u| blow-up at u = 0, and one decaying like |z|**-4 is
-bounded there.
+coordinates on eps = 1e-5 radius < |z - c| < radius, where the area
+element cancels a ``1/|z - c|`` blow-up exactly, plus a ring estimate of
+the core |z - c| < eps.  Integrable point singularities, given as
+complex locations, are handled by partition of unity: a radial bump
+confines the singular behaviour to a polar patch around each tagged
+point, and the region's own grid takes f times one minus every bump.
+The exterior disk is the annulus 1 < |z| < r0 on a log-polar grid plus
+the tail |z| > r0, which u = 1/z maps onto the disk |u| < 1/r0: there
+the integrand f(1/u)/|u|^4 of an f decaying like |z|**-3 has a 1/|u|
+blow-up at u = 0, and one decaying like |z|**-4 is bounded there.
 
 The ring estimate takes the core's integrand to grow like
 |z - c|**exponent, with exponent -1 (a 1/r blow-up) or 0 (bounded),
@@ -60,7 +60,6 @@ import numpy as np
 from .errors import QuadratureError
 
 __all__ = [
-    "SingularPoint",
     "QuadratureSpec",
     "QuadratureResult",
     "integrate_rect",
@@ -76,31 +75,15 @@ _RING = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
 @dataclass(frozen=True)
-class SingularPoint:
-    """A tagged integrable point of f: a 1/|z - location| blow-up or a
-    bounded point, as the ring means of its core tell.
-
-    ``core_fraction``, in (0, 1), sets the excluded-core radius as a
-    fraction of the polar patch radius; raise it for integrands whose
-    evaluation degrades near the point (the excluded mass is recovered from
-    a ring estimate either way).
-    """
-
-    location: complex
-    core_fraction: float = _CORE_FRACTION
-
-    def __post_init__(self):
-        if not 0.0 < self.core_fraction < 1.0:
-            raise ValueError(f"core_fraction {self.core_fraction!r} is not in (0, 1)")
-
-
-@dataclass(frozen=True)
 class QuadratureSpec:
+    """Error budget ``max(abs_tol, rel_tol * |value|)``, and the complex
+    locations of integrable point singularities, each given a polar patch."""
+
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
-    singular_points: tuple[SingularPoint, ...] = field(default_factory=tuple)
+    singular_points: tuple[complex, ...] = field(default_factory=tuple)
 
-    def with_points(self, *points: SingularPoint) -> "QuadratureSpec":
+    def with_points(self, *points: complex) -> "QuadratureSpec":
         return dataclasses.replace(self, singular_points=tuple(points))
 
 
@@ -265,7 +248,7 @@ def _polar(g, center, radius, eps, spec):
 
 
 def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureResult:
-    """``drive(far)`` plus one polar patch per singular point in ``points``.
+    """``drive(far)`` plus one polar patch per complex location in ``points``.
 
     Each patch integrates f times a radial bump around its point, out to
     the smallest of ``radius``, ``clearance(location)`` and 0.4 of the
@@ -273,13 +256,12 @@ def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureRes
     The sum runs (drive + patch_1) + patch_2 + ...; the drive's count is
     the number of points ``far`` passed on to f.
     """
-    locs = [p.location for p in points]
     radii = []
-    for i, loc in enumerate(locs):
+    for i, loc in enumerate(points):
         room = clearance(loc)
         if not room > 0.0:
             raise ValueError(f"singular point {loc} is not inside the {region}")
-        r = min([radius, room] + [0.4 * abs(loc - q) for j, q in enumerate(locs) if j != i])
+        r = min([radius, room] + [0.4 * abs(loc - q) for j, q in enumerate(points) if j != i])
         if not r > 0.0:
             raise ValueError(f"singular point {loc} leaves no room for a polar patch")
         radii.append(r)
@@ -289,7 +271,7 @@ def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureRes
     def far(z):
         nonlocal received
         w = np.ones(z.shape, dtype=np.float64)
-        for p, r in zip(locs, radii):
+        for p, r in zip(points, radii):
             d = np.abs(z - p)
             bumped = d < r  # one minus the bump is exactly 1 from d = r out
             if bumped.any():
@@ -304,11 +286,11 @@ def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureRes
             out[live] = np.asarray(f(z[live]), dtype=np.float64) * w[live]
         return out
 
-    def patch(point, r):
+    def patch(loc, r):
         def bumped(z, rho):
             return np.asarray(f(z), dtype=np.float64) * _smooth_cut(rho, 0.5 * r, r)
 
-        return _polar(bumped, point.location, r, point.core_fraction * r, spec)[0]
+        return _polar(bumped, loc, r, _CORE_FRACTION * r, spec)[0]
 
     outer = dataclasses.replace(drive(far), n_evals=received)
     return sum((patch(p, r) for p, r in zip(points, radii)), outer)
@@ -365,7 +347,7 @@ def integrate_exterior_disk(f, spec: QuadratureSpec | None = None) -> Quadrature
     ring means).  Warns when those say f decays more slowly than |z|**-3.
     """
     spec = spec or QuadratureSpec()
-    r0 = max(4.0, 2.2 * max((abs(p.location) for p in spec.singular_points), default=1.0))
+    r0 = max(4.0, 2.2 * max((abs(p) for p in spec.singular_points), default=1.0))
 
     def clearance(loc):
         return 0.8 * min(abs(loc) - 1.0, r0 - abs(loc))

@@ -164,6 +164,14 @@ class TestExitCodes:
         assert main(["gronwall", "--map", "koebe"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("name, z", [("identity", "1e103"), ("joukowski", "1e154"), ("b1:0.7", "1e308")])
+    def test_pointwise_beyond_the_float_range_of_z_cubed_is_64(self, name, z, capsys):
+        # identity at 1e103 read violated (ratio 119.28) and exited 1;
+        # joukowski at 1e154 exited 1 with a ZeroDivisionError traceback
+        assert self.code_of(["pointwise", "--map", name, "--z", z]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_zero_abs_tol_is_accepted(self, capsys):
         assert main(["gronwall", "--map", "joukowski", "--abs-tol", "0"]) == EXIT_OK
 

@@ -105,6 +105,13 @@ class TestParamsFromX0:
         assert abs(r1) < 1e-12 * p.K and abs(r2) < 1e-12 * p.K_prime
         assert abs(p.legendre_residual()) < 1e-12
 
+    @pytest.mark.parametrize("x0", [0.99999, 1.0 - 1e-9, 1.0 - 7.2e-9])
+    def test_L_next_to_one_against_mpmath(self, x0):
+        # l' from the rounded l = x0^2 put L 2.3e-11 off at 1 - 1e-9
+        with mpmath.workdps(50):
+            exact = float(mpmath.ellipk(mpmath.mpf(x0) ** 4))
+        assert abs(params_from_x0(x0).L - exact) <= 1e-15 * exact
+
     def test_nome_in_unit_interval(self):
         for x0 in (0.05, 0.5, 0.95):
             assert 0.0 < params_from_x0(x0).nome_h < 1.0

@@ -6,7 +6,7 @@ import re
 import pytest
 
 import goluzin_lab
-from goluzin_lab.quadrature import QuadratureSpec, SingularPoint
+from goluzin_lab.quadrature import QuadratureSpec
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,8 +33,8 @@ def test_module_exports_resolve(name):
 def test_readme_names_every_settable_value():
     # the settable-value count of ROADMAP aim 2, as README states it
     text = " ".join(README.read_text().split())
-    found = re.search(r"The settable values are `QuadratureSpec\(([^)]*)\)` and `SingularPoint\(([^)]*)\)`", text)
+    found = re.search(r"The settable values are `QuadratureSpec\(([^)]*)\)`", text)
     assert found is not None
-    named = [[name.strip() for name in group.split(",")] for group in found.groups()]
-    assert named == [[f.name for f in dataclasses.fields(cls)] for cls in (QuadratureSpec, SingularPoint)]
-    assert sum(map(len, named)) == 5
+    named = [name.strip() for name in found.group(1).split(",")]
+    assert named == [f.name for f in dataclasses.fields(QuadratureSpec)]
+    assert len(named) == 3

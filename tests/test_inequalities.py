@@ -87,6 +87,40 @@ class TestGoluzin:
             goluzin_bound(resolve_map("joukowski"), 0.8)
 
 
+class TestPointwiseFarOut:
+    """Beyond |z| = 2**340 the pointwise closed forms leave the float range:
+    (|zeta|^2 - 1) zeta in ``at_diagonal`` overflows from |zeta| ~ 4.5e102,
+    and Goluzin's rhs, about 2/|z|^3, is subnormal there and 0 from about
+    1e120.  Both checks raise ``DomainError`` there instead of a verdict."""
+
+    FAR = [1e103, 4.4e102 * cmath.exp(1j), 1e120, 1e154 * cmath.exp(2j), 1e200j, 1e300 * cmath.exp(1j), 1e308]
+
+    @pytest.mark.parametrize("z", FAR)
+    @pytest.mark.parametrize("name", ["identity", "joukowski", "joukowski-pi2", "b1:0.7"])
+    def test_raises_domain_error(self, name, z):
+        m = resolve_map(name)
+        with pytest.raises(DomainError):
+            goluzin_bound(m, z)
+        with pytest.raises(DomainError):
+            pointwise_from_area(PsiEvaluator(m, z))
+
+    @pytest.mark.parametrize("arg", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("name", ["identity", "joukowski", "joukowski-pi2", "b1:0.7"])
+    def test_last_verdicts_inside_the_bound(self, name, arg):
+        # the deficits are far below the pointwise floor 1e-9 here, and
+        # identity's Goluzin lhs cancels to rounding
+        z = math.nextafter(2.0**340, 0.0) * cmath.exp(1j * arg)
+        m = resolve_map(name)
+        g = goluzin_bound(m, z)
+        p = pointwise_from_area(PsiEvaluator(m, z))
+        assert p.status == "equality" and abs(p.ratio - 1.0) <= 1e-12
+        if name == "identity":
+            assert g.status == "holds" and g.ratio < 1e-12
+        else:
+            assert g.status == ("equality" if m.full_mapping else "holds")
+            assert abs(g.ratio - abs(complex(m.coefficients[1]))) <= 1e-12
+
+
 class TestKoebeBieberbach:
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.6, 0.9])
     def test_koebe_equality(self, t):
@@ -326,6 +360,26 @@ class TestTorusCrossCheck:
         rs = verify_area_sigma(resolve_map("identity"), 1.25, AREA_TEST_SPEC)
         assert abs(rt.ratio - rs.ratio) < 5e-3
 
+    @pytest.mark.parametrize("zeta", [1.001, 1.001j, 1.0001, 1.01, 10.0, 30.0 * cmath.exp(0.7j), 1e6])
+    @pytest.mark.parametrize("name", ["joukowski", "joukowski-pi3"])
+    def test_full_mapping_within_three_error_bars_of_one(self, name, zeta):
+        # with a patch at 0, 1.001 raised QuadratureError after 40,973,924
+        # evaluations and 1.01 read 1.0316 +- 0.032; without the rounding
+        # term, joukowski at 10 read 1 - 6.7e-12 against an error of 7.2e-13
+        r = torus_area_crosscheck(resolve_map(name), zeta)
+        assert abs(r.ratio - 1.0) <= 3.0 * r.error_estimate / r.rhs
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the band's edge |sigma| = 1 is the unit circle, and next to it the integrand has "
+        "near-singularities just outside the band (the zero of Q at b1/zeta, 1 - 1/|zeta| "
+        "inside the circle): at rel_tol 1e-3 two seed cells at the edge miss a spike there "
+        "and report an error 1e3 times too small (ROADMAP item 4)"
+    ))
+    @pytest.mark.parametrize("zeta", [1.13 * cmath.exp(2j), 1.025 * cmath.exp(2.6j)])
+    def test_full_mapping_with_a_spike_at_the_band_edge(self, zeta):
+        r = torus_area_crosscheck(resolve_map("joukowski"), zeta)
+        assert abs(r.ratio - 1.0) <= 3.0 * r.error_estimate / r.rhs
+
 
 class TestVerdictBits:
     """Ratio and error estimate as float hex, and n_evals, of five area checks
@@ -337,7 +391,7 @@ class TestVerdictBits:
         ("sigma", "b1:0.7", 3j, "0x1.dbd14405febdfp-1", "0x1.1dc9048b4550bp-13", 15490),
         ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c20ccce2bp-1", "0x1.e275f91f79d51p-14", 15952),
         ("disk", "joukowski", 2.0, "0x1.ffff98ad751ddp-1", "0x1.8cd7c7c7c34fbp-11", 12340),
-        ("torus", "joukowski", 2.0, "0x1.ffff8c7f040b7p-1", "0x1.1a9809884002fp-9", 6356),
+        ("torus", "joukowski", 2.0, "0x1.0000000004d1bp+0", "0x1.bf193857d39d5p-32", 5120),
     ]
 
     @pytest.mark.parametrize("form,name,zeta,ratio,error,n_evals", PINS)
@@ -354,23 +408,22 @@ class TestVerdictBits:
 
 
 class TestTorusRatiosHeld:
-    """The nine bridge torus checks against their ratios (float hex) when sn,
-    cn and dn came from a theta series at two arguments with quasi-period
-    multipliers and the patch at 0 seeded 4 x 4 with a core declared 1/r,
-    and against their n_evals.  Rebuilding that arithmetic, seeding the
-    patch 2 x 2 and reading the core's exponent from its ring means move
-    the ratio by far less than the check's error bar."""
+    """The nine bridge torus checks against their ratios (float hex) and
+    n_evals, with the band tagging no point at 0.  A change that only
+    rebuilds the same arithmetic moves each ratio by far less than the
+    check's error bar, 6e-11 to 4.5e-9 of rhs (the report's rounding term
+    1e-10 |value| included)."""
 
     REFERENCE = [
-        ("joukowski", 1.25, "0x1.000141b7df687p+0", 6400),
-        ("joukowski", 2.0, "0x1.ffff8e4113b24p-1", 6356),
-        ("joukowski", 3j, "0x1.0000259b4bf01p+0", 6340),
-        ("identity", 1.25, "0x1.1f7098b128f00p-1", 6400),
-        ("identity", 2.0, "0x1.8a1677d901cfcp-1", 6356),
-        ("identity", 3j, "0x1.be7c15ba3238fp-1", 6340),
-        ("b1:0.7", 1.25, "0x1.65e1f56245160p-1", 6400),
-        ("b1:0.7", 2.0, "0x1.bd7c54b9101bep-1", 6356),
-        ("b1:0.7", 3j, "0x1.dbd1a2d6e3641p-1", 6340),
+        ("joukowski", 1.25, "0x1.000000000afaap+0", 5120),
+        ("joukowski", 2.0, "0x1.0000000004d1bp+0", 5120),
+        ("joukowski", 3j, "0x1.0000000003ca6p+0", 5120),
+        ("identity", 1.25, "0x1.1f6fb4c257d56p-1", 5120),
+        ("identity", 2.0, "0x1.8a16ccb11588bp-1", 5120),
+        ("identity", 3j, "0x1.be7bc0a32aa62p-1", 5120),
+        ("b1:0.7", 1.25, "0x1.65e0728c312d3p-1", 5120),
+        ("b1:0.7", 2.0, "0x1.bd7cbce8d4f64p-1", 5120),
+        ("b1:0.7", 3j, "0x1.dbd154d03a042p-1", 5120),
     ]
 
     @pytest.mark.parametrize("name,zeta,ratio,n_evals", REFERENCE)
@@ -414,18 +467,17 @@ def _seed_call(domain, to_plane, k=0, seed_grid=4):
 _UNIT_DISK = (0.0, 1.0, 0.0, 2.0 * math.pi)
 
 
-def _patch_seed_call(center, radius, core_fraction, to_plane=lambda z: z):
+def _patch_seed_call(center, radius, to_plane=lambda z: z):
     """The nodes of the one seed call of the polar patch of ``radius``
     around ``center``: its 2 x 2 seeds and their children."""
     at = _polar(center)
-    domain = (core_fraction * radius, radius, 0.0, 2.0 * math.pi)
+    domain = (1e-5 * radius, radius, 0.0, 2.0 * math.pi)
     return _seed_call(domain, lambda rho, theta: to_plane(at(rho, theta)), seed_grid=2)
 
 
 def _torus_rect(p):
-    """The torus band -L..3L x +-L'/2 and its patch radius at 0."""
-    rect = (-p.L, 3.0 * p.L, -0.5 * p.L_prime, 0.5 * p.L_prime)
-    return rect, min(0.25 * min(4.0 * p.L, p.L_prime), 0.8 * min(p.L, 0.5 * p.L_prime))
+    """The torus band -L..3L x +-L'/2."""
+    return (-p.L, 3.0 * p.L, -0.5 * p.L_prime, 0.5 * p.L_prime)
 
 
 def _polar(center):
@@ -481,7 +533,7 @@ def _psi_driver_calls(zeta):
     seed = (0.0, 0.25 * math.log(r0), th0, th0 + 0.5 * math.pi)
     calls = [_seed_call((0.0, math.log(r0), 0.0, 2.0 * math.pi), annulus), _driver_block(seed, annulus)]
     radius = min(1.0, 0.8 * min(abs(zeta) - 1.0, r0 - abs(zeta)))
-    calls.append(_patch_seed_call(complex(zeta), radius, 1e-5, lambda z: 1.0 / z))
+    calls.append(_patch_seed_call(complex(zeta), radius, lambda z: 1.0 / z))
     calls.append(1.0 / _sigma_patch_refinement(complex(zeta)))
     return calls
 
@@ -523,7 +575,7 @@ class TestMarchedSqrtBlock:
             _driver_block((0.25, 0.5, 0.5 * math.pi, math.pi), _polar(0j)),
             _driver_block((0.25, 0.5, math.pi, 1.5 * math.pi), _polar(0j)),
             _driver_block((0.0, 2.0 * clear, 0.0, 0.5 * math.pi), _polar(complex(-x0))),
-            _patch_seed_call(complex(-x0), min(0.25, 0.8 * (1.0 - x0), 0.8 * x0), 1e-5),
+            _patch_seed_call(complex(-x0), min(0.25, 0.8 * (1.0 - x0), 0.8 * x0)),
         )
         for w in calls:
             self.check(fieldd._root, fieldd._coord(w))
@@ -893,7 +945,7 @@ class TestClosedFormTorusSqrt:
         plain, _ = _torus_parts("identity", 2.0, monkeypatch, coefficients=None)
         p = BridgeMaps.from_zeta(2.0).params
         # one integrand call of the cubature: the seed band across the real axis
-        z = _seed_call(_torus_rect(p)[0], lambda x, y: x + 1j * y, 1)
+        z = _seed_call(_torus_rect(p), lambda x, y: x + 1j * y, 1)
         (g,), blocks = _roots_used(lambda: f(z), monkeypatch)
         assert blocks == 1
         (g_plain,), _ = _roots_used(lambda: plain(z), monkeypatch)
@@ -950,16 +1002,37 @@ def _disk_driver_calls(x0):
         calls.append(_driver_block(cell, _polar(0j)))
     r = min(0.25, 0.8 * (1.0 - x0), 0.8 * x0)
     for center in (x0, -x0):
-        calls.append(_patch_seed_call(complex(center), r, 1e-5))
+        calls.append(_patch_seed_call(complex(center), r))
     return calls
 
 
 def _torus_driver_calls(zeta):
-    """z at the nodes of the four seed calls of the torus band -L..3L x +-L'/2
-    and of the seed call of its patch at 0."""
-    rect, r = _torus_rect(BridgeMaps.from_zeta(zeta).params)
-    xy = lambda x, y: x + 1j * y
-    return [_seed_call(rect, xy, k) for k in range(4)] + [_patch_seed_call(0j, r, 5e-4)]
+    """z at the nodes of the four seed calls of the torus band -L..3L x +-L'/2,
+    which tags no point."""
+    rect = _torus_rect(BridgeMaps.from_zeta(zeta).params)
+    return [_seed_call(rect, lambda x, y: x + 1j * y, k) for k in range(4)]
+
+
+@pytest.mark.parametrize("zeta", [1.0 + 1e-6, 1.25, 3j, 1e3])
+def test_torus_driver_calls_are_the_drivers(zeta, monkeypatch):
+    # the band's four seed calls open a real run, recorded by wrapping its
+    # integrand and stopped there; no patch seed call follows any more
+    built, recorded = _torus_driver_calls(zeta), []
+    integrate = inequalities.integrate_rect
+
+    def recording(f, rect, spec):
+        def g(z):
+            recorded.append(z)
+            if len(recorded) == len(built):
+                raise _Recorded
+            return f(z)
+
+        return integrate(g, rect, spec)
+
+    monkeypatch.setattr(inequalities, "integrate_rect", recording)
+    with pytest.raises(_Recorded):
+        torus_area_crosscheck(resolve_map("joukowski"), zeta)
+    assert all(_same_bits(a, b) for a, b in zip(built, recorded, strict=True))
 
 
 class TestClosedNodeSector:
@@ -1076,7 +1149,7 @@ class TestOneEvaluationPerCall:
         for module in (theta, torus, maps, inequalities):
             monkeypatch.setattr(module, "jacobi_sn_cn_dn", counted)
         xy = lambda x, y: x + 1j * y
-        for z in (_seed_call(_torus_rect(p)[0], xy, 1), _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), xy)):
+        for z in (_seed_call(_torus_rect(p), xy, 1), _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), xy)):
             tags.clear()
             (_,), blocks = _roots_used(lambda: f(z), monkeypatch)
             assert blocks == 0

@@ -11,7 +11,6 @@ from goluzin_lab.quadrature import (
     _MAX_REFINEMENTS,
     QuadratureResult,
     QuadratureSpec,
-    SingularPoint,
     _adaptive_2d,
     _cells_integral,
     _split,
@@ -191,21 +190,21 @@ class TestMergedRefinementCall:
 
     def test_rect_with_interior_points(self, monkeypatch):
         p, q = 0.2 + 0.1j, -0.5 - 0.3j
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(p), SingularPoint(q)))
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p, q))
         f = lambda z: np.cos(z.real) / np.abs(z - p) + 1.0 / np.abs(z - q)
         new, old = self.both(lambda: integrate_rect(f, (-1, 1, -1, 1), spec), monkeypatch)
         assert self.same(new, old)
 
     def test_disk_with_interior_points(self, monkeypatch):
         p, q = 0.4 + 0.0j, -0.3 + 0.5j
-        spec = QuadratureSpec(rel_tol=1e-8, singular_points=(SingularPoint(0j), SingularPoint(p), SingularPoint(q)))
+        spec = QuadratureSpec(rel_tol=1e-8, singular_points=(0j, p, q))
         f = lambda z: 1.0 / np.abs(z) + 1.0 / np.abs(z - p) + np.abs(z) ** 2 / np.abs(z - q)
         new, old = self.both(lambda: integrate_disk(f, spec), monkeypatch)
         assert self.same(new, old)
 
     def test_exterior_disk_with_point_near_unit_circle(self, monkeypatch):
         p = 1.02 * np.exp(0.4j)
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(p),))
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
         f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
         new, old = self.both(lambda: integrate_exterior_disk(f, spec), monkeypatch)
         assert self.same(new, old)
@@ -251,7 +250,7 @@ class TestFarWeight:
         p2 = p1 + 0.3125
         r = min(0.125, 0.4 * abs(p2 - p1))
         assert r == 0.125
-        far = self.far_of((SingularPoint(p1), SingularPoint(p2)), 0.125)
+        far = self.far_of((p1, p2), 0.125)
         xs, ys = np.meshgrid(np.linspace(0.0, 0.8, 40), np.linspace(0.25, 0.75, 32))
         grid = (xs + 1j * ys).reshape(4, 8, 40)
         ring = np.array([p + d * e for p in (p1, p2) for d in (r, 0.5 * r) for e in (1, -1, 1j, -1j)])
@@ -266,7 +265,7 @@ class TestFarWeight:
 
     def test_all_live_and_all_dead_calls(self):
         p = 0.25 + 0.5j
-        far = self.far_of((SingularPoint(p),), 0.125)
+        far = self.far_of((p,), 0.125)
         z = p + np.linspace(0.13, 0.5, 64).reshape(1, 8, 8) * np.exp(1j * np.linspace(0.0, 6.0, 8))
         assert self.same_bits(far(z), self.f(z))
         dead = p + np.linspace(0.0, 0.0625, 64).reshape(1, 8, 8) * np.exp(1j * np.linspace(0.0, 6.0, 8))
@@ -315,7 +314,7 @@ class TestEvaluationCount:
         # nodes and ring points, and no node it never saw
         p, q = 0.4 + 0.1j, -0.3 + 0.5j
         points = {"rect": (p, q), "disk": (0j, p, q), "exterior": (3 * p, 3 * q)}[region]
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=tuple(SingularPoint(c) for c in points))
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=tuple(points))
         f, seen = self.counting(lambda z: sum(1.0 / np.abs(z - c) for c in points))
         integrate = {
             "rect": lambda: integrate_rect(f, (-1, 1, -1, 1), spec),
@@ -357,7 +356,7 @@ class TestSeedGrid:
         assert set(shapes[n_seed_calls:]) <= {(16, 8, 8)}
 
     def test_exterior_disk(self, monkeypatch):
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(2.0 + 0.5j),))
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(2.0 + 0.5j,))
         f = lambda z: np.abs(z) ** -3.0 / np.abs(z - (2.0 + 0.5j))
         annulus, patch, tail = self.drives(lambda: integrate_exterior_disk(f, spec), monkeypatch)
         self.opens_with(annulus, 4)
@@ -367,7 +366,7 @@ class TestSeedGrid:
 
     def test_disk(self, monkeypatch):
         p, q = 0.4 + 0.1j, -0.3 + 0.5j
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(0j), SingularPoint(p), SingularPoint(q)))
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(0j, p, q))
         f = lambda z: 1.0 / np.abs(z) + 1.0 / np.abs(z - p) + 1.0 / np.abs(z - q)
         grid, *patches = self.drives(lambda: integrate_disk(f, spec), monkeypatch)
         self.opens_with(grid, 4)
@@ -377,7 +376,7 @@ class TestSeedGrid:
 
     def test_rect(self, monkeypatch):
         p = 0.2 + 0.1j
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(SingularPoint(p),))
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
         grid, patch = self.drives(lambda: integrate_rect(lambda z: 1.0 / np.abs(z - p), (-1, 1, -1, 1), spec), monkeypatch)
         self.opens_with(grid, 4)
         self.opens_with(patch, 1)
@@ -404,7 +403,7 @@ class TestSeededErrorBars:
     def test_disk_patch(self, rel_tol):
         # the patch at p has radius 0.25; a = 0.075 < 0.125, where the far field's weight is 0
         p, a = 0.4 + 0.1j, 0.075
-        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(p),))
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(p,))
         res = integrate_disk(lambda z: _confined(np.abs(z - p), a) / np.abs(z - p), spec)
         self.covered(res, 16.0 * math.pi * a / 15.0)
 
@@ -412,7 +411,7 @@ class TestSeededErrorBars:
     def test_exterior_patch(self, rel_tol):
         # the patch at 2 has radius 0.8 = 0.8 * (|p| - 1)
         p, a = 2.0 + 0.0j, 0.24
-        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(p),))
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(p,))
         res = integrate_exterior_disk(lambda z: _confined(np.abs(z - p), a) / np.abs(z - p), spec)
         self.covered(res, 16.0 * math.pi * a / 15.0)
 
@@ -425,12 +424,12 @@ class TestSeededErrorBars:
 
     @pytest.mark.parametrize("rel_tol", TOLS)
     def test_exterior_quartic_with_a_tagged_point(self, rel_tol):
-        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(2.0 + 0.0j),))
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(2.0 + 0.0j,))
         self.covered(integrate_exterior_disk(lambda z: np.abs(z) ** -4.0, spec), math.pi)
 
     @pytest.mark.parametrize("rel_tol", TOLS)
     def test_disk_quadratic_with_tagged_points(self, rel_tol):
-        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(SingularPoint(0.4 + 0j), SingularPoint(-0.3 + 0.5j)))
+        spec = QuadratureSpec(rel_tol=rel_tol, singular_points=(0.4 + 0j, -0.3 + 0.5j))
         self.covered(integrate_disk(lambda z: np.abs(z) ** 2, spec), 0.5 * math.pi)
 
 
@@ -447,7 +446,7 @@ class TestRect:
     def test_inverse_distance_against_deep_reference(self, monkeypatch):
         # reference computed with a 100x tighter tolerance (same oracle family,
         # independent refinement depth); closed form is 8*log(1+sqrt(2))
-        sp = SingularPoint(0j)
+        sp = 0j
         spec = QuadratureSpec(rel_tol=1e-6, singular_points=(sp,))
         res = integrate_rect(lambda z: 1.0 / np.abs(z), (-1, 1, -1, 1), spec)
         monkeypatch.setattr(quadrature, "_MAX_DEPTH", 16)
@@ -460,7 +459,7 @@ class TestRect:
         assert res.value == pytest.approx(8.0 * math.log(1.0 + math.sqrt(2.0)), rel=1e-6)
 
     def test_error_estimate_covers_true_error(self):
-        sp = SingularPoint(0.2 + 0.1j)
+        sp = 0.2 + 0.1j
         exact = None
         for tol in (1e-5, 1e-7):
             spec = QuadratureSpec(rel_tol=tol, singular_points=(sp,))
@@ -472,7 +471,7 @@ class TestRect:
             exact = res.value
 
     def test_refinement_monotonicity(self):
-        sp = SingularPoint(0j)
+        sp = 0j
         errs = []
         for tol in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
             spec = QuadratureSpec(rel_tol=tol, singular_points=(sp,))
@@ -480,7 +479,7 @@ class TestRect:
         assert all(b <= a for a, b in zip(errs, errs[1:]))
 
     def test_determinism(self):
-        sp = SingularPoint(0.3 + 0.2j)
+        sp = 0.3 + 0.2j
         spec = QuadratureSpec(rel_tol=1e-6, singular_points=(sp,))
         f = lambda z: np.cos(z.real) ** 2 / np.abs(z - (0.3 + 0.2j))
         r1 = integrate_rect(f, (-1, 1, -1, 1), spec)
@@ -492,7 +491,7 @@ class TestRect:
             integrate_rect(
                 lambda z: np.ones_like(z.real),
                 (0, 1, 0, 1),
-                QuadratureSpec(singular_points=(SingularPoint(2 + 2j),)),
+                QuadratureSpec(singular_points=(2 + 2j,)),
             )
 
     def test_nonconvergence_carries_partial_result(self, monkeypatch):
@@ -507,16 +506,16 @@ class TestRect:
 
 class TestDisk:
     def test_central_inverse_distance(self):
-        spec = QuadratureSpec(rel_tol=1e-8, singular_points=(SingularPoint(0j),))
+        spec = QuadratureSpec(rel_tol=1e-8, singular_points=(0j,))
         res = integrate_disk(lambda z: 1.0 / np.abs(z), spec)
         assert res.value == pytest.approx(2.0 * math.pi, rel=1e-8)
 
     def test_offcenter_vs_deep_reference(self):
         p = 0.4 + 0.0j
-        spec = QuadratureSpec(rel_tol=1e-6, singular_points=(SingularPoint(p),))
+        spec = QuadratureSpec(rel_tol=1e-6, singular_points=(p,))
         f = lambda z: 1.0 / np.abs(z - p)
         res = integrate_disk(f, spec)
-        deep = integrate_disk(f, QuadratureSpec(rel_tol=1e-9, singular_points=(SingularPoint(p),)))
+        deep = integrate_disk(f, QuadratureSpec(rel_tol=1e-9, singular_points=(p,)))
         assert abs(res.value - deep.value) <= max(res.error, 1e-7)
 
     def test_smooth(self):
@@ -537,7 +536,7 @@ class TestDisk:
         # a bounded point at the center still has its core |z| < eps, of
         # mass pi eps^2 f(0) = 3.1e-10 f(0): the ring estimate recovers it
         # rather than doubling or dropping it
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, singular_points=(SingularPoint(0j),))
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, singular_points=(0j,))
         res = integrate_disk(f, spec)
         assert abs(res.value - exact) <= max(res.error, 1e-14)
         assert abs(res.value - exact) <= 1e-14
@@ -563,8 +562,8 @@ class TestExteriorDisk:
     def test_singular_point_with_deep_reference(self):
         p = 2.0 + 0.0j
         f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
-        r1 = integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-6, singular_points=(SingularPoint(p),)))
-        r2 = integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-8, singular_points=(SingularPoint(p),)))
+        r1 = integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-6, singular_points=(p,)))
+        r2 = integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-8, singular_points=(p,)))
         assert abs(r1.value - r2.value) <= max(2.0 * r1.error, 1e-6)
 
     def test_decay_warning(self):
@@ -583,20 +582,14 @@ class TestExteriorDisk:
         with pytest.raises(ValueError):
             integrate_exterior_disk(
                 lambda z: np.abs(z) ** -4.0,
-                QuadratureSpec(singular_points=(SingularPoint(0.5 + 0j),)),
+                QuadratureSpec(singular_points=(0.5 + 0j,)),
             )
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("core_fraction", [-1.0, 0.0, 1.0, 2.0, math.nan])
-    def test_core_fraction_out_of_range(self, core_fraction):
-        # SingularPoint(z, -1.0), the old positional exponent, among them
-        with pytest.raises(ValueError):
-            SingularPoint(0j, core_fraction)
-
     def test_with_points(self):
         spec = QuadratureSpec(rel_tol=1e-4)
-        sp = SingularPoint(1.5 + 0j)
+        sp = 1.5 + 0j
         spec2 = spec.with_points(sp)
         assert spec2.singular_points == (sp,)
         assert spec2.rel_tol == 1e-4

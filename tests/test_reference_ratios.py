@@ -10,7 +10,8 @@ whose exact ratio is 1.
 
 Every check must land within three of its own error bars, err/rhs, of the
 reference.  The sigma form at |zeta| = 20 misses by about ten: its
-annulus far field underestimates its error there.
+annulus far field underestimates its error there.  The torus form, whose
+error bar is about 1e-10 of rhs, matches every reference to about 1e-11.
 """
 
 import functools
@@ -71,9 +72,6 @@ def test_disk_form(name, zeta, ref):
     assert _misses(_check("disk", name, zeta), ref) <= 3.0
 
 
-TORUS_CASES = [case for case in REFERENCE if abs(case[1]) <= 3.0]
-
-
-@pytest.mark.parametrize("name,zeta,ref", TORUS_CASES, ids=_ids(TORUS_CASES))
+@pytest.mark.parametrize("name,zeta,ref", REFERENCE, ids=_ids(REFERENCE))
 def test_torus_form(name, zeta, ref):
     assert _misses(_check("torus", name, zeta), ref) <= 3.0
