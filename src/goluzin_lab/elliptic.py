@@ -76,7 +76,7 @@ class EllipticParams:
         return self.E * self.K_prime + self.E_prime * self.K - self.K * self.K_prime - math.pi / 2.0
 
     def landen_residuals(self) -> tuple[float, float]:
-        """(K - 2*M*L, K' - M*L')."""
+        """(K - 2*M*L, K' - M*L'); near x0 = 1 the first measures K's rounding."""
         return self.K - 2.0 * self.M * self.L, self.K_prime - self.M * self.L_prime
 
     def to_dict(self) -> dict:
