@@ -98,28 +98,38 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
 
 
+def _point(inputs: dict):
+    return inputs.get("zeta", inputs.get("z", inputs.get("x0", "")))
+
+
 def _emit(reports: list[VerificationReport], fmt: str, out_path: str | None) -> int:
     """Write the reports; return their exit code."""
     if fmt == "json":
         text = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True)
     elif fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for r in reports:
-            row = dict(r.to_dict())
-            inputs = row.pop("inputs", {})
-            row["map"] = inputs.get("map", "")
-            row["point"] = inputs.get("zeta", inputs.get("z", inputs.get("x0", "")))
-            row["rel_tol"] = inputs.get("rel_tol", "")
-            row["abs_tol"] = inputs.get("abs_tol", "")
-            writer.writerow(row)
+            # the report's fields as they are: to_dict() would deep-copy inputs
+            writer.writerow({
+                "inequality": r.inequality,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "ratio": r.ratio,
+                "error_estimate": r.error_estimate,
+                "status": r.status,
+                "map": r.inputs.get("map", ""),
+                "point": _point(r.inputs),
+                "rel_tol": r.inputs.get("rel_tol", ""),
+                "abs_tol": r.inputs.get("abs_tol", ""),
+            })
         text = buf.getvalue()
     else:
         lines = []
         for r in reports:
             inputs = r.inputs
-            where = inputs.get("zeta", inputs.get("z", inputs.get("x0", "")))
+            where = _point(inputs)
             lines.append(
                 f"{r.inequality:<20s} map={inputs.get('map', '-'):<16s} at={where!s:<22s} "
                 f"lhs={r.lhs:.10g} rhs={r.rhs:.10g} ratio={r.ratio:.8f} "

@@ -313,17 +313,18 @@ class PsiEvaluator:
 def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | None = None) -> VerificationReport:
     """Exterior-disk area bound; equality status iff psi is a full mapping.
 
-    Raises ``DomainError`` from |zeta| = 2^23 (about 8.4e6) on: there the
-    float spacing next to zeta exceeds 1e-4 of the offset eps = 1e-5 of the
-    core ring of its polar patch (radius 1), and from |zeta| ~ 3e11 the ring
-    rounds onto zeta itself.
+    Raises ``DomainError`` from |zeta| = 2^23 (about 8.4e6) on.  The bound
+    was set while the polar patch around zeta had radius 1: from there the
+    float spacing next to zeta exceeded 1e-4 of its core ring's offset
+    1e-5.  The patch now reaches |zeta|/4, so the ring is resolved farther
+    out, but the bound stays until that domain is checked.
     """
     spec = spec or AREA_SPEC
     zeta = complex(zeta)
-    # from 2^23 on the float spacing at zeta exceeds 1e-4 of the core ring's offset
-    # 1e-5 (the patch radius is at most 1); ahead of PsiEvaluator, which allows 2^340
+    # the documented domain, set by a radius-1 patch's core ring (see the
+    # docstring); ahead of PsiEvaluator, which allows 2^340
     if not abs(zeta) < 2.0**23:
-        raise DomainError(f"|zeta| = {abs(zeta):.3g} is too large: floats next to zeta do not resolve the core ring of its patch")
+        raise DomainError(f"|zeta| = {abs(zeta):.3g} is too large: the checked domain |zeta| < 2^23 was set by the core ring of a radius-1 patch")
     ev = PsiEvaluator(psi, zeta)
 
     def f(z):

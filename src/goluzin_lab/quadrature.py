@@ -29,13 +29,18 @@ real ndarrays of the same shape, and must be pure.  A result's
 node it was called on, and every ring point, each once.  Far-field nodes
 where the bumps leave no weight are not passed to it and not counted.
 
-Each drive starts from a seed grid sized to its region.  The grids that
-carry the far field (the log-polar annulus, the rectangle, the polar grid
-of the unit disk) seed 4 x 4, and the driver calls the integrand once per
-first-parameter band, with its four seeds and the four children of each,
-as ``(20, order, order)`` arrays.  The polar patches and the tail, whose
-bump or ring core confines the work, seed 2 x 2: their four seeds and
-children go out in one such call.  Then the driver calls the integrand
+Each drive starts from a list of seed cells sized to its region, and the
+driver calls the integrand once per four seeds, with the four children of
+each, as ``(20, order, order)`` arrays (the last call takes what is
+left).  The rectangle and the polar grid of the unit disk seed 4 x 4, so
+each call is one first-parameter band.  The polar patches and the tail,
+whose bump or ring core confines the work, seed 2 x 2 in one call.  The
+log-polar annulus seeds 2 rows in log|z| and about 2 * 2 pi/log r0
+columns in theta, cells about square in its metric, and splits each seed
+while it is more than 8 times larger than its distance to a tagged point
+(or half that point's patch radius): a cell much larger than its distance
+to the bump edge can miss the edge in its own rule and its children's
+alike, and report a small error.  Then the driver calls the integrand
 once per cell it refines, with the four children of each of that cell's
 four children, its 16 grandchildren, as ``(16, order, order)`` arrays.
 No call carries more than 20 cells.  A cell's sum depends on its own
@@ -48,6 +53,7 @@ batched product, each the dot product of a cell summed alone.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import heapq
 import math
@@ -71,6 +77,7 @@ _CORE_FRACTION = 1e-5  # inner cutoff of a polar patch, relative to its radius
 _ORDER = 8  # Gauss-Legendre nodes per cell side
 _MAX_DEPTH = 14
 _MAX_REFINEMENTS = 40_000
+_GRADING = 8.0  # annulus seeds split while larger than this times their distance to a bump
 _RING = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
@@ -130,22 +137,27 @@ def _split(cell):
     return ((a0, am, b0, bm), (am, a1, b0, bm), (a0, am, bm, b1), (am, a1, bm, b1))
 
 
-def _adaptive_2d(g, domain, spec: QuadratureSpec, seed_grid=4) -> QuadratureResult:
-    """Adaptive tensor GL over the parameter rectangle ``domain``, seeded
-    with a ``seed_grid`` x ``seed_grid`` grid of cells.
+def _grid(domain, m, n):
+    """The m x n grid of cells on the parameter rectangle ``domain``, first
+    parameter outermost."""
+    a0, a1, b0, b1 = domain
+    return [
+        (a0 + (a1 - a0) * i / m, a0 + (a1 - a0) * (i + 1) / m, b0 + (b1 - b0) * j / n, b0 + (b1 - b0) * (j + 1) / n)
+        for i in range(m)
+        for j in range(n)
+    ]
+
+
+def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
+    """Adaptive tensor GL over the parameter cells ``seeds``, which tile
+    the domain.
 
     ``g`` takes the parameters as ``(n, order, 1)``, ``(n, 1, order)`` arrays and
     returns, broadcastable to ``(n, order, order)``, f times the Jacobian.
-    The seeds go out four to a call, each with its four children: one call
-    per first-parameter band of a 4 x 4 grid, one call for all of a 2 x 2.
+    The seeds go out four to a call, in their order, each with its four
+    children, and the last call takes what is left: one call per
+    first-parameter band of a 4 x 4 grid, one call for all of a 2 x 2.
     """
-    a0, a1, b0, b1 = domain
-    m = seed_grid
-    seeds = [
-        (a0 + (a1 - a0) * i / m, a0 + (a1 - a0) * (i + 1) / m, b0 + (b1 - b0) * j / m, b0 + (b1 - b0) * (j + 1) / m)
-        for i in range(m)
-        for j in range(m)
-    ]
     heap = []
     counter = 0
     n_evals = 0
@@ -242,40 +254,47 @@ def _polar(g, center, radius, eps, spec):
     def h(rho, theta):
         return g(center + rho * np.exp(1j * theta), rho) * rho
 
-    res = _adaptive_2d(h, (eps, radius, 0.0, 2.0 * math.pi), spec, 2)
+    res = _adaptive_2d(h, _grid((eps, radius, 0.0, 2.0 * math.pi), 2, 2), spec)
     core, *gammas = _ring_core(g, center, eps)
     return res + core, gammas
 
 
-def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureResult:
-    """``drive(far)`` plus one polar patch per complex location in ``points``.
+def _patched(f, points, reach, region, spec, drive) -> QuadratureResult:
+    """``drive(far, bumps)`` plus one polar patch per complex location in
+    ``points``.
 
     Each patch integrates f times a radial bump around its point, out to
-    the smallest of ``radius``, ``clearance(location)`` and 0.4 of the
-    distance to any other point.  ``far`` is f times one minus every bump.
-    The sum runs (drive + patch_1) + patch_2 + ...; the drive's count is
-    the number of points ``far`` passed on to f.
+    the smaller of ``reach(location)`` and 0.4 of the distance to any other
+    point.  ``far`` is f times one minus every bump, and ``bumps`` pairs
+    each point with its patch radius.  The sum runs (drive + patch_1) +
+    patch_2 + ...; the drive's count is the number of points ``far``
+    passed on to f.
     """
-    radii = []
+    bumps = []
     for i, loc in enumerate(points):
-        room = clearance(loc)
+        room = reach(loc)
         if not room > 0.0:
             raise ValueError(f"singular point {loc} is not inside the {region}")
-        r = min([radius, room] + [0.4 * abs(loc - q) for j, q in enumerate(points) if j != i])
+        r = min([room] + [0.4 * abs(loc - q) for j, q in enumerate(points) if j != i])
         if not r > 0.0:
             raise ValueError(f"singular point {loc} leaves no room for a polar patch")
-        radii.append(r)
+        bumps.append((loc, r))
 
     received = 0
 
     def far(z):
         nonlocal received
-        w = np.ones(z.shape, dtype=np.float64)
-        for p, r in zip(points, radii):
+        w = None
+        for p, r in bumps:
             d = np.abs(z - p)
             bumped = d < r  # one minus the bump is exactly 1 from d = r out
             if bumped.any():
+                if w is None:
+                    w = np.ones(z.shape, dtype=np.float64)
                 w[bumped] *= 1.0 - _smooth_cut(d[bumped], 0.5 * r, r)
+        if w is None:  # no node in any bump: f times 1.0 is f
+            received += z.size
+            return np.asarray(f(z), dtype=np.float64)
         live = w > 0.0
         n_live = int(np.count_nonzero(live))
         received += n_live
@@ -292,8 +311,48 @@ def _patched(f, points, radius, clearance, region, spec, drive) -> QuadratureRes
 
         return _polar(bumped, loc, r, _CORE_FRACTION * r, spec)[0]
 
-    outer = dataclasses.replace(drive(far), n_evals=received)
-    return sum((patch(p, r) for p, r in zip(points, radii)), outer)
+    outer = dataclasses.replace(drive(far, bumps), n_evals=received)
+    return sum((patch(p, r) for p, r in bumps), outer)
+
+
+def _sector_distance(cell, p):
+    """Distance from the point ``p`` to the annular sector of the log-polar
+    cell ``(s0, s1, theta0, theta1)``, theta1 - theta0 <= 2 pi."""
+    s0, s1, t0, t1 = cell
+    rho, phi = abs(p), cmath.phase(p)
+    r_in, r_out = math.exp(s0), math.exp(s1)
+    if (phi - t0) % (2.0 * math.pi) <= t1 - t0:
+        return max(r_in - rho, rho - r_out, 0.0)
+    # the nearest point lies on one of the two radial edges
+    return min(abs(p - min(max(rho * math.cos(phi - t), r_in), r_out) * cmath.exp(1j * t)) for t in (t0, t1))
+
+
+def _annulus_seeds(r0, bumps):
+    """Seed cells (s, theta), s = log|z|, of the annulus 1 < |z| < r0:
+    about square in its metric, and graded toward each bump.
+
+    Two rows in s and round(2 * 2 pi / log r0) columns in theta; then a
+    cell splits into its four children, recursively, while its planar size
+    e^s1 max(ds, dtheta) exceeds _GRADING times the larger of its distance
+    to a bump's point and half that bump's radius.  So no seed is much
+    larger than its distance to the bump edge, where a seed's rule and its
+    children's could both miss the edge and agree.
+    """
+    s_out = math.log(r0)
+    seeds = []
+
+    def place(cell):
+        s0, s1, t0, t1 = cell
+        size = math.exp(s1) * max(s1 - s0, t1 - t0)
+        if any(size > _GRADING * max(_sector_distance(cell, p), 0.5 * r) for p, r in bumps):
+            for kid in _split(cell):
+                place(kid)
+        else:
+            seeds.append(cell)
+
+    for cell in _grid((0.0, s_out, 0.0, 2.0 * math.pi), 2, max(1, round(4.0 * math.pi / s_out))):
+        place(cell)
+    return seeds
 
 
 def _check(result: QuadratureResult, what: str) -> QuadratureResult:
@@ -312,13 +371,13 @@ def integrate_rect(f, rect, spec: QuadratureSpec | None = None) -> QuadratureRes
     spec = spec or QuadratureSpec()
     x0, x1, y0, y1 = (float(v) for v in rect)
 
-    def clearance(loc):
-        return 0.8 * min(loc.real - x0, x1 - loc.real, loc.imag - y0, y1 - loc.imag)
+    def reach(loc):
+        return min(0.25 * min(x1 - x0, y1 - y0), 0.8 * min(loc.real - x0, x1 - loc.real, loc.imag - y0, y1 - loc.imag))
 
-    def grid(far):
-        return _adaptive_2d(lambda x, y: far(x + 1j * y), (x0, x1, y0, y1), spec)
+    def grid(far, bumps):
+        return _adaptive_2d(lambda x, y: far(x + 1j * y), _grid((x0, x1, y0, y1), 4, 4), spec)
 
-    total = _patched(f, spec.singular_points, 0.25 * min(x1 - x0, y1 - y0), clearance, "rectangle", spec, grid)
+    total = _patched(f, spec.singular_points, reach, "rectangle", spec, grid)
     return _check(total, "integrate_rect")
 
 
@@ -330,36 +389,42 @@ def integrate_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """
     spec = spec or QuadratureSpec()
 
-    def disk(far):
-        return _adaptive_2d(lambda rho, theta: far(rho * np.exp(1j * theta)) * rho, (0.0, 1.0, 0.0, 2.0 * math.pi), spec)
+    def disk(far, bumps):
+        grid = _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4)
+        return _adaptive_2d(lambda rho, theta: far(rho * np.exp(1j * theta)) * rho, grid, spec)
 
-    total = _patched(f, spec.singular_points, 0.25, lambda loc: 0.8 * (1.0 - abs(loc)), "disk", spec, disk)
+    total = _patched(f, spec.singular_points, lambda loc: min(0.25, 0.8 * (1.0 - abs(loc))), "disk", spec, disk)
     return _check(total, "integrate_disk")
 
 
 def integrate_exterior_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integrate ``f(z) dA`` over |z| > 1 for integrands decaying like |z|**-3.
 
-    The region splits into the annulus 1 < |z| <= r0 (log-polar grid,
-    singular points handled by polar patches) and the tail, the disk
+    The region splits into the annulus 1 < |z| <= r0 and the tail, the disk
     |u| < 1/r0 under u = 1/z (one polar drive with a ring core at u = 0,
     of exponent -1 for f ~ |z|**-3 and 0 for f ~ |z|**-4, read from its
-    ring means).  Warns when those say f decays more slowly than |z|**-3.
+    ring means).  Each singular point p gets a polar patch of radius
+    max(1, |p|/4), kept 0.8 of its distance clear of |z| = 1 and r0; the
+    annulus takes the rest on log-polar seeds about square in log|z| and
+    theta, graded toward each patch (``_annulus_seeds``).  Warns when the
+    tail's ring means say f decays more slowly than |z|**-3.
     """
     spec = spec or QuadratureSpec()
     r0 = max(4.0, 2.2 * max((abs(p) for p in spec.singular_points), default=1.0))
 
-    def clearance(loc):
-        return 0.8 * min(abs(loc) - 1.0, r0 - abs(loc))
+    def reach(loc):
+        # a quarter of |loc| out, so that the patch keeps its size in log-polar
+        # coordinates far out, where the annulus cells grow like |z|
+        return min(max(1.0, 0.25 * abs(loc)), 0.8 * min(abs(loc) - 1.0, r0 - abs(loc)))
 
-    def annulus(far):
+    def annulus(far, bumps):
         def g(s, theta):
             # exp(s + i theta) bit for bit, as cexp is exp(s) (cos + i sin)(theta)
             return far(np.exp(s + 0j) * np.exp(1j * theta)) * np.exp(2.0 * s)
 
-        return _adaptive_2d(g, (0.0, math.log(r0), 0.0, 2.0 * math.pi), spec)
+        return _adaptive_2d(g, _annulus_seeds(r0, bumps), spec)
 
-    total = _patched(f, spec.singular_points, 1.0, clearance, "exterior disk", spec, annulus)
+    total = _patched(f, spec.singular_points, reach, "exterior disk", spec, annulus)
 
     def tail(u, rho):
         """The integrand in u = 1/z, rho = |u|: dA(z) = dA(u)/|u|^4."""

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 
@@ -5,8 +7,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from goluzin_lab import cli
 from goluzin_lab.catalog import resolve_map
-from goluzin_lab.cli import EXIT_OK, EXIT_USAGE, main, parse_complex
+from goluzin_lab.cli import CSV_COLUMNS, EXIT_OK, EXIT_USAGE, main, parse_complex
 from goluzin_lab.inequalities import _cfmt
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
@@ -97,6 +100,38 @@ class TestSweep:
         assert len(payload["reports"]) == 48
         names = [r["inputs"]["map"] for r in payload["reports"]]
         assert names == sorted(names, key=lambda n: n != "identity")
+
+    @staticmethod
+    def dict_csv(reports):
+        """The CSV as it was written from each report's ``to_dict()``."""
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        for r in reports:
+            row = dict(r.to_dict())
+            inputs = row.pop("inputs", {})
+            row["map"] = inputs.get("map", "")
+            row["point"] = inputs.get("zeta", inputs.get("z", inputs.get("x0", "")))
+            row["rel_tol"] = inputs.get("rel_tol", "")
+            row["abs_tol"] = inputs.get("abs_tol", "")
+            writer.writerow(row)
+        return buf.getvalue()
+
+    def test_area_sweep_csv_bytes_as_from_to_dict(self, tmp_path, monkeypatch):
+        # rows built from the report fields, without deep copies, write the
+        # same bytes as rows built from to_dict()
+        seen = []
+        emit = cli._emit
+
+        def recording(reports, fmt, out_path):
+            seen.append(reports)
+            return emit(reports, fmt, out_path)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--area", "--format", "csv", "--out", str(out)]) == EXIT_OK
+        assert len(seen[0]) == 216
+        assert out.read_bytes() == self.dict_csv(seen[0]).encode("utf-8")
 
     def test_ordering_deterministic_across_jobs(self, capsys):
         main(["sweep", "--maps", "b1:0.3", "--jobs", "1", "--format", "csv"])

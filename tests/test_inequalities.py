@@ -23,7 +23,7 @@ from goluzin_lab.inequalities import (
     verify_area_sigma,
 )
 from goluzin_lab.maps import BridgeMaps, eta_inv, marched_sqrt_path, phi_from_psi, sigma
-from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _adaptive_2d, _cells_integral, _split
+from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _adaptive_2d, _cells_integral, _grid, _sector_distance, _split
 from goluzin_lab.theta import jacobi_sn_cn_dn
 
 AREA_TEST_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
@@ -386,7 +386,7 @@ class TestTorusCrossCheck:
         # the cancellation of the poles at 0 leaves up to 3e-8 at |z| = 0.034
         f, _ = _torus_parts(name, zeta, monkeypatch)
         p = BridgeMaps.from_zeta(zeta).params
-        z = _seed_call(_torus_rect(p), lambda x, y: x + 1j * y, 1).ravel()
+        z = _seed_call(_torus_seeds(p), lambda x, y: x + 1j * y, 1).ravel()
         z = np.concatenate([z, z - 0.5j * p.L_prime])
         assert np.allclose(f(-z), f(z), rtol=1e-6, atol=0.0)
 
@@ -431,9 +431,9 @@ class TestVerdictBits:
     the same arithmetic faster keeps every bit of them."""
 
     PINS = [
-        ("sigma", "joukowski", 1.25, "0x1.ffffa6bad7f46p-1", "0x1.6b4541f78ee1dp-10", 21297),
-        ("sigma", "b1:0.7", 3j, "0x1.dbd14405febdfp-1", "0x1.1dc9048b4550bp-13", 15490),
-        ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c20ccce2bp-1", "0x1.e275f91f79d51p-14", 15952),
+        ("sigma", "joukowski", 1.25, "0x1.ffffe88094d67p-1", "0x1.3b8f2ec83ad29p-11", 12322),
+        ("sigma", "b1:0.7", 3j, "0x1.dbd13a517c1c3p-1", "0x1.266f16c63d4acp-15", 10111),
+        ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16d98bdf571p-1", "0x1.82aa1698e4421p-15", 11614),
         ("disk", "joukowski", 2.0, "0x1.ffff98ad751ddp-1", "0x1.8cd7c7c7c34fbp-11", 12340),
         ("torus", "joukowski", 2.0, "0x1.0000000006b9dp+0", "0x1.c900f857d6ba5p-32", 5120),
     ]
@@ -492,36 +492,37 @@ def _driver_block(cell, to_plane):
     return calls[0]
 
 
-def _seed_call(domain, to_plane, k=0, seed_grid=4):
-    """The nodes of the driver's seed call ``k`` on ``domain``, four seeds
-    and their children, (20, 8, 8): the k-th first-parameter band of a
-    4 x 4 seed grid, or all of a 2 x 2 one (k = 0).  Recorded from the
-    driver, which stops after its seeds on a zero integrand."""
+def _seed_call(seeds, to_plane, k=0):
+    """The nodes of the driver's seed call ``k`` on the cells ``seeds``:
+    seeds 4k to 4k + 3 and their children, (20, 8, 8) for a full four.  On
+    a 4 x 4 grid that is the k-th first-parameter band, on a 2 x 2 grid all
+    of it (k = 0).  Recorded from the driver, which stops after its seeds on
+    a zero integrand."""
     calls = []
 
     def g(x, y):
         calls.append(to_plane(x, y))
         return np.zeros(calls[-1].shape)
 
-    _adaptive_2d(g, domain, QuadratureSpec(abs_tol=math.inf), seed_grid)
-    assert len(calls) == seed_grid**2 // 4 and calls[k].shape == (20, 8, 8)
+    _adaptive_2d(g, seeds, QuadratureSpec(abs_tol=math.inf))
+    assert len(calls) == -(-len(seeds) // 4) and calls[k].shape == (5 * len(seeds[4 * k : 4 * k + 4]), 8, 8)
     return calls[k]
 
 
-_UNIT_DISK = (0.0, 1.0, 0.0, 2.0 * math.pi)
+_UNIT_DISK = _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4)
 
 
 def _patch_seed_call(center, radius, to_plane=lambda z: z):
     """The nodes of the one seed call of the polar patch of ``radius``
     around ``center``: its 2 x 2 seeds and their children."""
     at = _polar(center)
-    domain = (1e-5 * radius, radius, 0.0, 2.0 * math.pi)
-    return _seed_call(domain, lambda rho, theta: to_plane(at(rho, theta)), seed_grid=2)
+    seeds = _grid((1e-5 * radius, radius, 0.0, 2.0 * math.pi), 2, 2)
+    return _seed_call(seeds, lambda rho, theta: to_plane(at(rho, theta)))
 
 
-def _torus_rect(p):
-    """The upper half of the torus band, -L..3L x 0..L'/2."""
-    return (-p.L, 3.0 * p.L, 0.0, 0.5 * p.L_prime)
+def _torus_seeds(p):
+    """The 4 x 4 seed grid of the upper half of the torus band, -L..3L x 0..L'/2."""
+    return _grid((-p.L, 3.0 * p.L, 0.0, 0.5 * p.L_prime), 4, 4)
 
 
 def _polar(center):
@@ -535,6 +536,30 @@ def _same_bits(a, b):
 
 class _Recorded(Exception):
     pass
+
+
+def _is_annulus(seeds):
+    """Whether ``seeds`` are the log-polar annulus's, which starts at s = 0."""
+    return min(cell[0] for cell in seeds) == 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_seeds(zeta):
+    """The seed cells of the log-polar annulus and of the polar patch around
+    zeta, recorded from a verify_area_sigma run of joukowski whose drives
+    return at once."""
+    seen = []
+
+    def recording(g, seeds, spec):
+        seen.append(seeds)
+        return QuadratureResult(0.0, 0.0, 0, True)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_adaptive_2d", recording)
+        verify_area_sigma(resolve_map("joukowski"), zeta)
+    annulus, patch, tail = seen
+    assert _is_annulus(annulus) and patch[-1][1] < abs(zeta) - 1.0
+    return annulus, patch
 
 
 @functools.lru_cache(maxsize=None)
@@ -551,8 +576,8 @@ def _sigma_patch_refinement(zeta):
             raise _Recorded(z)
         return field(self, z)
 
-    def without_annulus(g, domain, spec, *args):
-        return QuadratureResult(0.0, 0.0, 0, True) if domain[0] == 0.0 else driver(g, domain, spec, *args)
+    def without_annulus(g, seeds, spec):
+        return QuadratureResult(0.0, 0.0, 0, True) if _is_annulus(seeds) else driver(g, seeds, spec)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PsiEvaluator, "field", recording)
@@ -560,24 +585,21 @@ def _sigma_patch_refinement(zeta):
         with pytest.raises(_Recorded) as recorded:
             verify_area_sigma(resolve_map("joukowski"), zeta, QuadratureSpec(rel_tol=1e-12, abs_tol=0.0))
     z = recorded.value.args[0]
-    # the patch refines: the call is the patch's, not the inverted tail's
-    assert np.all(np.abs(z - zeta) < 1.0)
+    # the patch refines: the call is the patch's (radius at most 0.8 (|zeta| - 1)),
+    # not the inverted tail's (|z| > 2.2 |zeta|)
+    assert np.all(np.abs(z - zeta) < abs(zeta) - 1.0)
     return z
 
 
 def _psi_driver_calls(zeta):
-    """u = 1/z at the nodes of four driver calls of the sigma form: the inner
-    annulus seed cell in the direction of zeta (its band's seed call and its
-    refinement), and the polar patch around zeta (its seed call and its
-    first refinement)."""
-    arg = float(np.angle(zeta)) % (2.0 * math.pi)
-    th0 = 0.5 * math.pi * math.floor(arg / (0.5 * math.pi))
-    r0 = max(4.0, 2.2 * abs(zeta))
+    """u = 1/z at the nodes of four driver calls of the sigma form: the
+    annulus seed cell nearest zeta (its seed call and its refinement), and
+    the polar patch around zeta (its seed call and its first refinement)."""
+    seeds, patch = _sigma_seeds(complex(zeta))
+    k = min(range(len(seeds)), key=lambda i: _sector_distance(seeds[i], zeta))
     annulus = lambda s, theta: 1.0 / np.exp(s + 1j * theta)
-    seed = (0.0, 0.25 * math.log(r0), th0, th0 + 0.5 * math.pi)
-    calls = [_seed_call((0.0, math.log(r0), 0.0, 2.0 * math.pi), annulus), _driver_block(seed, annulus)]
-    radius = min(1.0, 0.8 * min(abs(zeta) - 1.0, r0 - abs(zeta)))
-    calls.append(_patch_seed_call(complex(zeta), radius, lambda z: 1.0 / z))
+    calls = [_seed_call(seeds, annulus, k // 4), _driver_block(seeds[k], annulus)]
+    calls.append(_seed_call(patch, lambda rho, theta: 1.0 / _polar(complex(zeta))(rho, theta)))
     calls.append(1.0 / _sigma_patch_refinement(complex(zeta)))
     return calls
 
@@ -989,7 +1011,7 @@ class TestClosedFormTorusSqrt:
         plain, _ = _torus_parts("identity", 2.0, monkeypatch, coefficients=None)
         p = BridgeMaps.from_zeta(2.0).params
         # one integrand call of the cubature: the seed band across the real axis
-        z = _seed_call(_torus_rect(p), lambda x, y: x + 1j * y, 1)
+        z = _seed_call(_torus_seeds(p), lambda x, y: x + 1j * y, 1)
         (g,), blocks = _roots_used(lambda: f(z), monkeypatch)
         assert blocks == 1
         (g_plain,), _ = _roots_used(lambda: plain(z), monkeypatch)
@@ -1053,8 +1075,8 @@ def _disk_driver_calls(x0):
 def _torus_driver_calls(zeta):
     """z at the nodes of the four seed calls of the upper half band
     -L..3L x 0..L'/2, which tags no point."""
-    rect = _torus_rect(BridgeMaps.from_zeta(zeta).params)
-    return [_seed_call(rect, lambda x, y: x + 1j * y, k) for k in range(4)]
+    seeds = _torus_seeds(BridgeMaps.from_zeta(zeta).params)
+    return [_seed_call(seeds, lambda x, y: x + 1j * y, k) for k in range(4)]
 
 
 @pytest.mark.parametrize("zeta", [1.0 + 1e-6, 1.25, 3j, 1e3])
@@ -1193,7 +1215,7 @@ class TestOneEvaluationPerCall:
         for module in (theta, torus, maps, inequalities):
             monkeypatch.setattr(module, "jacobi_sn_cn_dn", counted)
         xy = lambda x, y: x + 1j * y
-        for z in (_seed_call(_torus_rect(p), xy, 1), _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), xy)):
+        for z in (_seed_call(_torus_seeds(p), xy, 1), _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), xy)):
             tags.clear()
             (_,), blocks = _roots_used(lambda: f(z), monkeypatch)
             assert blocks == 0
@@ -1229,13 +1251,7 @@ class TestDiskFormLargeZeta:
 
     @pytest.mark.parametrize(
         "name,zeta",
-        [
-            pytest.param(name, 20.0, marks=pytest.mark.xfail(strict=True, reason=(
-                "the sigma form misses by 1.3e-3 at |zeta| = 20 against err/rhs 1e-4 (ROADMAP item 4)"
-            )))
-            for name in ("identity", "joukowski")
-        ]
-        + [("identity", 50.0), ("joukowski", 50.0), ("joukowski", 1000.0)],
+        [("identity", 20.0), ("joukowski", 20.0), ("identity", 50.0), ("joukowski", 50.0), ("joukowski", 1000.0)],
     )
     def test_agrees_with_sigma_form(self, name, zeta):
         rd = self.disk(name, zeta)

@@ -13,11 +13,15 @@ from goluzin_lab.quadrature import (
     QuadratureSpec,
     _adaptive_2d,
     _cells_integral,
+    _grid,
     _split,
     integrate_disk,
     integrate_exterior_disk,
     integrate_rect,
 )
+
+
+_SEEDS = _grid((0.0, 1.0, 0.0, 2.0), 4, 4)
 
 
 class TestDriver:
@@ -34,7 +38,7 @@ class TestDriver:
             shapes.append(np.broadcast_shapes(x.shape, y.shape))
             return self.peaked(x, y)
 
-        res = _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+        res = _adaptive_2d(g, _SEEDS, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
         # one call per first-parameter band of seeds: four seeds and their children
         assert shapes[:4] == [(20, 8, 8)] * 4
         # from then on, one call per refined cell with its 16 grandchildren
@@ -48,7 +52,7 @@ class TestDriver:
             firsts.append((x.min(), x.max()))
             return self.peaked(x, y)
 
-        _adaptive_2d(g, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-2, abs_tol=1e-2))
+        _adaptive_2d(g, _SEEDS, QuadratureSpec(rel_tol=1e-2, abs_tol=1e-2))
         for i, (lo, hi) in enumerate(firsts[:4]):
             assert 0.25 * i < lo and hi < 0.25 * (i + 1)
 
@@ -87,19 +91,17 @@ class TestDriver:
     def test_refinement_sequence_pinned(self):
         # value, error and evaluation count of the one-cell-per-call driver:
         # batching the children must not change any of them
-        res = _adaptive_2d(self.peaked, (0.0, 1.0, 0.0, 2.0), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+        res = _adaptive_2d(self.peaked, _SEEDS, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
         assert res.value == 11.641648803072352
         assert res.error == 6.977618136061459e-10
         assert res.n_evals == 15360
         assert res.converged
 
 
-def _four_call_driver(g, domain, spec, seed_grid=4):
+def _four_call_driver(g, seeds, spec):
     """The driver as it was with one ``(4, order, order)`` call per new child
     of a refined cell, each cell summed as ``w @ vals[k] @ w``, on the same
-    ``seed_grid`` x ``seed_grid`` seed grid."""
-    a0, a1, b0, b1 = domain
-    m = seed_grid
+    seed cells."""
     order = 8
     n_evals = 0
     x, w = np.polynomial.legendre.leggauss(order)
@@ -115,11 +117,6 @@ def _four_call_driver(g, domain, spec, seed_grid=4):
         n_evals += vals.size
         return [float(hx[k]) * float(hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
 
-    seeds = [
-        (a0 + (a1 - a0) * i / m, a0 + (a1 - a0) * (i + 1) / m, b0 + (b1 - b0) * j / m, b0 + (b1 - b0) * (j + 1) / m)
-        for i in range(m)
-        for j in range(m)
-    ]
     heap, counter, value, err_total, frozen_err = [], 0, 0.0, 0.0, 0.0
 
     def make_node(cell, coarse, depth):
@@ -183,8 +180,8 @@ class TestMergedRefinementCall:
         # depth 1 freezes cells at the depth cap
         monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
-        new = _adaptive_2d(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec)
-        old = _four_call_driver(TestDriver.peaked, (0.0, 1.0, 0.0, 2.0), spec)
+        new = _adaptive_2d(TestDriver.peaked, _SEEDS, spec)
+        old = _four_call_driver(TestDriver.peaked, _SEEDS, spec)
         assert self.same(new, old)
         assert new.converged == (max_depth == 14)
 
@@ -223,11 +220,11 @@ class TestFarWeight:
         """The far-field integrand ``_patched`` hands to its drive."""
         seen = []
 
-        def drive(far):
+        def drive(far, bumps):
             seen.append(far)
             return QuadratureResult(0.0, 0.0, 0, True)
 
-        quadrature._patched(self.f, points, radius, lambda loc: 1.0, "plane", QuadratureSpec(), drive)
+        quadrature._patched(self.f, points, lambda loc: radius, "plane", QuadratureSpec(), drive)
         return seen[0]
 
     def every_bump(self, locs, r, z):
@@ -301,11 +298,11 @@ class TestEvaluationCount:
 
     def test_exterior_disk_count(self):
         # every node of the annulus and of the tail, and the tail's ring
-        # points, each once: the annulus's 16 seeds and their children, 80
-        # cells of 64 nodes (5,120), the tail's 4 seeds and their children,
+        # points, each once: the annulus's 2 x 9 seeds and their children, 90
+        # cells of 64 nodes (5,760), the tail's 4 seeds and their children,
         # 20 cells (1,280), and two rings of 64 points (128)
         f, seen = self.counting(lambda z: np.abs(z) ** -3.0)
-        assert integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-9)).n_evals == seen[0] == 6_528
+        assert integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-9)).n_evals == seen[0] == 7_168
 
     @pytest.mark.parametrize("region", ["rect", "disk", "exterior"])
     def test_tagged_count_is_points_received(self, region):
@@ -326,60 +323,112 @@ class TestEvaluationCount:
 
 class TestSeedGrid:
     """Each drive opens with its seed calls, four seeds and their children a
-    call: the grids that carry the far field (the log-polar annulus, the
-    rectangle, the unit-disk grid) seed 4 x 4 in four calls, and the
-    bump-confined polar patches and the tail cap seed 2 x 2 in one."""
+    call, the last call taking what is left: the rectangle and the
+    unit-disk grid seed 4 x 4 in four calls, the bump-confined polar
+    patches and the tail cap seed 2 x 2 in one, and the log-polar annulus
+    seeds cells about square in its metric, graded toward each bump."""
 
     @staticmethod
     def drives(integrate, monkeypatch):
-        """The shapes of the integrand calls of each drive, in drive order."""
+        """The seeds and the shapes of the integrand calls of each drive, in
+        drive order."""
         seen = []
         driver = quadrature._adaptive_2d
 
-        def recording(g, domain, spec, *args):
+        def recording(g, seeds, spec):
             shapes = []
-            seen.append(shapes)
+            seen.append((seeds, shapes))
 
             def h(x, y):
                 shapes.append(np.broadcast_shapes(x.shape, y.shape))
                 return g(x, y)
 
-            return driver(h, domain, spec, *args)
+            return driver(h, seeds, spec)
 
         monkeypatch.setattr(quadrature, "_adaptive_2d", recording)
         integrate()
         return seen
 
     @staticmethod
-    def opens_with(shapes, n_seed_calls):
-        assert shapes[:n_seed_calls] == [(20, 8, 8)] * n_seed_calls
-        assert set(shapes[n_seed_calls:]) <= {(16, 8, 8)}
+    def opens_with(drive, grid=None):
+        seeds, shapes = drive
+        if grid is not None:
+            assert seeds == _grid(*grid)
+        n_calls = -(-len(seeds) // 4)
+        assert shapes[:n_calls] == [(5 * len(seeds[i : i + 4]), 8, 8) for i in range(0, len(seeds), 4)]
+        assert set(shapes[n_calls:]) <= {(16, 8, 8)}
 
     def test_exterior_disk(self, monkeypatch):
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(2.0 + 0.5j,))
-        f = lambda z: np.abs(z) ** -3.0 / np.abs(z - (2.0 + 0.5j))
+        p = 2.0 + 0.5j
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
+        f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
         annulus, patch, tail = self.drives(lambda: integrate_exterior_disk(f, spec), monkeypatch)
-        self.opens_with(annulus, 4)
-        self.opens_with(patch, 1)
-        self.opens_with(tail, 1)
-        assert len(annulus) > 4 and len(patch) > 1 and len(tail) > 1
+        r0, r = 2.2 * abs(p), 0.8 * (abs(p) - 1.0)  # the patch stays clear of the circle
+        assert annulus[0] == quadrature._annulus_seeds(r0, [(p, r)])
+        self.opens_with(annulus)
+        self.opens_with(patch, ((1e-5 * r, r, 0.0, 2.0 * math.pi), 2, 2))
+        self.opens_with(tail, ((1e-5 / r0, 1.0 / r0, 0.0, 2.0 * math.pi), 2, 2))
+        assert all(len(shapes) > -(-len(seeds) // 4) for seeds, shapes in (annulus, patch, tail))
 
     def test_disk(self, monkeypatch):
         p, q = 0.4 + 0.1j, -0.3 + 0.5j
         spec = QuadratureSpec(rel_tol=1e-7, singular_points=(0j, p, q))
         f = lambda z: 1.0 / np.abs(z) + 1.0 / np.abs(z - p) + 1.0 / np.abs(z - q)
         grid, *patches = self.drives(lambda: integrate_disk(f, spec), monkeypatch)
-        self.opens_with(grid, 4)
+        self.opens_with(grid, ((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4))
         assert len(patches) == 3  # the origin gets a patch like any other point
-        for shapes in patches:
-            self.opens_with(shapes, 1)
+        for drive in patches:
+            self.opens_with(drive)
+            assert len(drive[0]) == 4
 
     def test_rect(self, monkeypatch):
         p = 0.2 + 0.1j
         spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
         grid, patch = self.drives(lambda: integrate_rect(lambda z: 1.0 / np.abs(z - p), (-1, 1, -1, 1), spec), monkeypatch)
-        self.opens_with(grid, 4)
-        self.opens_with(patch, 1)
+        self.opens_with(grid, ((-1.0, 1.0, -1.0, 1.0), 4, 4))
+        self.opens_with(patch, ((1e-5 * 0.5, 0.5, 0.0, 2.0 * math.pi), 2, 2))
+
+
+class TestAnnulusSeeds:
+    """The annulus seeds: about square in log-polar coordinates, tiling the
+    annulus, and graded toward each bump."""
+
+    @staticmethod
+    def tile(seeds, r0):
+        # the seeds cover the parameter rectangle once: their areas add up
+        # and each lies inside it
+        assert math.isclose(sum((s1 - s0) * (t1 - t0) for s0, s1, t0, t1 in seeds), 2.0 * math.pi * math.log(r0))
+        assert all(0.0 <= s0 < s1 <= math.log(r0) and 0.0 <= t0 < t1 <= 2.0 * math.pi for s0, s1, t0, t1 in seeds)
+
+    def test_untagged_is_two_rows(self):
+        seeds = quadrature._annulus_seeds(4.0, [])
+        assert seeds == _grid((0.0, math.log(4.0), 0.0, 2.0 * math.pi), 2, 9)
+        s0, s1, t0, t1 = seeds[0]
+        assert 1.0 < (t1 - t0) / (s1 - s0) < 1.01
+
+    @pytest.mark.parametrize("p,r", [(2.0 + 0.5j, 0.85), (1.00001, 8e-6), (-20.0j, 5.0)])
+    def test_graded_toward_the_bump(self, p, r):
+        r0 = max(4.0, 2.2 * abs(p))
+        seeds = quadrature._annulus_seeds(r0, [(p, r)])
+        self.tile(seeds, r0)
+        sizes = [math.exp(s1) * max(s1 - s0, t1 - t0) for s0, s1, t0, t1 in seeds]
+        dists = [quadrature._sector_distance(c, p) for c in seeds]
+        assert all(size <= 8.0 * max(d, 0.5 * r) for size, d in zip(sizes, dists))
+        # a seed next to the bump is no larger than a few bump radii
+        assert min(size for size, d in zip(sizes, dists) if d == 0.0) <= 4.0 * r
+        assert len(seeds) < 400
+
+    def test_sector_distance(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            s0, s1 = np.sort(rng.uniform(0.0, 2.0, 2))
+            t0 = rng.uniform(0.0, 2.0 * math.pi)
+            t1 = t0 + rng.uniform(0.01, math.pi)
+            p = complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
+            rho, theta = np.meshgrid(np.exp(np.linspace(s0, s1, 200)), np.linspace(t0, t1, 200))
+            brute = float(np.abs(rho * np.exp(1j * theta) - p).min())
+            d = quadrature._sector_distance((s0, s1, t0, t1), p)
+            assert d <= brute + 1e-12 and brute - d <= 0.02 * math.exp(s1) * max(s1 - s0, t1 - t0)
 
 
 def _confined(rho, a):

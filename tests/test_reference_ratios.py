@@ -9,9 +9,8 @@ cubature is independent; the full-mapping row also checks the field,
 whose exact ratio is 1.
 
 Every check must land within three of its own error bars, err/rhs, of the
-reference.  The sigma form at |zeta| = 20 misses by about ten: its
-annulus far field underestimates its error there.  The torus form, whose
-error bar is about 1e-10 of rhs, matches every reference to about 1e-11.
+reference.  The torus form, whose error bar is about 1e-10 of rhs,
+matches every reference to about 1e-11.
 """
 
 import functools
@@ -51,18 +50,7 @@ def _misses(r, ref):
     return abs(r.ratio - ref) / (r.error_estimate / r.rhs)
 
 
-SIGMA_CASES = [
-    pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=(
-        "the sigma form at |zeta| = 20 misses the reference by 10.1 err/rhs: "
-        "its annulus error estimate is too small beyond |zeta| ~ 4 (ROADMAP item 4)"
-    )))
-    if abs(case[1]) > 4.0
-    else case
-    for case in REFERENCE
-]
-
-
-@pytest.mark.parametrize("name,zeta,ref", SIGMA_CASES, ids=_ids(REFERENCE))
+@pytest.mark.parametrize("name,zeta,ref", REFERENCE, ids=_ids(REFERENCE))
 def test_sigma_form(name, zeta, ref):
     assert _misses(_check("sigma", name, zeta), ref) <= 3.0
 
