@@ -512,12 +512,10 @@ def _seed_call(seeds, to_plane, k=0):
 _UNIT_DISK = _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4)
 
 
-def _patch_seed_call(center, radius, to_plane=lambda z: z):
+def _patch_seed_call(center, radius):
     """The nodes of the one seed call of the polar patch of ``radius``
     around ``center``: its 2 x 2 seeds and their children."""
-    at = _polar(center)
-    seeds = _grid((1e-5 * radius, radius, 0.0, 2.0 * math.pi), 2, 2)
-    return _seed_call(seeds, lambda rho, theta: to_plane(at(rho, theta)))
+    return _seed_call(_grid((1e-5 * radius, radius, 0.0, 2.0 * math.pi), 2, 2), _polar(center))
 
 
 def _torus_seeds(p):
