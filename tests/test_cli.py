@@ -294,6 +294,17 @@ class TestLargeZetaDiskForm:
         assert "area-disk" in capsys.readouterr().out
 
 
+class TestNearCircleSigmaForm:
+    @pytest.mark.xfail(strict=True, reason=(
+        "inside _DIAG_RADIUS (1 + |zeta|) ~ 2e-7 of zeta the field takes its diagonal limit, and at "
+        "|zeta| - 1 = 1e-8 that disk covers the whole patch around zeta (ROADMAP item 4)"
+    ))
+    def test_identity_a_hundred_millionth_out_holds(self, capsys):
+        # printed ratio 1.4708, status violated, and exited 1
+        assert main(["area", "--map", "identity", "--zeta=1.00000001"]) == EXIT_OK
+        assert "status=holds" in capsys.readouterr().out
+
+
 class TestLargeZetaSigmaForm:
     @pytest.mark.parametrize("zeta", ["3e11", "1e12", "1e20", "1e40"])
     def test_unresolved_core_ring_exits_64(self, zeta, capsys):

@@ -60,6 +60,37 @@ def test_full_mapping_reads_one(name, arg, radius, rel_tol):
     assert abs(r.ratio - 1.0) <= 3.0 * _bar(r)
 
 
+_SUBTRACTION = (
+    "psi(z) - psi(zeta) is formed by subtraction, and inside _DIAG_RADIUS (1 + |zeta|) ~ 2e-7 of zeta "
+    "the field takes its diagonal limit, a disk that covers the patch around zeta once |zeta| - 1 < 2.5e-7 "
+    "(ROADMAP item 4)"
+)
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [
+        1e-6,
+        pytest.param(1e-7, marks=pytest.mark.xfail(strict=True, reason=_SUBTRACTION)),
+        pytest.param(1e-8, marks=pytest.mark.xfail(strict=True, reason=_SUBTRACTION)),
+    ],
+)
+def test_identity_next_to_the_circle_against_the_torus_form(eps):
+    # Q = 1 for the identity, so the torus form has no spike at b1/zeta and
+    # reads 0.363381 at all three radii; the sigma form read 0.38204 and
+    # 1.47076 (violated) at 1e-7 and 1e-8, 314 and 3,948 bars off
+    zeta = (1.0 + eps) * cmath.exp(2j)
+    rt = torus_area_crosscheck(resolve_map("identity"), zeta)
+    rs = verify_area_sigma(resolve_map("identity"), zeta)
+    assert abs(rs.ratio - rt.ratio) <= 3.0 * (_bar(rs) + _bar(rt))
+
+
+@pytest.mark.xfail(strict=True, reason=_SUBTRACTION)
+def test_full_mapping_a_millionth_from_a_critical_point():
+    # read 0.99915, 6.7 err off
+    test_full_mapping_reads_one("joukowski", 0.0, 1.0 + 1e-6, 2e-4)
+
+
 @pytest.mark.xfail(strict=True, raises=QuadratureError, reason=(
     "zeta is 1e-5 from the critical point 1 of joukowski, where psi'(zeta) = 2e-5: psi(z) - psi(zeta) "
     "loses 4e-5 of itself to rounding at |z - zeta| ~ 5e-7, and the patch around zeta refines that "
