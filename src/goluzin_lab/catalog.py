@@ -1,4 +1,4 @@
-"""Built-in univalent test maps with exact derivatives.
+"""Built-in univalent test maps with exact derivatives and divided differences.
 
 Two families: exterior-disk maps normalised by psi(z) = z + O(1) at
 infinity (class tag "Sigma") and unit-disk maps with phi(0) = 0,
@@ -26,10 +26,14 @@ __all__ = ["UnivalentMap", "catalog", "resolve_map", "gronwall_sum", "laurent_co
 class UnivalentMap:
     """A univalent map with value / first / second derivative evaluators.
 
-    ``coefficients`` holds the leading expansion coefficients when known
-    in closed form: (b0, b1, ...) for Sigma maps, (a2, a3, ...) for S maps.
-    ``source`` is ``(bridge, psi)`` for a unit-disk map that
-    :func:`~goluzin_lab.maps.phi_from_psi` made from the Sigma map psi.
+    ``quotient(z, w)`` is the divided difference (value(z) - value(w))/(z - w),
+    equal to deriv(w) at z = w, in a form that does not subtract the two
+    values: next to the diagonal and next to a critical point the
+    subtraction is rounding noise.  ``coefficients`` holds the leading
+    expansion coefficients when known in closed form: (b0, b1, ...) for
+    Sigma maps, (a2, a3, ...) for S maps.  ``source`` is ``(bridge, psi)``
+    for a unit-disk map that :func:`~goluzin_lab.maps.phi_from_psi` made
+    from the Sigma map psi.
     """
 
     name: str
@@ -37,13 +41,14 @@ class UnivalentMap:
     value: Callable = field(repr=False)
     deriv: Callable = field(repr=False)
     deriv2: Callable = field(repr=False)
+    quotient: Callable = field(repr=False)
     coefficients: tuple | None
     full_mapping: bool
     source: tuple | None = field(default=None, repr=False)
 
 
 def _laurent_map(name: str, b1: complex, full_mapping: bool) -> UnivalentMap:
-    """z + b1/z with its exact derivatives."""
+    """z + b1/z with its exact derivatives and divided difference."""
     b1 = complex(b1)
     return UnivalentMap(
         name=name,
@@ -51,6 +56,7 @@ def _laurent_map(name: str, b1: complex, full_mapping: bool) -> UnivalentMap:
         value=lambda z: z + b1 / z,
         deriv=lambda z: 1.0 - b1 / z**2,
         deriv2=lambda z: 2.0 * b1 / z**3,
+        quotient=lambda z, w: 1.0 - b1 / (z * w),
         coefficients=(0.0, b1),
         full_mapping=full_mapping,
     )
@@ -64,6 +70,7 @@ def _identity(name: str, map_class: str) -> UnivalentMap:
         value=lambda z: z + np.zeros_like(z),
         deriv=lambda z: np.ones_like(z),
         deriv2=lambda z: np.zeros_like(z),
+        quotient=lambda z, w: np.ones_like(z * w),
         coefficients=(0.0,),
         full_mapping=False,
     )
@@ -76,6 +83,7 @@ def _koebe() -> UnivalentMap:
         value=lambda z: z / (1.0 - z) ** 2,
         deriv=lambda z: (1.0 + z) / (1.0 - z) ** 3,
         deriv2=lambda z: 2.0 * (z + 2.0) / (1.0 - z) ** 4,
+        quotient=lambda z, w: (1.0 - z * w) / ((1.0 - z) ** 2 * (1.0 - w) ** 2),
         coefficients=(2.0, 3.0, 4.0, 5.0, 6.0),
         full_mapping=True,
     )

@@ -28,14 +28,17 @@ disk.  The disk form and the torus check carry square roots of the same
 kind, and all three are quotients of one root.  Univalence makes
 Q(z) = (psi(z) - psi(zeta))/(z - zeta) zero-free on |z| > 1 with
 Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued there
-(:func:`_quotient_root`).  Every root of the three checks comes from this
-one origin, R = 1 at u = 1/z = 0, and one closed-form reference value,
-R(zeta): it fixes the factor of the disk form and the sign of the torus
-constant.  For psi = z + b0 + b1/z, |b1| <= 1 (every catalog Sigma map), R
-is the principal root of 1 - b1/(z zeta); every other map, and every node
-at which that closed form misses the check's own argument by more than
-1e-6 relative, gets R from a march along the segment from u = 0 to the
-node (:class:`_MarchedSqrt`).  Each check takes only the sign from R, so a
+(:func:`_quotient_root`).  Q is read from the map's ``quotient``, never
+formed by subtracting two values, so it keeps its digits next to the
+diagonal and next to a critical point of psi.  Every root of the three
+checks comes from this one origin, R = 1 at u = 1/z = 0, and one
+closed-form reference value, R(zeta): it fixes the factor of the disk
+form and the sign of the torus constant.  For psi = z + b0 + b1/z,
+|b1| <= 1 (every catalog Sigma map), R is the principal root of
+1 - b1/(z zeta); every other map, and every node at which that closed
+form misses the check's own argument by more than 1e-6 relative, gets R
+from a march along the segment from u = 0 to the node
+(:class:`_MarchedSqrt`).  Each check takes only the sign from R, so a
 node's sign depends on its position alone and not on the other nodes of
 its integrand call.  Where the closed form serves, Re Q > 0 keeps R within
 pi/4 of the positive real axis, and the sign is read off the check's own
@@ -78,10 +81,6 @@ EQ_FLOOR_QUADRATURE = 5e-3
 #: default quadrature settings for the area-type verifications; accurate
 #: enough to separate the 0.5% equality band from genuine inequality.
 AREA_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
-
-#: radius, relative to 1 + |zeta|, of the disk around zeta inside which Q and
-#: Psi take their limits at zeta instead of a difference quotient
-_DIAG_RADIUS = 1e-7
 
 #: |z| from which |z|^3 leaves the float range: 2 (|zeta|^2 - 1) zeta in
 #: ``at_diagonal`` overflows from 4.5e102, where Goluzin's rhs ~ 2/|z|^3 is subnormal
@@ -193,25 +192,16 @@ class _MarchedSqrt:
 def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
     """R = sqrt(Q) as a function of u = 1/z, with R = 1 at u = 0 (z = inf).
 
-    Q(z) = (psi(z) - psi(zeta))/(z - zeta), and psi'(zeta) +
-    psi''(zeta)(z - zeta)/2 next to zeta.  The march runs along the ray
-    z/t, t from 0 to 1, which is the segment [0, u].  For
-    psi = z + b0 + b1/z, Q = 1 - (b1/zeta) u has positive real part for
-    |u| < 1 < |zeta| and |b1| <= 1, and R is its principal root.
+    Q(z) = (psi(z) - psi(zeta))/(z - zeta) is ``psi.quotient(z, zeta)``,
+    psi'(zeta) at z = zeta.  The march runs along the ray z/t, t from 0 to
+    1, which is the segment [0, u].  For psi = z + b0 + b1/z,
+    Q = 1 - (b1/zeta) u has positive real part for |u| < 1 < |zeta| and
+    |b1| <= 1, and R is its principal root.
     """
     zeta = complex(zeta)
-    psi_zeta, dpsi, ddpsi = (complex(f(np.complex128(zeta))) for f in (psi.value, psi.deriv, psi.deriv2))
-    near = _DIAG_RADIUS * (1.0 + abs(zeta))
-
-    def q(u):
-        z = 1.0 / u
-        d = z - zeta
-        close = np.abs(d) < near
-        return np.where(close, dpsi + 0.5 * ddpsi * d, (psi.value(z) - psi_zeta) / np.where(close, 1.0, d))
-
     b1 = _laurent_b1(psi)
     closed_arg = None if b1 is None else (lambda u: 1.0 - (b1 / zeta) * u)
-    return _MarchedSqrt(q, closed_arg)
+    return _MarchedSqrt(lambda u: psi.quotient(1.0 / u, zeta), closed_arg)
 
 
 def _disk_root(source: tuple, x0: float):
@@ -230,15 +220,17 @@ class PsiEvaluator:
     """The three-term field Psi(z, zeta) for one exterior-disk map.
 
     The root sqrt(A) of the first term is continued from the value +1 at
-    z = zeta.  A(z) = Q(zeta)/Q(z), so it is R(zeta)/R(z) with the
-    root R of :func:`_quotient_root`: the principal root of
+    z = zeta.  A(z) = psi'(zeta)/Q(z) with Q = ``psi.quotient(z, zeta)``,
+    and psi(z) - psi(zeta) = (z - zeta) Q, so no term subtracts two values
+    of psi.  sqrt(A) = R(zeta)/R(z) with the root R of
+    :func:`_quotient_root`: the principal root of
     1 - b1/(z zeta) for maps whose ``coefficients`` are ``(b0,)`` or
     ``(b0, b1)`` (identity, the joukowski family, ``b1:<c>``), marched along
     the ray from infinity for every other map and at every node where that
     closed form misses A by more than 1e-6 relative (coefficients that do
     not describe ``value``).  Only its sign is used: the value stays
-    +-sqrt(A) with A computed from ``value``.  Raises ``DomainError`` unless
-    1 < |zeta| < 2^340.
+    +-sqrt(A) with A computed from ``quotient``.  Raises ``DomainError``
+    unless 1 < |zeta| < 2^340.
     """
 
     def __init__(self, psi: UnivalentMap, zeta: complex):
@@ -253,10 +245,8 @@ class PsiEvaluator:
         self.ep_over_kp = self.params.E_prime / self.params.K_prime
         # sqrt(1 - |zeta|^-2) = complementary modulus kappa'
         self.d = math.sqrt(1.0 - 1.0 / abs(zeta) ** 2)
-        self.psi_zeta = complex(psi.value(np.complex128(zeta)))
         self.dpsi_zeta = complex(psi.deriv(np.complex128(zeta)))
         self.ddpsi_zeta = complex(psi.deriv2(np.complex128(zeta)))
-        self._diag_radius = _DIAG_RADIUS * (1.0 + abs(zeta))
         self._root = _quotient_root(psi, zeta)
         self._top = complex(self._root.at([1.0 / zeta])[0])
 
@@ -269,27 +259,24 @@ class PsiEvaluator:
     # -- field values --------------------------------------------------------
 
     def field(self, z):
-        """Psi(z, zeta); near-diagonal arguments return the exact limit."""
+        """Psi(z, zeta); z = zeta returns the closed form ``at_diagonal``."""
         zs = np.asarray(z, dtype=np.complex128)
         flat = zs.reshape(-1)
         u = flat - self.zeta
-        near = np.abs(u) < self._diag_radius
-        if near.any():
+        on = u == 0.0
+        if on.any():
             out = np.full_like(flat, self.at_diagonal())
-            far = ~near
-            if far.any():
-                out[far] = self._off_diagonal(flat[far], u[far])
+            out[~on] = self._off_diagonal(flat[~on], u[~on])
         else:
             out = self._off_diagonal(flat, u)
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
     def _off_diagonal(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Psi at nodes ``z`` outside the diagonal disk, where u = z - zeta."""
-        val = self.psi.value(z)
-        dv = val - self.psi_zeta
-        sq_a = self._sqrt_of_a(z, self.dpsi_zeta * u / dv)
+        """Psi at nodes ``z`` other than zeta, where u = z - zeta."""
+        q = self.psi.quotient(z, self.zeta)
+        sq_a = self._sqrt_of_a(z, self.dpsi_zeta / q)
         s = np.sqrt(1.0 - 1.0 / (np.conj(self.zeta) * z))
-        term1 = sq_a * self.psi.deriv(z) / dv
+        term1 = sq_a * self.psi.deriv(z) / (u * q)
         term2 = (s / self.d) / u
         term3 = self.ep_over_kp / (self.d * s * z)
         return term1 - term2 + term3
@@ -347,10 +334,13 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | N
 class _DiskField:
     """Integrand data for the unit-disk form of the area bound.
 
-    With psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
+    phi(w) = (w - x0) q(w) with q = ``phi.quotient(w, x0)``, since
+    phi(x0) = 0, so V(w) = (w^2 - x0^2)/phi(w) = (w + x0)/q(w) and the first
+    term phi'/phi = phi'/((w - x0) q) subtract no two values of phi.  With
+    psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
     (w - x0)/(w + x0), sqrt(V(w)) = sqrt(2 x0) R(zeta) (w + x0)/(2 x0 R(z'))
     at z' = eta_inv(w), with the root R of :func:`_disk_root`.  A map
-    without a ``source`` takes R as the root of (w + x0)^2/(2 x0 V(w)), a
+    without a ``source`` takes R as the root of (w + x0) q(w)/(2 x0), a
     constant multiple of Q(z') that is zero-free on the unit disk and 1 at
     w = x0, marched in s = w - x0 from s = 0.  Only the sign is used, by the
     rule of :meth:`_MarchedSqrt.signed_like`.
@@ -362,37 +352,21 @@ class _DiskField:
         ep_over_kp = params.E_prime / params.K_prime
         self.c2 = (1.0 + x0**2) * math.sqrt(2.0 * x0) / math.sqrt(1.0 - x0**4)
         self.c3 = ep_over_kp * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
-        self._near = 1e-9
         if phi.source is None:
-            self._root = _MarchedSqrt(lambda s: (s + x0 + x0) ** 2 / self._ratio_v(s + x0) / (2.0 * x0))
+            self._root = _MarchedSqrt(lambda s: (s + x0 + x0) * phi.quotient(s + x0, x0) / (2.0 * x0))
             self._coord = lambda w: w - x0
         else:
             self._root, self._coord = _disk_root(phi.source, x0)
         self._top = math.sqrt(2.0 * x0) * complex(self._root.at([self._coord(x0)])[0]) / (2.0 * x0)
 
-    def _ratio_v(self, w, phi_w=None):
-        """V(w) = (w^2 - x0^2)/phi(w); V(x0) = 2 x0, double zero at -x0.
-
-        ``phi_w``, when given, is phi(w) already evaluated by the caller.
-        """
-        w = np.asarray(w, dtype=np.complex128)
-        out = np.empty_like(w)
-        near = np.abs(w - self.x0) < self._near
-        far = ~near
-        if far.any():
-            out[far] = (w[far] ** 2 - self.x0**2) / (self.phi.value(w[far]) if phi_w is None else phi_w[far])
-        if near.any():
-            out[near] = 2.0 * self.x0
-        return out
-
-    def _sqrt_of_v(self, w: np.ndarray, phi_w=None) -> np.ndarray:
-        form = (self._top * (w + self.x0), -1)
-        return self._root.signed_like(self._coord(w), self._ratio_v(w, phi_w), form)
+    def _sqrt_of_v(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """+-sqrt(V) at the nodes ``w``, where V(w) = ``v``."""
+        return self._root.signed_like(self._coord(w), v, (self._top * (w + self.x0), -1))
 
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
-        phi_w = self.phi.value(w)
-        t1 = self.phi.deriv(w) / phi_w * self._sqrt_of_v(w, phi_w)
+        q = self.phi.quotient(w, self.x0)
+        t1 = self.phi.deriv(w) / ((w - self.x0) * q) * self._sqrt_of_v(w, (w + self.x0) / q)
         t2 = self.c2 * np.sqrt((1.0 - self.x0 * w) / (1.0 + self.x0 * w)) / (w - self.x0)
         t3 = self.c3 / np.sqrt(1.0 - self.x0**2 * w**2)
         return np.abs(t1 - t2 - t3) ** 2 / np.abs(w**2 - self.x0**2)

@@ -193,9 +193,10 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
 
     phi(w) = c * (psi(eta_inv(w)) - psi(zeta)) with c fixed by the chain
     rule so that phi(x0) = 0, phi(-x0) = inf, and phi'(x0) = 1 hold
-    exactly.  Full mappings stay full: the complement of the image only
-    moves by the affine factor c.  The result records ``(bridge, psi)`` as
-    its ``source``.
+    exactly.  Its ``quotient`` composes psi's with the divided difference
+    of eta_inv, which is exact because eta_inv is Moebius.  Full mappings
+    stay full: the complement of the image only moves by the affine
+    factor c.  The result records ``(bridge, psi)`` as its ``source``.
     """
     if psi.map_class != "Sigma":
         raise ValueError("phi_from_psi expects an exterior-disk map")
@@ -230,12 +231,21 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
             zi = eta_inv(bridge, w)
             return c_norm * (psi.deriv2(zi) * d_eta_inv(w) ** 2 + psi.deriv(zi) * d2_eta_inv(w))
 
+    # eta_inv is Moebius: its divided difference is unit (x0^2 - 1)/((w + x0)(v + x0))
+    c_quotient = c_norm * unit * (x0**2 - 1.0)
+
+    def quotient(w, v):
+        w, v = np.asarray(w, dtype=np.complex128), np.asarray(v, dtype=np.complex128)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return c_quotient * psi.quotient(eta_inv(bridge, w), eta_inv(bridge, v)) / ((w + x0) * (v + x0))
+
     return UnivalentMap(
         name=f"phi[{psi.name}]",
         map_class="disk",
         value=value,
         deriv=deriv,
         deriv2=deriv2,
+        quotient=quotient,
         coefficients=None,
         full_mapping=psi.full_mapping,
         source=(bridge, psi),

@@ -295,12 +295,10 @@ class TestLargeZetaDiskForm:
 
 
 class TestNearCircleSigmaForm:
-    @pytest.mark.xfail(strict=True, reason=(
-        "inside _DIAG_RADIUS (1 + |zeta|) ~ 2e-7 of zeta the field takes its diagonal limit, and at "
-        "|zeta| - 1 = 1e-8 that disk covers the whole patch around zeta (ROADMAP item 4)"
-    ))
     def test_identity_a_hundred_millionth_out_holds(self, capsys):
-        # printed ratio 1.4708, status violated, and exited 1
+        # printed ratio 1.4708, status violated, and exited 1 while the field
+        # took its diagonal limit inside 1e-7 (1 + |zeta|) of zeta, a disk
+        # that covered the whole patch around zeta
         assert main(["area", "--map", "identity", "--zeta=1.00000001"]) == EXIT_OK
         assert "status=holds" in capsys.readouterr().out
 

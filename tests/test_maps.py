@@ -5,10 +5,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from goluzin_lab.catalog import resolve_map
+from goluzin_lab.catalog import catalog, resolve_map
 from goluzin_lab.elliptic import params_from_x0
 from goluzin_lab.errors import BranchAmbiguityError, BranchCutError, DomainError, PoleError
 from goluzin_lab.maps import (
@@ -296,6 +296,53 @@ class TestPhiFromPsi:
     def test_full_mapping_inherited(self, bridge):
         assert phi_from_psi(bridge, resolve_map("joukowski")).full_mapping
         assert not phi_from_psi(bridge, resolve_map("b1:0.3")).full_mapping
+
+
+def _quotient_maps():
+    """Every catalog map, and the unit-disk map of each catalog Sigma map at
+    zeta = 1.25 and 3i."""
+    out = catalog()
+    for zeta in (1.25, 3j):
+        bridge = BridgeMaps.from_zeta(zeta)
+        out += [phi_from_psi(bridge, m) for m in catalog() if m.map_class == "Sigma"]
+    return out
+
+
+QUOTIENT_MAPS = _quotient_maps()
+
+
+def _domain_point(m, t, arg):
+    """A point of the map's domain at radius parameter t in [0, 1]: |z| from
+    1.05 to 100 for a Sigma map, up to 0.95 for a unit-disk map, clear of
+    the critical points on the unit circle."""
+    r = 1.05 * (100.0 / 1.05) ** t if m.map_class == "Sigma" else 0.95 * t
+    return np.complex128(r * complex(math.cos(arg), math.sin(arg)))
+
+
+class TestQuotient:
+    """``quotient(z, w)`` is (value(z) - value(w))/(z - w) without the
+    subtraction, and deriv(w) at z = w."""
+
+    @given(
+        m=st.sampled_from(QUOTIENT_MAPS),
+        t=st.floats(0.0, 1.0),
+        a=st.floats(0.0, 2.0 * math.pi),
+        s=st.floats(0.0, 1.0),
+        b=st.floats(0.0, 2.0 * math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_subtraction_off_the_diagonal(self, m, t, a, s, b):
+        z, w = _domain_point(m, t, a), _domain_point(m, s, b)
+        assume(abs(z - w) >= 1e-3)
+        got = complex(m.quotient(z, w))
+        assert abs(got - (m.value(z) - m.value(w)) / (z - w)) <= 1e-10 * abs(got)
+
+    @given(m=st.sampled_from(QUOTIENT_MAPS), t=st.floats(0.0, 1.0), a=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_derivative_on_the_diagonal(self, m, t, a):
+        w = _domain_point(m, t, a)
+        deriv = complex(m.deriv(w))
+        assert abs(complex(m.quotient(w, w)) - deriv) <= 1e-14 * abs(deriv)
 
 
 class TestSqrtContinued:

@@ -2,13 +2,16 @@
 
 A check passes when it does not raise and lands within three of its error
 bars of its reference, |ratio - ref| <= 3 err/rhs.  For a full mapping
-the reference is exactly 1.  For the other maps it is the torus form at
-rel_tol 1e-7, whose own bar, about 1e-8 of rhs, is added to the sigma
-form's.  The cases cover the far field out to |zeta| = 1000 and zeta next
-to the unit circle, 1e-5 out.  When the annulus seeded 4 x 4 cells, 4.5
-times longer in theta than in log r, it missed nine of them: its cells
-and their children both missed the bump edge around zeta and agreed (up
-to 10 err off), or ran into the refinement cap next to the circle.
+the reference is exactly 1.  For the other maps it is the torus form,
+whose own bar is added to the sigma form's: at rel_tol 1e-7 (a bar of
+about 1e-8 of rhs), and at its default 1e-4 for zeta within 1e-6 of the
+unit circle, where its bar is 1e-7 to 2e-6 of rhs.  The cases cover the
+far field out to |zeta| = 1000, zeta next to the unit circle down to
+1e-8 out, and zeta next to a critical point of psi.  When the annulus
+seeded 4 x 4 cells, 4.5 times longer in theta than in log r, it missed
+nine of them: its cells and their children both missed the bump edge
+around zeta and agreed (up to 10 err off), or ran into the refinement cap
+next to the circle.
 """
 
 import cmath
@@ -18,7 +21,6 @@ import pytest
 
 from goluzin_lab.catalog import resolve_map
 from goluzin_lab import quadrature
-from goluzin_lab.errors import QuadratureError
 from goluzin_lab.inequalities import torus_area_crosscheck, verify_area_sigma
 from goluzin_lab.quadrature import QuadratureSpec
 
@@ -60,44 +62,32 @@ def test_full_mapping_reads_one(name, arg, radius, rel_tol):
     assert abs(r.ratio - 1.0) <= 3.0 * _bar(r)
 
 
-_SUBTRACTION = (
-    "psi(z) - psi(zeta) is formed by subtraction, and inside _DIAG_RADIUS (1 + |zeta|) ~ 2e-7 of zeta "
-    "the field takes its diagonal limit, a disk that covers the patch around zeta once |zeta| - 1 < 2.5e-7 "
-    "(ROADMAP item 4)"
-)
-
-
-@pytest.mark.parametrize(
-    "eps",
-    [
-        1e-6,
-        pytest.param(1e-7, marks=pytest.mark.xfail(strict=True, reason=_SUBTRACTION)),
-        pytest.param(1e-8, marks=pytest.mark.xfail(strict=True, reason=_SUBTRACTION)),
-    ],
-)
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
 def test_identity_next_to_the_circle_against_the_torus_form(eps):
     # Q = 1 for the identity, so the torus form has no spike at b1/zeta and
-    # reads 0.363381 at all three radii; the sigma form read 0.38204 and
-    # 1.47076 (violated) at 1e-7 and 1e-8, 314 and 3,948 bars off
+    # reads 0.363381 at all three radii.  While the field took its diagonal
+    # limit inside 1e-7 (1 + |zeta|) of zeta, a disk that covered the whole
+    # patch around zeta from |zeta| - 1 = 2.5e-7 in, the sigma form read
+    # 0.38204 and 1.47076 (violated) at 1e-7 and 1e-8, 314 and 3,948 bars off
+    # (the torus form stays at its default rel_tol: at 1e-6 or 1e-7 it reads
+    # inf at 1e-7 and 1e-8, where phi(sigma(u)) rounds to 0 at a node next to
+    # its double zero at u = 0)
     zeta = (1.0 + eps) * cmath.exp(2j)
     rt = torus_area_crosscheck(resolve_map("identity"), zeta)
     rs = verify_area_sigma(resolve_map("identity"), zeta)
     assert abs(rs.ratio - rt.ratio) <= 3.0 * (_bar(rs) + _bar(rt))
 
 
-@pytest.mark.xfail(strict=True, reason=_SUBTRACTION)
 def test_full_mapping_a_millionth_from_a_critical_point():
-    # read 0.99915, 6.7 err off
+    # with psi(z) - psi(zeta) formed by subtraction this read 0.99915, 6.7 err off
     test_full_mapping_reads_one("joukowski", 0.0, 1.0 + 1e-6, 2e-4)
 
 
-@pytest.mark.xfail(strict=True, raises=QuadratureError, reason=(
-    "zeta is 1e-5 from the critical point 1 of joukowski, where psi'(zeta) = 2e-5: psi(z) - psi(zeta) "
-    "loses 4e-5 of itself to rounding at |z - zeta| ~ 5e-7, and the patch around zeta refines that "
-    "noise until its refinement cap (ROADMAP item 4)"
-))
 def test_full_mapping_next_to_a_critical_point(monkeypatch):
-    # the converging checks above take under 100 refinements per drive; at the
-    # full cap of 40,000 this one raises only after 45 s
+    # zeta is 1e-5 from the critical point 1, where psi'(zeta) = 2e-5.  With
+    # psi(z) - psi(zeta) formed by subtraction, which loses 4e-5 of itself to
+    # rounding at |z - zeta| ~ 5e-7, the patch around zeta refined that noise
+    # until its cap and raised QuadratureError, after 45 s at the full cap of
+    # 40,000; the cap is cut so that such a regression fails fast
     monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 1_000)
     test_full_mapping_reads_one("joukowski", 0.0, 1.0 + 1e-5, 1e-6)
