@@ -16,6 +16,8 @@ next to the circle.
 
 import cmath
 import functools
+import math
+import warnings
 
 import pytest
 
@@ -75,6 +77,24 @@ def test_identity_next_to_the_circle_against_the_torus_form(eps):
     zeta = (1.0 + eps) * cmath.exp(2j)
     rt = torus_area_crosscheck(resolve_map("identity"), zeta)
     rs = verify_area_sigma(resolve_map("identity"), zeta)
+    assert abs(rs.ratio - rt.ratio) <= 3.0 * (_bar(rs) + _bar(rt))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "phi(sigma(u)) rounds to 0 at nodes next to its double zero at u = 0: the root divides by zero "
+    "and the report reads ratio inf, status equality"
+))
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-7])
+@pytest.mark.parametrize("eps", [1e-7, 1e-8])
+def test_torus_form_next_to_the_circle_is_finite(eps, rel_tol):
+    # identity is not a full mapping: the torus form must read below 1, with
+    # no RuntimeWarning, and land within three combined bars of the sigma form
+    zeta = (1.0 + eps) * cmath.exp(2j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rt = torus_area_crosscheck(resolve_map("identity"), zeta, QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12))
+    rs = verify_area_sigma(resolve_map("identity"), zeta)
+    assert math.isfinite(rt.ratio) and rt.status == "holds"
     assert abs(rs.ratio - rt.ratio) <= 3.0 * (_bar(rs) + _bar(rt))
 
 
