@@ -21,28 +21,23 @@ Implemented checks:
   rectangle coordinates through the Green-function machinery (slow; one
   parameter is enough to pin the 3/2-power branch conventions).
 
-The field Psi(z, zeta) combines three terms whose relative signs matter;
-its square-root factor sqrt(psi'(zeta)(z - zeta)/(psi(z) - psi(zeta))) is
-the analytic continuation of the value +1 at z = zeta inside the exterior
-disk.  The disk form and the torus check carry square roots of the same
-kind, and all three are quotients of one root.  Univalence makes
-Q(z) = (psi(z) - psi(zeta))/(z - zeta) zero-free on |z| > 1 with
-Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued there
-(:func:`_quotient_root`).  Q is read from the map's ``quotient``, never
-formed by subtracting two values, so it keeps its digits next to the
-diagonal and next to a critical point of psi.  Every root of the three
-checks comes from this one origin, R = 1 at u = 1/z = 0, and one
-closed-form reference value, R(zeta): it fixes the factor of the disk
-form and the sign of the torus constant.  For psi = z + b0 + b1/z,
-|b1| <= 1 (every catalog Sigma map), R is the principal root of
-1 - b1/(z zeta); every other map, and every node at which that closed
-form misses the check's own argument by more than 1e-6 relative, gets R
-from a march along the segment from u = 0 to the node
-(:class:`_MarchedSqrt`).  Each check takes only the sign from R, so a
-node's sign depends on its position alone and not on the other nodes of
-its integrand call.  Where the closed form serves, Re Q > 0 keeps R within
-pi/4 of the positive real axis, and the sign is read off the check's own
-factor with no root taken.
+All three area checks take their square roots from one root R.
+Univalence makes Q(z) = (psi(z) - psi(zeta))/(z - zeta) zero-free on
+|z| > 1 with Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued
+there (:func:`_quotient_root`).  Q is read from the map's ``quotient``,
+never formed by subtracting two values, so it keeps its digits next to
+the diagonal and next to a critical point of psi.  Each check's root is
+c R^(+-1) with a factor c it has at hand: sqrt(A) = R(zeta)/R(z) in the
+field Psi(z, zeta), sqrt(V) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) in the
+disk form and sqrt(phi(sigma)) = k cn R(z')/(sigma + x0) in the torus
+check, z' = eta_inv(w) or eta_inv(sigma).  :meth:`_MarchedSqrt.at` signs
+R = +-sqrt(Q) from the Q the check computes anyway.  For psi = z + b0 +
+b1/z, |b1| <= 1 (every catalog Sigma map), R is the principal root of
+1 - b1/(z zeta); every other map, and every node at which that closed form
+misses the check's Q by more than 1e-6 relative, takes its sign from a
+march along the segment from u = 1/z = 0 to the node
+(:class:`_MarchedSqrt`), so a node's sign depends on its position alone
+and not on the other nodes of its integrand call.
 """
 
 from __future__ import annotations
@@ -105,6 +100,8 @@ class VerificationReport:
 
 def _report(inequality, lhs, rhs, err, floor, inputs) -> VerificationReport:
     ratio = lhs / rhs
+    if not (math.isfinite(ratio) and math.isfinite(err)):
+        raise QuadratureError(f"{inequality}: ratio {ratio} with error {err} is not finite")
     band = max(floor, 3.0 * err / rhs)
     if abs(ratio - 1.0) <= band:
         status = "equality"
@@ -138,7 +135,7 @@ class _MarchedSqrt:
     of the flips along its ray, as in the linear chain of
     :func:`~goluzin_lab.maps.sqrt_continued`.  So a node's root depends on
     its position only.  ``closed_arg``, when given, is a formula q for f
-    whose principal root is this root.
+    whose principal root is this root where Re q > 0.
     """
 
     def __init__(self, f: Callable, closed_arg: Callable | None = None):
@@ -162,31 +159,26 @@ class _MarchedSqrt:
             todo, n = todo[~ok], 2 * n
         raise BranchAmbiguityError("could not march the square root along a ray")
 
-    def at(self, x) -> np.ndarray:
-        """The root at the nodes ``x``, checked as in :meth:`signed_like`."""
-        x = np.asarray(x, dtype=np.complex128)
-        return self.signed_like(x, self._f(x), (1.0, 1))
+    def at(self, x, vals=None) -> np.ndarray:
+        """This root, +-sqrt(vals), at the nodes ``x``; ``vals`` defaults to f(x).
 
-    def signed_like(self, x, vals: np.ndarray, form: tuple) -> np.ndarray:
-        """+-sqrt(vals) with the sign of c R**p, R this root at the nodes ``x``.
-
-        ``form`` is (c, p), p = +-1, and ``vals`` must be (c R**p)**2.  The
-        closed form q serves every node where Re q > 0 and c**2 q**p is within
-        1e-6 relative of ``vals``: R = sqrt(q) lies within pi/4 of the positive
-        real axis there, so c R**p has the sign of c and no root is taken.
-        The march serves the others, such as every node of a map whose
-        coefficients do not describe its value.
+        A node takes the principal root where the closed form q has Re q > 0
+        and is within 1e-6 relative of ``vals``: the root lies within pi/4 of
+        the positive real axis there.  :meth:`block` signs every other node,
+        such as every node of a map whose coefficients do not describe its
+        value.
         """
-        c, p = form
-        g, ref = np.sqrt(vals), c
+        x = np.asarray(x, dtype=np.complex128)
+        vals = self._f(x) if vals is None else vals
+        g = np.sqrt(vals)
         miss = np.ones(g.shape, dtype=bool)
         if self._q is not None:
             q = self._q(x)
-            miss = ~((np.abs(c * c * q**p - vals) <= 1e-6 * np.abs(vals)) & (q.real > 0.0))
+            miss = ~((np.abs(q - vals) <= 1e-6 * np.abs(vals)) & (q.real > 0.0))
         if miss.any():
-            ref = np.array(np.broadcast_to(c, g.shape), dtype=np.complex128)
-            ref[miss] *= self.block(x[miss]) ** p
-        return np.where((g * np.conj(ref)).real < 0.0, -g, g)
+            gm = g[miss]
+            g[miss] = np.where((gm * np.conj(self.block(x[miss]))).real < 0.0, -gm, gm)
+        return g
 
 
 def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
@@ -219,18 +211,12 @@ def _disk_root(source: tuple, x0: float):
 class PsiEvaluator:
     """The three-term field Psi(z, zeta) for one exterior-disk map.
 
-    The root sqrt(A) of the first term is continued from the value +1 at
-    z = zeta.  A(z) = psi'(zeta)/Q(z) with Q = ``psi.quotient(z, zeta)``,
-    and psi(z) - psi(zeta) = (z - zeta) Q, so no term subtracts two values
-    of psi.  sqrt(A) = R(zeta)/R(z) with the root R of
-    :func:`_quotient_root`: the principal root of
-    1 - b1/(z zeta) for maps whose ``coefficients`` are ``(b0,)`` or
-    ``(b0, b1)`` (identity, the joukowski family, ``b1:<c>``), marched along
-    the ray from infinity for every other map and at every node where that
-    closed form misses A by more than 1e-6 relative (coefficients that do
-    not describe ``value``).  Only its sign is used: the value stays
-    +-sqrt(A) with A computed from ``quotient``.  Raises ``DomainError``
-    unless 1 < |zeta| < 2^340.
+    The first term carries sqrt(A), A(z) = psi'(zeta)/Q(z), continued from
+    the value +1 at z = zeta: it is R(zeta)/R(z) with the root R of
+    :func:`_quotient_root`, signed by :meth:`_MarchedSqrt.at` from
+    Q = ``psi.quotient(z, zeta)``.  With psi(z) - psi(zeta) = (z - zeta) Q
+    no term subtracts two values of psi.  Raises ``DomainError`` unless
+    1 < |zeta| < 2^340.
     """
 
     def __init__(self, psi: UnivalentMap, zeta: complex):
@@ -248,15 +234,7 @@ class PsiEvaluator:
         self.dpsi_zeta = complex(psi.deriv(np.complex128(zeta)))
         self.ddpsi_zeta = complex(psi.deriv2(np.complex128(zeta)))
         self._root = _quotient_root(psi, zeta)
-        self._top = complex(self._root.at([1.0 / zeta])[0])
-
-    # -- square-root factor ------------------------------------------------
-
-    def _sqrt_of_a(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """sqrt(A) at the off-diagonal nodes ``z``, where A(z) = ``a``."""
-        return self._root.signed_like(1.0 / z, a, (self._top, -1))
-
-    # -- field values --------------------------------------------------------
+        self._top = complex(self._root.at([1.0 / zeta])[0])  # R(zeta)
 
     def field(self, z):
         """Psi(z, zeta); z = zeta returns the closed form ``at_diagonal``."""
@@ -274,9 +252,8 @@ class PsiEvaluator:
     def _off_diagonal(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Psi at nodes ``z`` other than zeta, where u = z - zeta."""
         q = self.psi.quotient(z, self.zeta)
-        sq_a = self._sqrt_of_a(z, self.dpsi_zeta / q)
         s = np.sqrt(1.0 - 1.0 / (np.conj(self.zeta) * z))
-        term1 = sq_a * self.psi.deriv(z) / (u * q)
+        term1 = self._top * self.psi.deriv(z) / (u * q * self._root.at(1.0 / z, q))
         term2 = (s / self.d) / u
         term3 = self.ep_over_kp / (self.d * s * z)
         return term1 - term2 + term3
@@ -338,12 +315,12 @@ class _DiskField:
     phi(x0) = 0, so V(w) = (w^2 - x0^2)/phi(w) = (w + x0)/q(w) and the first
     term phi'/phi = phi'/((w - x0) q) subtract no two values of phi.  With
     psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
-    (w - x0)/(w + x0), sqrt(V(w)) = sqrt(2 x0) R(zeta) (w + x0)/(2 x0 R(z'))
-    at z' = eta_inv(w), with the root R of :func:`_disk_root`.  A map
-    without a ``source`` takes R as the root of (w + x0) q(w)/(2 x0), a
-    constant multiple of Q(z') that is zero-free on the unit disk and 1 at
-    w = x0, marched in s = w - x0 from s = 0.  Only the sign is used, by the
-    rule of :meth:`_MarchedSqrt.signed_like`.
+    (w - x0)/(w + x0), sqrt(V(w)) = R(zeta) (w + x0)/(sqrt(2 x0) R(z')) at
+    z' = eta_inv(w), with the root R of :func:`_disk_root` signed from
+    Q(z') = psi'(zeta) (w + x0) q(w)/(2 x0).  A map without a ``source``
+    takes R as the root of (w + x0) q(w)/(2 x0), a constant multiple of
+    Q(z') that is zero-free on the unit disk and 1 at w = x0, marched in
+    s = w - x0 from s = 0: the factors psi'(zeta) and R(zeta) become 1.
     """
 
     def __init__(self, phi: UnivalentMap, x0: float, params: EllipticParams):
@@ -354,19 +331,19 @@ class _DiskField:
         self.c3 = ep_over_kp * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
         if phi.source is None:
             self._root = _MarchedSqrt(lambda s: (s + x0 + x0) * phi.quotient(s + x0, x0) / (2.0 * x0))
-            self._coord = lambda w: w - x0
+            self._coord, self._scale, top = (lambda w: w - x0), 1.0 / (2.0 * x0), 1.0
         else:
+            bridge, psi = phi.source
             self._root, self._coord = _disk_root(phi.source, x0)
-        self._top = math.sqrt(2.0 * x0) * complex(self._root.at([self._coord(x0)])[0]) / (2.0 * x0)
-
-    def _sqrt_of_v(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """+-sqrt(V) at the nodes ``w``, where V(w) = ``v``."""
-        return self._root.signed_like(self._coord(w), v, (self._top * (w + self.x0), -1))
+            self._scale = complex(psi.deriv(np.complex128(bridge.zeta))) / (2.0 * x0)
+            top = complex(self._root.at([self._coord(x0)])[0])
+        self._top = top / math.sqrt(2.0 * x0)
 
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
         q = self.phi.quotient(w, self.x0)
-        t1 = self.phi.deriv(w) / ((w - self.x0) * q) * self._sqrt_of_v(w, (w + self.x0) / q)
+        r = self._root.at(self._coord(w), self._scale * (w + self.x0) * q)
+        t1 = self._top * self.phi.deriv(w) * (w + self.x0) / ((w - self.x0) * q * r)
         t2 = self.c2 * np.sqrt((1.0 - self.x0 * w) / (1.0 + self.x0 * w)) / (w - self.x0)
         t3 = self.c3 / np.sqrt(1.0 - self.x0**2 * w**2)
         return np.abs(t1 - t2 - t3) ** 2 / np.abs(w**2 - self.x0**2)
@@ -504,18 +481,19 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
 
     With sigma^2 - x0^2 = -x0^2 cn^2(z + L), the root is
     sqrt(phi(sigma(z))) = k cn(z + L) R(z')/(sigma + x0) at
-    z' = eta_inv(sigma), with the root R of :func:`_disk_root`.  Since
+    z' = eta_inv(sigma), with the root R of :func:`_disk_root` signed from
+    Q(z') = psi'(zeta) (sigma + x0) q(sigma)/(2 x0), q = ``phi.quotient``
+    at (sigma, x0).  Since
     phi(sigma) = -(2 x0/psi'(zeta)) x0^2 cn^2(z + L) Q(z')/(sigma + x0)^2,
     k = +-x0 sqrt(-2 x0/psi'(zeta)).  The 1/z^2 poles of the two terms
     cancel for k = -i x0 sqrt(2 x0)/R(zeta), which fixes the sign; k keeps
-    the value of the first form.  Only the root's sign is used, by the rule
-    of :meth:`_MarchedSqrt.signed_like`.  One sn-cn-dn call at modulus x0^2
+    the value of the first form.  No value of phi enters, so the root keeps
+    its digits at the double zero z = 0.  One sn-cn-dn call at modulus x0^2
     per integrand call gives sigma, sigma', cn(z + L) and, through Landen's
     transformation, dz_Q_D (:func:`~goluzin_lab.torus._dz_Q_D_landen`).
 
     The integrand is smooth at 0, where the poles cancel, so the band tags no
-    point: 0 is a seed corner, 0.016 from the nearest node at zeta = 2, far
-    from the cancellation noise in phi(sigma(z)) ~ z^2 below |z| ~ 1e-3.
+    point: 0 is a seed corner, 0.016 from the nearest node at zeta = 2.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8)
     zeta = complex(zeta)
@@ -526,7 +504,8 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     L, Lp = p.L, p.L_prime
     b = ev.b_const
     root, coord = _disk_root(phi.source, p.x0)
-    k = p.x0 * cmath.sqrt(-2.0 * p.x0 / complex(psi.deriv(np.complex128(zeta))))
+    scale = complex(psi.deriv(np.complex128(zeta))) / (2.0 * p.x0)
+    k = p.x0 * cmath.sqrt(-1.0 / scale)
     k = k if (1j * k * complex(root.at([coord(p.x0)])[0])).real > 0.0 else -k
 
     def integrand(z):
@@ -534,7 +513,8 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
         # sigma and sigma' with the float operations of ``sigma`` and ``sigma_prime``
         sn, cn, dn = jacobi_sn_cn_dn(bridge.ctx_l, z + L)
         sig, dsig = p.x0 * sn, p.x0 * cn * dn
-        g = root.signed_like(coord(sig), phi.value(sig), (k * cn / (sig + p.x0), 1))
+        r = root.at(coord(sig), scale * (sig + p.x0) * phi.quotient(sig, p.x0))
+        g = k * cn * r / (sig + p.x0)
         dphi = phi.deriv(sig) * dsig
         val = -dphi / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
         return np.abs(val) ** 2

@@ -207,6 +207,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("value, error", [(float("inf"), float("inf")), (float("nan"), 1e-3)], ids=["inf", "nan"])
+    def test_non_finite_area_is_2(self, value, error, monkeypatch, capsys):
+        # an inf ratio with an inf error read equality (exit 0), a NaN ratio violated (exit 1)
+        from goluzin_lab import inequalities
+        from goluzin_lab.quadrature import QuadratureResult
+
+        monkeypatch.setattr(inequalities, "integrate_exterior_disk", lambda f, spec: QuadratureResult(value, error, 0, True))
+        assert main(["area", "--map", "identity", "--zeta", "2.0"]) == cli.EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_zero_abs_tol_is_accepted(self, capsys):
         assert main(["gronwall", "--map", "joukowski", "--abs-tol", "0"]) == EXIT_OK
 

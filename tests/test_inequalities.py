@@ -272,6 +272,22 @@ class TestPointwiseFromArea:
             assert lhs_sq <= area.lhs * factor * (1.0 + 5e-3)
 
 
+class TestReport:
+    """A ratio or an error that is not finite is no verdict: the report
+    raises QuadratureError (CLI exit 2).  An inf ratio with an inf error
+    read equality, its band max(floor, 3 err/rhs) being inf, and a NaN
+    ratio read violated."""
+
+    @pytest.mark.parametrize(
+        "lhs,err",
+        [(math.inf, math.inf), (math.inf, 0.0), (math.nan, 1e-3), (0.5, math.inf), (0.5, math.nan)],
+        ids=["inf-ratio-inf-error", "inf-ratio", "nan-ratio", "inf-error", "nan-error"],
+    )
+    def test_non_finite_raises(self, lhs, err):
+        with pytest.raises(QuadratureError):
+            inequalities._report("area-torus", lhs, 1.0, err, 2e-2, {})
+
+
 class TestGronwall:
     def test_joukowski_equality_both_routes(self):
         r = gronwall_check(resolve_map("joukowski"))
@@ -408,9 +424,22 @@ class TestTorusCrossCheck:
     def test_full_mapping_within_three_error_bars_of_one(self, name, zeta):
         # with a patch at 0, 1.001 raised QuadratureError after 40,973,924
         # evaluations and 1.01 read 1.0316 +- 0.032; without the rounding
-        # term, joukowski at 50 reads 1 + 1.9e-11 against an error of 4.6e-12
+        # term, joukowski at 50 read 1 + 1.9e-11 against an error of 4.6e-12
+        # while the root was formed from phi(sigma(z))
         r = torus_area_crosscheck(resolve_map(name), zeta)
         assert abs(r.ratio - 1.0) <= 3.0 * r.error_estimate / r.rhs
+
+    @pytest.mark.parametrize(
+        "name,zeta",
+        [("joukowski", 1.25), ("joukowski", 2.0)]
+        + [(name, zeta) for name in ("joukowski-pi3", "joukowski-pi2", "b1:-1") for zeta in (5.0 * cmath.exp(0.7j), 20.0)],
+    )
+    def test_full_mapping_reads_one_to_rounding(self, name, zeta):
+        # the bar is 1e-10 to 3e-10 of rhs here; while the root was formed
+        # from phi(sigma(u)), which cancels next to u = 0, these read 6e-12
+        # to 9.7e-11 off 1
+        r = torus_area_crosscheck(resolve_map(name), zeta)
+        assert abs(r.ratio - 1.0) <= 1e-13
 
     @pytest.mark.parametrize(
         "name,zeta",
@@ -419,12 +448,13 @@ class TestTorusCrossCheck:
     )
     def test_integrand_is_even(self, name, zeta, monkeypatch):
         # sigma(-z) = sigma(z), so the upper half band carries half the area;
-        # the cancellation of the poles at 0 leaves up to 3e-8 at |z| = 0.034
+        # the cancellation of the poles at 0 leaves up to 1.1e-11 (3.1e-8 at
+        # |z| = 0.034 while the root was formed from phi(sigma(z)))
         f, _ = _torus_parts(name, zeta, monkeypatch)
         p = BridgeMaps.from_zeta(zeta).params
         z = _seed_call(_torus_seeds(p), lambda x, y: x + 1j * y, 1).ravel()
         z = np.concatenate([z, z - 0.5j * p.L_prime])
-        assert np.allclose(f(-z), f(z), rtol=1e-6, atol=0.0)
+        assert np.allclose(f(-z), f(z), rtol=1e-10, atol=0.0)
 
     # the zero of Q at b1/zeta, 1 - 1/|zeta| inside the unit circle, makes the
     # integrand spike at the edge |sigma| = 1, where cells whose coarse and
@@ -467,11 +497,11 @@ class TestVerdictBits:
     the same arithmetic faster keeps every bit of them."""
 
     PINS = [
-        ("sigma", "joukowski", 1.25, "0x1.ffffe880257cep-1", "0x1.3b8f239852517p-11", 12322),
-        ("sigma", "b1:0.7", 3j, "0x1.dbd13a517ea49p-1", "0x1.266f167639da3p-15", 10111),
+        ("sigma", "joukowski", 1.25, "0x1.ffffe880257d1p-1", "0x1.3b8f239853ad2p-11", 12322),
+        ("sigma", "b1:0.7", 3j, "0x1.dbd13a517ea45p-1", "0x1.266f16763d314p-15", 10111),
         ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16d98bdf571p-1", "0x1.82aa1698e6421p-15", 11614),
-        ("disk", "joukowski", 2.0, "0x1.ffff98ad59223p-1", "0x1.8cd7c3fbe4886p-11", 12340),
-        ("torus", "joukowski", 2.0, "0x1.0000000006b9dp+0", "0x1.c900f857d6ba5p-32", 5120),
+        ("disk", "joukowski", 2.0, "0x1.ffff98ad59222p-1", "0x1.8cd7c3fbe3758p-11", 12340),
+        ("torus", "joukowski", 2.0, "0x1.0000000000025p+0", "0x1.ad003d57cbc2ep-32", 5120),
     ]
 
     @pytest.mark.parametrize("form,name,zeta,ratio,error,n_evals", PINS)
@@ -491,19 +521,19 @@ class TestTorusRatiosHeld:
     """The nine bridge torus checks against their ratios (float hex) and
     n_evals, from the upper half band, which tags no point at 0.  A change
     that only rebuilds the same arithmetic moves each ratio by far less
-    than the check's error bar, 7e-11 to 3.9e-9 of rhs (the report's
+    than the check's error bar, 5.6e-11 to 3.9e-9 of rhs (the report's
     rounding term 1e-10 |value| included)."""
 
     REFERENCE = [
-        ("joukowski", 1.25, "0x1.ffffffff2bad5p-1", 5120),
-        ("joukowski", 2.0, "0x1.0000000006b9dp+0", 5120),
-        ("joukowski", 3j, "0x1.fffffffff5d7ep-1", 5120),
-        ("identity", 1.25, "0x1.1f6fb4c22ca12p-1", 5120),
-        ("identity", 2.0, "0x1.8a16ccb12f8c6p-1", 5120),
-        ("identity", 3j, "0x1.be7bc0a322287p-1", 5120),
-        ("b1:0.7", 1.25, "0x1.65e0728bfaf86p-1", 5120),
-        ("b1:0.7", 2.0, "0x1.bd7cbce8eed29p-1", 5120),
-        ("b1:0.7", 3j, "0x1.dbd154d02957cp-1", 5120),
+        ("joukowski", 1.25, "0x1.0000000000022p+0", 5120),
+        ("joukowski", 2.0, "0x1.0000000000025p+0", 5120),
+        ("joukowski", 3j, "0x1.fffffffff6af1p-1", 5120),
+        ("identity", 1.25, "0x1.1f6fb4c252fcfp-1", 5120),
+        ("identity", 2.0, "0x1.8a16ccb121d0dp-1", 5120),
+        ("identity", 3j, "0x1.be7bc0a323137p-1", 5120),
+        ("b1:0.7", 1.25, "0x1.65e0728c30cfdp-1", 5120),
+        ("b1:0.7", 2.0, "0x1.bd7cbce8e46fbp-1", 5120),
+        ("b1:0.7", 3j, "0x1.dbd154d02af06p-1", 5120),
     ]
 
     @pytest.mark.parametrize("name,zeta,ratio,n_evals", REFERENCE)
@@ -734,30 +764,32 @@ def _exterior_path(zeta, z):
 
 
 class TestClosedFormSqrt:
-    """The sign of sqrt(A) in ``PsiEvaluator.field`` against an independent
-    march of sqrt(A) from zeta along a path around the exterior disk."""
+    """The sign of sqrt(A) = R(zeta)/R(z) in ``PsiEvaluator.field`` against
+    an independent march of sqrt(A) from zeta along a path around the
+    exterior disk."""
 
     @staticmethod
     def field_root(ev, zs, monkeypatch):
-        """The root ``field`` uses at ``zs``, and which of them were marched."""
+        """The root R(z) ``field`` takes from ``at`` at ``zs``, and which of
+        the nodes were marched."""
         roots, marched = [], []
-        sqrt_of_a, block = PsiEvaluator._sqrt_of_a, _MarchedSqrt.block
+        at, block = _MarchedSqrt.at, _MarchedSqrt.block
 
-        def recorded(self, z, a):
-            roots.append(sqrt_of_a(self, z, a))
+        def recorded(self, x, vals=None):
+            roots.append(at(self, x, vals))
             return roots[-1]
 
         def counted(self, u):
             marched.append(np.asarray(u).reshape(-1))
             return block(self, u)
 
-        monkeypatch.setattr(PsiEvaluator, "_sqrt_of_a", recorded)
+        monkeypatch.setattr(_MarchedSqrt, "at", recorded)
         monkeypatch.setattr(_MarchedSqrt, "block", counted)
         ev.field(zs)
         monkeypatch.undo()
-        (g,) = roots
+        (r,) = roots
         hit = np.isin(1.0 / zs, np.concatenate(marched)) if marched else np.zeros(zs.shape, dtype=bool)
-        return g, hit
+        return r, hit
 
     @staticmethod
     def marched(ev, zs):
@@ -769,11 +801,10 @@ class TestClosedFormSqrt:
     def test_sign_matches_march(self, name, zeta, monkeypatch):
         ev = PsiEvaluator(resolve_map(name), zeta)
         for group, zs in _oracle_nodes(ev).items():
-            g, hit = self.field_root(ev, zs, monkeypatch)
-            ref = self.marched(ev, zs)
+            r, hit = self.field_root(ev, zs, monkeypatch)
+            g, ref = ev._top / r, self.marched(ev, zs)
             assert np.all(np.abs(g - ref) < np.abs(g + ref)), group
-            root = np.sqrt(_ratio_a(ev, zs))
-            assert np.all((g == root) | (g == -root)), group
+            assert _is_signed_root(r, ev.psi.quotient(zs, ev.zeta)), group
             # no node is marched: when A was formed from psi(z) - psi(zeta),
             # which cancels next to the diagonal, it missed the closed form by
             # 6e-4 there for joukowski at 1 + 1e-6 (psi'(zeta) ~ 2e-6)
@@ -785,10 +816,11 @@ class TestClosedFormSqrt:
         m = dataclasses.replace(resolve_map("identity"), coefficients=(0.0, 0.3))
         ev = PsiEvaluator(m, 2.0)
         for group, zs in _oracle_nodes(ev).items():
-            g, hit = self.field_root(ev, zs, monkeypatch)
-            # beyond |z| ~ 1.5e5 the expansion meets A = 1 within 1e-6
+            r, hit = self.field_root(ev, zs, monkeypatch)
+            # beyond |z| ~ 1.5e5 the expansion meets Q = 1 within 1e-6
             assert hit[np.abs(zs) < 1e4].all(), group
-            assert np.allclose(g, self.marched(ev, zs), rtol=1e-12, atol=0.0), group
+            assert np.allclose(ev._top / r, self.marched(ev, zs), rtol=1e-12, atol=0.0), group
+
     @pytest.mark.parametrize("name", ["joukowski", "b1:0.7"])
     @pytest.mark.parametrize("zeta", [1.25, 3j])
     def test_closed_form_and_march_agree_bit_for_bit(self, name, zeta, monkeypatch):
@@ -814,13 +846,13 @@ class TestClosedFormSqrt:
 
 
 def _roots_used(call, monkeypatch):
-    """Run ``call``; the roots ``signed_like`` returned, in call order, and
+    """Run ``call``; the roots R that ``at`` returned, in call order, and
     the number of ``block`` calls."""
     roots, blocks = [], []
-    signed_like, block = _MarchedSqrt.signed_like, _MarchedSqrt.block
+    at, block = _MarchedSqrt.at, _MarchedSqrt.block
 
-    def recorded(self, zs, vals, ref):
-        roots.append(signed_like(self, zs, vals, ref))
+    def recorded(self, x, vals=None):
+        roots.append(at(self, x, vals))
         return roots[-1]
 
     def counted(self, zs):
@@ -828,16 +860,23 @@ def _roots_used(call, monkeypatch):
         return block(self, zs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(_MarchedSqrt, "signed_like", recorded)
+        mp.setattr(_MarchedSqrt, "at", recorded)
         mp.setattr(_MarchedSqrt, "block", counted)
         call()
     return roots, len(blocks)
 
 
-def _ratio_v(fieldd, w):
-    """V(w) = (w^2 - x0^2)/phi(w) as the disk form forms it, (w + x0)/q with
-    q = ``phi.quotient(w, x0)``."""
-    return (w + fieldd.x0) / fieldd.phi.quotient(w, fieldd.x0)
+def _disk_q(fieldd, w):
+    """Q(z') at z' = eta_inv(w) as the disk form forms it, psi'(zeta)(w + x0)
+    q/(2 x0) with q = ``phi.quotient(w, x0)`` (psi'(zeta) = 1 for a map
+    without ``source``)."""
+    return fieldd._scale * (w + fieldd.x0) * fieldd.phi.quotient(w, fieldd.x0)
+
+
+def _disk_sqrt_v(fieldd, w, r):
+    """sqrt(V(w)) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) as the disk form forms
+    it from its root R(z') = ``r``."""
+    return fieldd._top * (w + fieldd.x0) / r
 
 
 def _disk_field(name, zeta, **changes):
@@ -896,7 +935,24 @@ def _torus_parts(name, zeta, monkeypatch, **changes):
     return f, lambda z: phi.value(sigma(bridge, np.asarray(z, dtype=np.complex128)))
 
 
-def _torus_marched(f, f_arg, zeta, z, monkeypatch):
+def _torus_terms(psi, zeta, z):
+    """Q(z') at z' = eta_inv(sigma(z)) as the torus form forms it,
+    psi'(zeta)(sigma + x0) q/(2 x0) with q = ``phi.quotient(sigma, x0)``, and
+    sqrt(phi(sigma)) = k cn(z + L) R(z')/(sigma + x0) as a function of the
+    root R(z').  k = x0 sqrt(-2 x0/psi'(zeta)) takes the principal root: its
+    sign cancels between a march's base and its nodes, and
+    ``TestTorusPolesCancel`` checks it."""
+    bridge = BridgeMaps.from_zeta(zeta)
+    x0 = bridge.x0
+    sn, cn, _ = jacobi_sn_cn_dn(bridge.ctx_l, np.asarray(z, dtype=np.complex128) + bridge.params.L)
+    sig = x0 * sn
+    scale = complex(psi.deriv(np.complex128(zeta))) / (2.0 * x0)
+    k = x0 * cmath.sqrt(-1.0 / scale)
+    q = scale * (sig + x0) * phi_from_psi(bridge, psi).quotient(sig, x0)
+    return q, lambda r: k * cn * r / (sig + x0)
+
+
+def _torus_marched(f, f_arg, psi, zeta, z, monkeypatch):
     """sqrt(phi(sigma)) continued from the integrand's own root at 0.05 L, up
     or down to a corridor at height L'/4 on the node's side of the real axis,
     along it, and to the node; nodes within ``clear`` of the double zero at 0
@@ -905,7 +961,8 @@ def _torus_marched(f, f_arg, zeta, z, monkeypatch):
     p = BridgeMaps.from_zeta(zeta).params
     L, Lp = p.L, p.L_prime
     start = 0.05 * L
-    (base,), _ = _roots_used(lambda: f(np.array([start + 0j])), monkeypatch)
+    (r,), _ = _roots_used(lambda: f(np.array([start + 0j])), monkeypatch)
+    base = _torus_terms(psi, zeta, [start])[1](r)
     clear = min(0.125 * Lp, 0.2 * L)
     out = []
     for t in z:
@@ -942,18 +999,19 @@ def _is_signed_root(g, arg):
 
 
 class TestClosedFormDiskSqrt:
-    """The sign of sqrt(V) in the disk form against an independent march of
-    sqrt(A) along a path and, for the identity, against the exact root."""
+    """The sign of sqrt(V) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) in the disk
+    form against an independent march of sqrt(A) along a path and, for the
+    identity, against the exact root."""
 
     @pytest.mark.parametrize("name", ["joukowski", "joukowski-pi3", "identity", "b1:0.7", "b1:0.5i"])
     @pytest.mark.parametrize("zeta", [1.25, 2.0, 3j, 1.0 + 1e-4])
     def test_sign_matches_march(self, name, zeta, monkeypatch):
         fieldd = _disk_field(name, zeta)
         for group, w in _disk_nodes(fieldd).items():
-            (g,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
-            ref = _disk_marched(fieldd, w)
+            (r,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+            g, ref = _disk_sqrt_v(fieldd, w, r), _disk_marched(fieldd, w)
             assert np.all(np.abs(g - ref) < np.abs(g + ref)), group
-            assert _is_signed_root(g, _ratio_v(fieldd, w)), group
+            assert _is_signed_root(r, _disk_q(fieldd, w)), group
             # no node is marched: when V was formed from phi(w), in which
             # psi(z') - psi(zeta) cancels next to x0, it missed the closed form
             # by 3e-4 there for joukowski at 1 + 1e-4 (psi'(zeta) ~ 2e-4)
@@ -965,23 +1023,24 @@ class TestClosedFormDiskSqrt:
         # the march signs some of these nodes wrongly from |zeta| = 20 on
         fieldd = _disk_field("identity", zeta)
         w = np.concatenate(list(_disk_nodes(fieldd).values()))
-        (g,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+        (r,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
         assert blocks == 0
-        exact = (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
+        g, exact = _disk_sqrt_v(fieldd, w, r), (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
         assert np.all(np.abs(g - exact) < np.abs(g + exact))
         assert np.allclose(g, exact, rtol=1e-9, atol=0.0)
-        assert _is_signed_root(g, _ratio_v(fieldd, w))
+        assert _is_signed_root(r, _disk_q(fieldd, w))
 
     def test_coefficients_not_describing_value_take_block(self, monkeypatch):
         fieldd = _disk_field("identity", 2.0, coefficients=(0.0, 0.3))
         for seed in (True, False):
             w = _disk_call(seed)
-            (g,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+            (r,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
             assert blocks == 1
-            # the value is the identity's, whose root is (w + x0)/sqrt(2 x0)
+            # the value is the identity's, whose root sqrt(V) is (w + x0)/sqrt(2 x0)
             plain = _disk_field("identity", 2.0, coefficients=None)
-            assert _same_bits(g, plain._sqrt_of_v(w, _ratio_v(plain, w)))
-            exact = (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
+            (r_plain,), _ = _roots_used(lambda: plain.integrand(w), monkeypatch)
+            assert _same_bits(r, r_plain)
+            g, exact = _disk_sqrt_v(fieldd, w, r), (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
             assert np.all(np.abs(g - exact) < np.abs(g + exact))
 
     def test_maps_without_source_take_block(self, monkeypatch):
@@ -990,9 +1049,12 @@ class TestClosedFormDiskSqrt:
         marched = _DiskField(plain, fieldd.x0, BridgeMaps.from_zeta(2.0).params)
         for seed in (True, False):
             w = _disk_call(seed)
-            (g,), blocks = _roots_used(lambda: marched.integrand(w), monkeypatch)
+            (r,), blocks = _roots_used(lambda: marched.integrand(w), monkeypatch)
             assert blocks == 1
-            assert np.array_equal(g, fieldd._sqrt_of_v(w, _ratio_v(fieldd, w)))
+            assert _is_signed_root(r, _disk_q(marched, w))
+            (r_source,), _ = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+            g, ref = _disk_sqrt_v(marched, w, r), _disk_sqrt_v(fieldd, w, r_source)
+            assert np.allclose(g, ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("name", ["joukowski", "b1:0.7"])
     @pytest.mark.parametrize("zeta", [1.25, 3j])
@@ -1032,18 +1094,21 @@ TORUS_PAIRS = [
 
 
 class TestClosedFormTorusSqrt:
-    """The sign of sqrt(phi(sigma)) in the torus cross-check against an
-    independent march of sqrt(phi(sigma)) along a path in the band."""
+    """The sign of sqrt(phi(sigma)) = k cn R(z')/(sigma + x0) in the torus
+    cross-check against an independent march of sqrt(phi(sigma)) along a
+    path in the band."""
 
     @pytest.mark.parametrize("name,zeta", TORUS_PAIRS)
     def test_sign_matches_march(self, name, zeta, monkeypatch):
+        psi = resolve_map(name)
         f, f_arg = _torus_parts(name, zeta, monkeypatch)
         z = _torus_nodes(zeta)
-        (g,), blocks = _roots_used(lambda: f(z), monkeypatch)
+        (r,), blocks = _roots_used(lambda: f(z), monkeypatch)
         assert blocks == 0
-        ref = _torus_marched(f, f_arg, zeta, z, monkeypatch)
+        q, root_of = _torus_terms(psi, zeta, z)
+        g, ref = root_of(r), _torus_marched(f, f_arg, psi, zeta, z, monkeypatch)
         assert np.all(np.abs(g - ref) < np.abs(g + ref))
-        assert _is_signed_root(g, f_arg(z))
+        assert _is_signed_root(r, q)
 
     def test_coefficients_not_describing_value_take_block(self, monkeypatch):
         f, _ = _torus_parts("identity", 2.0, monkeypatch, coefficients=(0.0, 0.3))
@@ -1075,14 +1140,16 @@ class TestClosedFormTorusSqrt:
 
 
 POLE_MAPS = [m.name for m in catalog() if m.map_class == "Sigma"] + ["b1:0.3+0.4i", "b1:-1", "b1:-0.9i"]
-POLE_ZETAS = [1.25, 2.0, 3j, 5.0 * cmath.exp(0.7j), -2.0, -1.5j, 20.0, 1.1 * cmath.exp(2.5j), 1e3, 1e6j]
+POLE_ZETAS = [1.25, 2.0, 3j, 5.0 * cmath.exp(0.7j), -2.0, -1.5j, 20.0, 1.1 * cmath.exp(2.5j), 1e3, 1e6j,
+              1.001, 1.0 + 1e-6, (1.0 + 1e-6) * cmath.exp(2j)]
 
 
 class TestTorusPolesCancel:
     """The sign of k is the one at which the 1/u^2 poles of -dphi/(2 g^3) and
-    dz_Q_D/b cancel at u = 0: on a ring around 0 the integrand stays bounded.
-    Closer to the unit circle than |zeta| = 1.25 (1.001, 1 + 1e-6), phi(sigma)
-    loses digits to cancellation on such a ring."""
+    dz_Q_D/b cancel at u = 0: on rings around 0, down to 1e-5 min(L, L'),
+    the integrand stays bounded, next to the unit circle too.  While the
+    root was formed from phi(sigma(u)), which cancels next to u = 0, it
+    read 19.5 at zeta = 1 + 1e-6 on the 1e-3 ring."""
 
     @pytest.mark.parametrize("name", POLE_MAPS)
     def test_integrand_bounded_next_to_zero(self, name, monkeypatch):
@@ -1090,10 +1157,11 @@ class TestTorusPolesCancel:
             f, _ = _torus_parts(name, zeta, monkeypatch)
             p = BridgeMaps.from_zeta(zeta).params
             b = torus.GreenEvaluator.from_params(p).b_const
-            r = 0.1 * min(p.L, p.L_prime)
-            u = r * np.exp(2j * math.pi * np.arange(8) / 8 + 0.2j)
-            # a flipped k leaves 4 |residue|^2 |b|^2 of order 4 here
-            assert np.max(f(u) * r**4 * abs(b) ** 2) < 1e-2, zeta
+            for scale in (0.1, 1e-3, 1e-5):
+                r = scale * min(p.L, p.L_prime)
+                u = r * np.exp(2j * math.pi * np.arange(8) / 8 + 0.2j)
+                # a flipped k leaves 4 |residue|^2 |b|^2 of order 4 here
+                assert np.max(f(u) * r**4 * abs(b) ** 2) < 1e-2, (zeta, scale)
 
 
 def _disk_driver_calls(x0):
@@ -1141,21 +1209,22 @@ def test_torus_driver_calls_are_the_drivers(zeta, monkeypatch):
 
 
 class TestClosedNodeSector:
-    """At every node the closed form serves, R = sqrt(Q) lies within pi/4 of
-    the positive real axis, so the sign ``signed_like`` reads off the factor c
-    without a root is the one the principal root R gives, node by node."""
+    """At every node the closed form serves, ``at`` returns the principal
+    root of the check's Q, and it is R: within pi/4 of the positive real
+    axis, with the sign of the principal root of the closed form, node by
+    node."""
 
     @staticmethod
-    def signed_like_calls(call, monkeypatch):
+    def at_calls(call, monkeypatch):
         seen = []
-        signed_like = _MarchedSqrt.signed_like
+        at = _MarchedSqrt.at
 
-        def recorded(self, x, vals, form):
-            seen.append((self, x, vals, form, signed_like(self, x, vals, form)))
+        def recorded(self, x, vals=None):
+            seen.append((self, np.asarray(x, dtype=np.complex128), vals, at(self, x, vals)))
             return seen[-1][-1]
 
         with monkeypatch.context() as mp:
-            mp.setattr(_MarchedSqrt, "signed_like", recorded)
+            mp.setattr(_MarchedSqrt, "at", recorded)
             call()
         return seen
 
@@ -1174,15 +1243,13 @@ class TestClosedNodeSector:
             calls = [lambda z=z: f(z) for z in _torus_driver_calls(zeta)]
         n_closed = 0
         for call in calls:
-            for root, x, vals, (c, p), got in self.signed_like_calls(call, monkeypatch):
-                # the rule with the root: the sign of c R**p at each node the closed form serves
-                r = np.sqrt(root._q(x))
-                ref = c * r if p > 0 else c / r
-                closed = np.abs(ref * ref - vals) <= 1e-6 * np.abs(vals)
-                assert np.all(np.abs(np.angle(r[closed])) < 0.25 * math.pi)
-                g = np.sqrt(vals)
-                want = np.where((g * np.conj(ref)).real < 0.0, -g, g)
-                assert _same_bits(got[closed], want[closed])
+            for root, x, vals, got in self.at_calls(call, monkeypatch):
+                q = root._q(x)
+                closed = (np.abs(q - vals) <= 1e-6 * np.abs(vals)) & (q.real > 0.0)
+                assert np.all(np.abs(np.angle(got[closed])) < 0.25 * math.pi)
+                assert _same_bits(got[closed], np.sqrt(vals)[closed])
+                r = np.sqrt(q[closed])
+                assert np.all(np.abs(got[closed] - r) < np.abs(got[closed] + r))
                 n_closed += int(np.count_nonzero(closed))
         assert n_closed > 0
 
@@ -1238,6 +1305,30 @@ class TestGeneralMapsAnyCallLayout:
 
 class TestOneEvaluationPerCall:
     """What one integrand call of the torus cross-check and of the disk form evaluates."""
+
+    @pytest.mark.parametrize("name", ["joukowski", "identity", "b1:0.7"])
+    def test_one_phi_quotient_call_per_torus_integrand_call(self, name, monkeypatch):
+        # phi(sigma) enters only through q(sigma) = phi.quotient(sigma, x0):
+        # its value, which cancels next to u = 0, is never formed
+        calls = []
+
+        def counting(bridge, psi):
+            phi = maps.phi_from_psi(bridge, psi)
+            value, quotient = phi.value, phi.quotient
+            return dataclasses.replace(
+                phi,
+                value=lambda w: calls.append("value") or value(w),
+                quotient=lambda w, v: calls.append("quotient") or quotient(w, v),
+            )
+
+        monkeypatch.setattr(inequalities, "phi_from_psi", counting)
+        f, _ = _torus_parts(name, 2.0, monkeypatch)
+        p = BridgeMaps.from_zeta(2.0).params
+        xy = lambda x, y: x + 1j * y
+        for z in (_seed_call(_torus_seeds(p), xy, 1), _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), xy)):
+            calls.clear()
+            f(z)
+            assert calls == ["quotient"]
 
     @pytest.mark.parametrize("name", ["joukowski", "identity", "b1:0.7"])
     @pytest.mark.parametrize("zeta", [2.0, 3j])

@@ -3,9 +3,8 @@
 A check passes when it does not raise and lands within three of its error
 bars of its reference, |ratio - ref| <= 3 err/rhs.  For a full mapping
 the reference is exactly 1.  For the other maps it is the torus form,
-whose own bar is added to the sigma form's: at rel_tol 1e-7 (a bar of
-about 1e-8 of rhs), and at its default 1e-4 for zeta within 1e-6 of the
-unit circle, where its bar is 1e-7 to 2e-6 of rhs.  The cases cover the
+whose own bar is added to the sigma form's, at rel_tol 1e-7 (a bar of
+1e-10 to 4e-8 of rhs).  The cases cover the
 far field out to |zeta| = 1000, zeta next to the unit circle down to
 1e-8 out, and zeta next to a critical point of psi.  When the annulus
 seeded 4 x 4 cells, 4.5 times longer in theta than in log r, it missed
@@ -71,19 +70,12 @@ def test_identity_next_to_the_circle_against_the_torus_form(eps):
     # limit inside 1e-7 (1 + |zeta|) of zeta, a disk that covered the whole
     # patch around zeta from |zeta| - 1 = 2.5e-7 in, the sigma form read
     # 0.38204 and 1.47076 (violated) at 1e-7 and 1e-8, 314 and 3,948 bars off
-    # (the torus form stays at its default rel_tol: at 1e-6 or 1e-7 it reads
-    # inf at 1e-7 and 1e-8, where phi(sigma(u)) rounds to 0 at a node next to
-    # its double zero at u = 0)
     zeta = (1.0 + eps) * cmath.exp(2j)
-    rt = torus_area_crosscheck(resolve_map("identity"), zeta)
+    rt = _torus("identity", zeta)
     rs = verify_area_sigma(resolve_map("identity"), zeta)
     assert abs(rs.ratio - rt.ratio) <= 3.0 * (_bar(rs) + _bar(rt))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "phi(sigma(u)) rounds to 0 at nodes next to its double zero at u = 0: the root divides by zero "
-    "and the report reads ratio inf, status equality"
-))
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-7])
 @pytest.mark.parametrize("eps", [1e-7, 1e-8])
 def test_torus_form_next_to_the_circle_is_finite(eps, rel_tol):
