@@ -233,9 +233,11 @@ def _ring_core(g, center, eps):
     how far gamma(2 eps) is from 2**(1 + exponent) gamma(eps), scaled
     alike.  The exponent is -1 (a 1/r blow-up) or 0 (bounded), whichever
     the ratio gamma(2 eps)/gamma(eps) is nearer (1 or 2; the split is at 1.4).
+    Both rings go to g in one call, rho as a (2, 1) column.
     """
-    gamma1 = eps * float(np.asarray(g(center + eps * _RING, eps), dtype=np.float64).mean())
-    gamma2 = 2.0 * eps * float(np.asarray(g(center + 2.0 * eps * _RING, 2.0 * eps), dtype=np.float64).mean())
+    rho = np.array([[eps], [2.0 * eps]])
+    means = np.asarray(g(center + rho * _RING, rho), dtype=np.float64).mean(axis=1)
+    gamma1, gamma2 = eps * float(means[0]), 2.0 * eps * float(means[1])
     exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
     scale = 2.0 * math.pi * eps / (2.0 + exponent)
     growth = 2.0 ** (1.0 + exponent)

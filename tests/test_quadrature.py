@@ -321,6 +321,55 @@ class TestEvaluationCount:
         assert integrate().n_evals == seen[0]
 
 
+class TestRingCore:
+    """Both rings of a core, eps and 2 eps, go to the integrand in one call
+    of 128 points, and each ring's mean keeps the bits of a call of its own."""
+
+    @staticmethod
+    def two_calls(g, center, eps):
+        """The core from one 64-point call per ring."""
+        gamma1 = eps * float(np.asarray(g(center + eps * quadrature._RING, eps), dtype=np.float64).mean())
+        gamma2 = 2.0 * eps * float(np.asarray(g(center + 2.0 * eps * quadrature._RING, 2.0 * eps), dtype=np.float64).mean())
+        exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
+        scale = 2.0 * math.pi * eps / (2.0 + exponent)
+        error = scale * abs(gamma1 - gamma2 / 2.0 ** (1.0 + exponent))
+        return scale * gamma1, error, gamma1, gamma2
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda z, rho: np.cos(z.real) / np.abs(z - (0.3 - 0.2j)) + 0.0 * rho,  # a 1/r blow-up
+            lambda z, rho: (1.0 + np.abs(z) ** 2) * (1.0 - rho**2),  # bounded, weighted by rho
+            lambda u, rho: np.abs(1.0 / u) ** -3.0 / rho**4,  # the tail of an |z|^-3 integrand
+        ],
+    )
+    @pytest.mark.parametrize("center,eps", [(0.3 - 0.2j, 5e-6), (0j, 2.5e-6), (-1.7 + 4.1j, 1e-5)])
+    def test_one_call_same_bits(self, g, center, eps):
+        shapes = []
+
+        def counted(z, rho):
+            shapes.append(np.broadcast_shapes(z.shape, np.shape(rho)))
+            return g(z, rho)
+
+        core, gamma1, gamma2 = quadrature._ring_core(counted, center, eps)
+        assert shapes == [(2, 64)]
+        got = (core.value, core.error, gamma1, gamma2)
+        assert [v.hex() for v in got] == [v.hex() for v in self.two_calls(g, center, eps)]
+        assert core.n_evals == 128
+
+    def test_two_cores_two_calls(self):
+        # the patch's core and the tail's core, one 128-point call each
+        p = 2.0 + 0.5j
+        shapes = []
+
+        def f(z):
+            shapes.append(z.shape)
+            return np.abs(z) ** -3.0 / np.abs(z - p)
+
+        integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-7, singular_points=(p,)))
+        assert shapes.count((2, 64)) == 2
+
+
 class TestSeedGrid:
     """Each drive opens with its seed calls, four seeds and their children a
     call, the last call taking what is left: the rectangle and the
