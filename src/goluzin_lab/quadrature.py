@@ -11,9 +11,11 @@ One polar drive serves every patch and the tail: the driver in polar
 coordinates on eps = 1e-5 radius < |z - c| < radius, where the area
 element cancels a ``1/|z - c|`` blow-up exactly, plus a ring estimate of
 the core |z - c| < eps.  Integrable point singularities, given as
-complex locations, are handled by partition of unity: a radial bump
-confines the singular behaviour to a polar patch around each tagged
-point, and the region's own grid takes f times one minus every bump.
+complex locations, are handled by partition of unity: a radial bump,
+1 at each tagged point and fading to 0 over the whole radius r of its
+polar patch, gives the patch all of f at the point, and the region's own
+grid takes f times one minus every bump, which vanishes like 35 (d/r)**4
+at distance d from the point.
 The exterior disk is the annulus 1 < |z| < r0 on a log-polar grid plus
 the tail |z| > r0, which u = 1/z maps onto the disk |u| < 1/r0: there
 the integrand f(1/u)/|u|^4 of an f decaying like |z|**-3 has a 1/|u|
@@ -27,7 +29,8 @@ Integrands must be vectorized maps from complex ndarrays of any shape to
 real ndarrays of the same shape, and must be pure.  A result's
 ``n_evals`` is the number of points the integrand received: every drive
 node it was called on, and every ring point, each once.  Far-field nodes
-where the bumps leave no weight are not passed to it and not counted.
+where the bumps leave no weight, those within about 3.5e-5 r of a tagged
+point, are not passed to it and not counted.
 
 Each drive starts from a list of seed cells sized to its region, and the
 driver calls the integrand once per four seeds, with the four children of
@@ -39,10 +42,11 @@ log-polar annulus seeds 2 rows in log|z| and about 2 * 2 pi/log r0
 columns in theta, cells about square in its metric, and splits each seed
 while it is more than 8 times larger than its distance to a tagged point
 (or half that point's patch radius): a cell much larger than its distance
-to the bump edge can miss the edge in its own rule and its children's
-alike, and report a small error.  Then the driver calls the integrand
-once per cell it refines, with the four children of each of that cell's
-four children, its 16 grandchildren, as ``(16, order, order)`` arrays.
+to a patch can miss the far field's fade across it in its own rule and
+its children's alike, and report a small error.  Then the driver calls
+the integrand once per cell it refines, with the four children of each of
+that cell's four children, its 16 grandchildren, as ``(16, order, order)``
+arrays.
 No call carries more than 20 cells.  A cell's sum depends on its own
 nodes only, so the value at a node must not depend on the other nodes of
 its call.  A call's two parameter axes come as ``(n, order, 1)`` and
@@ -217,11 +221,19 @@ def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
     return QuadratureResult(value, total_err, n_evals, bool(total_err <= budget))
 
 
-def _smooth_cut(r, r_in, r_out):
-    """C^3 transition: 1 for r <= r_in, 0 for r >= r_out."""
-    t = np.clip((r - r_in) / (r_out - r_in), 0.0, 1.0)
-    s = t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
-    return 1.0 - s
+def _smooth_cut(t):
+    """C^3 bump of t = d/r: 1 at t = 0, 0 for t >= 1.  One minus it,
+    s(t) = t^4 (35 - 84 t + 70 t^2 - 20 t^3), vanishes like 35 t^4 at 0.
+
+    s is taken at u = min(t, 1 - t), as 1 - s(u) for t <= 1/2 and as s(u)
+    beyond (s(1 - t) = 1 - s(t)): u^4 keeps its relative precision at both
+    ends, so the bump is never below 0.  At t itself next to 1 the
+    polynomial overshoots 1 by up to 1.4e-14.
+    """
+    u = np.maximum(np.minimum(t, 1.0 - t), 0.0)
+    u2 = u * u
+    s = u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
+    return np.where(t <= 0.5, 1.0 - s, s)
 
 
 def _ring_core(g, center, eps):
@@ -267,10 +279,12 @@ def _patched(f, points, reach, region, spec, drive) -> QuadratureResult:
 
     Each patch integrates f times a radial bump around its point, out to
     the smaller of ``reach(location)`` and 0.4 of the distance to any other
-    point.  ``far`` is f times one minus every bump, and ``bumps`` pairs
-    each point with its patch radius.  The sum runs (drive + patch_1) +
-    patch_2 + ...; the drive's count is the number of points ``far``
-    passed on to f.
+    point.  The bump is ``_smooth_cut`` of d/r over the whole patch radius
+    r: the patch takes all of f at its point, and none from r out.  ``far``
+    is f times one minus every bump, and ``bumps`` pairs each point with
+    its patch radius.  The sum runs (drive + patch_1) + patch_2 + ...; the
+    drive's count is the number of points ``far`` passed on to f, which
+    leaves out the nodes where one minus a bump rounds to 0, d < 3.5e-5 r.
     """
     bumps = []
     for i, loc in enumerate(points):
@@ -293,7 +307,7 @@ def _patched(f, points, reach, region, spec, drive) -> QuadratureResult:
             if bumped.any():
                 if w is None:
                     w = np.ones(z.shape, dtype=np.float64)
-                w[bumped] *= 1.0 - _smooth_cut(d[bumped], 0.5 * r, r)
+                w[bumped] *= 1.0 - _smooth_cut(d[bumped] / r)
         if w is None:  # no node in any bump: f times 1.0 is f
             received += z.size
             return np.asarray(f(z), dtype=np.float64)
@@ -309,7 +323,7 @@ def _patched(f, points, reach, region, spec, drive) -> QuadratureResult:
 
     def patch(loc, r):
         def bumped(z, rho):
-            return np.asarray(f(z), dtype=np.float64) * _smooth_cut(rho, 0.5 * r, r)
+            return np.asarray(f(z), dtype=np.float64) * _smooth_cut(rho / r)
 
         return _polar(bumped, loc, r, _CORE_FRACTION * r, spec)[0]
 
@@ -337,8 +351,13 @@ def _annulus_seeds(r0, bumps):
     cell splits into its four children, recursively, while its planar size
     e^s1 max(ds, dtheta) exceeds _GRADING times the larger of its distance
     to a bump's point and half that bump's radius.  So no seed is much
-    larger than its distance to the bump edge, where a seed's rule and its
-    children's could both miss the edge and agree.
+    larger than its distance to a patch, where f times one minus the bump
+    fades from f at radius r to 0 at the point, and where a seed's rule
+    and its children's could both miss the fade and agree.  The grading
+    stops at half the radius: inside the patch one minus the bump vanishes
+    like (d/r)**4, which outweighs f's 1/d, so the far field has no
+    feature finer than r to grade toward (and a point inside the annulus
+    would otherwise split its seeds without end).
     """
     s_out = math.log(r0)
     seeds = []

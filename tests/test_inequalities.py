@@ -497,10 +497,10 @@ class TestVerdictBits:
     the same arithmetic faster keeps every bit of them."""
 
     PINS = [
-        ("sigma", "joukowski", 1.25, "0x1.ffffe880257d1p-1", "0x1.3b8f239853ad2p-11", 12322),
-        ("sigma", "b1:0.7", 3j, "0x1.dbd13a517ea45p-1", "0x1.266f16763d314p-15", 10111),
-        ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16d98bdf571p-1", "0x1.82aa1698e6421p-15", 11614),
-        ("disk", "joukowski", 2.0, "0x1.ffff98ad59222p-1", "0x1.8cd7c3fbe3758p-11", 12340),
+        ("sigma", "joukowski", 1.25, "0x1.ffffb623a0cccp-1", "0x1.92390c5ceb57bp-10", 10496),
+        ("sigma", "b1:0.7", 3j, "0x1.dbd155f1a54c3p-1", "0x1.a9973f1a61fa6p-16", 9216),
+        ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c5b4857a5p-1", "0x1.08ae39f166d11p-14", 9856),
+        ("disk", "joukowski", 2.0, "0x1.fffffed7aab64p-1", "0x1.d79917229a9bdp-14", 7936),
         ("torus", "joukowski", 2.0, "0x1.0000000000025p+0", "0x1.ad003d57cbc2ep-32", 5120),
     ]
 
@@ -1399,3 +1399,8 @@ class TestDiskFormLargeZeta:
     def test_full_mapping_ratio_is_one(self, zeta):
         r = self.disk("joukowski", zeta)
         assert abs(r.ratio - 1.0) <= 3.0 * r.error_estimate / r.rhs
+
+    def test_evaluation_budget_far_out(self):
+        # 604,928 evaluations with the bump faded over the whole patch radius,
+        # 836,156 when it faded over its outer half only
+        assert self.disk("joukowski", 1000.0).inputs["n_evals"] <= 700_000

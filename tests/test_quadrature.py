@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goluzin_lab import quadrature
 from goluzin_lab.errors import QuadratureError
@@ -207,6 +209,37 @@ class TestMergedRefinementCall:
         assert self.same(new, old)
 
 
+class TestBumpWeight:
+    """The patch weight, the bump of t = d/r, and the far weight, one minus
+    it: a partition of unity over the whole patch radius."""
+
+    @staticmethod
+    def weights(t):
+        patch = float(quadrature._smooth_cut(np.float64(t)))
+        return patch, 1.0 - patch
+
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+    @example(0.0, 1.0)
+    @example(0.9999, 0.99991)  # the polynomial at t itself drops 7.7e-15 here
+    @example(0.99999, 0.999995)  # and overshoots 1 here
+    @settings(max_examples=300, deadline=None)
+    def test_partition_of_unity(self, t1, t2):
+        t1, t2 = sorted((t1, t2))
+        (patch1, far1), (patch2, far2) = self.weights(t1), self.weights(t2)
+        for patch, far in ((patch1, far1), (patch2, far2)):
+            assert 0.0 <= patch <= 1.0 and 0.0 <= far <= 1.0
+            assert abs(patch + far - 1.0) <= math.ulp(1.0)
+        # non-decreasing up to rounding: next to t = 1/2 the far weight grows
+        # by under one ulp from one float t to the next, and the polynomial is
+        # rounded to a few ulps (the largest drop seen, between adjacent t, is 2^-51)
+        assert far1 <= far2 + 2.0**-50
+        assert far1 > 0.0 or t1 < 1e-4  # the live mask drops only nodes next to the point
+        if t1 == 0.0:
+            assert far1 == 0.0
+        if t2 >= 1.0:
+            assert far2 == 1.0
+
+
 class TestFarWeight:
     """The far-field integrand f times one minus every bump, which takes each
     bump only at nodes closer to its point than its radius r, against the
@@ -230,7 +263,7 @@ class TestFarWeight:
     def every_bump(self, locs, r, z):
         w = np.ones(z.shape)
         for p in locs:
-            w *= 1.0 - quadrature._smooth_cut(np.abs(z - p), 0.5 * r, r)
+            w *= 1.0 - quadrature._smooth_cut(np.abs(z - p) / r)
         out = np.zeros(z.shape)
         live = w > 0.0
         out[live] = self.f(z[live]) * w[live]
@@ -242,7 +275,7 @@ class TestFarWeight:
 
     def test_matches_every_bump_at_every_node(self):
         # two neighbouring patches, r = 0.4 of their distance (patches never
-        # overlap), and nodes exactly at d = r and d = r/2 from each point
+        # overlap), and nodes exactly at d = r, d = r/2 and d = 0 from each point
         p1 = 0.25 + 0.5j
         p2 = p1 + 0.3125
         r = min(0.125, 0.4 * abs(p2 - p1))
@@ -250,22 +283,23 @@ class TestFarWeight:
         far = self.far_of((p1, p2), 0.125)
         xs, ys = np.meshgrid(np.linspace(0.0, 0.8, 40), np.linspace(0.25, 0.75, 32))
         grid = (xs + 1j * ys).reshape(4, 8, 40)
-        ring = np.array([p + d * e for p in (p1, p2) for d in (r, 0.5 * r) for e in (1, -1, 1j, -1j)])
-        assert np.all(np.abs(ring - np.repeat([p1, p2], 8)) == np.tile(np.repeat([r, 0.5 * r], 4), 2))
+        ring = np.array([p + d * e for p in (p1, p2) for d in (r, 0.5 * r, 0.0) for e in (1, -1, 1j, -1j)])
+        assert np.all(np.abs(ring - np.repeat([p1, p2], 12)) == np.tile(np.repeat([r, 0.5 * r, 0.0], 4), 2))
         # just inside r, where one minus the bump is below 1 by a few ulps or rounds to 1
         edge = np.array([p + r * (1.0 - 2.0**-k) * np.exp(1j * k) for p in (p1, p2) for k in range(1, 25)])
-        for z in (grid, ring.reshape(2, 2, 4), edge.reshape(2, 4, 6)):
+        for z in (grid, ring.reshape(2, 3, 4), edge.reshape(2, 4, 6)):
             assert self.same_bits(far(z), self.every_bump((p1, p2), r, z))
-        got = far(ring).reshape(2, 2, 4)
-        assert np.array_equal(got[:, 0], self.f(ring.reshape(2, 2, 4)[:, 0]))  # d = r: no bump left
-        assert np.all(got[:, 1] == 0.0)  # d = r/2: no far field left
+        got, f = far(ring).reshape(2, 3, 4), self.f(ring.reshape(2, 3, 4))
+        assert np.array_equal(got[:, 0], f[:, 0])  # d = r: no bump left
+        assert np.array_equal(got[:, 1], 0.5 * f[:, 1])  # d = r/2: half the far field
+        assert np.all(got[:, 2] == 0.0)  # d = 0: no far field left
 
     def test_all_live_and_all_dead_calls(self):
         p = 0.25 + 0.5j
         far = self.far_of((p,), 0.125)
         z = p + np.linspace(0.13, 0.5, 64).reshape(1, 8, 8) * np.exp(1j * np.linspace(0.0, 6.0, 8))
         assert self.same_bits(far(z), self.f(z))
-        dead = p + np.linspace(0.0, 0.0625, 64).reshape(1, 8, 8) * np.exp(1j * np.linspace(0.0, 6.0, 8))
+        dead = np.full((1, 8, 8), p)  # nodes at the point itself
         assert self.same_bits(far(dead), np.zeros(dead.shape))
         mixed = np.concatenate([z, dead])
         assert self.same_bits(far(mixed), self.every_bump((p,), 0.125, mixed))
@@ -408,8 +442,9 @@ class TestSeedGrid:
         assert set(shapes[n_calls:]) <= {(16, 8, 8)}
 
     def test_exterior_disk(self, monkeypatch):
+        # rel_tol 1e-8, so that each of the three drives refines past its seeds
         p = 2.0 + 0.5j
-        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
+        spec = QuadratureSpec(rel_tol=1e-8, singular_points=(p,))
         f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
         annulus, patch, tail = self.drives(lambda: integrate_exterior_disk(f, spec), monkeypatch)
         r0, r = 2.2 * abs(p), 0.8 * (abs(p) - 1.0)  # the patch stays clear of the circle
