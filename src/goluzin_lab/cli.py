@@ -33,6 +33,7 @@ from .elliptic import params_from_x0, x0_from_zeta_abs
 from .errors import BranchAmbiguityError, QuadratureError
 from .inequalities import (
     AREA_SPEC,
+    GRONWALL_SPEC,
     PsiEvaluator,
     VerificationReport,
     goluzin_bound,
@@ -191,7 +192,7 @@ def _cmd_area(args) -> int:
 
 def _cmd_gronwall(args) -> int:
     m = resolve_map(args.map)
-    spec = _spec_from_args(args, QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12))
+    spec = _spec_from_args(args, GRONWALL_SPEC)
     reports = [gronwall_check(m, spec)]
     return _emit(reports, args.format, args.out)
 

@@ -30,7 +30,8 @@ the diagonal and next to a critical point of psi.  Each check's root is
 c R^(+-1) with a factor c it has at hand: sqrt(A) = R(zeta)/R(z) in the
 field Psi(z, zeta), sqrt(V) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) in the
 disk form and sqrt(phi(sigma)) = k cn R(z')/(sigma + x0) in the torus
-check, z' = eta_inv(w) or eta_inv(sigma).  :meth:`_MarchedSqrt.at` signs
+check, z' = eta_inv(w): the torus check reads the disk form's R at
+w = sigma(u) (:meth:`_DiskField.parts`).  :meth:`_MarchedSqrt.at` signs
 R = +-sqrt(Q) from the Q the check computes anyway.  For psi = z + b0 +
 b1/z, |b1| <= 1 (every catalog Sigma map), R is the principal root of
 1 - b1/(z zeta); every other map, and every node at which that closed form
@@ -68,6 +69,7 @@ __all__ = [
     "pointwise_from_area",
     "torus_area_crosscheck",
     "AREA_SPEC",
+    "GRONWALL_SPEC",
 ]
 
 EQ_FLOOR_POINTWISE = 1e-9
@@ -76,6 +78,8 @@ EQ_FLOOR_QUADRATURE = 5e-3
 #: default quadrature settings for the area-type verifications; accurate
 #: enough to separate the 0.5% equality band from genuine inequality.
 AREA_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
+#: default quadrature settings for ``gronwall_check``'s area integral
+GRONWALL_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 
 #: |z| from which |z|^3 leaves the float range: 2 (|zeta|^2 - 1) zeta in
 #: ``at_diagonal`` overflows from 4.5e102, where Goluzin's rhs ~ 2/|z|^3 is subnormal
@@ -114,14 +118,6 @@ def _report(inequality, lhs, rhs, err, floor, inputs) -> VerificationReport:
 
 def _cfmt(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
-def _laurent_b1(psi: UnivalentMap) -> complex | None:
-    """b1 when ``coefficients`` say psi = z + b0 + b1/z, else None."""
-    coeffs = psi.coefficients
-    if coeffs is None or len(coeffs) not in (1, 2):
-        return None
-    return complex(coeffs[1]) if len(coeffs) == 2 else 0j
 
 
 class _MarchedSqrt:
@@ -186,26 +182,15 @@ def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
 
     Q(z) = (psi(z) - psi(zeta))/(z - zeta) is ``psi.quotient(z, zeta)``,
     psi'(zeta) at z = zeta.  The march runs along the ray z/t, t from 0 to
-    1, which is the segment [0, u].  For psi = z + b0 + b1/z,
-    Q = 1 - (b1/zeta) u has positive real part for |u| < 1 < |zeta| and
-    |b1| <= 1, and R is its principal root.
+    1, which is the segment [0, u].  Where ``coefficients`` say
+    psi = z + b0 + b1/z, Q = 1 - (b1/zeta) u has positive real part for
+    |u| < 1 < |zeta| and |b1| <= 1, and R is its principal root.
     """
     zeta = complex(zeta)
-    b1 = _laurent_b1(psi)
-    closed_arg = None if b1 is None else (lambda u: 1.0 - (b1 / zeta) * u)
+    coeffs = psi.coefficients or ()
+    b1 = complex(coeffs[1]) if len(coeffs) == 2 else 0j
+    closed_arg = (lambda u: 1.0 - (b1 / zeta) * u) if len(coeffs) in (1, 2) else None
     return _MarchedSqrt(lambda u: psi.quotient(1.0 / u, zeta), closed_arg)
-
-
-def _disk_root(source: tuple, x0: float):
-    """R of a map that ``phi_from_psi`` made, and the coordinate it takes w in.
-
-    ``source`` is the map's ``(bridge, psi)``; R is psi's
-    :func:`_quotient_root` at u = 1/eta_inv(w) = (w + x0)/(unit (1 + x0 w)),
-    unit = zeta/|zeta|, which is finite at w = -x0 (u = 0, R = 1).
-    """
-    bridge, psi = source
-    unit = bridge.zeta / abs(bridge.zeta)
-    return _quotient_root(psi, bridge.zeta), lambda w: (w + x0) / (unit * (1.0 + x0 * w))
 
 
 class PsiEvaluator:
@@ -316,7 +301,9 @@ class _DiskField:
     term phi'/phi = phi'/((w - x0) q) subtract no two values of phi.  With
     psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
     (w - x0)/(w + x0), sqrt(V(w)) = R(zeta) (w + x0)/(sqrt(2 x0) R(z')) at
-    z' = eta_inv(w), with the root R of :func:`_disk_root` signed from
+    z' = eta_inv(w), with psi's root R of :func:`_quotient_root` at
+    u = 1/z' = (w + x0)/(unit (1 + x0 w)), unit = zeta/|zeta|, which is
+    finite at w = -x0 (u = 0, R = 1).  :meth:`parts` signs R from
     Q(z') = psi'(zeta) (w + x0) q(w)/(2 x0).  A map without a ``source``
     takes R as the root of (w + x0) q(w)/(2 x0), a constant multiple of
     Q(z') that is zero-free on the unit disk and 1 at w = x0, marched in
@@ -326,24 +313,30 @@ class _DiskField:
     def __init__(self, phi: UnivalentMap, x0: float, params: EllipticParams):
         self.phi = phi
         self.x0 = x0
-        ep_over_kp = params.E_prime / params.K_prime
         self.c2 = (1.0 + x0**2) * math.sqrt(2.0 * x0) / math.sqrt(1.0 - x0**4)
-        self.c3 = ep_over_kp * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
+        self.c3 = params.E_prime / params.K_prime * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
         if phi.source is None:
             self._root = _MarchedSqrt(lambda s: (s + x0 + x0) * phi.quotient(s + x0, x0) / (2.0 * x0))
             self._coord, self._scale, top = (lambda w: w - x0), 1.0 / (2.0 * x0), 1.0
         else:
             bridge, psi = phi.source
-            self._root, self._coord = _disk_root(phi.source, x0)
+            unit = bridge.zeta / abs(bridge.zeta)
+            self._root = _quotient_root(psi, bridge.zeta)
+            self._coord = lambda w: (w + x0) / (unit * (1.0 + x0 * w))
             self._scale = complex(psi.deriv(np.complex128(bridge.zeta))) / (2.0 * x0)
             top = complex(self._root.at([self._coord(x0)])[0])
         self._top = top / math.sqrt(2.0 * x0)
 
-    def integrand(self, w):
-        w = np.asarray(w, dtype=np.complex128)
+    def parts(self, w):
+        """phi'(w), q(w) = ``phi.quotient(w, x0)`` and R(z') at z' = eta_inv(w)."""
         q = self.phi.quotient(w, self.x0)
         r = self._root.at(self._coord(w), self._scale * (w + self.x0) * q)
-        t1 = self._top * self.phi.deriv(w) * (w + self.x0) / ((w - self.x0) * q * r)
+        return self.phi.deriv(w), q, r
+
+    def integrand(self, w):
+        w = np.asarray(w, dtype=np.complex128)
+        dphi, q, r = self.parts(w)
+        t1 = self._top * dphi * (w + self.x0) / ((w - self.x0) * q * r)
         t2 = self.c2 * np.sqrt((1.0 - self.x0 * w) / (1.0 + self.x0 * w)) / (w - self.x0)
         t3 = self.c3 / np.sqrt(1.0 - self.x0**2 * w**2)
         return np.abs(t1 - t2 - t3) ** 2 / np.abs(w**2 - self.x0**2)
@@ -444,7 +437,7 @@ def gronwall_check(psi: UnivalentMap, spec: QuadratureSpec | None = None) -> Ver
     """
     if psi.map_class != "Sigma":
         raise DomainError("gronwall_check needs an exterior-disk (Sigma) map")
-    spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+    spec = spec or GRONWALL_SPEC
 
     def f(z):
         return np.abs(psi.deriv(z) - 1.0) ** 2 / math.pi
@@ -481,9 +474,9 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
 
     With sigma^2 - x0^2 = -x0^2 cn^2(z + L), the root is
     sqrt(phi(sigma(z))) = k cn(z + L) R(z')/(sigma + x0) at
-    z' = eta_inv(sigma), with the root R of :func:`_disk_root` signed from
-    Q(z') = psi'(zeta) (sigma + x0) q(sigma)/(2 x0), q = ``phi.quotient``
-    at (sigma, x0).  Since
+    z' = eta_inv(sigma): the disk form's R at w = sigma, which
+    :meth:`_DiskField.parts` signs from Q(z') = psi'(zeta) (sigma + x0)
+    q(sigma)/(2 x0), q = ``phi.quotient`` at (sigma, x0).  Since
     phi(sigma) = -(2 x0/psi'(zeta)) x0^2 cn^2(z + L) Q(z')/(sigma + x0)^2,
     k = +-x0 sqrt(-2 x0/psi'(zeta)).  The 1/z^2 poles of the two terms
     cancel for k = -i x0 sqrt(2 x0)/R(zeta), which fixes the sign; k keeps
@@ -499,24 +492,19 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     zeta = complex(zeta)
     bridge = BridgeMaps.from_zeta(zeta)
     p = bridge.params
-    ev = GreenEvaluator.from_params(p)
-    phi = phi_from_psi(bridge, psi)
-    L, Lp = p.L, p.L_prime
-    b = ev.b_const
-    root, coord = _disk_root(phi.source, p.x0)
-    scale = complex(psi.deriv(np.complex128(zeta))) / (2.0 * p.x0)
-    k = p.x0 * cmath.sqrt(-1.0 / scale)
-    k = k if (1j * k * complex(root.at([coord(p.x0)])[0])).real > 0.0 else -k
+    field = _DiskField(phi_from_psi(bridge, psi), p.x0, p)
+    L, Lp, b = p.L, p.L_prime, GreenEvaluator.from_params(p).b_const
+    k = p.x0 * cmath.sqrt(-1.0 / field._scale)
+    k = k if (1j * k * field._top).real > 0.0 else -k  # _top = R(zeta)/sqrt(2 x0)
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)
         # sigma and sigma' with the float operations of ``sigma`` and ``sigma_prime``
         sn, cn, dn = jacobi_sn_cn_dn(bridge.ctx_l, z + L)
         sig, dsig = p.x0 * sn, p.x0 * cn * dn
-        r = root.at(coord(sig), scale * (sig + p.x0) * phi.quotient(sig, p.x0))
+        dphi, _, r = field.parts(sig)
         g = k * cn * r / (sig + p.x0)
-        dphi = phi.deriv(sig) * dsig
-        val = -dphi / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
+        val = -(dphi * dsig) / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
         return np.abs(val) ** 2
 
     half = integrate_rect(integrand, (-L, 3.0 * L, 0.0, 0.5 * Lp), spec)

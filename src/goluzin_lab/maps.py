@@ -288,6 +288,12 @@ def marched_sqrt_path(func, waypoints, base_value):
     the continuation refines each leg (8 steps, doubled up to 2048) until
     consecutive arguments stay in the same half-plane, then marches the
     sign.  Returns the sqrt value at the final waypoint.
+
+    The test compares consecutive values only: a leg that passes a double
+    zero of ``func`` within one coarse step can turn the argument by over
+    270 degrees and return the wrong sign without raising (2 of 24 signs of
+    V(w) = (w^2 - x0^2)/phi(w), identity at zeta = 1 + 1e-4, on a 0.0031
+    ring around the double zero -x0, continued along [x0, i/2, w]).
     """
     waypoints = np.array([complex(p) for p in waypoints], dtype=np.complex128)
     a, step = waypoints[:-1, None], (waypoints[1:] - waypoints[:-1])[:, None]

@@ -132,13 +132,18 @@ def _theta0_reduced(ctx: JacobiContext, z):
     return z0, n, val, dval_du / (2.0 * K), scale
 
 
+def _log_abs_multiplier(ctx: JacobiContext, z0, n):
+    """log|mu| = pi (K'/K) n^2 + pi n Im(z0)/K of the quasi-period factor mu."""
+    K, Kp = ctx.quarter_K, ctx.quarter_Kp
+    return math.pi * (Kp / K) * n.astype(np.float64) ** 2 + math.pi * n * z0.imag / K
+
+
 def _multiplier(ctx: JacobiContext, z0, n):
     """Quasi-period factor mu with theta0(z) = mu * theta0(z0)."""
-    K, Kp = ctx.quarter_K, ctx.quarter_Kp
-    log_mag = math.pi * (Kp / K) * n.astype(np.float64) ** 2 + math.pi * n * z0.imag / K
+    log_mag = _log_abs_multiplier(ctx, z0, n)
     if np.any(np.abs(log_mag) > _MULTIPLIER_LOG_MAX):
         raise ThetaOverflowError("quasi-period multiplier exceeds float range")
-    phase = -math.pi * n * z0.real / K
+    phase = -math.pi * n * z0.real / ctx.quarter_K
     sign = np.where(n % 2 == 0, 1.0, -1.0)
     return sign * np.exp(log_mag + 1j * phase)
 
@@ -160,11 +165,9 @@ def theta0_log_abs(ctx: JacobiContext, z):
     """
     arr, scalar = _as_array(z)
     z0, n, val, _, scale = _theta0_reduced(ctx, arr)
-    K, Kp = ctx.quarter_K, ctx.quarter_Kp
-    log_mu = math.pi * (Kp / K) * n.astype(np.float64) ** 2 + math.pi * n * z0.imag / K
     at_zero = np.abs(val) < _POLE_RTOL * scale
     with np.errstate(divide="ignore"):
-        out = log_mu + np.log(np.abs(val))
+        out = _log_abs_multiplier(ctx, z0, n) + np.log(np.abs(val))
     out = np.where(at_zero, -np.inf, out)
     if scalar:
         return float(out[()]), bool(at_zero[()])

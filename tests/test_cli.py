@@ -5,8 +5,6 @@ import pathlib
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
 from goluzin_lab import cli
 from goluzin_lab.catalog import resolve_map
 from goluzin_lab.cli import CSV_COLUMNS, EXIT_OK, EXIT_USAGE, main, parse_complex
@@ -17,7 +15,13 @@ SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report.sch
 
 @pytest.fixture(scope="module")
 def schema():
-    return json.loads(SCHEMA_PATH.read_text())
+    """A validator for the report schema: only the tests that take it skip
+    when jsonschema is not installed."""
+    jsonschema = pytest.importorskip("jsonschema")
+    spec = json.loads(SCHEMA_PATH.read_text())
+    cls = jsonschema.validators.validator_for(spec)
+    cls.check_schema(spec)
+    return cls(spec)
 
 
 class TestComplexLiterals:
@@ -50,7 +54,7 @@ class TestReports:
         code = main(["area", "--map", "joukowski", "--zeta", "2.0", "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        jsonschema.validate(payload, schema)
+        schema.validate(payload)
         (report,) = payload["reports"]
         assert report["status"] == "equality"
         assert abs(report["ratio"] - 1.0) < 5e-3
@@ -58,13 +62,13 @@ class TestReports:
     def test_pointwise_json_schema(self, capsys, schema):
         assert main(["pointwise", "--map", "joukowski", "--z", "2.0", "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        jsonschema.validate(payload, schema)
+        schema.validate(payload)
         assert {r["inequality"] for r in payload["reports"]} == {"goluzin", "pointwise-from-area"}
 
     def test_pointwise_class_s(self, capsys, schema):
         assert main(["pointwise", "--map", "koebe", "--z", "0.5", "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        jsonschema.validate(payload, schema)
+        schema.validate(payload)
         assert payload["reports"][0]["inequality"] == "koebe-bieberbach"
 
     def test_gronwall(self, capsys):
@@ -149,6 +153,14 @@ class TestExitCodes:
 
     def test_unknown_map_is_64(self, capsys):
         assert main(["pointwise", "--map", "nope", "--z", "2.0"]) == EXIT_USAGE
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "joukowski is a full mapping, but next to its critical point 1 both pointwise "
+        "ratios miss 1 by more than the floor 1e-9 (1 + 1.22e-9 and 1 + 1.10e-9): both "
+        "rows read violated and the command exits 1 (ROADMAP item 12)"
+    ))
+    def test_full_mapping_next_to_a_critical_point_is_0(self, capsys):
+        assert main(["pointwise", "--map", "joukowski", "--z", "1.00000001"]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "argv", [["pointwise", "--map", "b1:nan", "--z", "2.0"], ["gronwall", "--map", "b1:nan"]]
