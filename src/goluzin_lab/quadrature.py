@@ -33,20 +33,20 @@ where the bumps leave no weight, those within about 3.5e-5 r of a tagged
 point, are not passed to it and not counted.
 
 Each drive starts from a list of seed cells sized to its region, and the
-driver calls the integrand once per four seeds, with the four children of
-each, as ``(20, order, order)`` arrays (the last call takes what is
+driver calls the integrand once per four seeds, with the four children
+of each, as ``(20, order, order)`` arrays (the last call takes what is
 left).  The rectangle and the polar grid of the unit disk seed 4 x 4, so
 each call is one first-parameter band.  The polar patches and the tail,
-whose bump or ring core confines the work, seed 2 x 2 in one call.  The
-log-polar annulus seeds 2 rows in log|z| and about 2 * 2 pi/log r0
-columns in theta, cells about square in its metric, and splits each seed
-while it is more than 8 times larger than its distance to a tagged point
-(or half that point's patch radius): a cell much larger than its distance
-to a patch can miss the far field's fade across it in its own rule and
-its children's alike, and report a small error.  Then the driver calls
-the integrand once per cell it refines, with the four children of each of
-that cell's four children, its 16 grandchildren, as ``(16, order, order)``
-arrays.
+whose bump or ring core confines the work, seed 1 x 2 in one call: rho
+whole, theta halved.  The log-polar annulus seeds 2 rows in log|z| and
+about 2 * 2 pi/log r0 columns in theta, cells about square in its
+metric, and splits each seed while it is more than 8 times larger than
+its distance to a tagged point (or half that point's patch radius): a
+cell much larger than its distance to a patch can miss the far field's
+fade across it in its own rule and its children's alike, and report a
+small error.  Then the driver calls the integrand once per cell it
+refines, with the four children of each of that cell's four children,
+its 16 grandchildren, as ``(16, order, order)`` arrays.
 No call carries more than 20 cells.  A cell's sum depends on its own
 nodes only, so the value at a node must not depend on the other nodes of
 its call.  A call's two parameter axes come as ``(n, order, 1)`` and
@@ -160,7 +160,7 @@ def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
     returns, broadcastable to ``(n, order, order)``, f times the Jacobian.
     The seeds go out four to a call, in their order, each with its four
     children, and the last call takes what is left: one call per
-    first-parameter band of a 4 x 4 grid, one call for all of a 2 x 2.
+    first-parameter band of a 4 x 4 grid, one call for all of a 1 x 2.
     """
     heap = []
     counter = 0
@@ -170,14 +170,15 @@ def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
     frozen_err = 0.0
 
     def make_node(cell, coarse, fine_parts, depth):
-        """Heap entry of ``cell`` from its own rule and its four children's."""
+        """Heap entry of ``cell`` from its own rule and its four children's;
+        the children's cells are split off only if the entry is popped."""
         nonlocal counter
         fine = math.fsum(fine_parts)
         err = abs(fine - coarse)
         if not math.isfinite(err):
             err = math.inf
         counter += 1
-        return (-err, counter, cell, fine, depth, tuple(zip(_split(cell), fine_parts)))
+        return (-err, counter, cell, fine, depth, fine_parts)
 
     # four seeds per call: seed k of the call sums slice [5k, 5k + 5)
     for i in range(0, len(seeds), 4):
@@ -197,7 +198,7 @@ def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
         budget = max(spec.abs_tol, spec.rel_tol * abs(value))
         if err_total + frozen_err <= budget:
             break
-        neg_err, _, cell, fine, depth, kids = heapq.heappop(heap)
+        neg_err, _, cell, fine, depth, fine_parts = heapq.heappop(heap)
         err = -neg_err
         if depth >= _MAX_DEPTH or refinements >= _MAX_REFINEMENTS:
             frozen_err += err
@@ -207,10 +208,11 @@ def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
         value -= fine
         err_total -= err
         # one call for the 16 grandchildren; child i sums slice [4i, 4i + 4)
-        cells = [gk for child_cell, _ in kids for gk in _split(child_cell)]
+        kids = _split(cell)
+        cells = [gk for child_cell in kids for gk in _split(child_cell)]
         parts = _cells_integral(g, cells)
         n_evals += _ORDER**2 * len(cells)
-        for i, (child_cell, child_coarse) in enumerate(kids):
+        for i, (child_cell, child_coarse) in enumerate(zip(kids, fine_parts)):
             node = make_node(child_cell, child_coarse, parts[4 * i : 4 * i + 4], depth + 1)
             heapq.heappush(heap, node)
             value += node[3]
@@ -261,14 +263,14 @@ def _polar(g, center, radius, eps, spec):
     """The polar drive: integral of g(z, rho) over rho = |z - center| < radius.
 
     The driver integrates over eps < rho < radius in polar coordinates from
-    a 2 x 2 seed grid, and the core rho < eps comes from the ring estimate.
-    Returns the result and the ring means.
+    a 1 x 2 seed grid, rho whole and theta halved, and the core rho < eps
+    comes from the ring estimate.  Returns the result and the ring means.
     """
 
     def h(rho, theta):
         return g(center + rho * np.exp(1j * theta), rho) * rho
 
-    res = _adaptive_2d(h, _grid((eps, radius, 0.0, 2.0 * math.pi), 2, 2), spec)
+    res = _adaptive_2d(h, _grid((eps, radius, 0.0, 2.0 * math.pi), 1, 2), spec)
     core, *gammas = _ring_core(g, center, eps)
     return res + core, gammas
 
@@ -344,6 +346,13 @@ def _sector_distance(cell, p):
 
 
 def _annulus_seeds(r0, bumps):
+    """A fresh list of the annulus seeds for ``r0`` and the ``(point,
+    radius)`` pairs ``bumps`` (:func:`_graded_seeds`)."""
+    return list(_graded_seeds(r0, tuple(bumps)))
+
+
+@lru_cache(maxsize=64)
+def _graded_seeds(r0, bumps):
     """Seed cells (s, theta), s = log|z|, of the annulus 1 < |z| < r0:
     about square in its metric, and graded toward each bump.
 
@@ -373,7 +382,7 @@ def _annulus_seeds(r0, bumps):
 
     for cell in _grid((0.0, s_out, 0.0, 2.0 * math.pi), 2, max(1, round(4.0 * math.pi / s_out))):
         place(cell)
-    return seeds
+    return tuple(seeds)
 
 
 def _check(result: QuadratureResult, what: str) -> QuadratureResult:

@@ -333,10 +333,10 @@ class TestEvaluationCount:
     def test_exterior_disk_count(self):
         # every node of the annulus and of the tail, and the tail's ring
         # points, each once: the annulus's 2 x 9 seeds and their children, 90
-        # cells of 64 nodes (5,760), the tail's 4 seeds and their children,
-        # 20 cells (1,280), and two rings of 64 points (128)
+        # cells of 64 nodes (5,760), the tail's 2 seeds and their children,
+        # 10 cells (640), and two rings of 64 points (128)
         f, seen = self.counting(lambda z: np.abs(z) ** -3.0)
-        assert integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-9)).n_evals == seen[0] == 7_168
+        assert integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-9)).n_evals == seen[0] == 6_528
 
     @pytest.mark.parametrize("region", ["rect", "disk", "exterior"])
     def test_tagged_count_is_points_received(self, region):
@@ -408,7 +408,7 @@ class TestSeedGrid:
     """Each drive opens with its seed calls, four seeds and their children a
     call, the last call taking what is left: the rectangle and the
     unit-disk grid seed 4 x 4 in four calls, the bump-confined polar
-    patches and the tail cap seed 2 x 2 in one, and the log-polar annulus
+    patches and the tail cap seed 1 x 2 in one, and the log-polar annulus
     seeds cells about square in its metric, graded toward each bump."""
 
     @staticmethod
@@ -450,8 +450,8 @@ class TestSeedGrid:
         r0, r = 2.2 * abs(p), 0.8 * (abs(p) - 1.0)  # the patch stays clear of the circle
         assert annulus[0] == quadrature._annulus_seeds(r0, [(p, r)])
         self.opens_with(annulus)
-        self.opens_with(patch, ((1e-5 * r, r, 0.0, 2.0 * math.pi), 2, 2))
-        self.opens_with(tail, ((1e-5 / r0, 1.0 / r0, 0.0, 2.0 * math.pi), 2, 2))
+        self.opens_with(patch, ((1e-5 * r, r, 0.0, 2.0 * math.pi), 1, 2))
+        self.opens_with(tail, ((1e-5 / r0, 1.0 / r0, 0.0, 2.0 * math.pi), 1, 2))
         assert all(len(shapes) > -(-len(seeds) // 4) for seeds, shapes in (annulus, patch, tail))
 
     def test_disk(self, monkeypatch):
@@ -463,14 +463,14 @@ class TestSeedGrid:
         assert len(patches) == 3  # the origin gets a patch like any other point
         for drive in patches:
             self.opens_with(drive)
-            assert len(drive[0]) == 4
+            assert len(drive[0]) == 2
 
     def test_rect(self, monkeypatch):
         p = 0.2 + 0.1j
         spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
         grid, patch = self.drives(lambda: integrate_rect(lambda z: 1.0 / np.abs(z - p), (-1, 1, -1, 1), spec), monkeypatch)
         self.opens_with(grid, ((-1.0, 1.0, -1.0, 1.0), 4, 4))
-        self.opens_with(patch, ((1e-5 * 0.5, 0.5, 0.0, 2.0 * math.pi), 2, 2))
+        self.opens_with(patch, ((1e-5 * 0.5, 0.5, 0.0, 2.0 * math.pi), 1, 2))
 
 
 class TestAnnulusSeeds:
