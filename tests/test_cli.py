@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from goluzin_lab import cli
-from goluzin_lab.catalog import resolve_map
+from goluzin_lab.catalog import UnivalentMap, resolve_map
 from goluzin_lab.cli import CSV_COLUMNS, EXIT_OK, EXIT_USAGE, main, parse_complex
 from goluzin_lab.inequalities import _cfmt
 
@@ -161,6 +161,23 @@ class TestExitCodes:
     ))
     def test_full_mapping_next_to_a_critical_point_is_0(self, capsys):
         assert main(["pointwise", "--map", "joukowski", "--z", "1.00000001"]) == EXIT_OK
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "koebe is extremal on the real axis, but 1 - |z|^2 formed by subtraction puts lhs "
+        "624999993.2 over rhs 624999991.7: the row reads violated and the command exits 1 "
+        "(ROADMAP item 12)"
+    ))
+    def test_koebe_next_to_the_boundary_is_0(self, capsys):
+        assert main(["pointwise", "--map", "koebe", "--z", "0.9999999968"]) == EXIT_OK
+        assert "status=equality" in capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="psi''/psi' divides by psi'(2) = 0")
+    def test_critical_point_is_64(self, monkeypatch, capsys):
+        # z + 4/z is not univalent, and resolve_map rejects it: hand it to the command
+        psi = UnivalentMap("z+4/z", "Sigma", lambda z: z + 4.0 / z, lambda z: 1.0 - 4.0 / z**2, lambda z: 8.0 / z**3,
+                           lambda z, w: 1.0 - 4.0 / (z * w), (0.0, 4.0), False)
+        monkeypatch.setattr(cli, "resolve_map", lambda name: psi)
+        assert main(["pointwise", "--map", "z+4/z", "--z", "2.0"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
         "argv", [["pointwise", "--map", "b1:nan", "--z", "2.0"], ["gronwall", "--map", "b1:nan"]]

@@ -7,9 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from goluzin_lab.catalog import catalog, resolve_map
+from goluzin_lab.catalog import UnivalentMap, catalog, resolve_map
 from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
-from goluzin_lab.errors import DomainError, QuadratureError
+from goluzin_lab.errors import BranchAmbiguityError, DomainError, QuadratureError
 from goluzin_lab import inequalities, maps, quadrature, theta, torus
 from goluzin_lab.inequalities import (
     PsiEvaluator,
@@ -174,6 +174,49 @@ class TestKoebeBieberbach:
             koebe_bieberbach_bound(resolve_map("joukowski"), 0.5)
         with pytest.raises(DomainError):
             koebe_bieberbach_bound(resolve_map("koebe"), 1.5)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "1 - |z|^2 is formed by subtraction: 58 of the 482 points read holds or violated, "
+        "45 at +(1 - eps) for eps in [1.3e-9, 2.7e-8] and 13 at -(1 - eps) for eps in "
+        "[4.2e-9, 8.4e-9]; ROADMAP item 12"
+    ))
+    def test_koebe_equality_next_to_the_boundary(self):
+        # koebe is extremal on the whole real axis
+        koebe = resolve_map("koebe")
+        points = [sign * (1.0 - eps) for sign in (1.0, -1.0) for eps in np.logspace(-12.0, -6.0, 241)]
+        wrong = [(z, r.status) for z in points if (r := koebe_bieberbach_bound(koebe, z)).status != "equality"]
+        assert wrong == []
+
+
+def _map_with_a_critical_point(map_class):
+    """phi = z + z^2 (class S, phi'(-1/2) = 0) or psi = z + 4/z (Sigma,
+    psi'(2) = 0), built directly: neither is univalent, and resolve_map
+    rejects |b1| > 1."""
+    if map_class == "S":
+        return UnivalentMap("z+z^2", "S", lambda z: z + z * z, lambda z: 1.0 + 2.0 * z, lambda z: 2.0 + 0.0 * z,
+                            lambda z, w: 1.0 + z + w, (1.0,), False)
+    return UnivalentMap("z+4/z", "Sigma", lambda z: z + 4.0 / z, lambda z: 1.0 - 4.0 / z**2, lambda z: 8.0 / z**3,
+                        lambda z, w: 1.0 - 4.0 / (z * w), (0.0, 4.0), False)
+
+
+class TestCriticalPoint:
+    """A point where phi' or psi' is exactly 0 is outside the checks' domain:
+    each raises DomainError there."""
+
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="phi''/phi' divides by phi'(-1/2) = 0")
+    def test_koebe_bieberbach(self):
+        with pytest.raises(DomainError):
+            koebe_bieberbach_bound(_map_with_a_critical_point("S"), -0.5)
+
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="psi''/psi' divides by psi'(2) = 0")
+    def test_goluzin(self):
+        with pytest.raises(DomainError):
+            goluzin_bound(_map_with_a_critical_point("Sigma"), 2.0)
+
+    @pytest.mark.xfail(strict=True, raises=BranchAmbiguityError, reason="R(zeta) = sqrt(psi'(2)) = 0 cannot be marched")
+    def test_psi_evaluator(self):
+        with pytest.raises(DomainError):
+            PsiEvaluator(_map_with_a_critical_point("Sigma"), 2.0)
 
 
 class TestPsiField:
