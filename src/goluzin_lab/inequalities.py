@@ -209,7 +209,7 @@ class PsiEvaluator:
     :func:`_quotient_root`, signed by :meth:`_MarchedSqrt.at` from
     Q = ``psi.quotient(z, zeta)``.  With psi(z) - psi(zeta) = (z - zeta) Q
     no term subtracts two values of psi.  Raises ``DomainError`` unless
-    1 < |zeta| < 2^340.
+    1 < |zeta| < 2^340, or where psi'(zeta) = 0.
     """
 
     def __init__(self, psi: UnivalentMap, zeta: complex):
@@ -228,6 +228,8 @@ class PsiEvaluator:
         self._inv_d = 1.0 / self.d
         self._c3 = self.ep_over_kp / self.d
         self.dpsi_zeta = complex(psi.deriv(np.complex128(zeta)))
+        if self.dpsi_zeta == 0.0:
+            raise DomainError(f"psi'({_cfmt(zeta)}) = 0: psi is not univalent there")
         self.ddpsi_zeta = complex(psi.deriv2(np.complex128(zeta)))
         self._root = _quotient_root(psi, zeta)
         self._top = complex(self._root.at([1.0 / zeta])[0])  # R(zeta)
@@ -383,15 +385,18 @@ def goluzin_bound(psi: UnivalentMap, z: complex) -> VerificationReport:
     The reported lhs/rhs use the E/K form at modulus 1/|z|; the E'/K'
     form of the same statement is evaluated independently and the two are
     tied together through the Legendre relation (residuals in ``inputs``).
-    Raises ``DomainError`` unless 1 < |z| < 2^340.
+    Raises ``DomainError`` unless 1 < |z| < 2^340, or where psi'(z) = 0.
     """
     z = complex(z)
     a = abs(z)
     if not 1.0 < a < _MAX_ABS_Z:
         raise DomainError("goluzin_bound needs 1 < |z| < 2^340")
+    dpsi = complex(psi.deriv(np.complex128(z)))
+    if dpsi == 0.0:
+        raise DomainError(f"psi'({_cfmt(z)}) = 0: psi is not univalent there")
     p = params_from_x0(x0_from_zeta_abs(a))
     ep_over_kp = p.E_prime / p.K_prime
-    w = complex(psi.deriv2(np.complex128(z))) / complex(psi.deriv(np.complex128(z)))
+    w = complex(psi.deriv2(np.complex128(z))) / dpsi
     a2 = a * a
     # w + (4a^2-2)/(z(a^2-1)) - 4 conj(z) E/K/(a^2-1), regrouped around 1 - E/K
     inside_pt = w - 2.0 / (z * (a2 - 1.0)) + (4.0 * np.conj(z) / (a2 - 1.0)) * p.E_gap
@@ -414,14 +419,21 @@ def goluzin_bound(psi: UnivalentMap, z: complex) -> VerificationReport:
 
 
 def koebe_bieberbach_bound(phi: UnivalentMap, z: complex) -> VerificationReport:
-    """|phi''/phi' - 2 conj(z)/(1-|z|^2)| <= 4/(1-|z|^2) on the unit disk."""
+    """|phi''/phi' - 2 conj(z)/(1-|z|^2)| <= 4/(1-|z|^2) on the unit disk.
+
+    Raises ``DomainError`` unless |z| < 1, or where phi'(z) = 0.
+    """
     z = complex(z)
     if phi.map_class != "S":
         raise DomainError("koebe_bieberbach_bound needs a class-S map")
     if not abs(z) < 1.0:
         raise DomainError("koebe_bieberbach_bound needs |z| < 1")
-    w = complex(phi.deriv2(np.complex128(z))) / complex(phi.deriv(np.complex128(z)))
-    one_m = 1.0 - abs(z) ** 2
+    dphi = complex(phi.deriv(np.complex128(z)))
+    if dphi == 0.0:
+        raise DomainError(f"phi'({_cfmt(z)}) = 0: phi is not univalent there")
+    w = complex(phi.deriv2(np.complex128(z))) / dphi
+    a = abs(z)
+    one_m = (1.0 - a) * (1.0 + a)  # 1 - |z|^2, factored: exact to rounding next to |z| = 1
     lhs = abs(w - 2.0 * np.conj(z) / one_m)
     rhs = 4.0 / one_m
     inputs = {"map": phi.name, "z": _cfmt(z)}

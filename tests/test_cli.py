@@ -162,16 +162,10 @@ class TestExitCodes:
     def test_full_mapping_next_to_a_critical_point_is_0(self, capsys):
         assert main(["pointwise", "--map", "joukowski", "--z", "1.00000001"]) == EXIT_OK
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "koebe is extremal on the real axis, but 1 - |z|^2 formed by subtraction puts lhs "
-        "624999993.2 over rhs 624999991.7: the row reads violated and the command exits 1 "
-        "(ROADMAP item 12)"
-    ))
     def test_koebe_next_to_the_boundary_is_0(self, capsys):
         assert main(["pointwise", "--map", "koebe", "--z", "0.9999999968"]) == EXIT_OK
         assert "status=equality" in capsys.readouterr().out
 
-    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="psi''/psi' divides by psi'(2) = 0")
     def test_critical_point_is_64(self, monkeypatch, capsys):
         # z + 4/z is not univalent, and resolve_map rejects it: hand it to the command
         psi = UnivalentMap("z+4/z", "Sigma", lambda z: z + 4.0 / z, lambda z: 1.0 - 4.0 / z**2, lambda z: 8.0 / z**3,

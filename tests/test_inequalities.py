@@ -9,7 +9,7 @@ import pytest
 
 from goluzin_lab.catalog import UnivalentMap, catalog, resolve_map
 from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
-from goluzin_lab.errors import BranchAmbiguityError, DomainError, QuadratureError
+from goluzin_lab.errors import DomainError, QuadratureError
 from goluzin_lab import inequalities, maps, quadrature, theta, torus
 from goluzin_lab.inequalities import (
     PsiEvaluator,
@@ -175,11 +175,6 @@ class TestKoebeBieberbach:
         with pytest.raises(DomainError):
             koebe_bieberbach_bound(resolve_map("koebe"), 1.5)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "1 - |z|^2 is formed by subtraction: 58 of the 482 points read holds or violated, "
-        "45 at +(1 - eps) for eps in [1.3e-9, 2.7e-8] and 13 at -(1 - eps) for eps in "
-        "[4.2e-9, 8.4e-9]; ROADMAP item 12"
-    ))
     def test_koebe_equality_next_to_the_boundary(self):
         # koebe is extremal on the whole real axis
         koebe = resolve_map("koebe")
@@ -203,17 +198,14 @@ class TestCriticalPoint:
     """A point where phi' or psi' is exactly 0 is outside the checks' domain:
     each raises DomainError there."""
 
-    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="phi''/phi' divides by phi'(-1/2) = 0")
     def test_koebe_bieberbach(self):
         with pytest.raises(DomainError):
             koebe_bieberbach_bound(_map_with_a_critical_point("S"), -0.5)
 
-    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="psi''/psi' divides by psi'(2) = 0")
     def test_goluzin(self):
         with pytest.raises(DomainError):
             goluzin_bound(_map_with_a_critical_point("Sigma"), 2.0)
 
-    @pytest.mark.xfail(strict=True, raises=BranchAmbiguityError, reason="R(zeta) = sqrt(psi'(2)) = 0 cannot be marched")
     def test_psi_evaluator(self):
         with pytest.raises(DomainError):
             PsiEvaluator(_map_with_a_critical_point("Sigma"), 2.0)
