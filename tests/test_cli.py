@@ -137,6 +137,15 @@ class TestSweep:
         assert len(seen[0]) == 216
         assert out.read_bytes() == self.dict_csv(seen[0]).encode("utf-8")
 
+    def test_area_evaluation_budget(self, capsys):
+        # the sweep's 72 area checks at the default budget, a count that
+        # repeats exactly: a change that adds work to them fails here, not
+        # only in the benchmark (703,360 with 2 x 2 polar seeds)
+        assert main(["sweep", "--area", "--format", "json"]) == EXIT_OK
+        area = [r for r in json.loads(capsys.readouterr().out)["reports"] if r["inequality"] == "area-sigma"]
+        assert len(area) == 72
+        assert sum(r["inputs"]["n_evals"] for r in area) == 611_200
+
     def test_ordering_deterministic_across_jobs(self, capsys):
         main(["sweep", "--maps", "b1:0.3", "--jobs", "1", "--format", "csv"])
         serial = capsys.readouterr().out

@@ -828,6 +828,59 @@ def _exterior_path(zeta, z):
     return [zeta] + [big * cmath.exp(1j * (t0 + dt * k / 3)) for k in range(4)] + [z]
 
 
+class TestClosedFormShortcut:
+    """``_MarchedSqrt.at`` marches exactly the nodes that fail the
+    node-by-node closed-form test, |q - vals| <= 1e-6 |vals| and Re q > 0,
+    whether or not its two-reduction shortcut decides the whole call."""
+
+    @staticmethod
+    def marched(q, vals, monkeypatch):
+        """Which nodes ``at`` hands to ``block``, for closed form q and values vals."""
+        q, vals = np.asarray(q, dtype=np.complex128), np.asarray(vals, dtype=np.complex128)
+        x = np.arange(1.0, q.size + 1.0).reshape(q.shape) + 0j  # each node named by its x
+        seen = []
+
+        def block(self, u):
+            seen.append(u.real)
+            return np.ones_like(u)
+
+        monkeypatch.setattr(_MarchedSqrt, "block", block)
+        _MarchedSqrt(lambda u: vals, lambda u: q).at(x, vals)
+        return np.isin(x.real, np.concatenate(seen) if seen else [])
+
+    @pytest.mark.parametrize(
+        "rel,qreal",
+        [
+            (1e-13, 1.0),  # all pass: the shortcut decides
+            (9e-7, 1.0),  # all pass, too close to 1e-6 for the shortcut
+            (1.1e-6, 1.0),  # all fail
+            (1e-13, 1e-310),  # all pass, Re q subnormal
+            (1e-13, 1e200),  # all pass, far from overflow in no modulus
+            (1e-13, 0.0),  # Re q = 0 fails
+            (1e-13, -0.5),
+        ],
+    )
+    def test_same_nodes_as_node_by_node(self, rel, qreal, monkeypatch):
+        rng = np.random.default_rng(3)
+        q = qreal + 1j * qreal * rng.uniform(-2.0, 2.0, (5, 8))
+        vals = q * (1.0 + rel * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, q.shape)))
+        vals[0, 0] = q[0, 0] * (1.0 + 3e-6)  # one node fails whatever the rest do
+        expected = ~((np.abs(q - vals) <= 1e-6 * np.abs(vals)) & (q.real > 0.0))
+        assert expected[0, 0]
+        assert np.array_equal(self.marched(q, vals, monkeypatch), expected)
+        vals[0, 0] = q[0, 0]
+        expected[0, 0] = not q[0, 0].real > 0.0
+        assert np.array_equal(self.marched(q, vals, monkeypatch), expected)
+
+    def test_non_finite_and_empty(self, monkeypatch):
+        q = np.array([1.0, np.inf, 1.0 + 1e300j, 2.0], dtype=np.complex128)
+        vals = np.array([1.0, np.inf, 1.0 + 1e300j, np.nan], dtype=np.complex128)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            expected = ~((np.abs(q - vals) <= 1e-6 * np.abs(vals)) & (q.real > 0.0))
+            assert np.array_equal(self.marched(q, vals, monkeypatch), expected)
+        assert self.marched(np.zeros(0), np.zeros(0), monkeypatch).size == 0
+
+
 class TestClosedFormSqrt:
     """The sign of sqrt(A) = R(zeta)/R(z) in ``PsiEvaluator.field`` against
     an independent march of sqrt(A) from zeta along a path around the

@@ -103,3 +103,17 @@ def test_full_mapping_next_to_a_critical_point(monkeypatch):
     # 40,000; the cap is cut so that such a regression fails fast
     monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 1_000)
     test_full_mapping_reads_one("joukowski", 0.0, 1.0 + 1e-5, 1e-6)
+
+
+@pytest.mark.parametrize("arg", [0.3, 2.0])
+@pytest.mark.parametrize("radius", [1.05, 1.25, 2.0, 5.0, 30.0])
+@pytest.mark.parametrize("name", ["identity", "joukowski", "b1:0.7", "b1:0.9i"])
+def test_within_one_bar_of_the_torus_form(name, radius, arg):
+    # the default sigma check against the torus form at rel_tol 1e-9, whose
+    # own bar is about 1e-9 of rhs: the sigma bar alone must cover the
+    # difference.  With 2 x 2 and with 1 x 2 polar seeds the worst case
+    # read 0.17 of a bar (identity at 1.25 e^{0.3i})
+    zeta = radius * cmath.exp(1j * arg)
+    rt = torus_area_crosscheck(resolve_map(name), zeta, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12))
+    rs = verify_area_sigma(resolve_map(name), zeta)
+    assert abs(rs.ratio - rt.ratio) <= _bar(rs)
