@@ -160,10 +160,13 @@ def _spec_from_args(args, default: QuadratureSpec) -> QuadratureSpec:
 def _cmd_params(args) -> int:
     params = params_from_x0(args.x0 if args.x0 is not None else x0_from_zeta_abs(args.zeta_abs))
     payload = params.to_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True) if args.format != "csv" else "\n".join(
-        f"{k},{v}" for k, v in sorted(payload.items())
-    )
-    _write(text + "\n", args.out)
+    if args.format == "csv":  # csv.writer quotes the list of Landen residuals as one field
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(sorted(payload.items()))
+        text = buf.getvalue()
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -269,9 +272,8 @@ def _cmd_selftest(args) -> int:
     gr = gronwall_check(jk)
     record("gronwall-joukowski", gr.status == "equality" and gr.inputs["route_residual"] < 1e-6)
 
-    if args.full:
-        r = verify_area_sigma(jk, 2.0)
-        record("area-sigma-joukowski", r.status == "equality", f"ratio {r.ratio:.6f}")
+    r = verify_area_sigma(jk, 2.0)
+    record("area-sigma-joukowski", r.status == "equality", f"ratio {r.ratio:.6f}")
 
     failed = [c for c in checks if not c[1]]
     print(f"{len(checks) - len(failed)}/{len(checks)} selftest checks passed")
@@ -282,11 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="goluzin-lab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, tolerances=True):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", type=_out, default=None, help="write the report to this path instead of stdout")
-        p.add_argument("--rel-tol", type=_rel_tol, default=None)
-        p.add_argument("--abs-tol", type=_abs_tol, default=None)
+        if tolerances:  # the quadrature budget; the closed-form pointwise checks have none
+            p.add_argument("--rel-tol", type=_rel_tol, default=None)
+            p.add_argument("--abs-tol", type=_abs_tol, default=None)
 
     p = sub.add_parser("params", help="print the elliptic parameter pack")
     grp = p.add_mutually_exclusive_group(required=True)
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pointwise", help="pointwise derivative-ratio bounds at one point")
     p.add_argument("--map", required=True)
     p.add_argument("--z", required=True, help="evaluation point, e.g. 1.5+0.5i")
-    add_common(p)
+    add_common(p, tolerances=False)
     p.set_defaults(fn=_cmd_pointwise)
 
     p = sub.add_parser("area", help="area-type bound for one map / base point")
@@ -322,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("selftest", help="fast internal invariant suite")
-    p.add_argument("--full", action="store_true", help="include one area verification")
     p.set_defaults(fn=_cmd_selftest)
     return parser
 

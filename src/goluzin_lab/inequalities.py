@@ -6,8 +6,8 @@ Implemented checks:
   integral of |Psi(z, zeta)|^2 / |z - zeta| is at most
   2 pi (E'/K') |zeta|/(|zeta|^2 - 1), with equality exactly for full
   mappings.
-* ``verify_area_disk`` - the equivalent unit-disk form for maps pinned by
-  phi(x0) = 0, phi(-x0) = inf, phi'(x0) = 1, with weight 1/|w^2 - x0^2|.
+* ``verify_area_disk`` - the unit-disk form of a ``phi_from_psi`` map,
+  pinned at its bridge's x0, with weight 1/|w^2 - x0^2|.
 * ``pointwise_from_area`` - the diagonal consequence
   |Psi(zeta, zeta)| <= (E'/K') |zeta|/(|zeta|^2 - 1).
 * ``goluzin_bound`` - the pointwise estimate on psi''/psi' over the
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import UnivalentMap, gronwall_sum
-from .elliptic import EllipticParams, params_from_x0, x0_from_zeta_abs
+from .elliptic import params_from_x0, x0_from_zeta_abs
 from .errors import BranchAmbiguityError, DomainError, QuadratureError
 from .maps import BridgeMaps, phi_from_psi
 from .quadrature import QuadratureSpec, integrate_disk, integrate_exterior_disk, integrate_rect
@@ -316,28 +316,22 @@ class _DiskField:
     z' = eta_inv(w), with psi's root R of :func:`_quotient_root` at
     u = 1/z' = (w + x0)/(unit (1 + x0 w)), unit = zeta/|zeta|, which is
     finite at w = -x0 (u = 0, R = 1).  :meth:`parts` signs R from
-    Q(z') = psi'(zeta) (w + x0) q(w)/(2 x0).  A map without a ``source``
-    takes R as the root of (w + x0) q(w)/(2 x0), a constant multiple of
-    Q(z') that is zero-free on the unit disk and 1 at w = x0, marched in
-    s = w - x0 from s = 0: the factors psi'(zeta) and R(zeta) become 1.
+    Q(z') = psi'(zeta) (w + x0) q(w)/(2 x0), with zeta, x0 and psi read
+    from the ``source`` of a ``phi_from_psi`` map.
     """
 
-    def __init__(self, phi: UnivalentMap, x0: float, params: EllipticParams):
+    def __init__(self, phi: UnivalentMap):
+        bridge, psi = phi.source
+        p, x0 = bridge.params, bridge.x0
         self.phi = phi
         self.x0 = x0
         self.c2 = (1.0 + x0**2) * math.sqrt(2.0 * x0) / math.sqrt(1.0 - x0**4)
-        self.c3 = params.E_prime / params.K_prime * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
-        if phi.source is None:
-            self._root = _MarchedSqrt(lambda s: (s + x0 + x0) * phi.quotient(s + x0, x0) / (2.0 * x0))
-            self._coord, self._scale, top = (lambda w: w - x0), 1.0 / (2.0 * x0), 1.0
-        else:
-            bridge, psi = phi.source
-            unit = bridge.zeta / abs(bridge.zeta)
-            self._root = _quotient_root(psi, bridge.zeta)
-            self._coord = lambda w: (w + x0) / (unit * (1.0 + x0 * w))
-            self._scale = complex(psi.deriv(np.complex128(bridge.zeta))) / (2.0 * x0)
-            top = complex(self._root.at([self._coord(x0)])[0])
-        self._top = top / math.sqrt(2.0 * x0)
+        self.c3 = p.E_prime / p.K_prime * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
+        unit = bridge.zeta / abs(bridge.zeta)
+        self._root = _quotient_root(psi, bridge.zeta)
+        self._coord = lambda w: (w + x0) / (unit * (1.0 + x0 * w))
+        self._scale = complex(psi.deriv(np.complex128(bridge.zeta))) / (2.0 * x0)
+        self._top = complex(self._root.at([self._coord(x0)])[0]) / math.sqrt(2.0 * x0)
 
     def parts(self, w):
         """phi'(w), q(w) = ``phi.quotient(w, x0)`` and R(z') at z' = eta_inv(w)."""
@@ -355,13 +349,15 @@ class _DiskField:
 
 
 def verify_area_disk(phi: UnivalentMap, x0: float, spec: QuadratureSpec | None = None) -> VerificationReport:
-    """Unit-disk area bound for a map with phi(x0)=0, phi(-x0)=inf, phi'(x0)=1."""
+    """Unit-disk area bound for a ``phi_from_psi`` map: phi(x0)=0, phi(-x0)=inf, phi'(x0)=1.
+    Raises ``DomainError`` unless ``x0`` is the x0 of phi's bridge within 1e-12."""
     spec = spec or AREA_SPEC
-    params = params_from_x0(x0)
-    dphi = complex(phi.deriv(np.complex128(x0)))
-    if abs(dphi - 1.0) > 1e-8 or abs(complex(phi.value(np.complex128(x0)))) > 1e-8:
-        raise DomainError("phi must satisfy phi(x0) = 0 and phi'(x0) = 1")
-    fieldd = _DiskField(phi, x0, params)
+    if phi.source is None:
+        raise DomainError("verify_area_disk needs a unit-disk map made by phi_from_psi")
+    params = phi.source[0].params
+    if not abs(x0 - params.x0) <= 1e-12:
+        raise DomainError(f"x0 = {x0!r} is not the x0 = {params.x0!r} of phi's bridge")
+    x0, fieldd = params.x0, _DiskField(phi)
     res = integrate_disk(fieldd.integrand, spec.with_points(complex(x0), complex(-x0)))
     rhs = math.pi * (params.E_prime / params.K_prime) * (1.0 + x0**2) / (x0 * (1.0 - x0**2))
     inputs = {
@@ -385,8 +381,11 @@ def goluzin_bound(psi: UnivalentMap, z: complex) -> VerificationReport:
     The reported lhs/rhs use the E/K form at modulus 1/|z|; the E'/K'
     form of the same statement is evaluated independently and the two are
     tied together through the Legendre relation (residuals in ``inputs``).
-    Raises ``DomainError`` unless 1 < |z| < 2^340, or where psi'(z) = 0.
+    Raises ``DomainError`` unless psi is in Sigma and 1 < |z| < 2^340, or
+    where psi'(z) = 0.
     """
+    if psi.map_class != "Sigma":
+        raise DomainError("goluzin_bound needs an exterior-disk (Sigma) map")
     z = complex(z)
     a = abs(z)
     if not 1.0 < a < _MAX_ABS_Z:
@@ -509,12 +508,15 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
 
     The integrand is smooth at 0, where the poles cancel, so the band tags no
     point: 0 is a seed corner, 0.016 from the nearest node at zeta = 2.
+    Raises ``DomainError`` for a map not in Sigma.
     """
+    if psi.map_class != "Sigma":
+        raise DomainError("torus_area_crosscheck needs an exterior-disk (Sigma) map")
     spec = spec or QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8)
     zeta = complex(zeta)
     bridge = BridgeMaps.from_zeta(zeta)
     p = bridge.params
-    field = _DiskField(phi_from_psi(bridge, psi), p.x0, p)
+    field = _DiskField(phi_from_psi(bridge, psi))
     L, Lp, b = p.L, p.L_prime, GreenEvaluator.from_params(p).b_const
     k = p.x0 * cmath.sqrt(-1.0 / field._scale)
     k = k if (1j * k * field._top).real > 0.0 else -k  # _top = R(zeta)/sqrt(2 x0)

@@ -48,6 +48,14 @@ class TestParams:
         payload = json.loads(capsys.readouterr().out)
         assert payload["M"] == pytest.approx(0.625)
 
+    @pytest.mark.parametrize("argv", [["--zeta-abs", "2.0"], ["--x0", "0.5"]])
+    def test_csv_rows_have_two_fields(self, argv, capsys):
+        # landen_residuals,[4.44e-16, 4.44e-16] read as 3 fields
+        assert main(["params", *argv, "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(len(row) == 2 for row in rows)
+        assert len(json.loads(dict(rows)["landen_residuals"])) == 2
+
 
 class TestReports:
     def test_area_joukowski_json_matches_schema(self, capsys, schema):
@@ -256,6 +264,17 @@ class TestExitCodes:
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_selftest_always_runs_its_area_check(self, capsys):
+        # it ran only under --full, which no test turned on
+        assert main(["selftest"]) == EXIT_OK
+        assert "PASS  area-sigma-joukowski" in capsys.readouterr().out
+        assert self.code_of(["selftest", "--full"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-3"), ("--abs-tol", "5")])
+    def test_pointwise_takes_no_tolerance(self, flag, value, capsys):
+        # the closed forms ignored them, and the command exited 0
+        assert self.code_of(["pointwise", "--map", "joukowski", "--z", "2.0", flag, value]) == EXIT_USAGE
 
 
 class TestUnwritableOut:

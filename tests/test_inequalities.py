@@ -211,6 +211,26 @@ class TestCriticalPoint:
             PsiEvaluator(_map_with_a_critical_point("Sigma"), 2.0)
 
 
+@pytest.mark.parametrize("name", ["koebe", "identity-disk"])
+class TestClassSMapOnASigmaCheck:
+    """A class-S map is outside the exterior-disk checks' domain: each raises
+    DomainError before any work, as gronwall_check and PsiEvaluator do."""
+
+    def test_goluzin(self, name):
+        # koebe read violated (ratio 7.69) and identity-disk holds at 2
+        with pytest.raises(DomainError):
+            goluzin_bound(resolve_map(name), 2.0)
+
+    def test_torus(self, name, monkeypatch):
+        # raised a plain ValueError from phi_from_psi
+        def integrated(*args, **kwargs):
+            raise AssertionError("the torus band was integrated for a class S map")
+
+        monkeypatch.setattr(inequalities, "integrate_rect", integrated)
+        with pytest.raises(DomainError):
+            torus_area_crosscheck(resolve_map(name), 2.0)
+
+
 class TestPsiField:
     def test_identity_field_decays_like_one_over_z(self):
         ev = PsiEvaluator(resolve_map("identity"), 2.0)
@@ -471,6 +491,17 @@ class TestAreaDisk:
         with pytest.raises(DomainError):
             verify_area_disk(resolve_map("koebe"), 0.3, AREA_TEST_SPEC)
 
+    @pytest.mark.parametrize("offset", [1e-6, 1e-11])
+    def test_x0_off_the_bridge_raises_before_integrating(self, offset, monkeypatch):
+        # x0 + 1e-11 passed the old probe |phi(x0)| <= 1e-8 and integrated
+        # with parameters of an x0 that is not the map's
+        calls = []
+        monkeypatch.setattr(_DiskField, "integrand", lambda self, w: calls.append(w))
+        bridge = BridgeMaps.from_zeta(2.0)
+        with pytest.raises(DomainError):
+            verify_area_disk(phi_from_psi(bridge, resolve_map("joukowski")), bridge.x0 + offset)
+        assert calls == []
+
 
 class TestTorusCrossCheck:
     def test_full_mapping_equality_at_half(self):
@@ -626,9 +657,9 @@ def _driver_block(cell, to_plane):
 def _seed_call(seeds, to_plane, k=0):
     """The nodes of the driver's seed call ``k`` on the cells ``seeds``:
     seeds 4k to 4k + 3 and their children, (20, 8, 8) for a full four.  On
-    a 4 x 4 grid that is the k-th first-parameter band, on a 2 x 2 grid all
-    of it (k = 0).  Recorded from the driver, which stops after its seeds on
-    a zero integrand."""
+    a 4 x 4 grid that is the k-th first-parameter band, on a patch's 1 x 2
+    grid all of it (k = 0).  Recorded from the driver, which stops after its
+    seeds on a zero integrand."""
     calls = []
 
     def g(x, y):
@@ -645,8 +676,9 @@ _UNIT_DISK = _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4)
 
 def _patch_seed_call(center, radius):
     """The nodes of the one seed call of the polar patch of ``radius``
-    around ``center``: its 2 x 2 seeds and their children."""
-    return _seed_call(_grid((1e-5 * radius, radius, 0.0, 2.0 * math.pi), 2, 2), _polar(center))
+    around ``center``: its 1 x 2 seeds (rho whole, theta halved) and their
+    children, (10, 8, 8)."""
+    return _seed_call(_grid((1e-5 * radius, radius, 0.0, 2.0 * math.pi), 1, 2), _polar(center))
 
 
 def _torus_seeds(p):
@@ -760,7 +792,7 @@ class TestMarchedSqrtBlock:
         # next to the double zero of V at -x0, where R(eta_inv(w)) -> 1
         bridge = BridgeMaps.from_zeta(2.0)
         x0 = bridge.x0
-        fieldd = _DiskField(phi_from_psi(bridge, resolve_map("b1:0.7")), x0, bridge.params)
+        fieldd = _DiskField(phi_from_psi(bridge, resolve_map("b1:0.7")))
         clear = min(0.4 * x0, min(0.4, 0.7 * (1.0 - x0)) / 1.6)
         # seed cells of the unit-disk grid next to -x0 (their band's seed call
         # and their refinements), a cell around -x0 and the seed call of the
@@ -986,8 +1018,7 @@ def _roots_used(call, monkeypatch):
 
 def _disk_q(fieldd, w):
     """Q(z') at z' = eta_inv(w) as the disk form forms it, psi'(zeta)(w + x0)
-    q/(2 x0) with q = ``phi.quotient(w, x0)`` (psi'(zeta) = 1 for a map
-    without ``source``)."""
+    q/(2 x0) with q = ``phi.quotient(w, x0)``."""
     return fieldd._scale * (w + fieldd.x0) * fieldd.phi.quotient(w, fieldd.x0)
 
 
@@ -1000,7 +1031,7 @@ def _disk_sqrt_v(fieldd, w, r):
 def _disk_field(name, zeta, **changes):
     bridge = BridgeMaps.from_zeta(zeta)
     psi = dataclasses.replace(resolve_map(name), **changes)
-    return _DiskField(phi_from_psi(bridge, psi), bridge.x0, bridge.params)
+    return _DiskField(phi_from_psi(bridge, psi))
 
 
 def _disk_nodes(fieldd, n=300):
@@ -1161,18 +1192,16 @@ class TestClosedFormDiskSqrt:
             g, exact = _disk_sqrt_v(fieldd, w, r), (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
             assert np.all(np.abs(g - exact) < np.abs(g + exact))
 
-    def test_maps_without_source_take_block(self, monkeypatch):
-        fieldd = _disk_field("b1:0.7", 2.0)
-        plain = dataclasses.replace(fieldd.phi, source=None)
-        marched = _DiskField(plain, fieldd.x0, BridgeMaps.from_zeta(2.0).params)
-        for seed in (True, False):
-            w = _disk_call(seed)
-            (r,), blocks = _roots_used(lambda: marched.integrand(w), monkeypatch)
-            assert blocks == 1
-            assert _is_signed_root(r, _disk_q(marched, w))
-            (r_source,), _ = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
-            g, ref = _disk_sqrt_v(marched, w, r), _disk_sqrt_v(fieldd, w, r_source)
-            assert np.allclose(g, ref, rtol=1e-12, atol=0.0)
+    def test_maps_without_source_raise(self, monkeypatch):
+        # the disk form reads R, x0 and its parameters from phi.source alone
+        def integrated(*args, **kwargs):
+            raise AssertionError("the unit disk was integrated for a map without source")
+
+        monkeypatch.setattr(inequalities, "integrate_disk", integrated)
+        bridge = BridgeMaps.from_zeta(2.0)
+        phi = phi_from_psi(bridge, resolve_map("b1:0.7"))
+        with pytest.raises(DomainError):
+            verify_area_disk(dataclasses.replace(phi, source=None), bridge.x0)
 
     @pytest.mark.parametrize("name", ["joukowski", "b1:0.7"])
     @pytest.mark.parametrize("zeta", [1.25, 3j])
@@ -1324,6 +1353,22 @@ def test_torus_driver_calls_are_the_drivers(zeta, monkeypatch):
     with pytest.raises(_Recorded):
         torus_area_crosscheck(resolve_map("joukowski"), zeta)
     assert all(_same_bits(a, b) for a, b in zip(built, recorded, strict=True))
+
+
+@pytest.mark.parametrize("zeta", [1.25, 2.0])
+def test_disk_patch_seed_calls_are_the_drivers(zeta, monkeypatch):
+    # built on a 2 x 2 grid, they were (20, 8, 8) calls the driver never made
+    bridge, recorded = BridgeMaps.from_zeta(zeta), []
+    integrand = _DiskField.integrand
+
+    def recording(self, w):
+        recorded.append(w)
+        return integrand(self, w)
+
+    monkeypatch.setattr(_DiskField, "integrand", recording)
+    verify_area_disk(phi_from_psi(bridge, resolve_map("b1:0.7")), bridge.x0)
+    for w in _disk_driver_calls(bridge.x0)[-2:]:
+        assert any(_same_bits(w, seen) for seen in recorded)
 
 
 class TestClosedNodeSector:
@@ -1480,7 +1525,7 @@ class TestOneEvaluationPerCall:
             sizes.append(np.shape(w))
             return quotient(w, v)
 
-        counting = _DiskField(dataclasses.replace(fieldd.phi, quotient=counted), fieldd.x0, BridgeMaps.from_zeta(2.0).params)
+        counting = _DiskField(dataclasses.replace(fieldd.phi, quotient=counted))
         for seed in (True, False):
             w = _disk_call(seed)
             sizes.clear()
