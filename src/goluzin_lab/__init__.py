@@ -23,7 +23,7 @@ from .inequalities import (
     verify_area_disk,
     verify_area_sigma,
 )
-from .maps import BridgeMaps, eta, eta_inv, phi_from_psi, sigma, sqrt_continued, tau, tau_prime
+from .maps import BridgeMaps, eta, eta_inv, phi_from_psi, sigma, tau, tau_prime
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_disk, integrate_exterior_disk, integrate_rect
 from .theta import JacobiContext, jacobi_Z, jacobi_sn_cn_dn, theta0, theta0_prime
 from .torus import GreenEvaluator, Q_D, TorusGeometry, dz_Q_D, dzbar_Q_D, green_G, kernel_norm_integral
@@ -71,7 +71,6 @@ __all__ = [
     "pointwise_from_area",
     "resolve_map",
     "sigma",
-    "sqrt_continued",
     "tau",
     "tau_prime",
     "theta0",

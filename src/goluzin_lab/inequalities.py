@@ -11,8 +11,8 @@ Implemented checks:
 * ``pointwise_from_area`` - the diagonal consequence
   |Psi(zeta, zeta)| <= (E'/K') |zeta|/(|zeta|^2 - 1).
 * ``goluzin_bound`` - the pointwise estimate on psi''/psi' over the
-  exterior disk, in both its E/K and E'/K' algebraic forms (the two are
-  tied together by the Legendre relation and cross-checked here).
+  exterior disk in its E/K form, cross-checked through the Legendre
+  relation against its E'/K' form, 4 zeta Psi(zeta, zeta).
 * ``koebe_bieberbach_bound`` - the classical unit-disk estimate on
   phi''/phi'.
 * ``gronwall_check`` - the area theorem, computed both as the area
@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -128,10 +129,9 @@ class _MarchedSqrt:
     nodes.  :meth:`block` marches node x along t x, t = k/n for k = 1..n,
     with n = 8 doubled (up to 2048) for that node alone until every ratio of
     consecutive values lies in the right half-plane; its sign is the parity
-    of the flips along its ray, as in the linear chain of
-    :func:`~goluzin_lab.maps.sqrt_continued`.  So a node's root depends on
-    its position only.  ``closed_arg``, when given, is a formula q for f
-    whose principal root is this root where Re q > 0.
+    of the flips along its ray.  So a node's root depends on its position
+    only.  ``closed_arg``, when given, is a formula q for f whose principal
+    root is this root where Re q > 0.
     """
 
     def __init__(self, f: Callable, closed_arg: Callable | None = None):
@@ -207,9 +207,10 @@ class PsiEvaluator:
     The first term carries sqrt(A), A(z) = psi'(zeta)/Q(z), continued from
     the value +1 at z = zeta: it is R(zeta)/R(z) with the root R of
     :func:`_quotient_root`, signed by :meth:`_MarchedSqrt.at` from
-    Q = ``psi.quotient(z, zeta)``.  With psi(z) - psi(zeta) = (z - zeta) Q
-    no term subtracts two values of psi.  Raises ``DomainError`` unless
-    1 < |zeta| < 2^340, or where psi'(zeta) = 0.
+    Q = ``psi.quotient(z, zeta)``; the first ``field`` call builds R and
+    R(zeta).  With psi(z) - psi(zeta) = (z - zeta) Q no term subtracts two
+    values of psi.  Raises ``DomainError`` unless 1 < |zeta| < 2^340, or
+    where psi'(zeta) = 0.
     """
 
     def __init__(self, psi: UnivalentMap, zeta: complex):
@@ -231,8 +232,14 @@ class PsiEvaluator:
         if self.dpsi_zeta == 0.0:
             raise DomainError(f"psi'({_cfmt(zeta)}) = 0: psi is not univalent there")
         self.ddpsi_zeta = complex(psi.deriv2(np.complex128(zeta)))
-        self._root = _quotient_root(psi, zeta)
-        self._top = complex(self._root.at([1.0 / zeta])[0])  # R(zeta)
+
+    @cached_property
+    def _root(self) -> _MarchedSqrt:
+        return _quotient_root(self.psi, self.zeta)
+
+    @cached_property
+    def _top(self) -> complex:  # R(zeta)
+        return complex(self._root.at([1.0 / self.zeta])[0])
 
     def field(self, z):
         """Psi(z, zeta); z = zeta returns the closed form ``at_diagonal``."""
@@ -378,31 +385,23 @@ def verify_area_disk(phi: UnivalentMap, x0: float, spec: QuadratureSpec | None =
 def goluzin_bound(psi: UnivalentMap, z: complex) -> VerificationReport:
     """Pointwise bound on psi''/psi' over the exterior disk.
 
-    The reported lhs/rhs use the E/K form at modulus 1/|z|; the E'/K'
-    form of the same statement is evaluated independently and the two are
-    tied together through the Legendre relation (residuals in ``inputs``).
-    Raises ``DomainError`` unless psi is in Sigma and 1 < |z| < 2^340, or
-    where psi'(z) = 0.
+    The reported lhs/rhs use the E/K form at modulus 1/|z|; the E'/K' form
+    is the area field on the diagonal, 4 z Psi(z, z), and the Legendre
+    relation ties the two together (residuals in ``inputs``).  Raises
+    ``DomainError`` where ``PsiEvaluator`` does: unless psi is in Sigma and
+    1 < |z| < 2^340, or where psi'(z) = 0.
     """
-    if psi.map_class != "Sigma":
-        raise DomainError("goluzin_bound needs an exterior-disk (Sigma) map")
-    z = complex(z)
+    ev = PsiEvaluator(psi, z)
+    z, p = ev.zeta, ev.params
     a = abs(z)
-    if not 1.0 < a < _MAX_ABS_Z:
-        raise DomainError("goluzin_bound needs 1 < |z| < 2^340")
-    dpsi = complex(psi.deriv(np.complex128(z)))
-    if dpsi == 0.0:
-        raise DomainError(f"psi'({_cfmt(z)}) = 0: psi is not univalent there")
-    p = params_from_x0(x0_from_zeta_abs(a))
-    ep_over_kp = p.E_prime / p.K_prime
-    w = complex(psi.deriv2(np.complex128(z))) / dpsi
+    w = ev.ddpsi_zeta / ev.dpsi_zeta
     a2 = a * a
     # w + (4a^2-2)/(z(a^2-1)) - 4 conj(z) E/K/(a^2-1), regrouped around 1 - E/K
     inside_pt = w - 2.0 / (z * (a2 - 1.0)) + (4.0 * np.conj(z) / (a2 - 1.0)) * p.E_gap
     rhs_pt = (4.0 * a / (a2 - 1.0)) * p.E_gap
     big_b = a2 / (a2 - 1.0)
-    inside_alt = z * w - 2.0 + 2.0 * (a2 - 2.0) / (a2 - 1.0) + 4.0 * big_b * ep_over_kp
-    rhs_alt = 4.0 * big_b * ep_over_kp
+    inside_alt = 4.0 * z * ev.at_diagonal()
+    rhs_alt = 4.0 * big_b * ev.ep_over_kp
     shift = 2.0 * math.pi * big_b / (p.K * p.K_prime)
     cross_lhs = abs(inside_alt - (z * inside_pt + shift))
     cross_rhs = abs(rhs_alt - (a * rhs_pt + shift))

@@ -9,10 +9,10 @@ Moebius maps between the exterior disk (base point zeta) and the unit disk
 (base point x0), and ``phi_from_psi`` converts an exterior-disk map into the
 unit-disk map pinned by phi(x0) = 0, phi(-x0) = inf, phi'(x0) = 1.
 
-Square roots of analytic data are continued from a base value along an
-explicit marching order (``sqrt_continued``); nothing here guesses a
-branch from a formula alone.  The closed-form signs of the area checks
-live with the checks in :mod:`goluzin_lab.inequalities`.
+``marched_sqrt_path`` continues a square root from a base value along a
+densified polyline; the tests use it as a path oracle.  The area checks'
+square roots, closed form and march, live with the checks in
+:mod:`goluzin_lab.inequalities`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import carlson_rf
 from .elliptic import EllipticParams, params_from_x0, x0_from_zeta_abs
-from .errors import BranchAmbiguityError, BranchCutError, PoleError
+from .errors import BranchAmbiguityError, BranchCutError, DomainError, PoleError
 from .catalog import UnivalentMap
 from .theta import JacobiContext, jacobi_sn_cn_dn
 
@@ -38,8 +38,6 @@ __all__ = [
     "eta",
     "eta_inv",
     "phi_from_psi",
-    "sqrt_continued",
-    "marched_sqrt_path",
 ]
 
 _REAL_TOL = 1e-13
@@ -199,13 +197,13 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
     factor c.  The result records ``(bridge, psi)`` as its ``source``.
     """
     if psi.map_class != "Sigma":
-        raise ValueError("phi_from_psi expects an exterior-disk map")
+        raise DomainError("phi_from_psi expects an exterior-disk map")
     zeta, x0 = bridge.zeta, bridge.x0
     unit = zeta / abs(zeta)
     psi_zeta = complex(psi.value(np.complex128(zeta)))
     dpsi_zeta = complex(psi.deriv(np.complex128(zeta)))
     if dpsi_zeta == 0:
-        raise ValueError("psi'(zeta) vanishes; the induced map is degenerate")
+        raise DomainError("psi'(zeta) vanishes; the induced map is degenerate")
 
     def d_eta_inv(w):
         return unit * (x0**2 - 1.0) / (w + x0) ** 2
@@ -256,31 +254,6 @@ def phi_from_psi(bridge: BridgeMaps, psi: UnivalentMap) -> UnivalentMap:
 # branch-tracked square roots
 
 
-def sqrt_continued(args, base_value):
-    """Square roots of ``args`` continued along the linear chain 0, 1, 2, ...
-    of the flattened arguments, node 0 from ``base_value``.
-
-    Every output satisfies g**2 == args exactly up to rounding; a value
-    within 1e-13 of zero (relative to the largest argument) makes the
-    sign choice meaningless and raises :class:`BranchAmbiguityError`.
-    """
-    args = np.asarray(args, dtype=np.complex128)
-    flat = args.reshape(-1)
-    scale = float(np.abs(flat).max()) if flat.size else 0.0
-    if np.any(np.abs(flat) < 1e-13 * scale) or scale == 0.0:
-        raise BranchAmbiguityError("square-root continuation hit a zero argument")
-    root = np.sqrt(flat)
-    # Node i keeps the sign of node i-1 when the roots r_i, r_{i-1} are
-    # closer than r_i, -r_{i-1}, flips it when farther, and takes + on a
-    # tie (or NaN); the sign is the parity of the flips since the last tie.
-    prev = np.concatenate(([complex(base_value)], root[:-1]))
-    apart, together = np.abs(root - prev), np.abs(root + prev)
-    flips = np.cumsum(apart > together)
-    tie = ~(apart > together) & ~(together > apart)
-    odd = (flips - np.maximum.accumulate(np.where(tie, flips, 0))) % 2 == 1
-    return np.where(odd, -root, root).reshape(args.shape)
-
-
 def marched_sqrt_path(func, waypoints, base_value):
     """Continue sqrt(func) along a polyline, densifying legs as needed.
 
@@ -304,7 +277,12 @@ def marched_sqrt_path(func, waypoints, base_value):
         vals = np.asarray(func(pts), dtype=np.complex128)
         ratios = vals[1:] / vals[:-1]
         if np.all(ratios.real > 1e-3 * np.abs(ratios)):
-            g = sqrt_continued(vals, base_value)
-            return complex(g[-1])
+            if np.any(np.abs(vals) < 1e-13 * np.abs(vals).max()):
+                raise BranchAmbiguityError("square-root continuation hit a zero argument")
+            # the sign is the parity of the flips along the path, as in _MarchedSqrt.block
+            root = np.sqrt(vals)
+            prev = np.concatenate(([complex(base_value)], root[:-1]))
+            odd = np.count_nonzero(np.abs(root - prev) > np.abs(root + prev)) % 2 == 1
+            return complex(-root[-1] if odd else root[-1])
         n *= 2
     raise BranchAmbiguityError("could not march the square root along the path")

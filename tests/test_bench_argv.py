@@ -1,6 +1,7 @@
-"""The benchmark drives the CLI by argv (``perfbench/workloads.py``); a CLI
-change that stops parsing that argv must fail here rather than leave a
-benchmark run without its sweep."""
+"""The benchmark drives the CLI by argv and the checks by their signatures
+(``perfbench/workloads.py``); a change that stops parsing that argv, or
+breaks a call the other workloads make, must fail here rather than leave
+a benchmark run without its verdicts."""
 
 import importlib.util
 import pathlib
@@ -38,3 +39,14 @@ def test_sweep_argv_parses(jobs, small, tmp_path, monkeypatch):
     (argv,) = seen
     args = cli.build_parser().parse_args(argv)
     assert args.fn is cli._cmd_sweep and args.area and args.jobs == jobs
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: workloads.BridgeArea(small=False), lambda: workloads.PointwiseGrid(0, small=True)],
+    ids=["bridge-area", "pointwise-grid"],
+)
+def test_other_workloads_give_right_verdicts(build):
+    workload = build()
+    verdicts = [v for unit in workload.units() for v in workload.verdicts(unit())[0]]
+    assert len(verdicts) == workload.expected
+    assert [v for v in verdicts if v.wrong] == []

@@ -10,7 +10,7 @@ import pytest
 from goluzin_lab.catalog import UnivalentMap, catalog, resolve_map
 from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
 from goluzin_lab.errors import DomainError, QuadratureError
-from goluzin_lab import inequalities, maps, quadrature, theta, torus
+from goluzin_lab import cli, inequalities, maps, quadrature, theta, torus
 from goluzin_lab.inequalities import (
     PsiEvaluator,
     _DiskField,
@@ -209,6 +209,34 @@ class TestCriticalPoint:
     def test_psi_evaluator(self):
         with pytest.raises(DomainError):
             PsiEvaluator(_map_with_a_critical_point("Sigma"), 2.0)
+
+    def test_disk_and_torus_forms(self):
+        # phi_from_psi raised a plain ValueError here, unlike the other checks
+        psi, bridge = _map_with_a_critical_point("Sigma"), BridgeMaps.from_zeta(2.0)
+        with pytest.raises(DomainError):
+            verify_area_disk(phi_from_psi(bridge, psi), bridge.x0)
+        with pytest.raises(DomainError):
+            torus_area_crosscheck(psi, 2.0)
+
+
+class TestPointwiseBuildsNoRoot:
+    """The pointwise checks are closed forms at zeta: neither they nor the
+    CLI's ``pointwise`` build or sign a square root, so a root that cannot
+    be marched never costs them their verdict."""
+
+    @staticmethod
+    def _no_root(*args):
+        raise AssertionError("a pointwise check took a square root")
+
+    @pytest.mark.parametrize("name", [m.name for m in catalog() if m.map_class == "Sigma"])
+    def test_on_the_sweep_grid(self, name, monkeypatch, capsys):
+        monkeypatch.setattr(_MarchedSqrt, "at", self._no_root)
+        monkeypatch.setattr(_MarchedSqrt, "block", self._no_root)
+        m = resolve_map(name)
+        for zeta in cli._sweep_grid():
+            goluzin_bound(m, zeta)
+            pointwise_from_area(PsiEvaluator(m, zeta))
+            assert cli.main(["pointwise", "--map", name, "--z", f"{zeta.real!r}{zeta.imag:+}i"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("name", ["koebe", "identity-disk"])
@@ -950,6 +978,7 @@ class TestClosedFormSqrt:
     @pytest.mark.parametrize("zeta", [1.0 + 1e-6, 1.25, 3j, 1e3])
     def test_sign_matches_march(self, name, zeta, monkeypatch):
         ev = PsiEvaluator(resolve_map(name), zeta)
+        ev._top  # R(zeta), built on the first field call: not one of the calls recorded below
         for group, zs in _oracle_nodes(ev).items():
             r, hit = self.field_root(ev, zs, monkeypatch)
             g, ref = ev._top / r, self.marched(ev, zs)
@@ -965,6 +994,7 @@ class TestClosedFormSqrt:
         # and the nodes where it does are marched
         m = dataclasses.replace(resolve_map("identity"), coefficients=(0.0, 0.3))
         ev = PsiEvaluator(m, 2.0)
+        ev._top
         for group, zs in _oracle_nodes(ev).items():
             r, hit = self.field_root(ev, zs, monkeypatch)
             # beyond |z| ~ 1.5e5 the expansion meets Q = 1 within 1e-6
@@ -1397,6 +1427,7 @@ class TestClosedNodeSector:
     def test_root_free_sign_is_the_root_sign(self, form, name, zeta, monkeypatch):
         if form == "sigma":
             ev = PsiEvaluator(resolve_map(name), zeta)
+            ev._top
             calls = [lambda z=1.0 / u: ev.field(z) for u in _psi_driver_calls(zeta)]
         elif form == "disk":
             fieldd = _disk_field(name, zeta)

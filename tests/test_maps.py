@@ -19,7 +19,6 @@ from goluzin_lab.maps import (
     phi_from_psi,
     sigma,
     sigma_prime,
-    sqrt_continued,
     tau,
     tau_prime,
 )
@@ -345,119 +344,25 @@ class TestQuotient:
         assert abs(complex(m.quotient(w, w)) - deriv) <= 1e-14 * abs(deriv)
 
 
-class TestSqrtContinued:
-    def test_constant_grid(self):
-        args = np.ones(16, dtype=complex)
-        out = sqrt_continued(args, 1.0)
-        np.testing.assert_allclose(out, 1.0)
-
-    def test_squares_back(self, rng):
-        # a random smooth walk avoiding zero
-        t = np.linspace(0, 4 * math.pi, 200)
-        args = (2.0 + np.cos(t)) * np.exp(1j * t)
-        out = sqrt_continued(args, np.sqrt(args[0]))
-        np.testing.assert_allclose(out**2, args, rtol=1e-12)
-        steps = np.abs(np.diff(out))
-        assert steps.max() < 0.5  # continuous along the chain
-
-    def test_principal_on_right_half_plane_family(self, rng):
-        # 1 - 1/(conj(zeta) z) lies in the disk around 1, so the continued
-        # root coincides with the principal branch everywhere
-        zeta = 2.0
-        z = rng.uniform(1.05, 5.0, 64) * np.exp(1j * rng.uniform(0, 2 * math.pi, 64))
-        args = 1.0 - 1.0 / (np.conj(zeta) * z)
-        assert np.all(args.real > 0)
-        out = sqrt_continued(args, np.sqrt(args[0]))
-        np.testing.assert_allclose(out, np.sqrt(args), rtol=1e-12)
-
-    def test_zero_crossing_raises(self):
-        args = np.array([1.0, 0.5, 1e-16, 0.5], dtype=complex)
-        with pytest.raises(BranchAmbiguityError):
-            sqrt_continued(args, 1.0)
-
-    @given(st.integers(min_value=1, max_value=6))
-    @settings(max_examples=12, deadline=None)
-    def test_half_winding_property(self, k):
-        # continuing sqrt along k half-turns multiplies by exp(i pi k / 2) * ...
-        t = np.linspace(0, k * math.pi, 32 * k + 1)
-        args = np.exp(1j * t)
-        out = sqrt_continued(args, 1.0)
-        assert abs(out[-1] - np.exp(0.5j * t[-1])) < 1e-10
-
-
-def _loop_chain(args, base_value):
-    """Reference: the per-element loop that continued a linear chain."""
-    flat = np.asarray(args, dtype=np.complex128).reshape(-1)
-    out = np.empty_like(flat)
-    for i, a in enumerate(flat):
-        ref = base_value if i == 0 else out[i - 1]
-        g = np.sqrt(a)
-        if abs(g - ref) > abs(g + ref):
-            g = -g
-        out[i] = g
-    return out
-
-
-class TestVectorizedChain:
-    """The linear chain of ``sqrt_continued`` against the loop it replaced."""
-
-    @staticmethod
-    def same_bits(a, b):
-        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-    def test_random_chains_bit_for_bit(self):
-        rng = np.random.default_rng(20261018)
-        flipped = 0
-        for k in range(300):
-            n = int(rng.integers(1, 200))
-            if k % 2:  # a rough walk: many sign flips
-                args = rng.normal(size=n) + 1j * rng.normal(size=n)
-            else:  # a smooth walk that winds around 0
-                t = np.cumsum(rng.uniform(0.0, 0.6, n))
-                args = rng.uniform(0.5, 2.0) * np.exp(1j * t)
-            base = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-3, 3)
-            ref = _loop_chain(args, base)
-            out = sqrt_continued(args, base)
-            assert self.same_bits(out, ref)
-            flipped += int(np.any(out != np.sqrt(args)))
-        assert flipped > 100
-
-    def test_exact_ties_reset_the_sign(self):
-        # sqrt(-1) = i is perpendicular to 1 and to -1: |r_i - r_{i-1}| equals
-        # |r_i + r_{i-1}| exactly, and the loop keeps the principal root there
-        args = np.array([4.0, -4.0, 1.0, 1j, -1j, -1.0, 1.0, -9.0], dtype=complex)
-        for base in (1.0, -1.0, 1j, 2.0 - 3.0j):
-            ref = _loop_chain(args, base)
-            assert self.same_bits(sqrt_continued(args, base), ref)
-        root = np.sqrt(complex(args[1]))
-        assert abs(root - np.sqrt(args[0])) == abs(root + np.sqrt(args[0]))
-
-    def test_shape_and_non_unit_base(self):
-        rng = np.random.default_rng(7)
-        args = (rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))) * 1e4
-        base = -7.5 + 0.25j
-        out = sqrt_continued(args, base)
-        assert out.shape == args.shape
-        assert self.same_bits(out.reshape(-1), _loop_chain(args, base))
-
-
 class TestMarchedSqrtPath:
     def test_zero_on_path_raises(self):
         # a double zero at 0.5, a node of every densification of [0, 1]: the
-        # argument ratios all stay positive, so the zero-argument check of
-        # sqrt_continued has to catch it
+        # argument ratios all stay positive, so the zero-argument check has
+        # to catch it
         with pytest.raises(BranchAmbiguityError, match="zero argument"):
             marched_sqrt_path(lambda z: (z - 0.5) ** 2 + 1e-20, [0.0, 1.0], 1.0)
 
-    def test_tracks_beyond_principal_branch(self):
-        # f(z) = z along 3/4 of a turn: the continued root leaves the
-        # principal sheet, unlike np.sqrt
-        theta = 1.6 * math.pi
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_tracks_beyond_principal_branch(self, k):
+        # f(z) = z along k + 0.6 half-turns: the continued root is
+        # exp(i theta/2), while np.sqrt changes sign at each of the
+        # (k + 1) // 2 crossings of the negative axis
+        theta = (k + 0.6) * math.pi
         target = np.exp(1j * theta)
-        arc = [np.exp(1j * theta * k / 8) for k in range(9)]
+        arc = np.exp(1j * np.linspace(0.0, theta, 8 * k + 9))
         val = marched_sqrt_path(lambda z: z, arc, 1.0)
         assert abs(val - np.exp(0.5j * theta)) < 1e-12
-        assert abs(val - np.sqrt(target)) > 0.5
+        assert abs(val - (-1) ** ((k + 1) // 2) * np.sqrt(target)) < 1e-12
 
     def test_densification(self):
         # a coarse polyline whose argument rotates fast gets refined
