@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["UnivalentMap", "catalog", "resolve_map", "gronwall_sum", "laurent_coefficients"]
 
 
@@ -139,7 +141,7 @@ def laurent_coefficients(m: UnivalentMap, n_max: int):
     rounding of g by r^n, so a larger circle costs digits at high n.
     """
     if m.map_class != "Sigma":
-        raise ValueError("Laurent extraction is defined for Sigma maps only")
+        raise DomainError("Laurent extraction is defined for Sigma maps only")
     theta = np.linspace(0.0, 2.0 * math.pi, _LAURENT_NODES, endpoint=False)
     z = _LAURENT_RADIUS * np.exp(1j * theta)
     g = m.value(z) - z
@@ -155,7 +157,7 @@ def gronwall_sum(m: UnivalentMap, n_max: int = 64) -> float:
     otherwise; the area bound caps this at 1 for univalent maps.
     """
     if m.map_class != "Sigma":
-        raise ValueError("gronwall_sum is defined for Sigma maps only")
+        raise DomainError("gronwall_sum is defined for Sigma maps only")
     if m.coefficients is not None:
         bs = np.asarray(m.coefficients, dtype=np.complex128)
     else:

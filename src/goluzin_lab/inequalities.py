@@ -6,8 +6,9 @@ Implemented checks:
   integral of |Psi(z, zeta)|^2 / |z - zeta| is at most
   2 pi (E'/K') |zeta|/(|zeta|^2 - 1), with equality exactly for full
   mappings.
-* ``verify_area_disk`` - the unit-disk form of a ``phi_from_psi`` map,
-  pinned at its bridge's x0, with weight 1/|w^2 - x0^2|.
+* ``verify_area_disk`` - the same bound for a ``phi_from_psi`` map,
+  integrated over the unit disk: the exterior-disk integrand pulled back by
+  eta_inv, with the disk's own cubature and right-hand side.
 * ``pointwise_from_area`` - the diagonal consequence
   |Psi(zeta, zeta)| <= (E'/K') |zeta|/(|zeta|^2 - 1).
 * ``goluzin_bound`` - the pointwise estimate on psi''/psi' over the
@@ -21,17 +22,16 @@ Implemented checks:
   rectangle coordinates through the Green-function machinery (slow; one
   parameter is enough to pin the 3/2-power branch conventions).
 
-All three area checks take their square roots from one root R.
-Univalence makes Q(z) = (psi(z) - psi(zeta))/(z - zeta) zero-free on
-|z| > 1 with Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued
-there (:func:`_quotient_root`).  Q is read from the map's ``quotient``,
-never formed by subtracting two values, so it keeps its digits next to
-the diagonal and next to a critical point of psi.  Each check's root is
-c R^(+-1) with a factor c it has at hand: sqrt(A) = R(zeta)/R(z) in the
-field Psi(z, zeta), sqrt(V) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) in the
-disk form and sqrt(phi(sigma)) = k cn R(z')/(sigma + x0) in the torus
-check, z' = eta_inv(w): the torus check reads the disk form's R at
-w = sigma(u) (:meth:`_DiskField.parts`).  :meth:`_MarchedSqrt.at` signs
+Psi has one formula, :meth:`PsiEvaluator.field`; the sigma and disk forms
+both read it.  All three area checks take their square roots from one
+root R per base point, ``PsiEvaluator._root``.  Univalence makes
+Q(z) = (psi(z) - psi(zeta))/(z - zeta) zero-free on |z| > 1 with
+Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued there.  Q is
+read from the map's ``quotient``, never formed by subtracting two values,
+so it keeps its digits next to the diagonal and next to a critical point
+of psi.  The field's root is sqrt(A) = R(zeta)/R(z); the torus check's is
+sqrt(phi(sigma)) = k cn R(z)/(sigma + x0) at z = eta_inv(sigma(u)), which
+it reads from :meth:`_DiskField.parts`.  :meth:`_MarchedSqrt.at` signs
 R = +-sqrt(Q) from the Q the check computes anyway.  For psi = z + b0 +
 b1/z, |b1| <= 1 (every catalog Sigma map), R is the principal root of
 1 - b1/(z zeta); every other map, and every node at which that closed form
@@ -185,28 +185,12 @@ class _MarchedSqrt:
         return g
 
 
-def _quotient_root(psi: UnivalentMap, zeta: complex) -> _MarchedSqrt:
-    """R = sqrt(Q) as a function of u = 1/z, with R = 1 at u = 0 (z = inf).
-
-    Q(z) = (psi(z) - psi(zeta))/(z - zeta) is ``psi.quotient(z, zeta)``,
-    psi'(zeta) at z = zeta.  The march runs along the ray z/t, t from 0 to
-    1, which is the segment [0, u].  Where ``coefficients`` say
-    psi = z + b0 + b1/z, Q = 1 - (b1/zeta) u has positive real part for
-    |u| < 1 < |zeta| and |b1| <= 1, and R is its principal root.
-    """
-    zeta = complex(zeta)
-    coeffs = psi.coefficients or ()
-    b1 = complex(coeffs[1]) if len(coeffs) == 2 else 0j
-    closed_arg = (lambda u: 1.0 - (b1 / zeta) * u) if len(coeffs) in (1, 2) else None
-    return _MarchedSqrt(lambda u: psi.quotient(1.0 / u, zeta), closed_arg)
-
-
 class PsiEvaluator:
     """The three-term field Psi(z, zeta) for one exterior-disk map.
 
     The first term carries sqrt(A), A(z) = psi'(zeta)/Q(z), continued from
     the value +1 at z = zeta: it is R(zeta)/R(z) with the root R of
-    :func:`_quotient_root`, signed by :meth:`_MarchedSqrt.at` from
+    :attr:`_root`, signed by :meth:`_MarchedSqrt.at` from
     Q = ``psi.quotient(z, zeta)``; the first ``field`` call builds R and
     R(zeta).  With psi(z) - psi(zeta) = (z - zeta) Q no term subtracts two
     values of psi.  Raises ``DomainError`` unless 1 < |zeta| < 2^340, or
@@ -235,7 +219,19 @@ class PsiEvaluator:
 
     @cached_property
     def _root(self) -> _MarchedSqrt:
-        return _quotient_root(self.psi, self.zeta)
+        """R = sqrt(Q) as a function of u = 1/z, with R = 1 at u = 0 (z = inf).
+
+        Q(z) = ``psi.quotient(z, zeta)``, psi'(zeta) at z = zeta.  The march
+        runs along the ray z/t, t from 0 to 1, which is the segment [0, u].
+        Where ``coefficients`` say psi = z + b0 + b1/z, Q = 1 - (b1/zeta) u
+        has positive real part for |u| < 1 < |zeta| and |b1| <= 1, and R is
+        its principal root.
+        """
+        psi, zeta = self.psi, self.zeta
+        coeffs = psi.coefficients or ()
+        b1 = complex(coeffs[1]) if len(coeffs) == 2 else 0j
+        closed_arg = (lambda u: 1.0 - (b1 / zeta) * u) if len(coeffs) in (1, 2) else None
+        return _MarchedSqrt(lambda u: psi.quotient(1.0 / u, zeta), closed_arg)
 
     @cached_property
     def _top(self) -> complex:  # R(zeta)
@@ -313,46 +309,39 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | N
 
 
 class _DiskField:
-    """Integrand data for the unit-disk form of the area bound.
+    """The unit-disk form of the area bound: the exterior-disk field pulled
+    back by z = eta_inv(w) = unit (1 + x0 w)/(w + x0), unit = zeta/|zeta|.
 
-    phi(w) = (w - x0) q(w) with q = ``phi.quotient(w, x0)``, since
-    phi(x0) = 0, so V(w) = (w^2 - x0^2)/phi(w) = (w + x0)/q(w) and the first
-    term phi'/phi = phi'/((w - x0) q) subtract no two values of phi.  With
-    psi(z) - psi(zeta) = (z - zeta) Q(z) and z - zeta proportional to
-    (w - x0)/(w + x0), sqrt(V(w)) = R(zeta) (w + x0)/(sqrt(2 x0) R(z')) at
-    z' = eta_inv(w), with psi's root R of :func:`_quotient_root` at
-    u = 1/z' = (w + x0)/(unit (1 + x0 w)), unit = zeta/|zeta|, which is
-    finite at w = -x0 (u = 0, R = 1).  :meth:`parts` signs R from
-    Q(z') = psi'(zeta) (w + x0) q(w)/(2 x0), with zeta, x0 and psi read
-    from the ``source`` of a ``phi_from_psi`` map.
+    With dz/dw = unit (x0^2 - 1)/(w + x0)^2 and the two right-hand sides in
+    the ratio (1 - x0^2)/(4 x0^2), the integrand is
+    (1 - x0^2)^3/(4 x0^2) |Psi(z, zeta)/(w + x0)^2|^2/|z - zeta|, with Psi
+    from one :class:`PsiEvaluator` of the psi and zeta in the ``source`` of a
+    ``phi_from_psi`` map.  :meth:`parts` gives the torus check the same
+    evaluator's root R at z = eta_inv(w), u = 1/z = (w + x0)/(unit (1 + x0 w)),
+    which is finite at w = -x0 (u = 0, R = 1); it signs R from
+    Q(z) = psi'(zeta) (w + x0) q(w)/(2 x0), q = ``phi.quotient(w, x0)``.
     """
 
     def __init__(self, phi: UnivalentMap):
         bridge, psi = phi.source
-        p, x0 = bridge.params, bridge.x0
+        x0 = bridge.x0
         self.phi = phi
         self.x0 = x0
-        self.c2 = (1.0 + x0**2) * math.sqrt(2.0 * x0) / math.sqrt(1.0 - x0**4)
-        self.c3 = p.E_prime / p.K_prime * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
-        unit = bridge.zeta / abs(bridge.zeta)
-        self._root = _quotient_root(psi, bridge.zeta)
-        self._coord = lambda w: (w + x0) / (unit * (1.0 + x0 * w))
-        self._scale = complex(psi.deriv(np.complex128(bridge.zeta))) / (2.0 * x0)
-        self._top = complex(self._root.at([self._coord(x0)])[0]) / math.sqrt(2.0 * x0)
+        self.ev = PsiEvaluator(psi, bridge.zeta)
+        self._unit = bridge.zeta / abs(bridge.zeta)
+        self._c = (1.0 - x0**2) ** 3 / (4.0 * x0**2)
 
     def parts(self, w):
-        """phi'(w), q(w) = ``phi.quotient(w, x0)`` and R(z') at z' = eta_inv(w)."""
-        q = self.phi.quotient(w, self.x0)
-        r = self._root.at(self._coord(w), self._scale * (w + self.x0) * q)
+        """phi'(w), q(w) = ``phi.quotient(w, x0)`` and R(z) at z = eta_inv(w)."""
+        ev, x0 = self.ev, self.x0
+        q = self.phi.quotient(w, x0)
+        r = ev._root.at((w + x0) / (self._unit * (1.0 + x0 * w)), ev.dpsi_zeta / (2.0 * x0) * (w + x0) * q)
         return self.phi.deriv(w), q, r
 
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
-        dphi, q, r = self.parts(w)
-        t1 = self._top * dphi * (w + self.x0) / ((w - self.x0) * q * r)
-        t2 = self.c2 * np.sqrt((1.0 - self.x0 * w) / (1.0 + self.x0 * w)) / (w - self.x0)
-        t3 = self.c3 / np.sqrt(1.0 - self.x0**2 * w**2)
-        return np.abs(t1 - t2 - t3) ** 2 / np.abs(w**2 - self.x0**2)
+        z = self._unit * (1.0 + self.x0 * w) / (w + self.x0)
+        return self._c * np.abs(self.ev.field(z) / (w + self.x0) ** 2) ** 2 / np.abs(z - self.ev.zeta)
 
 
 def verify_area_disk(phi: UnivalentMap, x0: float, spec: QuadratureSpec | None = None) -> VerificationReport:
@@ -494,9 +483,9 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
 
     With sigma^2 - x0^2 = -x0^2 cn^2(z + L), the root is
     sqrt(phi(sigma(z))) = k cn(z + L) R(z')/(sigma + x0) at
-    z' = eta_inv(sigma): the disk form's R at w = sigma, which
-    :meth:`_DiskField.parts` signs from Q(z') = psi'(zeta) (sigma + x0)
-    q(sigma)/(2 x0), q = ``phi.quotient`` at (sigma, x0).  Since
+    z' = eta_inv(sigma): psi's root R at z', which :meth:`_DiskField.parts`
+    signs from Q(z') = psi'(zeta) (sigma + x0) q(sigma)/(2 x0),
+    q = ``phi.quotient`` at (sigma, x0).  Since
     phi(sigma) = -(2 x0/psi'(zeta)) x0^2 cn^2(z + L) Q(z')/(sigma + x0)^2,
     k = +-x0 sqrt(-2 x0/psi'(zeta)).  The 1/z^2 poles of the two terms
     cancel for k = -i x0 sqrt(2 x0)/R(zeta), which fixes the sign; k keeps
@@ -517,8 +506,8 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     p = bridge.params
     field = _DiskField(phi_from_psi(bridge, psi))
     L, Lp, b = p.L, p.L_prime, GreenEvaluator.from_params(p).b_const
-    k = p.x0 * cmath.sqrt(-1.0 / field._scale)
-    k = k if (1j * k * field._top).real > 0.0 else -k  # _top = R(zeta)/sqrt(2 x0)
+    k = p.x0 * cmath.sqrt(-1.0 / (field.ev.dpsi_zeta / (2.0 * p.x0)))  # psi'(zeta)/(2 x0) as parts forms it
+    k = k if (1j * k * field.ev._top).real > 0.0 else -k  # _top = R(zeta)
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)

@@ -42,6 +42,7 @@ __all__ = [
 
 _REAL_TOL = 1e-13
 _BRANCH_POINT_TOL = 1e-12
+_SIDES = ("+", "-", "auto")
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,16 @@ def tau(bridge: BridgeMaps, w, side: str = "auto") -> complex:
 
     ``side`` ('+' or '-') selects the boundary value for real w with
     |w| > x0, where the two sides of the slit map to different edges;
-    real w with |w| <= x0 is unambiguous.  tau(x0) = 0, tau(0) = -L,
+    real w with |w| <= x0 is unambiguous.  Any side other than '+', '-' or
+    'auto' raises ``ValueError``, here and in :func:`tau_prime`.  tau(x0) = 0, tau(0) = -L,
     tau(-x0) = -2L, and tau(1/x0) from above is iL'.
 
     tau(w) = F(arcsin T; x0^4) - L = T R_F(1 - T^2, 1 - x0^4 T^2, 1) - L with
     T = w/x0 (DLMF 19.25(i)).  The arguments are scaled by s^2, s = 1/max(1, |T|),
     which R_F's degree -1/2 turns into the factor s, so no finite w overflows.
     """
+    if side not in _SIDES:
+        raise ValueError(f"side must be '+', '-' or 'auto', not {side!r}")
     p = bridge.params
     x0 = p.x0
     w = complex(w)
@@ -144,6 +148,8 @@ def tau_prime(bridge: BridgeMaps, w, side: str = "auto"):
     resolved by nudging to the requested side.  Each factor is scaled by
     r = max(x0, |w|), as in :func:`tau`, so no finite w overflows.
     """
+    if side not in _SIDES:
+        raise ValueError(f"side must be '+', '-' or 'auto', not {side!r}")
     p = bridge.params
     x0 = p.x0
     w = complex(w)

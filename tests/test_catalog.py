@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from goluzin_lab.catalog import catalog, gronwall_sum, laurent_coefficients, resolve_map
+from goluzin_lab.errors import DomainError
 
 
 def _sigma_maps():
@@ -108,6 +109,13 @@ class TestCoefficients:
     def test_area_bound_on_catalog(self):
         for m in _sigma_maps():
             assert gronwall_sum(m) <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("name", ["koebe", "identity-disk"])
+    def test_non_sigma_map_raises_domain_error(self, name):
+        with pytest.raises(DomainError):
+            gronwall_sum(resolve_map(name))
+        with pytest.raises(DomainError):
+            laurent_coefficients(resolve_map(name), 8)
 
 
 class TestResolver:

@@ -8,7 +8,8 @@ import pytest
 from goluzin_lab import cli
 from goluzin_lab.catalog import UnivalentMap, resolve_map
 from goluzin_lab.cli import CSV_COLUMNS, EXIT_OK, EXIT_USAGE, main, parse_complex
-from goluzin_lab.inequalities import _cfmt
+from goluzin_lab.inequalities import _cfmt, torus_area_crosscheck, verify_area_disk
+from goluzin_lab.maps import BridgeMaps, phi_from_psi
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
 
@@ -153,6 +154,20 @@ class TestSweep:
         area = [r for r in json.loads(capsys.readouterr().out)["reports"] if r["inequality"] == "area-sigma"]
         assert len(area) == 72
         assert sum(r["inputs"]["n_evals"] for r in area) == 611_200
+
+    def test_bridge_evaluation_budget(self):
+        # the 18 checks of the bridge-area benchmark at the default budget:
+        # the disk form and the torus form of joukowski, identity and b1:0.7
+        # at 1.25, 2 and 3i, with counts that repeat exactly
+        used = {"area-disk": 0, "area-torus": 0}
+        for name in ("joukowski", "identity", "b1:0.7"):
+            psi = resolve_map(name)
+            for zeta in (1.25, 2.0, 3j):
+                bridge = BridgeMaps.from_zeta(zeta)
+                for r in (verify_area_disk(phi_from_psi(bridge, psi), bridge.x0), torus_area_crosscheck(psi, zeta)):
+                    assert r.status == ("equality" if psi.full_mapping else "holds"), (r.inequality, name, zeta)
+                    used[r.inequality] += r.inputs["n_evals"]
+        assert used == {"area-disk": 66_048, "area-torus": 46_080}
 
     def test_ordering_deterministic_across_jobs(self, capsys):
         main(["sweep", "--maps", "b1:0.3", "--jobs", "1", "--format", "csv"])

@@ -624,7 +624,7 @@ class TestVerdictBits:
         ("sigma", "joukowski", 1.25, "0x1.ffffb623a0c7cp-1", "0x1.923912da4fea4p-10", 9216),
         ("sigma", "b1:0.7", 3j, "0x1.dbd155f1a54c4p-1", "0x1.a9973ead79efbp-16", 7936),
         ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c5b485799p-1", "0x1.08ae3e838ff6cp-14", 8576),
-        ("disk", "joukowski", 2.0, "0x1.fffffed7aab63p-1", "0x1.d797f72a80cbdp-14", 6656),
+        ("disk", "joukowski", 2.0, "0x1.fffffed7aab64p-1", "0x1.d797f72a2f3eep-14", 6656),
         ("torus", "joukowski", 2.0, "0x1.0000000000025p+0", "0x1.ad003d57cbc2ep-32", 5120),
     ]
 
@@ -833,7 +833,7 @@ class TestMarchedSqrtBlock:
             _patch_seed_call(complex(-x0), min(0.25, 0.8 * (1.0 - x0), 0.8 * x0)),
         )
         for w in calls:
-            self.check(fieldd._root, fieldd._coord(w))
+            self.check(fieldd.ev._root, 1.0 / eta_inv(bridge, w))
 
     def test_densified_rays_depend_on_their_node_only(self):
         # exp(10 pi i x) winds 5 times on [0, 1]: rays out to x = 1 need n = 32
@@ -1047,15 +1047,32 @@ def _roots_used(call, monkeypatch):
 
 
 def _disk_q(fieldd, w):
-    """Q(z') at z' = eta_inv(w) as the disk form forms it, psi'(zeta)(w + x0)
-    q/(2 x0) with q = ``phi.quotient(w, x0)``."""
-    return fieldd._scale * (w + fieldd.x0) * fieldd.phi.quotient(w, fieldd.x0)
+    """Q(z') at z' = eta_inv(w) as ``_DiskField.parts`` forms it,
+    psi'(zeta)(w + x0) q/(2 x0) with q = ``phi.quotient(w, x0)``."""
+    return fieldd.ev.dpsi_zeta / (2.0 * fieldd.x0) * (w + fieldd.x0) * fieldd.phi.quotient(w, fieldd.x0)
 
 
 def _disk_sqrt_v(fieldd, w, r):
-    """sqrt(V(w)) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) as the disk form forms
-    it from its root R(z') = ``r``."""
-    return fieldd._top * (w + fieldd.x0) / r
+    """sqrt(V(w)) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) from the root
+    R(z') = ``r`` of ``_DiskField.parts``."""
+    return fieldd.ev._top / math.sqrt(2.0 * fieldd.x0) * (w + fieldd.x0) / r
+
+
+def _disk_integrand_oracle(fieldd, w):
+    """The unit-disk integrand derived in disk coordinates: |t1 - t2 - t3|^2
+    over |w^2 - x0^2|, with phi'/phi = phi'/((w - x0) q) in t1 and the
+    constants c2, c3 of the bound's other two terms.  The disk form used
+    this derivation until it pulled back the exterior-disk field; it takes
+    phi', q and R(z') from ``_DiskField.parts``."""
+    bridge, _ = fieldd.phi.source
+    x0, p = fieldd.x0, bridge.params
+    c2 = (1.0 + x0**2) * math.sqrt(2.0 * x0) / math.sqrt(1.0 - x0**4)
+    c3 = p.E_prime / p.K_prime * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
+    dphi, q, r = fieldd.parts(w)
+    t1 = _disk_sqrt_v(fieldd, w, r) * dphi / ((w - x0) * q)
+    t2 = c2 * np.sqrt((1.0 - x0 * w) / (1.0 + x0 * w)) / (w - x0)
+    t3 = c3 / np.sqrt(1.0 - x0**2 * w**2)
+    return np.abs(t1 - t2 - t3) ** 2 / np.abs(w**2 - x0**2)
 
 
 def _disk_field(name, zeta, **changes):
@@ -1178,16 +1195,16 @@ def _is_signed_root(g, arg):
 
 
 class TestClosedFormDiskSqrt:
-    """The sign of sqrt(V) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) in the disk
-    form against an independent march of sqrt(A) along a path and, for the
-    identity, against the exact root."""
+    """The sign of sqrt(V) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')), with R(z')
+    from ``_DiskField.parts``, against an independent march of sqrt(A) along
+    a path and, for the identity, against the exact root."""
 
     @pytest.mark.parametrize("name", ["joukowski", "joukowski-pi3", "identity", "b1:0.7", "b1:0.5i"])
     @pytest.mark.parametrize("zeta", [1.25, 2.0, 3j, 1.0 + 1e-4])
     def test_sign_matches_march(self, name, zeta, monkeypatch):
         fieldd = _disk_field(name, zeta)
         for group, w in _disk_nodes(fieldd).items():
-            (r,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+            (r,), blocks = _roots_used(lambda: fieldd.parts(w), monkeypatch)
             g, ref = _disk_sqrt_v(fieldd, w, r), _disk_marched(fieldd, w)
             assert np.all(np.abs(g - ref) < np.abs(g + ref)), group
             assert _is_signed_root(r, _disk_q(fieldd, w)), group
@@ -1202,7 +1219,7 @@ class TestClosedFormDiskSqrt:
         # the march signs some of these nodes wrongly from |zeta| = 20 on
         fieldd = _disk_field("identity", zeta)
         w = np.concatenate(list(_disk_nodes(fieldd).values()))
-        (r,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+        (r,), blocks = _roots_used(lambda: fieldd.parts(w), monkeypatch)
         assert blocks == 0
         g, exact = _disk_sqrt_v(fieldd, w, r), (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
         assert np.all(np.abs(g - exact) < np.abs(g + exact))
@@ -1213,11 +1230,11 @@ class TestClosedFormDiskSqrt:
         fieldd = _disk_field("identity", 2.0, coefficients=(0.0, 0.3))
         for seed in (True, False):
             w = _disk_call(seed)
-            (r,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+            (r,), blocks = _roots_used(lambda: fieldd.parts(w), monkeypatch)
             assert blocks == 1
             # the value is the identity's, whose root sqrt(V) is (w + x0)/sqrt(2 x0)
             plain = _disk_field("identity", 2.0, coefficients=None)
-            (r_plain,), _ = _roots_used(lambda: plain.integrand(w), monkeypatch)
+            (r_plain,), _ = _roots_used(lambda: plain.parts(w), monkeypatch)
             assert _same_bits(r, r_plain)
             g, exact = _disk_sqrt_v(fieldd, w, r), (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
             assert np.all(np.abs(g - exact) < np.abs(g + exact))
@@ -1252,6 +1269,30 @@ class TestClosedFormDiskSqrt:
             marched.status,
             marched.inputs["n_evals"],
         )
+
+
+class TestDiskIntegrandOracle:
+    """The disk form's integrand, the exterior-disk field pulled back by
+    eta_inv, against its derivation in disk coordinates
+    (``_disk_integrand_oracle``): two routes to one value.
+
+    Each route cancels a pole in its own coordinate: the oracle's t1 - t2 at
+    w = x0, the field's at z = zeta.  z = eta_inv(w) is rounded by about
+    eps |zeta|, so next to x0 the two routes part by a few eps |zeta|/|z - zeta|
+    relative (at most 17 of it here, 3i next to x0).  Both also take
+    |zeta|^2 - 1 and psi'(zeta) from a subtraction, eps/(|zeta| - 1) (at
+    most 14 of it here, joukowski at 1 + 1e-4 next to -x0).  Off those
+    nodes they agree to 1e-12."""
+
+    @pytest.mark.parametrize("name", SIGMA_NAMES)
+    @pytest.mark.parametrize("zeta", [1.25, 2.0, 3j, 1.0 + 1e-4])
+    def test_matches_the_disk_coordinate_derivation(self, name, zeta):
+        fieldd = _disk_field(name, zeta)
+        x0, a = fieldd.x0, abs(zeta)
+        for group, w in _disk_nodes(fieldd).items():
+            dist = (1.0 - x0**2) * np.abs(w - x0) / (2.0 * x0 * np.abs(w + x0))  # |eta_inv(w) - zeta|
+            tol = 1e-12 + 32.0 * np.finfo(float).eps * (a / dist + 1.0 / (a - 1.0))
+            assert np.all(np.abs(fieldd.integrand(w) / _disk_integrand_oracle(fieldd, w) - 1.0) <= tol), group
 
 
 TORUS_PAIRS = [
@@ -1431,6 +1472,7 @@ class TestClosedNodeSector:
             calls = [lambda z=1.0 / u: ev.field(z) for u in _psi_driver_calls(zeta)]
         elif form == "disk":
             fieldd = _disk_field(name, zeta)
+            fieldd.ev._top
             calls = [lambda w=w: fieldd.integrand(w) for w in _disk_driver_calls(fieldd.x0)]
         else:
             f, _ = _torus_parts(name, zeta, monkeypatch)
@@ -1546,22 +1588,28 @@ class TestOneEvaluationPerCall:
             assert tags == ["x0_squared"]
 
     @pytest.mark.parametrize("name", ["joukowski", "identity", "b1:0.7"])
-    def test_one_phi_call_per_disk_integrand_call(self, name):
-        # phi(w) enters only through q(w) = phi.quotient(w, x0)
-        fieldd = _disk_field(name, 2.0)
+    def test_no_phi_call_and_one_psi_quotient_call_per_disk_integrand_call(self, name):
+        # the integrand reads the exterior-disk field at z = eta_inv(w): phi
+        # is never called, and Q(z) = psi.quotient(z, zeta) once at the nodes
+        bridge, psi = BridgeMaps.from_zeta(2.0), resolve_map(name)
         sizes = []
-        quotient = fieldd.phi.quotient
 
-        def counted(w, v):
-            sizes.append(np.shape(w))
-            return quotient(w, v)
+        def counted(z, w):
+            sizes.append(np.shape(z))
+            return psi.quotient(z, w)
 
-        counting = _DiskField(dataclasses.replace(fieldd.phi, quotient=counted))
+        def refused(*args):
+            raise AssertionError("the disk integrand called phi")
+
+        phi = phi_from_psi(bridge, dataclasses.replace(psi, quotient=counted))
+        counting = _DiskField(dataclasses.replace(phi, value=refused, deriv=refused, deriv2=refused, quotient=refused))
+        counting.ev._top  # R(zeta), built on the first field call: not one of the calls counted below
+        plain = _disk_field(name, 2.0)
         for seed in (True, False):
             w = _disk_call(seed)
             sizes.clear()
-            assert np.array_equal(counting.integrand(w), fieldd.integrand(w))
-            assert sizes == [w.shape]
+            assert np.array_equal(counting.integrand(w), plain.integrand(w))
+            assert sizes == [(w.size,)]
 
 
 class TestDiskFormLargeZeta:

@@ -98,6 +98,15 @@ class TestSigmaTau:
         with pytest.raises(BranchCutError):
             tau_prime(bridge, 0.6 * (p.x0 + 1 / p.x0))
 
+    @pytest.mark.parametrize("side", ["x", "", "+-", None])
+    @pytest.mark.parametrize("f", [tau, tau_prime])
+    def test_unknown_side_raises(self, bridge, f, side):
+        # on the slit an unknown side read as '-'; off it, it was ignored
+        p = bridge.params
+        for w in (0.7 * (p.x0 + 1 / p.x0), 0.1 + 0.2j):
+            with pytest.raises(ValueError, match="side"):
+                f(bridge, w, side=side)
+
     def test_interior_slit_segment_is_unambiguous(self, bridge):
         # real w with |w| <= x0 maps to the real segment [-2L, 0]
         p = bridge.params

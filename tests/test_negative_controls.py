@@ -7,7 +7,11 @@ For such a map Q(z) = 1 - b/(z zeta) vanishes at b/zeta.  The area forms
 take their root R = sqrt(Q) from a march over |z| > 1, which cannot pass
 that zero once |b/zeta| > 1: they raise ``BranchAmbiguityError`` (exit 2)
 there.  The pointwise checks are closed forms at zeta and build no root,
-so they give a verdict everywhere in the domain."""
+so they give a verdict everywhere in the domain.
+
+In class S the control is phi = z + a z^2, univalent on |z| < 1 iff
+|a| <= 1/2: for |a| > 1/2 its critical point -1/(2a) lies in the disk, and
+Koebe-Bieberbach must read ``violated`` next to it."""
 
 import math
 
@@ -20,6 +24,7 @@ from goluzin_lab.inequalities import (
     PsiEvaluator,
     goluzin_bound,
     gronwall_check,
+    koebe_bieberbach_bound,
     pointwise_from_area,
     torus_area_crosscheck,
     verify_area_sigma,
@@ -96,3 +101,35 @@ class TestExitCodes:
     def test_area_without_a_root_is_2(self, monkeypatch, capsys):
         assert _cli(monkeypatch, B12, ["area", "--map", "x", "--zeta", repr(1.01 * C12)]) == cli.EXIT_NONCONVERGENCE
 
+
+
+def _quadratic(a):
+    """z + a z^2 as a class-S UnivalentMap, whatever a is."""
+    return UnivalentMap(f"z+{a}z^2", "S", lambda z: z + a * z**2, lambda z: 1.0 + 2.0 * a * z,
+                        lambda z: 2.0 * a + 0.0 * z, lambda z, w: 1.0 + a * (z + w), (a,), False)
+
+
+def _kb_ratio(a, z):
+    """|phi''/phi' - 2z/(1 - z^2)| (1 - z^2)/4 for phi = z + a z^2 at real z."""
+    return abs(2.0 * a / (1.0 + 2.0 * a * z) - 2.0 * z / (1.0 - z * z)) * (1.0 - z * z) / 4.0
+
+
+class TestKoebeBieberbach:
+    @pytest.mark.parametrize("a,ratio", [(0.6, 8.3270833), (1.0, 36.99625)])
+    def test_reads_violated_next_to_the_critical_point(self, a, ratio):
+        z = -1.01 / (2.0 * a)
+        r = koebe_bieberbach_bound(_quadratic(a), z)
+        assert r.status == "violated"
+        assert r.ratio == pytest.approx(_kb_ratio(a, z), rel=1e-12)
+        assert r.ratio == pytest.approx(ratio, abs=1e-7)
+
+    def test_reads_holds_away_from_it(self):
+        r = koebe_bieberbach_bound(_quadratic(0.6), -0.875)
+        assert r.status == "holds"
+        assert r.ratio == pytest.approx(0.96875, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.6, 1.0])
+    def test_pointwise_violated_is_1(self, a, monkeypatch, capsys):
+        z = -1.01 / (2.0 * a)
+        assert _cli(monkeypatch, _quadratic(a), ["pointwise", "--map", "x", "--z", repr(z)]) == cli.EXIT_VIOLATION
+        assert capsys.readouterr().out.count("status=violated") == 1
