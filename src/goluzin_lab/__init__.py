@@ -13,6 +13,7 @@ from .errors import (
     ThetaOverflowError,
 )
 from .inequalities import (
+    BasePoint,
     PsiEvaluator,
     VerificationReport,
     goluzin_bound,
@@ -31,6 +32,7 @@ from .torus import GreenEvaluator, Q_D, TorusGeometry, dz_Q_D, dzbar_Q_D, green_
 __version__ = "0.1.0"
 
 __all__ = [
+    "BasePoint",
     "BranchAmbiguityError",
     "BranchCutError",
     "BridgeMaps",

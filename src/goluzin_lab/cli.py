@@ -34,6 +34,7 @@ from .errors import BranchAmbiguityError, QuadratureError
 from .inequalities import (
     AREA_SPEC,
     GRONWALL_SPEC,
+    BasePoint,
     PsiEvaluator,
     VerificationReport,
     goluzin_bound,
@@ -206,25 +207,31 @@ def _sweep_grid():
             yield radius * complex(math.cos(arg), math.sin(arg))
 
 
-def _sweep_task(name: str, zeta: complex, spec: QuadratureSpec | None) -> list[VerificationReport]:
-    """The checks of one sweep grid point; module level so workers can run it."""
-    m = resolve_map(name)
-    out = [goluzin_bound(m, zeta), pointwise_from_area(PsiEvaluator(m, zeta))]
-    if spec is not None:
-        out.append(verify_area_sigma(m, zeta, spec))
+def _sweep_task(names: list[str], zeta: complex, spec: QuadratureSpec | None) -> list[list[VerificationReport]]:
+    """The checks of every map in ``names`` at one sweep grid point, a list
+    per map; module level so workers can run it.  The maps share one
+    ``BasePoint``, which lives as long as this call."""
+    base = BasePoint(zeta)
+    out = []
+    for m in map(resolve_map, names):
+        checks = [goluzin_bound(m, base), pointwise_from_area(PsiEvaluator(m, base))]
+        if spec is not None:
+            checks.append(verify_area_sigma(m, base, spec))
+        out.append(checks)
     return out
 
 
 def _cmd_sweep(args) -> int:
     names = [resolve_map(n).name for n in args.maps or [m.name for m in catalog() if m.map_class == "Sigma"]]
     spec = _spec_from_args(args, AREA_SPEC) if args.area else None
-    tasks = [(name, zeta, spec) for name in names for zeta in _sweep_grid()]
+    tasks = [(names, zeta, spec) for zeta in _sweep_grid()]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-            chunks = list(pool.map(_sweep_task, *zip(*tasks)))
+            by_point = list(pool.map(_sweep_task, *zip(*tasks)))
     else:
-        chunks = [_sweep_task(*t) for t in tasks]
-    reports = [r for chunk in chunks for r in chunk]
+        by_point = [_sweep_task(*t) for t in tasks]
+    # run by base point, written by map: map i at point j is by_point[j][i]
+    reports = [r for i in range(len(names)) for checks in by_point for r in checks[i]]
     return _emit(reports, args.format, args.out)
 
 

@@ -39,6 +39,14 @@ misses the check's Q by more than 1e-6 relative, takes its sign from a
 march along the segment from u = 1/z = 0 to the node
 (:class:`_MarchedSqrt`), so a node's sign depends on its position alone
 and not on the other nodes of its integrand call.
+
+What does not involve psi belongs to the base point (:class:`BasePoint`):
+the AGM parameters, E'/K', and at each node z - zeta, |z - zeta|, 1/z and
+the two zeta-only terms of Psi.  The checks of several maps at one zeta
+share it, and the sigma checks also share its exterior-disk plan with
+those factors at every seed and ring node; ``sweep`` runs its grid one
+base point at a time.  Each map adds Q, psi' and R.  A lone check builds
+its own base point and runs the same code.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -55,12 +63,13 @@ from .catalog import UnivalentMap, gronwall_sum
 from .elliptic import params_from_x0, x0_from_zeta_abs
 from .errors import BranchAmbiguityError, DomainError, QuadratureError
 from .maps import BridgeMaps, phi_from_psi
-from .quadrature import QuadratureSpec, integrate_disk, integrate_exterior_disk, integrate_rect
+from .quadrature import ExteriorDiskPlan, QuadratureSpec, integrate_disk, integrate_exterior_disk, integrate_rect
 from .theta import jacobi_sn_cn_dn
 from .torus import GreenEvaluator, _dz_Q_D_landen
 
 __all__ = [
     "VerificationReport",
+    "BasePoint",
     "PsiEvaluator",
     "verify_area_sigma",
     "verify_area_disk",
@@ -185,6 +194,86 @@ class _MarchedSqrt:
         return g
 
 
+class _Nodes(np.ndarray):
+    """Complex nodes with the factors of Psi at them that do not involve psi
+    (:func:`_psi_nodes`), and ``consts``, the base point's constants they
+    were formed from (None on arrays derived from them)."""
+
+    consts = None
+
+
+def _psi_nodes(consts, z) -> _Nodes:
+    """z with the factors of Psi(z, zeta) that do not involve psi, formed
+    from ``consts`` = (zeta, 1/conj(zeta), 1/d, (E'/K')/d).
+
+    At the nodes other than zeta (``off``; ``on`` marks the others, None
+    when no node is zeta): u = z - zeta, 1/z, sqrt(1 - 1/(z conj(zeta)))/d
+    and (E'/K') (1/z)/(d sqrt(...)); at every node |z - zeta| (``dist``, in
+    the shape of z).
+    """
+    zeta, inv_conj_zeta, inv_d, c3 = consts
+    zs = np.asarray(z, dtype=np.complex128)
+    nodes = zs.view(_Nodes)
+    flat = zs.reshape(-1)
+    u = flat - zeta
+    nodes.dist = np.abs(u).reshape(zs.shape)
+    on = u == 0.0
+    nodes.on = on if on.any() else None
+    if nodes.on is not None:
+        flat, u = flat[~on], u[~on]
+    iz = 1.0 / flat
+    s = np.sqrt(1.0 - inv_conj_zeta * iz)
+    nodes.off, nodes.u, nodes.iz = flat, u, iz
+    nodes.s_term, nodes.c3_term = s * inv_d, c3 * iz / s
+    nodes.consts = consts
+    return nodes
+
+
+class BasePoint:
+    """A base point zeta and what every check there shares, whatever the map.
+
+    That is the AGM parameter pack of x0(|zeta|) (``params``, computed
+    unless given), E'/K', d = sqrt(1 - |zeta|^-2), Psi's zeta-only factors
+    at any nodes (:meth:`nodes`), and for the sigma area check its
+    exterior-disk plan with those factors at every node of its seed calls
+    and rings (:meth:`exterior_plan`).  A check or a :class:`PsiEvaluator`
+    given a base point where it takes zeta reads all of it from there, so
+    the checks of several maps at one zeta build it once.  Nothing else
+    holds it: it is gone with the base point.  Raises ``DomainError``
+    unless 1 < |zeta| < 2^340.
+    """
+
+    def __init__(self, zeta: complex, params=None):
+        zeta = complex(zeta)
+        if not 1.0 < abs(zeta) < _MAX_ABS_Z:
+            raise DomainError("the base point must satisfy 1 < |zeta| < 2^340")
+        self.zeta = zeta
+        self.params = params_from_x0(x0_from_zeta_abs(abs(zeta))) if params is None else params
+        self.ep_over_kp = self.params.E_prime / self.params.K_prime
+        # sqrt(1 - |zeta|^-2) = complementary modulus kappa'
+        self.d = math.sqrt(1.0 - 1.0 / abs(zeta) ** 2)
+        self._consts = (zeta, 1.0 / zeta.conjugate(), 1.0 / self.d, self.ep_over_kp / self.d)
+        self._plans: dict[QuadratureSpec, ExteriorDiskPlan] = {}
+
+    def __complex__(self) -> complex:
+        return self.zeta
+
+    def nodes(self, z) -> _Nodes:
+        """z with Psi's zeta-only factors at it (:func:`_psi_nodes`)."""
+        return _psi_nodes(self._consts, z)
+
+    def exterior_plan(self, spec: QuadratureSpec) -> ExteriorDiskPlan:
+        """The sigma check's exterior-disk plan for the budget of ``spec``,
+        with zeta tagged and :meth:`nodes` at every node it places; built on
+        the first call for each spec.  The plan forms the nodes from the
+        constants alone, so it holds no reference back to the base point,
+        and the two are freed together without a collector pass."""
+        plan = self._plans.get(spec)
+        if plan is None:
+            plan = self._plans[spec] = ExteriorDiskPlan(spec.with_points(self.zeta), partial(_psi_nodes, self._consts))
+        return plan
+
+
 class PsiEvaluator:
     """The three-term field Psi(z, zeta) for one exterior-disk map.
 
@@ -193,25 +282,21 @@ class PsiEvaluator:
     :attr:`_root`, signed by :meth:`_MarchedSqrt.at` from
     Q = ``psi.quotient(z, zeta)``; the first ``field`` call builds R and
     R(zeta).  With psi(z) - psi(zeta) = (z - zeta) Q no term subtracts two
-    values of psi.  Raises ``DomainError`` unless 1 < |zeta| < 2^340, or
-    where psi'(zeta) = 0.
+    values of psi.  ``zeta`` may be a :class:`BasePoint`, whose parameters
+    and zeta-only factors the evaluator then reads.  Raises ``DomainError``
+    unless 1 < |zeta| < 2^340, or where psi'(zeta) = 0.
     """
 
-    def __init__(self, psi: UnivalentMap, zeta: complex):
+    def __init__(self, psi: UnivalentMap, zeta: complex | BasePoint):
         if psi.map_class != "Sigma":
             raise DomainError("PsiEvaluator needs an exterior-disk (Sigma) map")
-        zeta = complex(zeta)
-        if not 1.0 < abs(zeta) < _MAX_ABS_Z:
-            raise DomainError("the base point must satisfy 1 < |zeta| < 2^340")
+        base = zeta if isinstance(zeta, BasePoint) else BasePoint(zeta)
         self.psi = psi
-        self.zeta = zeta
-        self.params = params_from_x0(x0_from_zeta_abs(abs(zeta)))
-        self.ep_over_kp = self.params.E_prime / self.params.K_prime
-        # sqrt(1 - |zeta|^-2) = complementary modulus kappa'
-        self.d = math.sqrt(1.0 - 1.0 / abs(zeta) ** 2)
-        self._inv_conj_zeta = 1.0 / zeta.conjugate()
-        self._inv_d = 1.0 / self.d
-        self._c3 = self.ep_over_kp / self.d
+        self.base = base
+        self.zeta = zeta = base.zeta
+        self.params = base.params
+        self.ep_over_kp = base.ep_over_kp
+        self.d = base.d
         self.dpsi_zeta = complex(psi.deriv(np.complex128(zeta)))
         if self.dpsi_zeta == 0.0:
             raise DomainError(f"psi'({_cfmt(zeta)}) = 0: psi is not univalent there")
@@ -238,25 +323,21 @@ class PsiEvaluator:
         return complex(self._root.at([1.0 / self.zeta])[0])
 
     def field(self, z):
-        """Psi(z, zeta); z = zeta returns the closed form ``at_diagonal``."""
-        zs = np.asarray(z, dtype=np.complex128)
-        flat = zs.reshape(-1)
-        u = flat - self.zeta
-        on = u == 0.0
-        if on.any():
-            out = np.full_like(flat, self.at_diagonal())
-            out[~on] = self._off_diagonal(flat[~on], u[~on])
-        else:
-            out = self._off_diagonal(flat, u)
-        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+        """Psi(z, zeta); z = zeta returns the closed form ``at_diagonal``.
 
-    def _off_diagonal(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Psi at nodes ``z`` other than zeta, where u = z - zeta."""
-        q = self.psi.quotient(z, self.zeta)
-        iz = 1.0 / z
-        s = np.sqrt(1.0 - self._inv_conj_zeta * iz)
-        t1 = self._top * self.psi.deriv(z) / (q * self._root.at(iz, q))
-        return (t1 - s * self._inv_d) / u + self._c3 * iz / s
+        Nodes the base point made (:meth:`BasePoint.nodes`) bring their
+        zeta-only factors; any other z gets them from the same code here.
+        Only Q, psi' and R are formed per map.
+        """
+        nodes = z if getattr(z, "consts", None) == self.base._consts else self.base.nodes(z)
+        q = self.psi.quotient(nodes.off, self.zeta)
+        t1 = self._top * self.psi.deriv(nodes.off) / (q * self._root.at(nodes.iz, q))
+        out = (t1 - nodes.s_term) / nodes.u + nodes.c3_term
+        if nodes.on is not None:
+            full = np.full(nodes.on.shape, self.at_diagonal(), dtype=np.complex128)
+            full[~nodes.on] = out
+            out = full
+        return complex(out[0]) if nodes.ndim == 0 else out.reshape(nodes.shape)
 
     def at_diagonal(self) -> complex:
         """Closed form of Psi(zeta, zeta)."""
@@ -274,8 +355,12 @@ class PsiEvaluator:
 # area-type verifications
 
 
-def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | None = None) -> VerificationReport:
+def verify_area_sigma(psi: UnivalentMap, zeta: complex | BasePoint, spec: QuadratureSpec | None = None) -> VerificationReport:
     """Exterior-disk area bound; equality status iff psi is a full mapping.
+
+    ``zeta`` may be a :class:`BasePoint`: the checks of several maps there
+    then share its parameters, and its plan with the zeta-only factors of
+    Psi at every seed and ring node; only refinement calls form them afresh.
 
     Raises ``DomainError`` from |zeta| = 2^23 (about 8.4e6) on.  The bound
     was set while the polar patch around zeta had radius 1: from there the
@@ -284,17 +369,18 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec | N
     out, but the bound stays until that domain is checked.
     """
     spec = spec or AREA_SPEC
-    zeta = complex(zeta)
+    point, zeta = zeta, complex(zeta)  # point: zeta as given, maybe a BasePoint
     # the documented domain, set by a radius-1 patch's core ring (see the
     # docstring); ahead of PsiEvaluator, which allows 2^340
     if not abs(zeta) < 2.0**23:
         raise DomainError(f"|zeta| = {abs(zeta):.3g} is too large: the checked domain |zeta| < 2^23 was set by the core ring of a radius-1 patch")
-    ev = PsiEvaluator(psi, zeta)
+    ev = PsiEvaluator(psi, point)
 
-    def f(z):
-        return np.abs(ev.field(z)) ** 2 / np.abs(z - zeta)
+    def f(nodes):
+        # the plan hands f the base point's nodes, |z - zeta| among them
+        return np.abs(ev.field(nodes)) ** 2 / nodes.dist
 
-    res = integrate_exterior_disk(f, spec.with_points(zeta))
+    res = integrate_exterior_disk(f, plan=ev.base.exterior_plan(spec))
     a2 = abs(zeta) ** 2
     rhs = 2.0 * math.pi * ev.ep_over_kp * abs(zeta) / (a2 - 1.0)
     inputs = {
@@ -327,7 +413,7 @@ class _DiskField:
         x0 = bridge.x0
         self.phi = phi
         self.x0 = x0
-        self.ev = PsiEvaluator(psi, bridge.zeta)
+        self.ev = PsiEvaluator(psi, BasePoint(bridge.zeta, bridge.params))
         self._unit = bridge.zeta / abs(bridge.zeta)
         self._c = (1.0 - x0**2) ** 3 / (4.0 * x0**2)
 
@@ -340,8 +426,8 @@ class _DiskField:
 
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
-        z = self._unit * (1.0 + self.x0 * w) / (w + self.x0)
-        return self._c * np.abs(self.ev.field(z) / (w + self.x0) ** 2) ** 2 / np.abs(z - self.ev.zeta)
+        nodes = self.ev.base.nodes(self._unit * (1.0 + self.x0 * w) / (w + self.x0))
+        return self._c * np.abs(self.ev.field(nodes) / (w + self.x0) ** 2) ** 2 / nodes.dist
 
 
 def verify_area_disk(phi: UnivalentMap, x0: float, spec: QuadratureSpec | None = None) -> VerificationReport:

@@ -53,6 +53,19 @@ its call.  A call's two parameter axes come as ``(n, order, 1)`` and
 ``(n, 1, order)`` arrays, so exp(s), exp(i theta), a radial bump or
 |u|**-4 is computed once per axis node, and its n cell sums come from one
 batched product, each the dot product of a cell summed alone.
+
+A drive builds its seed calls before it calls the integrand (``_Drive``):
+each call's cell widths, nodes, Jacobian, bump weights and live mask, from
+the same code that builds a refinement's call when the driver makes it,
+and a polar drive places its two core rings too.  ``ExteriorDiskPlan``
+holds all of it for the exterior disk of one spec, and its ``prepare``
+hook runs once on the nodes of each call: integrands over one region
+share a plan, as the sigma area checks of several maps at one base point
+do (about 8,000 planned nodes there, against a few hundred refinement
+nodes).  Four seeds a call stays the layout: twenty a call, the same sums
+in fewer calls, measured slower over the 72-check area sweep (its fastest
+pass 0.087-0.099 s against 0.074-0.087 s in three alternating sets of 21).
+Nothing at module level holds nodes; ``_graded_seeds`` keeps seed cells.
 """
 
 from __future__ import annotations
@@ -75,6 +88,7 @@ __all__ = [
     "integrate_rect",
     "integrate_disk",
     "integrate_exterior_disk",
+    "ExteriorDiskPlan",
 ]
 
 _CORE_FRACTION = 1e-5  # inner cutoff of a polar patch, relative to its radius
@@ -119,18 +133,29 @@ def _gl_rule():
     return np.polynomial.legendre.leggauss(_ORDER)
 
 
-def _cells_integral(g, cells):
-    """Tensor GL sums over each cell from one call of ``g`` on all their
-    nodes; each sum uses its own slice, whatever shares the call."""
+def _same(v):
+    return v
+
+
+def _axes(cells):
+    """Half-widths of the cells and their GL nodes on each parameter axis,
+    as ``(n, order, 1)`` and ``(n, 1, order)`` arrays."""
     a0, a1, b0, b1 = np.asarray(cells, dtype=np.float64).T
-    x, w = _gl_rule()
+    x, _ = _gl_rule()
     hx, hy = 0.5 * (a1 - a0), 0.5 * (b1 - b0)
     xs = (0.5 * (a0 + a1))[:, None] + hx[:, None] * x
     ys = (0.5 * (b0 + b1))[:, None] + hy[:, None] * x
-    shape = (len(cells), _ORDER, _ORDER)
-    vals = np.asarray(g(xs[:, :, None], ys[:, None, :]), dtype=np.float64)
+    return hx, hy, xs[:, :, None], ys[:, None, :]
+
+
+def _gl_sums(vals, hx, hy):
+    """Tensor GL sums over each cell of its ``(order, order)`` values; each
+    sum uses its own slice, whatever shares the call."""
+    shape = (len(hx), _ORDER, _ORDER)
+    vals = np.asarray(vals, dtype=np.float64)
     if vals.shape != shape:
         vals = np.ascontiguousarray(np.broadcast_to(vals, shape))
+    _, w = _gl_rule()
     rows = w @ vals  # w @ vals[k] for every k, bit for bit
     return (hx * hy * np.matmul(rows[:, None, :], w)[:, 0]).tolist()  # rows[k] @ w, one ddot each
 
@@ -152,15 +177,106 @@ def _grid(domain, m, n):
     ]
 
 
-def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
-    """Adaptive tensor GL over the parameter cells ``seeds``, which tile
-    the domain.
+def _far_weight(z, bumps):
+    """One minus every bump at the nodes ``z``: ``(live, weight)``, the
+    nodes where it is above 0 (None for all of them) and its value there
+    (None where no node is inside a bump, for f times 1.0 is f).
 
-    ``g`` takes the parameters as ``(n, order, 1)``, ``(n, 1, order)`` arrays and
-    returns, broadcastable to ``(n, order, order)``, f times the Jacobian.
-    The seeds go out four to a call, in their order, each with its four
-    children, and the last call takes what is left: one call per
+    Each bump is taken only at nodes closer to its point than its radius
+    r, since one minus the bump is exactly 1 from r out.
+    """
+    w = None
+    for p, r in bumps:
+        d = np.abs(z - p)
+        bumped = d < r
+        if bumped.any():
+            if w is None:
+                w = np.ones(z.shape, dtype=np.float64)
+            w[bumped] *= 1.0 - _smooth_cut(d[bumped] / r)
+    if w is None:
+        return None, None
+    live = w > 0.0
+    return (None, w) if live.all() else (live, w[live])
+
+
+class _Call:
+    """One driver call without f: its cells and their half-widths, the nodes
+    f receives (as ``prepare`` left them), where their values go in the
+    ``(n, order, order)`` block (``live``, None for all of it), the far
+    weight there, and ``weigh``, which turns the block of f's values into
+    the integrand in the parameters.  ``size`` is the number of nodes f
+    receives."""
+
+    __slots__ = ("cells", "hx", "hy", "nodes", "live", "weight", "weigh", "size")
+
+    def __init__(self, cells, hx, hy, nodes, live, weight, weigh, size):
+        self.cells, self.hx, self.hy, self.nodes = cells, hx, hy, nodes
+        self.live, self.weight, self.weigh, self.size = live, weight, weigh, size
+
+
+class _Drive:
+    """The cells of one drive and their nodes, built without calling f.
+
+    ``place(x, y)`` takes a call's parameter axes, ``(n, order, 1)`` and
+    ``(n, 1, order)``, and returns the points f is to see, broadcast to
+    ``(n, order, order)``, with the map ``weigh`` from f's values there to
+    the integrand in the parameters: times the Jacobian, a patch's bump or
+    the tail's |u|**-4, each computed once per axis node.  A far-field
+    drive takes f times one minus every bump in ``bumps``, ``(point,
+    radius)`` pairs, and passes f only the nodes where that is above 0.
+    ``prepare`` is applied to the live nodes of every call, and f receives
+    what it returns.
+
+    The seed calls, four seeds and their four children each, are built once
+    (``seed_calls``); a refinement's call comes from :meth:`call`, the same
+    code.
+    """
+
+    def __init__(self, seeds, place, bumps=(), prepare=_same):
+        self.seeds = list(seeds)
+        self._place, self._bumps, self._prepare = place, tuple(bumps), prepare
+        # four seeds per call: seed k of the call sums slice [5k, 5k + 5)
+        self.seed_calls = [
+            self.call([c for cell in self.seeds[i : i + 4] for c in (cell, *_split(cell))])
+            for i in range(0, len(self.seeds), 4)
+        ]
+
+    def call(self, cells) -> _Call:
+        hx, hy, x, y = _axes(cells)
+        z, weigh = self._place(x, y)
+        live, weight = _far_weight(z, self._bumps)
+        if live is not None:
+            z = z[live]
+        size = len(cells) * _ORDER**2 if live is None else z.size
+        return _Call(cells, hx, hy, self._prepare(z) if size else None, live, weight, weigh, size)
+
+    def values(self, call: _Call, f) -> np.ndarray:
+        """The integrand in the parameters at the nodes of ``call``, from one
+        call of f on its live nodes (none when no node is live)."""
+        if call.size:
+            vals = np.asarray(f(call.nodes), dtype=np.float64)
+            if call.weight is not None:
+                vals = vals * call.weight
+        if call.live is not None:
+            out = np.zeros(call.live.shape, dtype=np.float64)
+            if call.size:
+                out[call.live] = vals
+            vals = out
+        return call.weigh(vals)
+
+    def sums(self, call: _Call, f) -> list[float]:
+        """The GL sum of each cell of ``call``."""
+        return _gl_sums(self.values(call, f), call.hx, call.hy)
+
+
+def _adaptive_2d(drive: _Drive, f, spec: QuadratureSpec) -> QuadratureResult:
+    """Adaptive tensor GL over the cells of ``drive``, whose seeds tile its
+    domain, of f on the nodes the drive places.
+
+    The seed calls go out in their order, four seeds a call, each seed with
+    its four children, the last call taking what is left: one call per
     first-parameter band of a 4 x 4 grid, one call for all of a 1 x 2.
+    ``n_evals`` counts the nodes f received.
     """
     heap = []
     counter = 0
@@ -180,13 +296,10 @@ def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
         counter += 1
         return (-err, counter, cell, fine, depth, fine_parts)
 
-    # four seeds per call: seed k of the call sums slice [5k, 5k + 5)
-    for i in range(0, len(seeds), 4):
-        band = seeds[i : i + 4]
-        cells = [c for cell in band for c in (cell, *_split(cell))]
-        parts = _cells_integral(g, cells)
-        n_evals += _ORDER**2 * len(cells)
-        for k, cell in enumerate(band):
+    for i, call in enumerate(drive.seed_calls):
+        parts = drive.sums(call, f)
+        n_evals += call.size
+        for k, cell in enumerate(drive.seeds[4 * i : 4 * i + 4]):
             coarse, *fine_parts = parts[5 * k : 5 * k + 5]
             node = make_node(cell, coarse, fine_parts, 0)
             heapq.heappush(heap, node)
@@ -209,9 +322,9 @@ def _adaptive_2d(g, seeds, spec: QuadratureSpec) -> QuadratureResult:
         err_total -= err
         # one call for the 16 grandchildren; child i sums slice [4i, 4i + 4)
         kids = _split(cell)
-        cells = [gk for child_cell in kids for gk in _split(child_cell)]
-        parts = _cells_integral(g, cells)
-        n_evals += _ORDER**2 * len(cells)
+        call = drive.call([gk for child_cell in kids for gk in _split(child_cell)])
+        parts = drive.sums(call, f)
+        n_evals += call.size
         for i, (child_cell, child_coarse) in enumerate(zip(kids, fine_parts)):
             node = make_node(child_cell, child_coarse, parts[4 * i : 4 * i + 4], depth + 1)
             heapq.heappush(heap, node)
@@ -238,56 +351,76 @@ def _smooth_cut(t):
     return np.where(t <= 0.5, 1.0 - s, s)
 
 
-def _ring_core(g, center, eps):
-    """Mass of g(z, rho) inside the core rho = |z - center| < eps, and the
-    ring means gamma(eps), gamma(2 eps) of rho*g.
+class _Polar:
+    """The polar drive: the integral over rho = |z - center| < radius.
 
-    For g ~ c*rho**exponent, gamma(rho) grows like rho**(1 + exponent), so
-    the core mass is 2 pi eps gamma(eps)/(2 + exponent), and its error is
-    how far gamma(2 eps) is from 2**(1 + exponent) gamma(eps), scaled
-    alike.  The exponent is -1 (a 1/r blow-up) or 0 (bounded), whichever
-    the ratio gamma(2 eps)/gamma(eps) is nearer (1 or 2; the split is at 1.4).
-    Both rings go to g in one call, rho as a (2, 1) column.
-    """
-    rho = np.array([[eps], [2.0 * eps]])
-    means = np.asarray(g(center + rho * _RING, rho), dtype=np.float64).mean(axis=1)
-    gamma1, gamma2 = eps * float(means[0]), 2.0 * eps * float(means[1])
-    exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
-    scale = 2.0 * math.pi * eps / (2.0 + exponent)
-    growth = 2.0 ** (1.0 + exponent)
-    core = QuadratureResult(scale * gamma1, scale * abs(gamma1 - gamma2 / growth), 2 * _RING.size, True)
-    return core, gamma1, gamma2
-
-
-def _polar(g, center, radius, eps, spec):
-    """The polar drive: integral of g(z, rho) over rho = |z - center| < radius.
-
-    The driver integrates over eps < rho < radius in polar coordinates from
-    a 1 x 2 seed grid, rho whole and theta halved, and the core rho < eps
-    comes from the ring estimate.  Returns the result and the ring means.
+    ``radial(z, rho)`` maps a polar point and its rho to the point f sees and
+    the map from f's values to the integrand in z (a patch's bump, or the
+    tail's |u|**-4 at f(1/u)).  The driver integrates over eps < rho <
+    radius in polar coordinates from a 1 x 2 seed grid, rho whole and theta
+    halved, and the core rho < eps comes from the ring estimate
+    (:meth:`core`), on two rings of 64 points, rho = eps and 2 eps, placed
+    once and sent to f in one call (rho as a (2, 1) column).
     """
 
-    def h(rho, theta):
-        return g(center + rho * np.exp(1j * theta), rho) * rho
+    def __init__(self, radial, center, radius, eps, prepare=_same):
+        def place(rho, theta):
+            z, weigh = radial(center + rho * np.exp(1j * theta), rho)
+            return z, lambda v: weigh(v) * rho
 
-    res = _adaptive_2d(h, _grid((eps, radius, 0.0, 2.0 * math.pi), 1, 2), spec)
-    core, *gammas = _ring_core(g, center, eps)
-    return res + core, gammas
+        self.drive = _Drive(_grid((eps, radius, 0.0, 2.0 * math.pi), 1, 2), place, prepare=prepare)
+        self.eps = eps
+        rho = np.array([[eps], [2.0 * eps]])
+        z, self._ring_weigh = radial(center + rho * _RING, rho)
+        self._ring = prepare(z)
+
+    def integrate(self, f, spec):
+        """The drive plus the core, and the ring means."""
+        res = _adaptive_2d(self.drive, f, spec)
+        core, *gammas = self.core(f)
+        return res + core, gammas
+
+    def core(self, f):
+        """Mass of the integrand inside the core, and the ring means
+        gamma(eps), gamma(2 eps) of rho times it.
+
+        For an integrand ~ c*rho**exponent, gamma(rho) grows like
+        rho**(1 + exponent), so the core mass is 2 pi eps gamma(eps)/(2 +
+        exponent), and its error is how far gamma(2 eps) is from
+        2**(1 + exponent) gamma(eps), scaled alike.  The exponent is -1 (a 1/r
+        blow-up) or 0 (bounded), whichever the ratio gamma(2 eps)/gamma(eps)
+        is nearer (1 or 2; the split is at 1.4).
+        """
+        eps = self.eps
+        vals = self._ring_weigh(np.asarray(f(self._ring), dtype=np.float64))
+        means = np.asarray(vals, dtype=np.float64).mean(axis=1)
+        gamma1, gamma2 = eps * float(means[0]), 2.0 * eps * float(means[1])
+        exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
+        scale = 2.0 * math.pi * eps / (2.0 + exponent)
+        growth = 2.0 ** (1.0 + exponent)
+        core = QuadratureResult(scale * gamma1, scale * abs(gamma1 - gamma2 / growth), 2 * _RING.size, True)
+        return core, gamma1, gamma2
 
 
-def _patched(f, points, reach, region, spec, drive) -> QuadratureResult:
-    """``drive(far, bumps)`` plus one polar patch per complex location in
-    ``points``.
+def _bumped(r):
+    """A patch's ``radial``: f at the point, times the bump of rho/r."""
 
-    Each patch integrates f times a radial bump around its point, out to
-    the smaller of ``reach(location)`` and 0.4 of the distance to any other
-    point.  The bump is ``_smooth_cut`` of d/r over the whole patch radius
-    r: the patch takes all of f at its point, and none from r out.  ``far``
-    is f times one minus every bump, and ``bumps`` pairs each point with
-    its patch radius.  The sum runs (drive + patch_1) + patch_2 + ...; the
-    drive's count is the number of points ``far`` passed on to f, which
-    leaves out the nodes where one minus a bump rounds to 0, d < 3.5e-5 r.
-    """
+    def radial(z, rho):
+        cut = _smooth_cut(rho / r)
+        return z, lambda v: v * cut
+
+    return radial
+
+
+def _inverted(u, rho):
+    """The tail's ``radial``: f(1/u) dA(z) = f(1/u) dA(u)/|u|^4, rho = |u|."""
+    r4 = rho**4
+    return 1.0 / u, lambda v: v / r4
+
+
+def _patch_radii(points, reach, region):
+    """``(point, radius)`` of each patch: the smaller of ``reach(point)`` and
+    0.4 of the distance to any other point."""
     bumps = []
     for i, loc in enumerate(points):
         room = reach(loc)
@@ -297,40 +430,33 @@ def _patched(f, points, reach, region, spec, drive) -> QuadratureResult:
         if not r > 0.0:
             raise ValueError(f"singular point {loc} leaves no room for a polar patch")
         bumps.append((loc, r))
+    return bumps
 
-    received = 0
 
-    def far(z):
-        nonlocal received
-        w = None
-        for p, r in bumps:
-            d = np.abs(z - p)
-            bumped = d < r  # one minus the bump is exactly 1 from d = r out
-            if bumped.any():
-                if w is None:
-                    w = np.ones(z.shape, dtype=np.float64)
-                w[bumped] *= 1.0 - _smooth_cut(d[bumped] / r)
-        if w is None:  # no node in any bump: f times 1.0 is f
-            received += z.size
-            return np.asarray(f(z), dtype=np.float64)
-        live = w > 0.0
-        n_live = int(np.count_nonzero(live))
-        received += n_live
-        if n_live == z.size:
-            return np.asarray(f(z), dtype=np.float64) * w
-        out = np.zeros(z.shape, dtype=np.float64)
-        if n_live:
-            out[live] = np.asarray(f(z[live]), dtype=np.float64) * w[live]
-        return out
+class _Region:
+    """A region's far-field drive plus one polar patch per complex location
+    in ``spec.singular_points``, built without calling f.
 
-    def patch(loc, r):
-        def bumped(z, rho):
-            return np.asarray(f(z), dtype=np.float64) * _smooth_cut(rho / r)
+    Each patch integrates f times a radial bump around its point, out to
+    its radius r (:func:`_patch_radii`).  The bump is ``_smooth_cut`` of d/r
+    over the whole patch radius: the patch takes all of f at its point, and
+    none from r out.
+    ``far(bumps)`` gives the far drive's seeds and ``place``; that drive
+    takes f times one minus every bump, and ``bumps`` pairs each point with
+    its patch radius.  The sum runs (far + patch_1) + patch_2 + ...; the far
+    count leaves out the nodes where one minus a bump rounds to 0,
+    d < 3.5e-5 r.
+    """
 
-        return _polar(bumped, loc, r, _CORE_FRACTION * r, spec)[0]
+    def __init__(self, spec, reach, region, far, prepare=_same):
+        bumps = _patch_radii(spec.singular_points, reach, region)
+        seeds, place = far(bumps)
+        self.far = _Drive(seeds, place, bumps, prepare)
+        self.patches = [_Polar(_bumped(r), loc, r, _CORE_FRACTION * r, prepare) for loc, r in bumps]
 
-    outer = dataclasses.replace(drive(far, bumps), n_evals=received)
-    return sum((patch(p, r) for p, r in bumps), outer)
+    def integrate(self, f, spec) -> QuadratureResult:
+        outer = _adaptive_2d(self.far, f, spec)
+        return sum((patch.integrate(f, spec)[0] for patch in self.patches), outer)
 
 
 def _sector_distance(cell, p):
@@ -404,10 +530,10 @@ def integrate_rect(f, rect, spec: QuadratureSpec | None = None) -> QuadratureRes
     def reach(loc):
         return min(0.25 * min(x1 - x0, y1 - y0), 0.8 * min(loc.real - x0, x1 - loc.real, loc.imag - y0, y1 - loc.imag))
 
-    def grid(far, bumps):
-        return _adaptive_2d(lambda x, y: far(x + 1j * y), _grid((x0, x1, y0, y1), 4, 4), spec)
+    def grid(bumps):
+        return _grid((x0, x1, y0, y1), 4, 4), lambda x, y: (x + 1j * y, _same)
 
-    total = _patched(f, spec.singular_points, reach, "rectangle", spec, grid)
+    total = _Region(spec, reach, "rectangle", grid).integrate(f, spec)
     return _check(total, "integrate_rect")
 
 
@@ -419,51 +545,71 @@ def integrate_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """
     spec = spec or QuadratureSpec()
 
-    def disk(far, bumps):
-        grid = _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4)
-        return _adaptive_2d(lambda rho, theta: far(rho * np.exp(1j * theta)) * rho, grid, spec)
+    def disk(bumps):
+        return _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4), lambda rho, theta: (rho * np.exp(1j * theta), lambda v: v * rho)
 
-    total = _patched(f, spec.singular_points, lambda loc: min(0.25, 0.8 * (1.0 - abs(loc))), "disk", spec, disk)
+    total = _Region(spec, lambda loc: min(0.25, 0.8 * (1.0 - abs(loc))), "disk", disk).integrate(f, spec)
     return _check(total, "integrate_disk")
 
 
-def integrate_exterior_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Integrate ``f(z) dA`` over |z| > 1 for integrands decaying like |z|**-3.
+class ExteriorDiskPlan:
+    """Everything :func:`integrate_exterior_disk` builds for ``spec`` before
+    it calls the integrand, so that several integrands on the same region
+    share it: the annulus seeds, the patches and the tail, and every seed
+    call of their drives with its nodes, Jacobian, bump weights and live
+    mask, and both rings of the two cores.  ``prepare`` is applied once to
+    the nodes of each call, and the integrand receives what it returns; the
+    default passes the nodes on as they are.
 
     The region splits into the annulus 1 < |z| <= r0 and the tail, the disk
-    |u| < 1/r0 under u = 1/z (one polar drive with a ring core at u = 0,
-    of exponent -1 for f ~ |z|**-3 and 0 for f ~ |z|**-4, read from its
-    ring means).  Each singular point p gets a polar patch of radius
-    max(1, |p|/4), kept 0.8 of its distance clear of |z| = 1 and r0; the
-    annulus takes the rest on log-polar seeds about square in log|z| and
-    theta, graded toward each patch (``_annulus_seeds``).  Warns when the
-    tail's ring means say f decays more slowly than |z|**-3.
+    |u| < 1/r0 under u = 1/z (one polar drive with a ring core at u = 0).
+    Each singular point p gets a polar patch of radius max(1, |p|/4), kept
+    0.8 of its distance clear of |z| = 1 and r0; the annulus takes the rest
+    on log-polar seeds about square in log|z| and theta, graded toward each
+    patch (``_annulus_seeds``).
     """
-    spec = spec or QuadratureSpec()
-    r0 = max(4.0, 2.2 * max((abs(p) for p in spec.singular_points), default=1.0))
 
-    def reach(loc):
-        # a quarter of |loc| out, so that the patch keeps its size in log-polar
-        # coordinates far out, where the annulus cells grow like |z|
-        return min(max(1.0, 0.25 * abs(loc)), 0.8 * min(abs(loc) - 1.0, r0 - abs(loc)))
+    def __init__(self, spec: QuadratureSpec | None = None, prepare=None):
+        spec = self.spec = spec or QuadratureSpec()
+        prepare = prepare or _same
+        r0 = max(4.0, 2.2 * max((abs(p) for p in spec.singular_points), default=1.0))
 
-    def annulus(far, bumps):
-        def g(s, theta):
-            # exp(s + i theta) bit for bit, as cexp is exp(s) (cos + i sin)(theta)
-            return far(np.exp(s + 0j) * np.exp(1j * theta)) * np.exp(2.0 * s)
+        def reach(loc):
+            # a quarter of |loc| out, so that the patch keeps its size in log-polar
+            # coordinates far out, where the annulus cells grow like |z|
+            return min(max(1.0, 0.25 * abs(loc)), 0.8 * min(abs(loc) - 1.0, r0 - abs(loc)))
 
-        return _adaptive_2d(g, _annulus_seeds(r0, bumps), spec)
+        def annulus(bumps):
+            def place(s, theta):
+                jac = np.exp(2.0 * s)
+                # exp(s + i theta) bit for bit, as cexp is exp(s) (cos + i sin)(theta)
+                return np.exp(s + 0j) * np.exp(1j * theta), lambda v: v * jac
 
-    total = _patched(f, spec.singular_points, reach, "exterior disk", spec, annulus)
+            return _annulus_seeds(r0, bumps), place
 
-    def tail(u, rho):
-        """The integrand in u = 1/z, rho = |u|: dA(z) = dA(u)/|u|^4."""
-        return np.asarray(f(1.0 / u), dtype=np.float64) / rho**4
+        self.region = _Region(spec, reach, "exterior disk", annulus, prepare)
+        u_out = 1.0 / r0
+        self.tail = _Polar(_inverted, 0j, u_out, _CORE_FRACTION * u_out, prepare)
 
-    u_out = 1.0 / r0
-    cap, (gamma1, gamma2) = _polar(tail, 0j, u_out, _CORE_FRACTION * u_out, spec)
+
+def integrate_exterior_disk(f, spec: QuadratureSpec | None = None, plan: ExteriorDiskPlan | None = None) -> QuadratureResult:
+    """Integrate ``f(z) dA`` over |z| > 1 for integrands decaying like |z|**-3.
+
+    The tail's ring core has exponent -1 for f ~ |z|**-3 and 0 for
+    f ~ |z|**-4, read from its ring means; the regions are those of
+    :class:`ExteriorDiskPlan`.  ``plan``, built from ``spec``, takes its
+    place: the integrand then receives the nodes as the plan's
+    ``prepare`` left them.  Warns when the tail's ring means say f decays
+    more slowly than |z|**-3.
+    """
+    if plan is None:
+        plan = ExteriorDiskPlan(spec)
+    elif spec is not None and spec != plan.spec:
+        raise ValueError("the plan was built for another QuadratureSpec")
+    total = plan.region.integrate(f, plan.spec)
+    cap, (gamma1, gamma2) = plan.tail.integrate(f, plan.spec)
     # |u| tail(u) growing toward u = 0 signals decay slower than |z|^-3
-    if abs(gamma1) > spec.abs_tol and abs(gamma1) > 1.4 * abs(gamma2):
+    if abs(gamma1) > plan.spec.abs_tol and abs(gamma1) > 1.4 * abs(gamma2):
         warnings.warn(
             "exterior-disk integrand decays more slowly than |z|^-3; tail may be inaccurate",
             RuntimeWarning,

@@ -1,11 +1,17 @@
 import csv
+import functools
+import gc
+import hashlib
 import io
 import json
 import pathlib
+import weakref
 
+import numpy as np
 import pytest
 
-from goluzin_lab import cli
+import goluzin_lab
+from goluzin_lab import cli, inequalities, quadrature
 from goluzin_lab.catalog import UnivalentMap, resolve_map
 from goluzin_lab.cli import CSV_COLUMNS, EXIT_OK, EXIT_USAGE, main, parse_complex
 from goluzin_lab.inequalities import _cfmt, torus_area_crosscheck, verify_area_disk
@@ -169,6 +175,75 @@ class TestSweep:
                     used[r.inequality] += r.inputs["n_evals"]
         assert used == {"area-disk": 66_048, "area-torus": 46_080}
 
+    def test_area_sweep_csv_sha256(self, tmp_path):
+        # the default area sweep's CSV bytes (x86_64, glibc libm, numpy 2.4
+        # with OpenBLAS), as the sweep wrote them when it ran map by map
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--area", "--format", "csv", "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "0a702e6ba545c64d302ba8ddab0e0b06ec9c77eb0f166b7e351386adc59b3a92"
+
+    def test_area_sweep_with_jobs_is_the_serial_run(self, tmp_path):
+        # the workers each run whole base points; the rows still come map by map
+        runs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sweep-j{jobs}.csv"
+            argv = ["sweep", "--area", "--maps", "b1:0.7", "joukowski", "--jobs", jobs, "--format", "csv", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            runs[jobs] = out.read_bytes()
+        assert runs["1"] == runs["2"]
+        rows = list(csv.DictReader(io.StringIO(runs["1"].decode("utf-8"))))
+        assert [r["map"] for r in rows] == ["b1:0.7"] * 36 + ["joukowski"] * 36
+
+    def test_nothing_outlives_a_base_point(self, monkeypatch):
+        # each base point's plan and the nodes it holds are freed with it,
+        # at once (no reference cycle keeps them for the collector)
+        refs = []
+        plan_of = inequalities.BasePoint.exterior_plan
+
+        def recording(self, spec):
+            plan = plan_of(self, spec)
+            refs.append((weakref.ref(self), weakref.ref(plan), weakref.ref(plan.region.far.seed_calls[0].nodes)))
+            return plan
+
+        monkeypatch.setattr(inequalities.BasePoint, "exterior_plan", recording)
+        gc.disable()  # so that only reference counts can free them
+        try:
+            assert main(["sweep", "--area", "--maps", "joukowski", "identity", "--format", "csv"]) == EXIT_OK
+            assert all(ref() is None for triple in refs for ref in triple)
+        finally:
+            gc.enable()
+        assert len(refs) == 24  # 12 base points, two maps each
+
+    def test_no_module_level_node_data(self, capsys):
+        # after a sweep no module of the package holds an array larger than
+        # the 64-point ring, and the only caches are the GL rule, the theta
+        # constants and the annulus seed cells
+        assert main(["sweep", "--area", "--maps", "b1:0.3", "--format", "csv"]) == EXIT_OK
+        modules = [m for name, m in vars(goluzin_lab).items() if isinstance(m, type(goluzin_lab))]
+
+        def arrays(value, depth=0):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict) and depth < 4:
+                for v in value.values():
+                    yield from arrays(v, depth + 1)
+            elif isinstance(value, (list, tuple, set, frozenset)) and depth < 4:
+                for v in value:
+                    yield from arrays(v, depth + 1)
+
+        sizes = [a.size for m in modules for v in vars(m).values() for a in arrays(v)]
+        assert sizes and max(sizes) <= 64
+        caches = {
+            f"{m.__name__}.{name}"
+            for m in modules
+            for name, v in vars(m).items()
+            if isinstance(v, functools._lru_cache_wrapper) and v.__module__ == m.__name__
+        }
+        assert caches == {"goluzin_lab.quadrature._gl_rule", "goluzin_lab._kernels._quarter_constants", "goluzin_lab.quadrature._graded_seeds"}
+        seeds = quadrature._graded_seeds(4.0, ())
+        assert all(isinstance(c, tuple) and len(c) == 4 and all(isinstance(v, float) for v in c) for c in seeds)
+
     def test_ordering_deterministic_across_jobs(self, capsys):
         main(["sweep", "--maps", "b1:0.3", "--jobs", "1", "--format", "csv"])
         serial = capsys.readouterr().out
@@ -268,7 +343,7 @@ class TestExitCodes:
         from goluzin_lab import inequalities
         from goluzin_lab.quadrature import QuadratureResult
 
-        monkeypatch.setattr(inequalities, "integrate_exterior_disk", lambda f, spec: QuadratureResult(value, error, 0, True))
+        monkeypatch.setattr(inequalities, "integrate_exterior_disk", lambda f, spec=None, plan=None: QuadratureResult(value, error, 0, True))
         assert main(["area", "--map", "identity", "--zeta", "2.0"]) == cli.EXIT_NONCONVERGENCE
         assert capsys.readouterr().err.startswith("error: ")
 

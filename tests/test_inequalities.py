@@ -12,6 +12,7 @@ from goluzin_lab.elliptic import params_from_x0, x0_from_zeta_abs
 from goluzin_lab.errors import DomainError, QuadratureError
 from goluzin_lab import cli, inequalities, maps, quadrature, theta, torus
 from goluzin_lab.inequalities import (
+    BasePoint,
     PsiEvaluator,
     _DiskField,
     _MarchedSqrt,
@@ -24,7 +25,7 @@ from goluzin_lab.inequalities import (
     verify_area_sigma,
 )
 from goluzin_lab.maps import BridgeMaps, eta_inv, marched_sqrt_path, phi_from_psi, sigma
-from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _adaptive_2d, _cells_integral, _grid, _sector_distance, _split
+from goluzin_lab.quadrature import QuadratureResult, QuadratureSpec, _Drive, _grid, _sector_distance, _split
 from goluzin_lab.theta import jacobi_sn_cn_dn
 
 AREA_TEST_SPEC = QuadratureSpec(rel_tol=2e-4, abs_tol=1e-10)
@@ -641,6 +642,55 @@ class TestVerdictBits:
         assert (r.ratio.hex(), r.error_estimate.hex(), r.inputs["n_evals"]) == (ratio, error, n_evals)
 
 
+class TestSharedBasePoint:
+    """A sigma check at a shared base point is the check run alone, bit for
+    bit, whichever maps went before it there: the maps share only what does
+    not involve psi."""
+
+    @staticmethod
+    def bits(r):
+        return r.ratio.hex(), r.error_estimate.hex(), r.inputs["n_evals"], r.status
+
+    @pytest.mark.parametrize("zeta", [1.25, 2.0 * cmath.exp(0.25j * math.pi), 3j], ids=["1.25", "2e^(i pi/4)", "3i"])
+    @pytest.mark.parametrize("order", ["catalog", "reversed"])
+    def test_shared_equals_alone(self, zeta, order):
+        maps_ = [m for m in catalog() if m.map_class == "Sigma"]
+        if order == "reversed":
+            maps_.reverse()
+        alone = [self.bits(verify_area_sigma(m, zeta)) for m in maps_]
+        base = BasePoint(zeta)
+        shared = [self.bits(verify_area_sigma(m, base)) for m in maps_]
+        # the maps are checked 1st to 6th here, and 6th to 1st in the other order
+        assert len(maps_) == 6 and shared == alone
+        assert len(base._plans) == 1
+
+    def test_pointwise_checks_read_the_shared_parameters(self, monkeypatch):
+        base, calls = BasePoint(2.0 + 0.5j), []
+        monkeypatch.setattr(inequalities, "params_from_x0", lambda x0: calls.append(x0) or params_from_x0(x0))
+        m = resolve_map("joukowski-pi3")
+        for shared, lone in (
+            (goluzin_bound(m, base), goluzin_bound(m, base.zeta)),
+            (pointwise_from_area(PsiEvaluator(m, base)), pointwise_from_area(PsiEvaluator(m, base.zeta))),
+        ):
+            assert shared == lone
+        assert len(calls) == 2  # the two lone checks; the shared ones read base.params
+
+    def test_disk_and_torus_forms_take_the_bridge_parameters(self, monkeypatch):
+        # one AGM parameter pack per check, the bridge's: the disk field's
+        # base point reads it from phi.source and computes none of its own
+        calls = []
+        counted = lambda x0: calls.append(x0) or params_from_x0(x0)
+        monkeypatch.setattr(inequalities, "params_from_x0", counted)
+        monkeypatch.setattr(maps, "params_from_x0", counted)
+        psi = resolve_map("b1:0.7")
+        bridge = BridgeMaps.from_zeta(3j)
+        assert len(calls) == 1
+        verify_area_disk(phi_from_psi(bridge, psi), bridge.x0)
+        assert len(calls) == 1
+        torus_area_crosscheck(psi, 3j)
+        assert len(calls) == 2
+
+
 class TestTorusRatiosHeld:
     """The nine bridge torus checks against their ratios (float hex) and
     n_evals, from the upper half band, which tags no point at 0.  A change
@@ -667,34 +717,26 @@ class TestTorusRatiosHeld:
         assert abs(r.ratio - float.fromhex(ratio)) <= 1e-3 * r.error_estimate / r.rhs
 
 
+def _placed(seeds, to_plane):
+    """A drive on ``seeds`` whose nodes are ``to_plane(x, y)``."""
+    return _Drive(seeds, lambda x, y: (to_plane(x, y), lambda v: v))
+
+
 def _driver_block(cell, to_plane):
     """The nodes of the driver call that refines ``cell``: its 16
     grandchildren, (16, 8, 8)."""
-    calls = []
-
-    def g(x, y):
-        calls.append(to_plane(x, y))
-        return np.zeros(x.shape)
-
-    cells = [gk for kid in _split(cell) for gk in _split(kid)]
-    _cells_integral(g, cells)
-    assert len(calls) == 1 and calls[0].shape == (len(cells), 8, 8)
-    return calls[0]
+    z = _placed([], to_plane).call([gk for kid in _split(cell) for gk in _split(kid)]).nodes
+    assert z.shape == (16, 8, 8)
+    return z
 
 
 def _seed_call(seeds, to_plane, k=0):
     """The nodes of the driver's seed call ``k`` on the cells ``seeds``:
     seeds 4k to 4k + 3 and their children, (20, 8, 8) for a full four.  On
     a 4 x 4 grid that is the k-th first-parameter band, on a patch's 1 x 2
-    grid all of it (k = 0).  Recorded from the driver, which stops after its
-    seeds on a zero integrand."""
-    calls = []
-
-    def g(x, y):
-        calls.append(to_plane(x, y))
-        return np.zeros(calls[-1].shape)
-
-    _adaptive_2d(g, seeds, QuadratureSpec(abs_tol=math.inf))
+    grid all of it (k = 0).  Built by the drive, which holds its seed calls
+    from the start."""
+    calls = [call.nodes for call in _placed(seeds, to_plane).seed_calls]
     assert len(calls) == -(-len(seeds) // 4) and calls[k].shape == (5 * len(seeds[4 * k : 4 * k + 4]), 8, 8)
     return calls[k]
 
@@ -739,8 +781,8 @@ def _sigma_seeds(zeta):
     return at once."""
     seen = []
 
-    def recording(g, seeds, spec):
-        seen.append(seeds)
+    def recording(drive, f, spec):
+        seen.append(drive.seeds)
         return QuadratureResult(0.0, 0.0, 0, True)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -762,11 +804,11 @@ def _sigma_patch_refinement(zeta):
 
     def recording(self, z):
         if np.shape(z) == (16, 8, 8):
-            raise _Recorded(z)
+            raise _Recorded(np.asarray(z))
         return field(self, z)
 
-    def without_annulus(g, seeds, spec):
-        return QuadratureResult(0.0, 0.0, 0, True) if _is_annulus(seeds) else driver(g, seeds, spec)
+    def without_annulus(drive, f, spec):
+        return QuadratureResult(0.0, 0.0, 0, True) if _is_annulus(drive.seeds) else driver(drive, f, spec)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PsiEvaluator, "field", recording)
@@ -1533,9 +1575,9 @@ class TestGeneralMapsAnyCallLayout:
             "torus": lambda: torus_area_crosscheck(m, 3j),
         }[form]
         batched = run()
-        cells_integral = quadrature._cells_integral
-        single = lambda g, cells: [v for c in cells for v in cells_integral(g, [c])]
-        monkeypatch.setattr(quadrature, "_cells_integral", single)
+        sums = _Drive.sums
+        single = lambda drive, call, f: [v for c in call.cells for v in sums(drive, drive.call([c]), f)]
+        monkeypatch.setattr(_Drive, "sums", single)
         assert _verdict(run()) == _verdict(batched)
 
 

@@ -13,8 +13,6 @@ from goluzin_lab.quadrature import (
     _MAX_REFINEMENTS,
     QuadratureResult,
     QuadratureSpec,
-    _adaptive_2d,
-    _cells_integral,
     _grid,
     _split,
     integrate_disk,
@@ -24,6 +22,27 @@ from goluzin_lab.quadrature import (
 
 
 _SEEDS = _grid((0.0, 1.0, 0.0, 2.0), 4, 4)
+
+
+def _passed(v):
+    return v
+
+
+def _in_parameters(g, seeds=()):
+    """A drive on ``seeds`` whose nodes are the values of g(x, y), an
+    integrand in the parameters; the integrand ``_passed`` hands them on."""
+    return quadrature._Drive(seeds, lambda x, y: (g(x, y), _passed))
+
+
+def _adaptive_2d(g, seeds, spec):
+    """The driver on g(x, y) over the cells ``seeds``."""
+    return quadrature._adaptive_2d(_in_parameters(g, seeds), _passed, spec)
+
+
+def _cells_integral(g, cells):
+    """The GL sums of g(x, y) over ``cells``, from one drive call."""
+    drive = _in_parameters(g)
+    return drive.sums(drive.call(cells), _passed)
 
 
 class TestDriver:
@@ -100,24 +119,20 @@ class TestDriver:
         assert res.converged
 
 
-def _four_call_driver(g, seeds, spec):
+def _four_call_driver(drive, f, spec):
     """The driver as it was with one ``(4, order, order)`` call per new child
     of a refined cell, each cell summed as ``w @ vals[k] @ w``, on the same
-    seed cells."""
-    order = 8
+    seed cells and nodes."""
+    seeds = drive.seeds
     n_evals = 0
-    x, w = np.polynomial.legendre.leggauss(order)
+    _, w = np.polynomial.legendre.leggauss(8)
 
     def cells_integral(cells):
         nonlocal n_evals
-        c0, c1, d0, d1 = np.asarray(cells, dtype=np.float64).T
-        hx, hy = 0.5 * (c1 - c0), 0.5 * (d1 - d0)
-        xs = (0.5 * (c0 + c1))[:, None] + hx[:, None] * x
-        ys = (0.5 * (d0 + d1))[:, None] + hy[:, None] * x
-        zero = np.zeros((len(cells), order, order))
-        vals = np.asarray(g(xs[:, :, None] + zero, ys[:, None, :] + zero), dtype=np.float64)
-        n_evals += vals.size
-        return [float(hx[k]) * float(hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
+        call = drive.call(list(cells))
+        vals = np.broadcast_to(drive.values(call, f), (len(cells), 8, 8))
+        n_evals += call.size
+        return [float(call.hx[k]) * float(call.hy[k]) * float(w @ vals[k] @ w) for k in range(len(cells))]
 
     heap, counter, value, err_total, frozen_err = [], 0, 0.0, 0.0, 0.0
 
@@ -183,7 +198,7 @@ class TestMergedRefinementCall:
         monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
         new = _adaptive_2d(TestDriver.peaked, _SEEDS, spec)
-        old = _four_call_driver(TestDriver.peaked, _SEEDS, spec)
+        old = _four_call_driver(_in_parameters(TestDriver.peaked, _SEEDS), _passed, spec)
         assert self.same(new, old)
         assert new.converged == (max_depth == 14)
 
@@ -250,15 +265,16 @@ class TestFarWeight:
         return 1.0 + np.abs(z) ** 2 + np.cos(z.real)
 
     def far_of(self, points, radius):
-        """The far-field integrand ``_patched`` hands to its drive."""
-        seen = []
+        """The far-field integrand of a drive with the bumps of ``points``:
+        its values at any nodes z, from one call of the drive (of one cell,
+        whose count is not asserted here)."""
+        bumps = quadrature._patch_radii(points, lambda loc: radius, "plane")
 
-        def drive(far, bumps):
-            seen.append(far)
-            return QuadratureResult(0.0, 0.0, 0, True)
+        def far(z):
+            drive = quadrature._Drive([], lambda x, y: (z, _passed), bumps)
+            return drive.values(drive.call([(0.0, 1.0, 0.0, 1.0)]), self.f)
 
-        quadrature._patched(self.f, points, lambda loc: radius, "plane", QuadratureSpec(), drive)
-        return seen[0]
+        return far
 
     def every_bump(self, locs, r, z):
         w = np.ones(z.shape)
@@ -385,7 +401,9 @@ class TestRingCore:
             shapes.append(np.broadcast_shapes(z.shape, np.shape(rho)))
             return g(z, rho)
 
-        core, gamma1, gamma2 = quadrature._ring_core(counted, center, eps)
+        # a polar drive whose nodes are (z, rho), out to 2 eps: only its rings are called
+        polar = quadrature._Polar(lambda z, rho: ((z, rho), _passed), center, 2.0 * eps, eps)
+        core, gamma1, gamma2 = polar.core(lambda nodes: counted(*nodes))
         assert shapes == [(2, 64)]
         got = (core.value, core.error, gamma1, gamma2)
         assert [v.hex() for v in got] == [v.hex() for v in self.two_calls(g, center, eps)]
@@ -418,15 +436,17 @@ class TestSeedGrid:
         seen = []
         driver = quadrature._adaptive_2d
 
-        def recording(g, seeds, spec):
+        def recording(drive, f, spec):
             shapes = []
-            seen.append((seeds, shapes))
+            seen.append((drive.seeds, shapes))
+            sums = drive.sums
 
-            def h(x, y):
-                shapes.append(np.broadcast_shapes(x.shape, y.shape))
-                return g(x, y)
+            def counted(call, f):
+                shapes.append((len(call.cells), 8, 8))
+                return sums(call, f)
 
-            return driver(h, seeds, spec)
+            drive.sums = counted
+            return driver(drive, f, spec)
 
         monkeypatch.setattr(quadrature, "_adaptive_2d", recording)
         integrate()
