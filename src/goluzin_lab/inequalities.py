@@ -30,19 +30,19 @@ Q(inf) = 1, so R = sqrt(Q) with R(inf) = 1 is single-valued there.  Q is
 read from the map's ``quotient``, never formed by subtracting two values,
 so it keeps its digits next to the diagonal and next to a critical point
 of psi.  The field's root is sqrt(A) = R(zeta)/R(z); the torus check's is
-sqrt(phi(sigma)) = k cn R(z)/(sigma + x0) at z = eta_inv(sigma(u)), which
-it reads from :meth:`_DiskField.parts`.  :meth:`_MarchedSqrt.at` signs
-R = +-sqrt(Q) from the Q the check computes anyway.  For psi = z + b0 +
-b1/z, |b1| <= 1 (every catalog Sigma map), R is the principal root of
-1 - b1/(z zeta); every other map, and every node at which that closed form
-misses the check's Q by more than 1e-6 relative, takes its sign from a
-march along the segment from u = 1/z = 0 to the node
-(:class:`_MarchedSqrt`), so a node's sign depends on its position alone
-and not on the other nodes of its integrand call.
+sqrt(phi(sigma)) = k cn R(z)/(sigma + x0) at z = eta_inv(sigma(u)), with
+R from its own evaluator: no check evaluates the unit-disk map phi.
+:meth:`_MarchedSqrt.at` signs R = +-sqrt(Q) from the Q the check computes
+anyway.  For psi = z + b0 + b1/z, |b1| <= 1 (every catalog Sigma map), R
+is the principal root of 1 - b1/(z zeta); every other map, and every node
+at which that closed form misses the check's Q by more than 1e-6
+relative, takes its sign from a march along the segment from u = 1/z = 0
+to the node (:class:`_MarchedSqrt`), so a node's sign depends on its
+position alone and not on the other nodes of its integrand call.
 
 What does not involve psi belongs to the base point (:class:`BasePoint`):
-the AGM parameters, E'/K', and at each node z - zeta, |z - zeta|, 1/z and
-the two zeta-only terms of Psi.  The checks of several maps at one zeta
+the AGM parameters, E'/K', |zeta| and |zeta|^2 - 1, and at each node
+z - zeta, |z - zeta|, 1/z and the two zeta-only terms of Psi.  The checks of several maps at one zeta
 share it, and the sigma checks also share its exterior-disk plan with
 those factors at every seed and ring node; ``sweep`` runs its grid one
 base point at a time.  Each map adds Q, psi' and R.  A lone check builds
@@ -62,7 +62,7 @@ import numpy as np
 from .catalog import UnivalentMap, gronwall_sum
 from .elliptic import params_from_x0, x0_from_zeta_abs
 from .errors import BranchAmbiguityError, DomainError, QuadratureError
-from .maps import BridgeMaps, phi_from_psi
+from .maps import BridgeMaps
 from .quadrature import ExteriorDiskPlan, QuadratureSpec, integrate_disk, integrate_exterior_disk, integrate_rect
 from .theta import jacobi_sn_cn_dn
 from .torus import GreenEvaluator, _dz_Q_D_landen
@@ -233,7 +233,9 @@ class BasePoint:
     """A base point zeta and what every check there shares, whatever the map.
 
     That is the AGM parameter pack of x0(|zeta|) (``params``, computed
-    unless given), E'/K', d = sqrt(1 - |zeta|^-2), Psi's zeta-only factors
+    unless given), E'/K', |zeta| (``abs_zeta``) and |zeta|^2 - 1
+    (``abs2_m1``), which every check there reads from here, formed once,
+    d = sqrt(1 - |zeta|^-2), Psi's zeta-only factors
     at any nodes (:meth:`nodes`), and for the sigma area check its
     exterior-disk plan with those factors at every node of its seed calls
     and rings (:meth:`exterior_plan`).  A check or a :class:`PsiEvaluator`
@@ -245,13 +247,14 @@ class BasePoint:
 
     def __init__(self, zeta: complex, params=None):
         zeta = complex(zeta)
-        if not 1.0 < abs(zeta) < _MAX_ABS_Z:
+        a = abs(zeta)
+        if not 1.0 < a < _MAX_ABS_Z:
             raise DomainError("the base point must satisfy 1 < |zeta| < 2^340")
-        self.zeta = zeta
-        self.params = params_from_x0(x0_from_zeta_abs(abs(zeta))) if params is None else params
+        self.zeta, self.abs_zeta, self.abs2_m1 = zeta, a, a * a - 1.0
+        self.params = params_from_x0(x0_from_zeta_abs(a)) if params is None else params
         self.ep_over_kp = self.params.E_prime / self.params.K_prime
         # sqrt(1 - |zeta|^-2) = complementary modulus kappa'
-        self.d = math.sqrt(1.0 - 1.0 / abs(zeta) ** 2)
+        self.d = math.sqrt(1.0 - 1.0 / (a * a))
         self._consts = (zeta, 1.0 / zeta.conjugate(), 1.0 / self.d, self.ep_over_kp / self.d)
         self._plans: dict[QuadratureSpec, ExteriorDiskPlan] = {}
 
@@ -341,13 +344,12 @@ class PsiEvaluator:
 
     def at_diagonal(self) -> complex:
         """Closed form of Psi(zeta, zeta)."""
-        zeta = self.zeta
-        a2 = abs(zeta) ** 2
+        zeta, a, m1 = self.zeta, self.base.abs_zeta, self.base.abs2_m1
         return (
             self.ddpsi_zeta / (4.0 * self.dpsi_zeta)
             - 1.0 / (2.0 * zeta)
-            - (2.0 - a2) / (2.0 * (a2 - 1.0) * zeta)
-            + self.ep_over_kp * a2 / ((a2 - 1.0) * zeta)
+            - (2.0 - a * a) / (2.0 * m1 * zeta)
+            + self.ep_over_kp * (a * a) / (m1 * zeta)
         )
 
 
@@ -381,8 +383,7 @@ def verify_area_sigma(psi: UnivalentMap, zeta: complex | BasePoint, spec: Quadra
         return np.abs(ev.field(nodes)) ** 2 / nodes.dist
 
     res = integrate_exterior_disk(f, plan=ev.base.exterior_plan(spec))
-    a2 = abs(zeta) ** 2
-    rhs = 2.0 * math.pi * ev.ep_over_kp * abs(zeta) / (a2 - 1.0)
+    rhs = 2.0 * math.pi * ev.ep_over_kp * ev.base.abs_zeta / ev.base.abs2_m1
     inputs = {
         "map": psi.name,
         "zeta": _cfmt(zeta),
@@ -402,27 +403,16 @@ class _DiskField:
     the ratio (1 - x0^2)/(4 x0^2), the integrand is
     (1 - x0^2)^3/(4 x0^2) |Psi(z, zeta)/(w + x0)^2|^2/|z - zeta|, with Psi
     from one :class:`PsiEvaluator` of the psi and zeta in the ``source`` of a
-    ``phi_from_psi`` map.  :meth:`parts` gives the torus check the same
-    evaluator's root R at z = eta_inv(w), u = 1/z = (w + x0)/(unit (1 + x0 w)),
-    which is finite at w = -x0 (u = 0, R = 1); it signs R from
-    Q(z) = psi'(zeta) (w + x0) q(w)/(2 x0), q = ``phi.quotient(w, x0)``.
+    ``phi_from_psi`` map.
     """
 
     def __init__(self, phi: UnivalentMap):
         bridge, psi = phi.source
         x0 = bridge.x0
-        self.phi = phi
         self.x0 = x0
         self.ev = PsiEvaluator(psi, BasePoint(bridge.zeta, bridge.params))
         self._unit = bridge.zeta / abs(bridge.zeta)
         self._c = (1.0 - x0**2) ** 3 / (4.0 * x0**2)
-
-    def parts(self, w):
-        """phi'(w), q(w) = ``phi.quotient(w, x0)`` and R(z) at z = eta_inv(w)."""
-        ev, x0 = self.ev, self.x0
-        q = self.phi.quotient(w, x0)
-        r = ev._root.at((w + x0) / (self._unit * (1.0 + x0 * w)), ev.dpsi_zeta / (2.0 * x0) * (w + x0) * q)
-        return self.phi.deriv(w), q, r
 
     def integrand(self, w):
         w = np.asarray(w, dtype=np.complex128)
@@ -467,14 +457,12 @@ def goluzin_bound(psi: UnivalentMap, z: complex) -> VerificationReport:
     1 < |z| < 2^340, or where psi'(z) = 0.
     """
     ev = PsiEvaluator(psi, z)
-    z, p = ev.zeta, ev.params
-    a = abs(z)
+    z, p, a, m1 = ev.zeta, ev.params, ev.base.abs_zeta, ev.base.abs2_m1
     w = ev.ddpsi_zeta / ev.dpsi_zeta
-    a2 = a * a
     # w + (4a^2-2)/(z(a^2-1)) - 4 conj(z) E/K/(a^2-1), regrouped around 1 - E/K
-    inside_pt = w - 2.0 / (z * (a2 - 1.0)) + (4.0 * np.conj(z) / (a2 - 1.0)) * p.E_gap
-    rhs_pt = (4.0 * a / (a2 - 1.0)) * p.E_gap
-    big_b = a2 / (a2 - 1.0)
+    inside_pt = w - 2.0 / (z * m1) + (4.0 * np.conj(z) / m1) * p.E_gap
+    rhs_pt = (4.0 * a / m1) * p.E_gap
+    big_b = a * a / m1
     inside_alt = 4.0 * z * ev.at_diagonal()
     rhs_alt = 4.0 * big_b * ev.ep_over_kp
     shift = 2.0 * math.pi * big_b / (p.K * p.K_prime)
@@ -515,9 +503,8 @@ def koebe_bieberbach_bound(phi: UnivalentMap, z: complex) -> VerificationReport:
 
 def pointwise_from_area(ev: PsiEvaluator) -> VerificationReport:
     """|Psi(zeta, zeta)| <= (E'/K') |zeta|/(|zeta|^2 - 1)."""
-    a = abs(ev.zeta)
     lhs = abs(ev.at_diagonal())
-    rhs = ev.ep_over_kp * a / (a * a - 1.0)
+    rhs = ev.ep_over_kp * ev.base.abs_zeta / ev.base.abs2_m1
     inputs = {"map": ev.psi.name, "zeta": _cfmt(ev.zeta)}
     return _report("pointwise-from-area", lhs, rhs, 1e-14 * rhs, EQ_FLOOR_POINTWISE, inputs)
 
@@ -567,18 +554,22 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     to its edge |sigma| = 1 the integrand can spike, and at rel_tol 1e-3 edge
     cells whose two rules agreed missed spikes; the default budget is 1e-4.
 
-    With sigma^2 - x0^2 = -x0^2 cn^2(z + L), the root is
-    sqrt(phi(sigma(z))) = k cn(z + L) R(z')/(sigma + x0) at
-    z' = eta_inv(sigma): psi's root R at z', which :meth:`_DiskField.parts`
-    signs from Q(z') = psi'(zeta) (sigma + x0) q(sigma)/(2 x0),
-    q = ``phi.quotient`` at (sigma, x0).  Since
-    phi(sigma) = -(2 x0/psi'(zeta)) x0^2 cn^2(z + L) Q(z')/(sigma + x0)^2,
-    k = +-x0 sqrt(-2 x0/psi'(zeta)).  The 1/z^2 poles of the two terms
-    cancel for k = -i x0 sqrt(2 x0)/R(zeta), which fixes the sign; k keeps
-    the value of the first form.  No value of phi enters, so the root keeps
-    its digits at the double zero z = 0.  One sn-cn-dn call at modulus x0^2
-    per integrand call gives sigma, sigma', cn(z + L) and, through Landen's
-    transformation, dz_Q_D (:func:`~goluzin_lab.torus._dz_Q_D_landen`).
+    The unit-disk map phi = ``phi_from_psi(bridge, psi)`` is never built:
+    the check reads psi at z' = eta_inv(sigma) = unit (1 + x0 sigma)/(sigma + x0),
+    unit = zeta/|zeta|.  With sigma^2 - x0^2 = -x0^2 cn^2(z + L) and
+    Q(z') = ``psi.quotient(z', zeta)``,
+    phi(sigma) = -(2 x0/psi'(zeta)) x0^2 cn^2(z + L) Q(z')/(sigma + x0)^2 and
+    phi'(sigma) = (2 x0)^2/psi'(zeta) psi'(z')/(sigma + x0)^2.  So the root
+    is sqrt(phi(sigma(z))) = k cn(z + L) R(z')/(sigma + x0), with R the root
+    of one :class:`PsiEvaluator` at the bridge's base point, signed from that
+    Q at u = 1/z' = (sigma + x0)/(unit (1 + x0 sigma)), which is finite at
+    sigma = -x0; k = +-x0 sqrt(-2 x0/psi'(zeta)).  The 1/z^2 poles of the two
+    terms cancel for k = -i x0 sqrt(2 x0)/R(zeta), which fixes the sign; k
+    keeps the value of the first form.  No value of phi or psi enters, so
+    the root keeps its digits at the double zero z = 0.  One sn-cn-dn call at
+    modulus x0^2 per integrand call gives sigma, sigma', cn(z + L) and,
+    through Landen's transformation, dz_Q_D
+    (:func:`~goluzin_lab.torus._dz_Q_D_landen`).
 
     The integrand is smooth at 0, where the poles cancel, so the band tags no
     point: 0 is a seed corner, 0.016 from the nearest node at zeta = 2.
@@ -589,19 +580,22 @@ def torus_area_crosscheck(psi: UnivalentMap, zeta: complex, spec: QuadratureSpec
     spec = spec or QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8)
     zeta = complex(zeta)
     bridge = BridgeMaps.from_zeta(zeta)
-    p = bridge.params
-    field = _DiskField(phi_from_psi(bridge, psi))
+    p, x0 = bridge.params, bridge.x0
+    ev = PsiEvaluator(psi, BasePoint(zeta, p))
+    unit = zeta / abs(zeta)
     L, Lp, b = p.L, p.L_prime, GreenEvaluator.from_params(p).b_const
-    k = p.x0 * cmath.sqrt(-1.0 / (field.ev.dpsi_zeta / (2.0 * p.x0)))  # psi'(zeta)/(2 x0) as parts forms it
-    k = k if (1j * k * field.ev._top).real > 0.0 else -k  # _top = R(zeta)
+    k = x0 * cmath.sqrt(-1.0 / (ev.dpsi_zeta / (2.0 * x0)))
+    k = k if (1j * k * ev._top).real > 0.0 else -k  # _top = R(zeta)
 
     def integrand(z):
         z = np.asarray(z, dtype=np.complex128)
         # sigma and sigma' with the float operations of ``sigma`` and ``sigma_prime``
         sn, cn, dn = jacobi_sn_cn_dn(bridge.ctx_l, z + L)
-        sig, dsig = p.x0 * sn, p.x0 * cn * dn
-        dphi, _, r = field.parts(sig)
-        g = k * cn * r / (sig + p.x0)
+        sig, dsig = x0 * sn, x0 * cn * dn
+        zp = unit * (1.0 + x0 * sig) / (sig + x0)  # eta_inv(sigma)
+        r = ev._root.at((sig + x0) / (unit * (1.0 + x0 * sig)), psi.quotient(zp, zeta))
+        dphi = (2.0 * x0) ** 2 / ev.dpsi_zeta * psi.deriv(zp) / (sig + x0) ** 2
+        g = k * cn * r / (sig + x0)
         val = -(dphi * dsig) / (2.0 * g**3) - _dz_Q_D_landen(p, sn, cn) / b
         return np.abs(val) ** 2
 

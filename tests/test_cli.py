@@ -4,7 +4,10 @@ import gc
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -296,6 +299,15 @@ class TestExitCodes:
         except SystemExit as exc:
             return exc.code
 
+    def test_sweep_maps_without_a_name_is_64(self, monkeypatch, capsys):
+        # an empty --maps ran every catalog map: 144 rows, exit 0
+        def ran(*args, **kwargs):
+            raise AssertionError("the sweep ran without a map named")
+
+        monkeypatch.setattr(cli, "_sweep_task", ran)
+        assert self.code_of(["sweep", "--maps"]) == EXIT_USAGE
+        assert self.code_of(["sweep", "--maps", "--area"]) == EXIT_USAGE
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_64(self, jobs, capsys):
         # used to run serially and exit 0
@@ -360,6 +372,14 @@ class TestExitCodes:
         assert main(["selftest"]) == EXIT_OK
         assert "PASS  area-sigma-joukowski" in capsys.readouterr().out
         assert self.code_of(["selftest", "--full"]) == EXIT_USAGE
+
+    def test_selftest_runs_the_torus_form(self, capsys):
+        # green-symmetry, q-odd and dzbar-q-at-0 checked the Green function,
+        # Q_D and dzbar Q_D, which no verdict reads; the torus form does run
+        assert main(["selftest"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS  area-torus-joukowski" in out
+        assert not any(name in out for name in ("green-symmetry", "q-odd", "dzbar-q-at-0"))
 
     @pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-3"), ("--abs-tol", "5")])
     def test_pointwise_takes_no_tolerance(self, flag, value, capsys):
@@ -437,6 +457,44 @@ class TestNonConvergenceExit:
         monkeypatch.setattr(cli_mod, "verify_area_disk", boom)
         assert main(["area", "--map", "identity", "--zeta", "2.0", "--with-disk-form"]) == 2
         assert "error: synthetic sign failure" in capsys.readouterr().err
+
+
+def _run_cli(args, **env):
+    """The CLI run as its own process, with the package importable and
+    ``env`` added to the environment."""
+    path = os.pathsep.join(filter(None, [str(pathlib.Path(goluzin_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path, **env}
+    )
+
+
+class TestOneErrorChannel:
+    """stderr carries one line per failure, and no environment variable
+    changes what the CLI does; run as a process, since capsys does not see
+    what a logging handler writes to the stderr it was given."""
+
+    def test_non_convergence_prints_one_line(self):
+        # it printed ERROR:goluzin_lab:non-convergence: ... and then error: ...
+        script = (
+            "import sys\n"
+            "from goluzin_lab import cli\n"
+            "from goluzin_lab.errors import QuadratureError\n"
+            "def boom(*args, **kwargs):\n"
+            "    raise QuadratureError('synthetic non-convergence')\n"
+            "cli.verify_area_sigma = boom\n"
+            "sys.exit(cli.main(['area', '--map', 'joukowski', '--zeta', '2.0']))\n"
+        )
+        done = _run_cli(["-c", script])
+        assert done.returncode == cli.EXIT_NONCONVERGENCE
+        assert done.stderr == "error: synthetic non-convergence\n"
+
+    def test_log_variable_changes_nothing(self):
+        # GOLUZIN_LAB_LOG=verbose died in logging.basicConfig with a
+        # traceback and exit 1, the violated code
+        argv = ["-m", "goluzin_lab.cli", "pointwise", "--map", "joukowski", "--z", "2"]
+        plain, verbose = _run_cli(argv), _run_cli(argv, GOLUZIN_LAB_LOG="verbose")
+        assert verbose.returncode == EXIT_OK
+        assert (verbose.stdout, verbose.stderr) == (plain.stdout, "")
 
 
 class TestLargeZetaDiskForm:

@@ -626,7 +626,7 @@ class TestVerdictBits:
         ("sigma", "b1:0.7", 3j, "0x1.dbd155f1a54c4p-1", "0x1.a9973ead79efbp-16", 7936),
         ("sigma", "identity", 2.0 * cmath.exp(0.25j * math.pi), "0x1.8a16c5b485799p-1", "0x1.08ae3e838ff6cp-14", 8576),
         ("disk", "joukowski", 2.0, "0x1.fffffed7aab64p-1", "0x1.d797f72a2f3eep-14", 6656),
-        ("torus", "joukowski", 2.0, "0x1.0000000000025p+0", "0x1.ad003d57cbc2ep-32", 5120),
+        ("torus", "joukowski", 2.0, "0x1.0000000000013p+0", "0x1.acff9b57cbc10p-32", 5120),
     ]
 
     @pytest.mark.parametrize("form,name,zeta,ratio,error,n_evals", PINS)
@@ -715,6 +715,20 @@ class TestTorusRatiosHeld:
         r = torus_area_crosscheck(resolve_map(name), zeta)
         assert r.inputs["n_evals"] == n_evals
         assert abs(r.ratio - float.fromhex(ratio)) <= 1e-3 * r.error_estimate / r.rhs
+
+    def test_phi_is_never_built(self, monkeypatch):
+        # the check reads psi at z' = eta_inv(sigma) through one PsiEvaluator:
+        # neither phi_from_psi nor the disk form's field is built
+        def refused(*args, **kwargs):
+            raise AssertionError("the torus form built phi or the disk field")
+
+        monkeypatch.setattr(maps, "phi_from_psi", refused)
+        monkeypatch.setattr(_DiskField, "__init__", refused)
+        assert not hasattr(inequalities, "phi_from_psi")
+        for name, zeta, _, n_evals in self.REFERENCE:
+            m = resolve_map(name)
+            r = torus_area_crosscheck(m, zeta)
+            assert (r.status, r.inputs["n_evals"]) == ("equality" if m.full_mapping else "holds", n_evals)
 
 
 def _placed(seeds, to_plane):
@@ -1089,14 +1103,23 @@ def _roots_used(call, monkeypatch):
 
 
 def _disk_q(fieldd, w):
-    """Q(z') at z' = eta_inv(w) as ``_DiskField.parts`` forms it,
-    psi'(zeta)(w + x0) q/(2 x0) with q = ``phi.quotient(w, x0)``."""
-    return fieldd.ev.dpsi_zeta / (2.0 * fieldd.x0) * (w + fieldd.x0) * fieldd.phi.quotient(w, fieldd.x0)
+    """Q(z') = ``psi.quotient(z', zeta)`` at z' = eta_inv(w), as the disk
+    form forms it."""
+    return fieldd.ev.psi.quotient(fieldd._unit * (1.0 + fieldd.x0 * w) / (w + fieldd.x0), fieldd.ev.zeta)
+
+
+def _disk_root(fieldd, w, monkeypatch):
+    """R(z') at z' = eta_inv(w), in the shape of w, as one disk integrand
+    call takes it from the evaluator's root, and the number of ``block``
+    calls it made; R(zeta) is built first, outside the call."""
+    fieldd.ev._top
+    (r,), blocks = _roots_used(lambda: fieldd.integrand(w), monkeypatch)
+    return r.reshape(np.shape(w)), blocks
 
 
 def _disk_sqrt_v(fieldd, w, r):
     """sqrt(V(w)) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')) from the root
-    R(z') = ``r`` of ``_DiskField.parts``."""
+    R(z') = ``r``."""
     return fieldd.ev._top / math.sqrt(2.0 * fieldd.x0) * (w + fieldd.x0) / r
 
 
@@ -1104,14 +1127,18 @@ def _disk_integrand_oracle(fieldd, w):
     """The unit-disk integrand derived in disk coordinates: |t1 - t2 - t3|^2
     over |w^2 - x0^2|, with phi'/phi = phi'/((w - x0) q) in t1 and the
     constants c2, c3 of the bound's other two terms.  The disk form used
-    this derivation until it pulled back the exterior-disk field; it takes
-    phi', q and R(z') from ``_DiskField.parts``."""
-    bridge, _ = fieldd.phi.source
-    x0, p = fieldd.x0, bridge.params
+    this derivation until it pulled back the exterior-disk field.  phi' and
+    q = ``phi.quotient(w, x0)`` come from ``phi_from_psi``, and R(z') is the
+    evaluator's root at u = (w + x0)/(unit (1 + x0 w)), signed from
+    Q(z') = psi'(zeta)(w + x0) q/(2 x0): no value the integrand forms."""
+    ev, x0 = fieldd.ev, fieldd.x0
+    bridge = BridgeMaps.from_zeta(ev.zeta)
+    p, phi = bridge.params, phi_from_psi(bridge, ev.psi)
     c2 = (1.0 + x0**2) * math.sqrt(2.0 * x0) / math.sqrt(1.0 - x0**4)
     c3 = p.E_prime / p.K_prime * (1.0 + x0**2) ** 2 / math.sqrt(2.0 * x0 * (1.0 - x0**4))
-    dphi, q, r = fieldd.parts(w)
-    t1 = _disk_sqrt_v(fieldd, w, r) * dphi / ((w - x0) * q)
+    q = phi.quotient(w, x0)
+    r = ev._root.at((w + x0) / (fieldd._unit * (1.0 + x0 * w)), ev.dpsi_zeta / (2.0 * x0) * (w + x0) * q)
+    t1 = _disk_sqrt_v(fieldd, w, r) * phi.deriv(w) / ((w - x0) * q)
     t2 = c2 * np.sqrt((1.0 - x0 * w) / (1.0 + x0 * w)) / (w - x0)
     t3 = c3 / np.sqrt(1.0 - x0**2 * w**2)
     return np.abs(t1 - t2 - t3) ** 2 / np.abs(w**2 - x0**2)
@@ -1149,8 +1176,8 @@ def _disk_marched(fieldd, w):
     """sqrt(V(w)) = (w + x0) sqrt(A(z'))/sqrt(2 x0) at z' = eta_inv(w), with
     sqrt(A) marched from zeta around the exterior disk (the double zero of V
     at -x0 is the factor w + x0)."""
-    bridge, psi = fieldd.phi.source
-    ev = PsiEvaluator(psi, bridge.zeta)
+    ev = PsiEvaluator(fieldd.ev.psi, fieldd.ev.zeta)
+    bridge = BridgeMaps.from_zeta(ev.zeta)
     return (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0) * TestClosedFormSqrt.marched(ev, eta_inv(bridge, w))
 
 
@@ -1174,19 +1201,19 @@ def _torus_parts(name, zeta, monkeypatch, **changes):
 
 
 def _torus_terms(psi, zeta, z):
-    """Q(z') at z' = eta_inv(sigma(z)) as the torus form forms it,
-    psi'(zeta)(sigma + x0) q/(2 x0) with q = ``phi.quotient(sigma, x0)``, and
-    sqrt(phi(sigma)) = k cn(z + L) R(z')/(sigma + x0) as a function of the
-    root R(z').  k = x0 sqrt(-2 x0/psi'(zeta)) takes the principal root: its
-    sign cancels between a march's base and its nodes, and
-    ``TestTorusPolesCancel`` checks it."""
+    """Q(z') = ``psi.quotient(z', zeta)`` at
+    z' = eta_inv(sigma(z)) = unit (1 + x0 sigma)/(sigma + x0) as the torus
+    form forms it, and sqrt(phi(sigma)) = k cn(z + L) R(z')/(sigma + x0) as a
+    function of the root R(z').  k = x0 sqrt(-2 x0/psi'(zeta)) takes the
+    principal root: its sign cancels between a march's base and its nodes,
+    and ``TestTorusPolesCancel`` checks it."""
+    zeta = complex(zeta)
     bridge = BridgeMaps.from_zeta(zeta)
     x0 = bridge.x0
     sn, cn, _ = jacobi_sn_cn_dn(bridge.ctx_l, np.asarray(z, dtype=np.complex128) + bridge.params.L)
     sig = x0 * sn
-    scale = complex(psi.deriv(np.complex128(zeta))) / (2.0 * x0)
-    k = x0 * cmath.sqrt(-1.0 / scale)
-    q = scale * (sig + x0) * phi_from_psi(bridge, psi).quotient(sig, x0)
+    k = x0 * cmath.sqrt(-1.0 / (complex(psi.deriv(np.complex128(zeta))) / (2.0 * x0)))
+    q = psi.quotient(zeta / abs(zeta) * (1.0 + x0 * sig) / (sig + x0), zeta)
     return q, lambda r: k * cn * r / (sig + x0)
 
 
@@ -1238,15 +1265,16 @@ def _is_signed_root(g, arg):
 
 class TestClosedFormDiskSqrt:
     """The sign of sqrt(V) = R(zeta)(w + x0)/(sqrt(2 x0) R(z')), with R(z')
-    from ``_DiskField.parts``, against an independent march of sqrt(A) along
-    a path and, for the identity, against the exact root."""
+    from the disk form's integrand (``_disk_root``), against an independent
+    march of sqrt(A) along a path and, for the identity, against the exact
+    root."""
 
     @pytest.mark.parametrize("name", ["joukowski", "joukowski-pi3", "identity", "b1:0.7", "b1:0.5i"])
     @pytest.mark.parametrize("zeta", [1.25, 2.0, 3j, 1.0 + 1e-4])
     def test_sign_matches_march(self, name, zeta, monkeypatch):
         fieldd = _disk_field(name, zeta)
         for group, w in _disk_nodes(fieldd).items():
-            (r,), blocks = _roots_used(lambda: fieldd.parts(w), monkeypatch)
+            r, blocks = _disk_root(fieldd, w, monkeypatch)
             g, ref = _disk_sqrt_v(fieldd, w, r), _disk_marched(fieldd, w)
             assert np.all(np.abs(g - ref) < np.abs(g + ref)), group
             assert _is_signed_root(r, _disk_q(fieldd, w)), group
@@ -1261,7 +1289,7 @@ class TestClosedFormDiskSqrt:
         # the march signs some of these nodes wrongly from |zeta| = 20 on
         fieldd = _disk_field("identity", zeta)
         w = np.concatenate(list(_disk_nodes(fieldd).values()))
-        (r,), blocks = _roots_used(lambda: fieldd.parts(w), monkeypatch)
+        r, blocks = _disk_root(fieldd, w, monkeypatch)
         assert blocks == 0
         g, exact = _disk_sqrt_v(fieldd, w, r), (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
         assert np.all(np.abs(g - exact) < np.abs(g + exact))
@@ -1272,11 +1300,11 @@ class TestClosedFormDiskSqrt:
         fieldd = _disk_field("identity", 2.0, coefficients=(0.0, 0.3))
         for seed in (True, False):
             w = _disk_call(seed)
-            (r,), blocks = _roots_used(lambda: fieldd.parts(w), monkeypatch)
+            r, blocks = _disk_root(fieldd, w, monkeypatch)
             assert blocks == 1
             # the value is the identity's, whose root sqrt(V) is (w + x0)/sqrt(2 x0)
             plain = _disk_field("identity", 2.0, coefficients=None)
-            (r_plain,), _ = _roots_used(lambda: plain.parts(w), monkeypatch)
+            r_plain, _ = _disk_root(plain, w, monkeypatch)
             assert _same_bits(r, r_plain)
             g, exact = _disk_sqrt_v(fieldd, w, r), (w + fieldd.x0) / math.sqrt(2.0 * fieldd.x0)
             assert np.all(np.abs(g - exact) < np.abs(g + exact))
@@ -1585,22 +1613,19 @@ class TestOneEvaluationPerCall:
     """What one integrand call of the torus cross-check and of the disk form evaluates."""
 
     @pytest.mark.parametrize("name", ["joukowski", "identity", "b1:0.7"])
-    def test_one_phi_quotient_call_per_torus_integrand_call(self, name, monkeypatch):
-        # phi(sigma) enters only through q(sigma) = phi.quotient(sigma, x0):
-        # its value, which cancels next to u = 0, is never formed
+    def test_one_psi_quotient_call_per_torus_integrand_call(self, name, monkeypatch):
+        # phi(sigma) enters only through Q(z') = psi.quotient(z', zeta): no
+        # value of psi, whose difference cancels next to u = 0, is formed
         calls = []
-
-        def counting(bridge, psi):
-            phi = maps.phi_from_psi(bridge, psi)
-            value, quotient = phi.value, phi.quotient
-            return dataclasses.replace(
-                phi,
-                value=lambda w: calls.append("value") or value(w),
-                quotient=lambda w, v: calls.append("quotient") or quotient(w, v),
-            )
-
-        monkeypatch.setattr(inequalities, "phi_from_psi", counting)
-        f, _ = _torus_parts(name, 2.0, monkeypatch)
+        psi = resolve_map(name)
+        value, quotient = psi.value, psi.quotient
+        f, _ = _torus_parts(
+            name,
+            2.0,
+            monkeypatch,
+            value=lambda w: calls.append("value") or value(w),
+            quotient=lambda w, v: calls.append("quotient") or quotient(w, v),
+        )
         p = BridgeMaps.from_zeta(2.0).params
         xy = lambda x, y: x + 1j * y
         for z in (_seed_call(_torus_seeds(p), xy, 1), _driver_block((0.0, p.L, 0.0, 0.25 * p.L_prime), xy)):
