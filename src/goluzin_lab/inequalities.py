@@ -237,9 +237,9 @@ class BasePoint:
     (``abs2_m1``), which every check there reads from here, formed once,
     d = sqrt(1 - |zeta|^-2), Psi's zeta-only factors
     at any nodes (:meth:`nodes`), and for the sigma area check its
-    exterior-disk plan with those factors at every node of its seed calls
-    and rings (:meth:`exterior_plan`).  A check or a :class:`PsiEvaluator`
-    given a base point where it takes zeta reads all of it from there, so
+    exterior-disk plan with those factors at every node of its seed pass
+    (:meth:`exterior_plan`).  A check or a :class:`PsiEvaluator` given a
+    base point where it takes zeta reads all of it from there, so
     the checks of several maps at one zeta build it once.  Nothing else
     holds it: it is gone with the base point.  Raises ``DomainError``
     unless 1 < |zeta| < 2^340.

@@ -32,39 +32,43 @@ node it was called on, and every ring point, each once.  Far-field nodes
 where the bumps leave no weight, those within about 3.5e-5 r of a tagged
 point, are not passed to it and not counted.
 
-Each drive starts from a list of seed cells sized to its region, and the
-driver calls the integrand once per four seeds, with the four children
-of each, as ``(20, order, order)`` arrays (the last call takes what is
-left).  The rectangle and the polar grid of the unit disk seed 4 x 4, so
-each call is one first-parameter band.  The polar patches and the tail,
-whose bump or ring core confines the work, seed 1 x 2 in one call: rho
-whole, theta halved.  The log-polar annulus seeds 2 rows in log|z| and
-about 2 * 2 pi/log r0 columns in theta, cells about square in its
-metric, and splits each seed while it is more than 8 times larger than
-its distance to a tagged point (or half that point's patch radius): a
-cell much larger than its distance to a patch can miss the far field's
+Each drive starts from a list of seed cells sized to its region.  The
+rectangle and the polar grid of the unit disk seed 4 x 4.  The polar
+patches and the tail, whose bump or ring core confines the work, seed
+1 x 2: rho whole, theta halved.  The log-polar annulus seeds 2 rows in
+log|z| and about 2 * 2 pi/log r0 columns in theta, cells about square in
+its metric, and splits each seed while it is more than 8 times larger
+than its distance to a tagged point (or half that point's patch radius):
+a cell much larger than its distance to a patch can miss the far field's
 fade across it in its own rule and its children's alike, and report a
-small error.  Then the driver calls the integrand once per cell it
-refines, with the four children of each of that cell's four children,
-its 16 grandchildren, as ``(16, order, order)`` arrays.
-No call carries more than 20 cells.  A cell's sum depends on its own
-nodes only, so the value at a node must not depend on the other nodes of
-its call.  A call's two parameter axes come as ``(n, order, 1)`` and
-``(n, 1, order)`` arrays, so exp(s), exp(i theta), a radial bump or
-|u|**-4 is computed once per axis node, and its n cell sums come from one
-batched product, each the dot product of a cell summed alone.
+small error.
 
-A drive builds its seed calls before it calls the integrand (``_Drive``):
-each call's cell widths, nodes, Jacobian, bump weights and live mask, from
-the same code that builds a refinement's call when the driver makes it,
-and a polar drive places its two core rings too.  ``ExteriorDiskPlan``
-holds all of it for the exterior disk of one spec, and its ``prepare``
-hook runs once on the nodes of each call: integrands over one region
-share a plan, as the sigma area checks of several maps at one base point
-do (about 8,000 planned nodes there, against a few hundred refinement
-nodes).  Four seeds a call stays the layout: twenty a call, the same sums
-in fewer calls, measured slower over the 72-check area sweep (its fastest
-pass 0.087-0.099 s against 0.074-0.087 s in three alternating sets of 21).
+One seed pass per region opens the integral (``_Region``): every drive's
+seeds, each followed by its four children, and every core's two rings,
+placed once, reach the integrand in ceil(n/_CALL_NODES) calls of
+near-equal size, as flat arrays of their n live nodes.  Then the driver
+calls the integrand once per cell it refines, with the four children of
+each of that cell's four children, its 16 grandchildren, as ``(16,
+order, order)`` arrays.  No call carries more than _CALL_NODES = 4096
+nodes.  A call's fixed numpy cost (about 20 us against 38 ns a node)
+makes few large calls cheaper than many small ones, until the saving
+levels off at a few thousand nodes a call; past that the integrand's
+temporaries only grow, and once glibc trims them off its heap after a
+call, the next call faults their pages in again.  A cell's sum depends on its own nodes
+only, so the value at a node must not depend on the other nodes of its
+call.  The cells of a placement come as ``(n, order, 1)`` and ``(n, 1,
+order)`` parameter axes, so exp(s), exp(i theta), a radial bump or
+|u|**-4 is computed once per axis node, and their n cell sums come from
+one batched product, each the dot product of a cell summed alone.
+
+The pass is placed before the integrand is called: each drive's seed
+block of cell widths, Jacobian, bump weights and live mask, from the
+same code that places a refinement's cells when the driver makes it, and
+the nodes of each call.  ``ExteriorDiskPlan`` holds it for the exterior
+disk of one spec, and its ``prepare`` hook runs once on the nodes of
+each call: integrands over one region share a plan, as the sigma area
+checks of several maps at one base point do (about 8,000 planned nodes
+there, two calls, against a few hundred refinement nodes).
 Nothing at module level holds nodes; ``_graded_seeds`` keeps seed cells.
 """
 
@@ -93,6 +97,11 @@ __all__ = [
 
 _CORE_FRACTION = 1e-5  # inner cutoff of a polar patch, relative to its radius
 _ORDER = 8  # Gauss-Legendre nodes per cell side
+# most nodes in one integrand call: a call's fixed numpy cost (about 20 us)
+# is worth some 500 nodes, so from a few thousand nodes a call the saving
+# levels off, while the integrand's temporaries grow with the call and,
+# once glibc trims them off its heap after a call, cost page faults anew
+_CALL_NODES = 4096
 _MAX_DEPTH = 14
 _MAX_REFINEMENTS = 40_000
 _GRADING = 8.0  # annulus seeds split while larger than this times their distance to a bump
@@ -200,18 +209,29 @@ def _far_weight(z, bumps):
 
 
 class _Call:
-    """One driver call without f: its cells and their half-widths, the nodes
-    f receives (as ``prepare`` left them), where their values go in the
-    ``(n, order, order)`` block (``live``, None for all of it), the far
-    weight there, and ``weigh``, which turns the block of f's values into
-    the integrand in the parameters.  ``size`` is the number of nodes f
-    receives."""
+    """Cells placed without calling f, a refinement's call or a drive's seed
+    block: the cells and their half-widths, their live nodes (None once a
+    seed pass holds them), where the values there go in the ``(n, order,
+    order)`` block (``live``, None for all of it), the far weight there,
+    and ``weigh``, which turns the block of f's values into the integrand
+    in the parameters.  ``size`` is the number of live nodes."""
 
     __slots__ = ("cells", "hx", "hy", "nodes", "live", "weight", "weigh", "size")
 
     def __init__(self, cells, hx, hy, nodes, live, weight, weigh, size):
         self.cells, self.hx, self.hy, self.nodes = cells, hx, hy, nodes
         self.live, self.weight, self.weigh, self.size = live, weight, weigh, size
+
+    def weighed(self, vals) -> np.ndarray:
+        """The integrand in the parameters on the block, from f's values
+        ``vals`` at the live nodes (in the block's shape when all are live)."""
+        if self.weight is not None:
+            vals = vals * self.weight
+        if self.live is not None:
+            out = np.zeros(self.live.shape, dtype=np.float64)
+            out[self.live] = vals
+            vals = out
+        return self.weigh(vals)
 
 
 class _Drive:
@@ -224,22 +244,19 @@ class _Drive:
     the tail's |u|**-4, each computed once per axis node.  A far-field
     drive takes f times one minus every bump in ``bumps``, ``(point,
     radius)`` pairs, and passes f only the nodes where that is above 0.
-    ``prepare`` is applied to the live nodes of every call, and f receives
-    what it returns.
 
-    The seed calls, four seeds and their four children each, are built once
-    (``seed_calls``); a refinement's call comes from :meth:`call`, the same
-    code.
+    ``seed_cells`` lists each seed followed by its four children, the cells
+    of the drive's part of its region's seed pass (:class:`_Region`), which
+    places them with :meth:`call` too.
     """
 
-    def __init__(self, seeds, place, bumps=(), prepare=_same):
+    def __init__(self, seeds, place, bumps=()):
         self.seeds = list(seeds)
-        self._place, self._bumps, self._prepare = place, tuple(bumps), prepare
-        # four seeds per call: seed k of the call sums slice [5k, 5k + 5)
-        self.seed_calls = [
-            self.call([c for cell in self.seeds[i : i + 4] for c in (cell, *_split(cell))])
-            for i in range(0, len(self.seeds), 4)
-        ]
+        self._place, self._bumps = place, tuple(bumps)
+
+    @property
+    def seed_cells(self):
+        return [c for cell in self.seeds for c in (cell, *_split(cell))]
 
     def call(self, cells) -> _Call:
         hx, hy, x, y = _axes(cells)
@@ -248,39 +265,31 @@ class _Drive:
         if live is not None:
             z = z[live]
         size = len(cells) * _ORDER**2 if live is None else z.size
-        return _Call(cells, hx, hy, self._prepare(z) if size else None, live, weight, weigh, size)
+        return _Call(cells, hx, hy, z, live, weight, weigh, size)
 
     def values(self, call: _Call, f) -> np.ndarray:
         """The integrand in the parameters at the nodes of ``call``, from one
         call of f on its live nodes (none when no node is live)."""
-        if call.size:
-            vals = np.asarray(f(call.nodes), dtype=np.float64)
-            if call.weight is not None:
-                vals = vals * call.weight
-        if call.live is not None:
-            out = np.zeros(call.live.shape, dtype=np.float64)
-            if call.size:
-                out[call.live] = vals
-            vals = out
-        return call.weigh(vals)
+        return call.weighed(np.asarray(f(call.nodes), dtype=np.float64) if call.size else np.zeros(0))
 
     def sums(self, call: _Call, f) -> list[float]:
         """The GL sum of each cell of ``call``."""
         return _gl_sums(self.values(call, f), call.hx, call.hy)
 
 
-def _adaptive_2d(drive: _Drive, f, spec: QuadratureSpec) -> QuadratureResult:
+def _adaptive_2d(drive: _Drive, f, spec: QuadratureSpec, seeded) -> QuadratureResult:
     """Adaptive tensor GL over the cells of ``drive``, whose seeds tile its
     domain, of f on the nodes the drive places.
 
-    The seed calls go out in their order, four seeds a call, each seed with
-    its four children, the last call taking what is left: one call per
-    first-parameter band of a 4 x 4 grid, one call for all of a 1 x 2.
-    ``n_evals`` counts the nodes f received.
+    ``seeded`` comes from the region's seed pass: the sums of the drive's
+    ``seed_cells``, five per seed (its own rule, then its children's), and
+    the number of nodes f received for them.  Then each refined cell is one
+    call of f on its 16 grandchildren.  ``n_evals`` counts the nodes f
+    received.
     """
+    parts, n_evals = seeded
     heap = []
     counter = 0
-    n_evals = 0
     value = 0.0
     err_total = 0.0
     frozen_err = 0.0
@@ -296,15 +305,12 @@ def _adaptive_2d(drive: _Drive, f, spec: QuadratureSpec) -> QuadratureResult:
         counter += 1
         return (-err, counter, cell, fine, depth, fine_parts)
 
-    for i, call in enumerate(drive.seed_calls):
-        parts = drive.sums(call, f)
-        n_evals += call.size
-        for k, cell in enumerate(drive.seeds[4 * i : 4 * i + 4]):
-            coarse, *fine_parts = parts[5 * k : 5 * k + 5]
-            node = make_node(cell, coarse, fine_parts, 0)
-            heapq.heappush(heap, node)
-            value += node[3]
-            err_total += -node[0]
+    for k, cell in enumerate(drive.seeds):
+        coarse, *fine_parts = parts[5 * k : 5 * k + 5]
+        node = make_node(cell, coarse, fine_parts, 0)
+        heapq.heappush(heap, node)
+        value += node[3]
+        err_total += -node[0]
 
     refinements = 0
     while heap:
@@ -359,30 +365,25 @@ class _Polar:
     tail's |u|**-4 at f(1/u)).  The driver integrates over eps < rho <
     radius in polar coordinates from a 1 x 2 seed grid, rho whole and theta
     halved, and the core rho < eps comes from the ring estimate
-    (:meth:`core`), on two rings of 64 points, rho = eps and 2 eps, placed
-    once and sent to f in one call (rho as a (2, 1) column).
+    (:meth:`core`), on two rings of 64 points, rho = eps and 2 eps
+    (``ring``, ``(2, 64)``), placed once; f receives them in its region's
+    seed pass.
     """
 
-    def __init__(self, radial, center, radius, eps, prepare=_same):
+    def __init__(self, radial, center, radius, eps):
         def place(rho, theta):
             z, weigh = radial(center + rho * np.exp(1j * theta), rho)
             return z, lambda v: weigh(v) * rho
 
-        self.drive = _Drive(_grid((eps, radius, 0.0, 2.0 * math.pi), 1, 2), place, prepare=prepare)
+        self.drive = _Drive(_grid((eps, radius, 0.0, 2.0 * math.pi), 1, 2), place)
         self.eps = eps
         rho = np.array([[eps], [2.0 * eps]])
-        z, self._ring_weigh = radial(center + rho * _RING, rho)
-        self._ring = prepare(z)
+        self.ring, self._ring_weigh = radial(center + rho * _RING, rho)
 
-    def integrate(self, f, spec):
-        """The drive plus the core, and the ring means."""
-        res = _adaptive_2d(self.drive, f, spec)
-        core, *gammas = self.core(f)
-        return res + core, gammas
-
-    def core(self, f):
+    def core(self, vals):
         """Mass of the integrand inside the core, and the ring means
-        gamma(eps), gamma(2 eps) of rho times it.
+        gamma(eps), gamma(2 eps) of rho times it, from f's values ``vals``
+        on ``ring``.
 
         For an integrand ~ c*rho**exponent, gamma(rho) grows like
         rho**(1 + exponent), so the core mass is 2 pi eps gamma(eps)/(2 +
@@ -392,8 +393,7 @@ class _Polar:
         is nearer (1 or 2; the split is at 1.4).
         """
         eps = self.eps
-        vals = self._ring_weigh(np.asarray(f(self._ring), dtype=np.float64))
-        means = np.asarray(vals, dtype=np.float64).mean(axis=1)
+        means = np.asarray(self._ring_weigh(vals), dtype=np.float64).mean(axis=1)
         gamma1, gamma2 = eps * float(means[0]), 2.0 * eps * float(means[1])
         exponent = 0.0 if abs(gamma2) > 1.4 * abs(gamma1) else -1.0
         scale = 2.0 * math.pi * eps / (2.0 + exponent)
@@ -434,8 +434,69 @@ def _patch_radii(points, reach, region):
 
 
 class _Region:
+    """A far-field drive and polar drives with their cores, and the seed
+    pass that opens their integral.
+
+    The pass places every drive's ``seed_cells`` (far first, then each
+    polar in order) and then every core's two rings (in the same polar
+    order) once, without calling f.  f receives their live nodes in that
+    order, flat, in ceil(n/_CALL_NODES) calls of near-equal size, each as
+    ``prepare`` left it (``calls``); ``prepare`` runs on every refinement
+    call's nodes too.  Each drive's seed block keeps its widths, live
+    mask, far weight and ``weigh``, but no other copy of the nodes, and
+    :meth:`seed_pass` keeps nothing f returns, so integrands over one
+    region can share it.
+    """
+
+    def __init__(self, far: _Drive, polars=(), prepare=_same):
+        self.far, self.polars, self.prepare = far, list(polars), prepare
+        self._blocks = [drive.call(drive.seed_cells) for drive in self.drives]
+        z = np.concatenate([block.nodes.reshape(-1) for block in self._blocks] + [polar.ring.reshape(-1) for polar in self.polars])
+        for block in self._blocks:
+            block.nodes = None
+        n = -(-z.size // _CALL_NODES)
+        edges = [z.size * i // n for i in range(n + 1)]
+        self.calls = [prepare(z[a:b]) for a, b in zip(edges, edges[1:])]
+
+    @property
+    def drives(self):
+        return [self.far] + [polar.drive for polar in self.polars]
+
+    def seed_pass(self, f):
+        """The ``seeded`` input of :func:`_adaptive_2d` for each drive, each
+        from one ``_gl_sums`` over its block, and f's values on each core's
+        rings, ``(2, 64)``: one call of f per call of the pass."""
+        vals = np.concatenate([np.asarray(f(z), dtype=np.float64).reshape(-1) for z in self.calls])
+        seeded, i = [], 0
+        for block in self._blocks:
+            v = vals[i : i + block.size]
+            i += block.size
+            if block.live is None:
+                v = v.reshape(-1, _ORDER, _ORDER)
+            seeded.append((_gl_sums(block.weighed(v), block.hx, block.hy), block.size))
+        rings = []
+        for polar in self.polars:
+            rings.append(vals[i : i + polar.ring.size].reshape(polar.ring.shape))
+            i += polar.ring.size
+        return seeded, rings
+
+    def integrate(self, f, spec):
+        """The far drive plus each polar drive and its core, summed in that
+        order, and the last core's ring means (None without a polar)."""
+        seeded, rings = self.seed_pass(f)
+        g = lambda z: f(self.prepare(z))
+        total = _adaptive_2d(self.far, g, spec, seeded[0])
+        gammas = None
+        for polar, s, ring in zip(self.polars, seeded[1:], rings):
+            res = _adaptive_2d(polar.drive, g, spec, s)
+            core, *gammas = polar.core(ring)
+            total = total + (res + core)
+        return total, gammas
+
+
+def _patched(spec, reach, region, far, prepare=_same, tail=()) -> _Region:
     """A region's far-field drive plus one polar patch per complex location
-    in ``spec.singular_points``, built without calling f.
+    in ``spec.singular_points``, and then the polars of ``tail``.
 
     Each patch integrates f times a radial bump around its point, out to
     its radius r (:func:`_patch_radii`).  The bump is ``_smooth_cut`` of d/r
@@ -447,16 +508,10 @@ class _Region:
     count leaves out the nodes where one minus a bump rounds to 0,
     d < 3.5e-5 r.
     """
-
-    def __init__(self, spec, reach, region, far, prepare=_same):
-        bumps = _patch_radii(spec.singular_points, reach, region)
-        seeds, place = far(bumps)
-        self.far = _Drive(seeds, place, bumps, prepare)
-        self.patches = [_Polar(_bumped(r), loc, r, _CORE_FRACTION * r, prepare) for loc, r in bumps]
-
-    def integrate(self, f, spec) -> QuadratureResult:
-        outer = _adaptive_2d(self.far, f, spec)
-        return sum((patch.integrate(f, spec)[0] for patch in self.patches), outer)
+    bumps = _patch_radii(spec.singular_points, reach, region)
+    seeds, place = far(bumps)
+    patches = [_Polar(_bumped(r), loc, r, _CORE_FRACTION * r) for loc, r in bumps]
+    return _Region(_Drive(seeds, place, bumps), patches + list(tail), prepare)
 
 
 def _sector_distance(cell, p):
@@ -533,7 +588,7 @@ def integrate_rect(f, rect, spec: QuadratureSpec | None = None) -> QuadratureRes
     def grid(bumps):
         return _grid((x0, x1, y0, y1), 4, 4), lambda x, y: (x + 1j * y, _same)
 
-    total = _Region(spec, reach, "rectangle", grid).integrate(f, spec)
+    total, _ = _patched(spec, reach, "rectangle", grid).integrate(f, spec)
     return _check(total, "integrate_rect")
 
 
@@ -548,18 +603,21 @@ def integrate_disk(f, spec: QuadratureSpec | None = None) -> QuadratureResult:
     def disk(bumps):
         return _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4), lambda rho, theta: (rho * np.exp(1j * theta), lambda v: v * rho)
 
-    total = _Region(spec, lambda loc: min(0.25, 0.8 * (1.0 - abs(loc))), "disk", disk).integrate(f, spec)
+    total, _ = _patched(spec, lambda loc: min(0.25, 0.8 * (1.0 - abs(loc))), "disk", disk).integrate(f, spec)
     return _check(total, "integrate_disk")
 
 
 class ExteriorDiskPlan:
     """Everything :func:`integrate_exterior_disk` builds for ``spec`` before
     it calls the integrand, so that several integrands on the same region
-    share it: the annulus seeds, the patches and the tail, and every seed
-    call of their drives with its nodes, Jacobian, bump weights and live
-    mask, and both rings of the two cores.  ``prepare`` is applied once to
-    the nodes of each call, and the integrand receives what it returns; the
-    default passes the nodes on as they are.
+    share it: the annulus seeds, the patches and the tail, and their seed
+    pass (``region``, a :class:`_Region`), the seed cells of the three
+    drives with their Jacobian, bump weights and live mask, and their nodes
+    and both rings of each core in two or three calls.  ``prepare`` is
+    applied once to the nodes of each call, when the plan is built, and the
+    integrand receives what it returns; the default passes the nodes on as
+    they are.  The seed values of each integrand are passed from its pass
+    to its drives, and never stored on the plan.
 
     The region splits into the annulus 1 < |z| <= r0 and the tail, the disk
     |u| < 1/r0 under u = 1/z (one polar drive with a ring core at u = 0).
@@ -587,9 +645,9 @@ class ExteriorDiskPlan:
 
             return _annulus_seeds(r0, bumps), place
 
-        self.region = _Region(spec, reach, "exterior disk", annulus, prepare)
         u_out = 1.0 / r0
-        self.tail = _Polar(_inverted, 0j, u_out, _CORE_FRACTION * u_out, prepare)
+        tail = _Polar(_inverted, 0j, u_out, _CORE_FRACTION * u_out)
+        self.region = _patched(spec, reach, "exterior disk", annulus, prepare, [tail])
 
 
 def integrate_exterior_disk(f, spec: QuadratureSpec | None = None, plan: ExteriorDiskPlan | None = None) -> QuadratureResult:
@@ -606,8 +664,7 @@ def integrate_exterior_disk(f, spec: QuadratureSpec | None = None, plan: Exterio
         plan = ExteriorDiskPlan(spec)
     elif spec is not None and spec != plan.spec:
         raise ValueError("the plan was built for another QuadratureSpec")
-    total = plan.region.integrate(f, plan.spec)
-    cap, (gamma1, gamma2) = plan.tail.integrate(f, plan.spec)
+    total, (gamma1, gamma2) = plan.region.integrate(f, plan.spec)
     # |u| tail(u) growing toward u = 0 signals decay slower than |z|^-3
     if abs(gamma1) > plan.spec.abs_tol and abs(gamma1) > 1.4 * abs(gamma2):
         warnings.warn(
@@ -615,4 +672,4 @@ def integrate_exterior_disk(f, spec: QuadratureSpec | None = None, plan: Exterio
             RuntimeWarning,
             stacklevel=2,
         )
-    return _check(total + cap, "integrate_exterior_disk")
+    return _check(total, "integrate_exterior_disk")

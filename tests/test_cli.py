@@ -178,6 +178,37 @@ class TestSweep:
                     used[r.inequality] += r.inputs["n_evals"]
         assert used == {"area-disk": 66_048, "area-torus": 46_080}
 
+    def test_area_call_budget(self, monkeypatch, capsys):
+        # the PsiEvaluator.field calls of the sweep, a count that repeats
+        # exactly: each base point's seed pass in two or three calls shared
+        # by its six maps' checks, and one call per refinement (706 while
+        # each drive took four seeds a call and each core a call of its own)
+        calls = []
+        field = inequalities.PsiEvaluator.field
+        monkeypatch.setattr(inequalities.PsiEvaluator, "field", lambda ev, z: calls.append(np.size(z)) or field(ev, z))
+        assert main(["sweep", "--area", "--format", "csv"]) == EXIT_OK
+        assert len(calls) == 202
+
+    def test_bridge_call_budget(self, monkeypatch):
+        # the integrand calls of the 18 bridge checks, each form's seed pass
+        # and its refinements (78 disk and 36 torus calls while each drive
+        # took four seeds a call and each core a call of its own)
+        used = {"area-disk": 0, "area-torus": 0}
+        integrand, integrate = inequalities._DiskField.integrand, inequalities.integrate_rect
+
+        def counted(key, f):
+            return lambda *args: used.__setitem__(key, used[key] + 1) or f(*args)
+
+        monkeypatch.setattr(inequalities._DiskField, "integrand", counted("area-disk", integrand))
+        monkeypatch.setattr(inequalities, "integrate_rect", lambda f, rect, spec: integrate(counted("area-torus", f), rect, spec))
+        for name in ("joukowski", "identity", "b1:0.7"):
+            psi = resolve_map(name)
+            for zeta in (1.25, 2.0, 3j):
+                bridge = BridgeMaps.from_zeta(zeta)
+                verify_area_disk(phi_from_psi(bridge, psi), bridge.x0)
+                torus_area_crosscheck(psi, zeta)
+        assert used == {"area-disk": 24, "area-torus": 18}
+
     def test_area_sweep_csv_sha256(self, tmp_path):
         # the default area sweep's CSV bytes (x86_64, glibc libm, numpy 2.4
         # with OpenBLAS), as the sweep wrote them when it ran map by map
@@ -206,7 +237,7 @@ class TestSweep:
 
         def recording(self, spec):
             plan = plan_of(self, spec)
-            refs.append((weakref.ref(self), weakref.ref(plan), weakref.ref(plan.region.far.seed_calls[0].nodes)))
+            refs.append((weakref.ref(self), weakref.ref(plan), weakref.ref(plan.region.calls[0])))
             return plan
 
         monkeypatch.setattr(inequalities.BasePoint, "exterior_plan", recording)

@@ -745,23 +745,24 @@ def _driver_block(cell, to_plane):
 
 
 def _seed_call(seeds, to_plane, k=0):
-    """The nodes of the driver's seed call ``k`` on the cells ``seeds``:
-    seeds 4k to 4k + 3 and their children, (20, 8, 8) for a full four.  On
-    a 4 x 4 grid that is the k-th first-parameter band, on a patch's 1 x 2
-    grid all of it (k = 0).  Built by the drive, which holds its seed calls
-    from the start."""
-    calls = [call.nodes for call in _placed(seeds, to_plane).seed_calls]
-    assert len(calls) == -(-len(seeds) // 4) and calls[k].shape == (5 * len(seeds[4 * k : 4 * k + 4]), 8, 8)
-    return calls[k]
+    """The nodes of seeds 4k to 4k + 3 and their children on the cells
+    ``seeds``, (20, 8, 8) for a full four, from the drive's seed cells as
+    its region's seed pass places them.  On a 4 x 4 grid that is the k-th
+    first-parameter band, on a patch's 1 x 2 grid all of it (k = 0)."""
+    drive = _placed(seeds, to_plane)
+    cells = drive.seed_cells[20 * k : 20 * k + 20]
+    z = drive.call(cells).nodes
+    assert cells and z.shape == (len(cells), 8, 8)
+    return z
 
 
 _UNIT_DISK = _grid((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4)
 
 
 def _patch_seed_call(center, radius):
-    """The nodes of the one seed call of the polar patch of ``radius``
-    around ``center``: its 1 x 2 seeds (rho whole, theta halved) and their
-    children, (10, 8, 8)."""
+    """The seed nodes of the polar patch of ``radius`` around ``center``:
+    its 1 x 2 seeds (rho whole, theta halved) and their children, (10, 8,
+    8)."""
     return _seed_call(_grid((1e-5 * radius, radius, 0.0, 2.0 * math.pi), 1, 2), _polar(center))
 
 
@@ -792,10 +793,10 @@ def _is_annulus(seeds):
 def _sigma_seeds(zeta):
     """The seed cells of the log-polar annulus and of the polar patch around
     zeta, recorded from a verify_area_sigma run of joukowski whose drives
-    return at once."""
+    return at once, after the seed pass."""
     seen = []
 
-    def recording(drive, f, spec):
+    def recording(drive, f, spec, seeded):
         seen.append(drive.seeds)
         return QuadratureResult(0.0, 0.0, 0, True)
 
@@ -821,8 +822,8 @@ def _sigma_patch_refinement(zeta):
             raise _Recorded(np.asarray(z))
         return field(self, z)
 
-    def without_annulus(drive, f, spec):
-        return QuadratureResult(0.0, 0.0, 0, True) if _is_annulus(drive.seeds) else driver(drive, f, spec)
+    def without_annulus(drive, f, spec, seeded):
+        return QuadratureResult(0.0, 0.0, 0, True) if _is_annulus(drive.seeds) else driver(drive, f, spec, seeded)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PsiEvaluator, "field", recording)
@@ -837,9 +838,10 @@ def _sigma_patch_refinement(zeta):
 
 
 def _psi_driver_calls(zeta):
-    """u = 1/z at the nodes of four driver calls of the sigma form: the
-    annulus seed cell nearest zeta (its seed call and its refinement), and
-    the polar patch around zeta (its seed call and its first refinement)."""
+    """u = 1/z at four sets of nodes the sigma form's driver sends: the
+    annulus seed cell nearest zeta (its four seeds' part of the seed pass
+    and its refinement), and the polar patch around zeta (its seeds with
+    their children, and its first refinement call)."""
     seeds, patch = _sigma_seeds(complex(zeta))
     k = min(range(len(seeds)), key=lambda i: _sector_distance(seeds[i], zeta))
     annulus = lambda s, theta: 1.0 / np.exp(s + 1j * theta)
@@ -878,9 +880,9 @@ class TestMarchedSqrtBlock:
         x0 = bridge.x0
         fieldd = _DiskField(phi_from_psi(bridge, resolve_map("b1:0.7")))
         clear = min(0.4 * x0, min(0.4, 0.7 * (1.0 - x0)) / 1.6)
-        # seed cells of the unit-disk grid next to -x0 (their band's seed call
-        # and their refinements), a cell around -x0 and the seed call of the
-        # patch there
+        # seed cells of the unit-disk grid next to -x0 (their band's seeds
+        # with their children, and their refinements), a cell around -x0 and
+        # the seeds of the patch there
         calls = (
             _seed_call(_UNIT_DISK, _polar(0j), 1),
             _driver_block((0.25, 0.5, 0.5 * math.pi, math.pi), _polar(0j)),
@@ -1165,8 +1167,8 @@ def _disk_nodes(fieldd, n=300):
 
 
 def _disk_call(seed=True):
-    """One integrand call of the cubature on the unit-disk seed cell next to
-    -x0: its band's seed call, or its refinement."""
+    """Nodes the cubature sends on the unit-disk seed cell next to -x0: its
+    band's seeds with their children, or its refinement call."""
     if seed:
         return _seed_call(_UNIT_DISK, _polar(0j), 1)
     return _driver_block((0.25, 0.5, 0.5 * math.pi, math.pi), _polar(0j))
@@ -1402,7 +1404,7 @@ class TestClosedFormTorusSqrt:
         f, _ = _torus_parts("identity", 2.0, monkeypatch, coefficients=(0.0, 0.3))
         plain, _ = _torus_parts("identity", 2.0, monkeypatch, coefficients=None)
         p = BridgeMaps.from_zeta(2.0).params
-        # one integrand call of the cubature: the seed band across the real axis
+        # nodes the cubature sends: the seed band across the real axis, with its children
         z = _seed_call(_torus_seeds(p), lambda x, y: x + 1j * y, 1)
         (g,), blocks = _roots_used(lambda: f(z), monkeypatch)
         assert blocks == 1
@@ -1453,9 +1455,10 @@ class TestTorusPolesCancel:
 
 
 def _disk_driver_calls(x0):
-    """w at the nodes of driver calls of the disk form next to +-x0: the seed
-    call of the unit-disk band holding |w| = x0, the refinements of its four
-    seed cells, and the seed call of the patch around each of +-x0."""
+    """w at nodes the disk form's driver sends next to +-x0: the seeds of
+    the unit-disk band holding |w| = x0 with their children, the
+    refinements of those four seed cells, and the seeds of the patch around
+    each of +-x0 with their children."""
     i = min(int(4.0 * x0), 3)
     calls = [_seed_call(_UNIT_DISK, _polar(0j), i)]
     for q in range(4):
@@ -1468,16 +1471,18 @@ def _disk_driver_calls(x0):
 
 
 def _torus_driver_calls(zeta):
-    """z at the nodes of the four seed calls of the upper half band
-    -L..3L x 0..L'/2, which tags no point."""
+    """z at the nodes of the two calls of the seed pass of the upper half
+    band -L..3L x 0..L'/2, which tags no point: its 16 seeds and their
+    children, 5,120 nodes, in two calls of 2,560."""
     seeds = _torus_seeds(BridgeMaps.from_zeta(zeta).params)
-    return [_seed_call(seeds, lambda x, y: x + 1j * y, k) for k in range(4)]
+    z = np.concatenate([_seed_call(seeds, lambda x, y: x + 1j * y, k).ravel() for k in range(4)])
+    return [z[:2560], z[2560:]]
 
 
 @pytest.mark.parametrize("zeta", [1.0 + 1e-6, 1.25, 3j, 1e3])
 def test_torus_driver_calls_are_the_drivers(zeta, monkeypatch):
-    # the band's four seed calls open a real run, recorded by wrapping its
-    # integrand and stopped there; no patch seed call follows any more
+    # the band's two seed-pass calls open a real run, recorded by wrapping
+    # its integrand and stopped there; no patch seed call follows any more
     built, recorded = _torus_driver_calls(zeta), []
     integrate = inequalities.integrate_rect
 
@@ -1497,8 +1502,10 @@ def test_torus_driver_calls_are_the_drivers(zeta, monkeypatch):
 
 
 @pytest.mark.parametrize("zeta", [1.25, 2.0])
-def test_disk_patch_seed_calls_are_the_drivers(zeta, monkeypatch):
-    # built on a 2 x 2 grid, they were (20, 8, 8) calls the driver never made
+def test_disk_patch_seeds_close_the_seed_pass(zeta, monkeypatch):
+    # the seed pass of the disk form ends with the seeds of the patches at
+    # x0 and -x0, each with its children, and then their two rings each:
+    # the last 1,536 nodes of its two calls
     bridge, recorded = BridgeMaps.from_zeta(zeta), []
     integrand = _DiskField.integrand
 
@@ -1508,8 +1515,13 @@ def test_disk_patch_seed_calls_are_the_drivers(zeta, monkeypatch):
 
     monkeypatch.setattr(_DiskField, "integrand", recording)
     verify_area_disk(phi_from_psi(bridge, resolve_map("b1:0.7")), bridge.x0)
-    for w in _disk_driver_calls(bridge.x0)[-2:]:
-        assert any(_same_bits(w, seen) for seen in recorded)
+    x0 = bridge.x0
+    eps = 1e-5 * min(0.25, 0.8 * (1.0 - x0), 0.8 * x0)
+    rings = [center + np.array([[eps], [2.0 * eps]]) * quadrature._RING for center in (complex(x0), complex(-x0))]
+    closing = np.concatenate([w.ravel() for w in _disk_driver_calls(x0)[-2:] + rings])
+    first, second = recorded[:2]
+    assert first.ndim == second.ndim == 1 and first.size <= second.size <= min(first.size + 1, 4096)
+    assert _same_bits(np.concatenate([first, second])[-1536:], closing)
 
 
 class TestClosedNodeSector:
@@ -1605,7 +1617,18 @@ class TestGeneralMapsAnyCallLayout:
         batched = run()
         sums = _Drive.sums
         single = lambda drive, call, f: [v for c in call.cells for v in sums(drive, drive.call([c]), f)]
+
+        def cell_by_cell(region, f):
+            # the seed pass one cell a call, and one ring a call
+            seeded, g = [], lambda z: f(region.prepare(z))
+            for drive in region.drives:
+                calls = [drive.call([c]) for c in drive.seed_cells]
+                seeded.append(([v for call in calls for v in sums(drive, call, g)], sum(call.size for call in calls)))
+            rings = [np.concatenate([np.asarray(g(polar.ring[i : i + 1]), dtype=np.float64) for i in (0, 1)]) for polar in region.polars]
+            return seeded, rings
+
         monkeypatch.setattr(_Drive, "sums", single)
+        monkeypatch.setattr(quadrature._Region, "seed_pass", cell_by_cell)
         assert _verdict(run()) == _verdict(batched)
 
 

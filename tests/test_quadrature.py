@@ -35,8 +35,10 @@ def _in_parameters(g, seeds=()):
 
 
 def _adaptive_2d(g, seeds, spec):
-    """The driver on g(x, y) over the cells ``seeds``."""
-    return quadrature._adaptive_2d(_in_parameters(g, seeds), _passed, spec)
+    """The driver on g(x, y) over the cells ``seeds``, opened by their seed
+    pass."""
+    res, _ = quadrature._Region(_in_parameters(g, seeds)).integrate(_passed, spec)
+    return res
 
 
 def _cells_integral(g, cells):
@@ -60,30 +62,34 @@ class TestDriver:
             return self.peaked(x, y)
 
         res = _adaptive_2d(g, _SEEDS, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
-        # one call per first-parameter band of seeds: four seeds and their children
-        assert shapes[:4] == [(20, 8, 8)] * 4
+        # the seed pass places the 16 seeds, each with its four children, at once
+        assert shapes[0] == (80, 8, 8)
         # from then on, one call per refined cell with its 16 grandchildren
-        assert len(shapes) > 4 and set(shapes[4:]) == {(16, 8, 8)}
+        assert len(shapes) > 1 and set(shapes[1:]) == {(16, 8, 8)}
         assert res.n_evals == sum(math.prod(s) for s in shapes)
 
-    def test_seed_calls_cover_one_band_each(self):
-        firsts = []
+    def test_seed_block_is_each_seed_then_its_children(self):
+        placed = []
 
         def g(x, y):
-            firsts.append((x.min(), x.max()))
+            placed.append((x, y))
             return self.peaked(x, y)
 
         _adaptive_2d(g, _SEEDS, QuadratureSpec(rel_tol=1e-2, abs_tol=1e-2))
-        for i, (lo, hi) in enumerate(firsts[:4]):
-            assert 0.25 * i < lo and hi < 0.25 * (i + 1)
+        x, y = placed[0]
+        assert x.shape == (80, 8, 1) and y.shape == (80, 1, 8)
+        for k, (a0, a1, b0, b1) in enumerate(_SEEDS):
+            xs, ys = x[5 * k : 5 * k + 5], y[5 * k : 5 * k + 5]
+            assert a0 < xs.min() and xs.max() < a1 and b0 < ys.min() and ys.max() < b1
 
     def test_cell_sum_independent_of_call_layout(self):
-        # a cell's sum comes from its own nodes only: alone, in a seed band's
-        # call, in a refinement's call, or anywhere in a longer call
+        # a cell's sum comes from its own nodes only: alone, in a refinement's
+        # call, in a drive's seed block (up to a few hundred cells), or
+        # anywhere in a longer call
         rng = np.random.default_rng(3)
-        cells = [tuple(np.sort(rng.uniform(0.0, 2.0, 2))) + tuple(np.sort(rng.uniform(-1.0, 1.0, 2))) for _ in range(80)]
+        cells = [tuple(np.sort(rng.uniform(0.0, 2.0, 2))) + tuple(np.sort(rng.uniform(-1.0, 1.0, 2))) for _ in range(240)]
         alone = [_cells_integral(self.peaked, [c])[0] for c in cells]
-        for n in (5, 16, 20, 80):
+        for n in (5, 16, 20, 80, 240):
             for k in range(0, len(cells), n):
                 batch = _cells_integral(self.peaked, cells[k : k + n])
                 assert [v.hex() for v in batch] == [v.hex() for v in alone[k : k + n]]
@@ -119,10 +125,11 @@ class TestDriver:
         assert res.converged
 
 
-def _four_call_driver(drive, f, spec):
+def _four_call_driver(drive, f, spec, seeded=None):
     """The driver as it was with one ``(4, order, order)`` call per new child
     of a refined cell, each cell summed as ``w @ vals[k] @ w``, on the same
-    seed cells and nodes."""
+    seed cells and nodes; it sums its seeds itself, so ``seeded``, from the
+    seed pass, is not read."""
     seeds = drive.seeds
     n_evals = 0
     _, w = np.polynomial.legendre.leggauss(8)
@@ -222,6 +229,121 @@ class TestMergedRefinementCall:
         f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
         new, old = self.both(lambda: integrate_exterior_disk(f, spec), monkeypatch)
         assert self.same(new, old)
+
+
+def _four_seed_pass(region, f):
+    """The seed pass as the driver made it before: each drive's seeds four a
+    call, each with its four children, through ``_Drive.call``, and a call
+    of its own for each core's two rings, each call's nodes as the
+    region's ``prepare`` leaves them.  Returns what ``_Region.seed_pass``
+    does, and the nodes of each call."""
+    seeded, nodes = [], []
+    g = lambda z: f(region.prepare(z))
+    for drive in region.drives:
+        parts, n = [], 0
+        for i in range(0, len(drive.seeds), 4):
+            call = drive.call([c for cell in drive.seeds[i : i + 4] for c in (cell, *_split(cell))])
+            parts += drive.sums(call, g)
+            n += call.size
+            nodes.append(call.nodes)
+        seeded.append((parts, n))
+    rings = [np.asarray(g(polar.ring), dtype=np.float64) for polar in region.polars]
+    return (seeded, rings), nodes + [polar.ring for polar in region.polars]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSeedPass:
+    """A region's seed pass, its seed and ring nodes in ceil(n/4096) calls,
+    against the layout it replaced, four seeds a call and a call per core,
+    bit for bit: each seed's five GL sums, each core's value, error and
+    ring means, and the result."""
+
+    P, Q = 0.4 + 0.1j, -0.3 + 0.5j
+
+    @staticmethod
+    def recorded(f):
+        seen = []
+
+        def g(z):
+            seen.append(z)
+            return f(z)
+
+        return g, seen
+
+    def check(self, integrate, f, monkeypatch, n_regions=1):
+        runs = []
+        seed_pass = quadrature._Region.seed_pass
+
+        def recording(region, g):
+            runs.append((region, g, seed_pass(region, g)))
+            return runs[-1][-1]
+
+        g, seen = self.recorded(f)
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature._Region, "seed_pass", recording)
+            new = integrate(g)
+        assert len(runs) == n_regions
+        assert max(z.size for z in seen) <= quadrature._CALL_NODES
+        for region, g, (seeded, rings) in runs:
+            (old_seeded, old_rings), old_nodes = _four_seed_pass(region, g)
+            # each planned node reaches f once, in the order of the old calls
+            assert len(seen) > len(region.calls) and all(z is call for z, call in zip(seen, region.calls))
+            planned = np.concatenate([np.ravel(z) for z in region.calls])
+            assert np.array_equal(planned, np.concatenate([np.ravel(z) for z in old_nodes]))
+            n = planned.size
+            assert [z.size for z in region.calls] == [n * (i + 1) // len(region.calls) - n * i // len(region.calls) for i in range(len(region.calls))]
+            assert len(region.calls) == -(-n // quadrature._CALL_NODES)
+            for (parts, count), (old_parts, old_count) in zip(seeded, old_seeded, strict=True):
+                assert count == old_count and _hex(parts) == _hex(old_parts)
+            for polar, ring, old_ring in zip(region.polars, rings, old_rings, strict=True):
+                (core, *gammas), (old_core, *old_gammas) = polar.core(ring), polar.core(old_ring)
+                assert _hex([core.value, core.error, *gammas]) == _hex([old_core.value, old_core.error, *old_gammas])
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature._Region, "seed_pass", lambda region, g: _four_seed_pass(region, g)[0])
+            old = integrate(f)
+        assert _hex([new.value, new.error]) == _hex([old.value, old.error])
+        assert (new.n_evals, new.converged) == (old.n_evals, old.converged)
+        return new
+
+    def test_rect_with_two_points(self, monkeypatch):
+        p, q = self.P, self.Q
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p, q))
+        f = lambda z: np.cos(z.real) / np.abs(z - p) + 1.0 / np.abs(z - q)
+        self.check(lambda g: integrate_rect(g, (-1, 1, -1, 1), spec), f, monkeypatch)
+
+    def test_disk_with_the_origin_and_two_points(self, monkeypatch):
+        p, q = self.P, self.Q
+        spec = QuadratureSpec(rel_tol=1e-8, singular_points=(0j, p, q))
+        f = lambda z: 1.0 / np.abs(z) + 1.0 / np.abs(z - p) + np.abs(z) ** 2 / np.abs(z - q)
+        self.check(lambda g: integrate_disk(g, spec), f, monkeypatch)
+
+    def test_exterior_disk_own_plan(self, monkeypatch):
+        p = 1.02 * np.exp(0.4j)
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
+        f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
+        self.check(lambda g: integrate_exterior_disk(g, spec), f, monkeypatch)
+
+    def test_exterior_disk_shared_plan(self, monkeypatch):
+        # two integrands over one plan, whose calls are prepared once, when it is built
+        p = 3.0 * np.exp(2.0j)
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
+        prepared = []
+
+        def prepare(z):
+            prepared.append(z.shape)
+            return z
+
+        plan = quadrature.ExteriorDiskPlan(spec, prepare)
+        calls = list(plan.region.calls)
+        assert prepared == [z.shape for z in calls] and len(calls) >= 2
+        f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
+        h = lambda z: np.abs(z) ** -3.0 * (1.5 + np.cos(3.0 * np.angle(z))) / np.abs(z - p)
+        results = [self.check(lambda g: integrate_exterior_disk(g, plan=plan), e, monkeypatch) for e in (f, h)]
+        assert results[0].value != results[1].value
+        assert all(a is b for a, b in zip(plan.region.calls, calls, strict=True))
 
 
 class TestBumpWeight:
@@ -372,8 +494,8 @@ class TestEvaluationCount:
 
 
 class TestRingCore:
-    """Both rings of a core, eps and 2 eps, go to the integrand in one call
-    of 128 points, and each ring's mean keeps the bits of a call of its own."""
+    """The core reads f on both its rings, eps and 2 eps, as one ``(2, 64)``
+    block, and each ring's mean keeps the bits of a call of its own."""
 
     @staticmethod
     def two_calls(g, center, eps):
@@ -401,44 +523,56 @@ class TestRingCore:
             shapes.append(np.broadcast_shapes(z.shape, np.shape(rho)))
             return g(z, rho)
 
-        # a polar drive whose nodes are (z, rho), out to 2 eps: only its rings are called
+        # a polar drive whose nodes are (z, rho), out to 2 eps: only its rings are read
         polar = quadrature._Polar(lambda z, rho: ((z, rho), _passed), center, 2.0 * eps, eps)
-        core, gamma1, gamma2 = polar.core(lambda nodes: counted(*nodes))
+        core, gamma1, gamma2 = polar.core(np.asarray(counted(*polar.ring), dtype=np.float64))
         assert shapes == [(2, 64)]
         got = (core.value, core.error, gamma1, gamma2)
         assert [v.hex() for v in got] == [v.hex() for v in self.two_calls(g, center, eps)]
         assert core.n_evals == 128
 
-    def test_two_cores_two_calls(self):
-        # the patch's core and the tail's core, one 128-point call each
+    def test_rings_close_the_seed_pass(self):
+        # the patch's rings and then the tail's, 256 points at the end of the
+        # seed pass's last call; no call of their own
         p = 2.0 + 0.5j
-        shapes = []
+        spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
+        plan = quadrature.ExteriorDiskPlan(spec)
+        seen = []
 
         def f(z):
-            shapes.append(z.shape)
+            seen.append(z)
             return np.abs(z) ** -3.0 / np.abs(z - p)
 
-        integrate_exterior_disk(f, QuadratureSpec(rel_tol=1e-7, singular_points=(p,)))
-        assert shapes.count((2, 64)) == 2
+        integrate_exterior_disk(f, plan=plan)
+        patch, tail = plan.region.polars
+        last = seen[len(plan.region.calls) - 1]
+        assert last is plan.region.calls[-1]
+        rings = np.concatenate([patch.ring.ravel(), tail.ring.ravel()])
+        assert np.array_equal(last[-256:], rings)
+        assert np.all(np.abs(rings[:128] - p) < 2e-5) and np.all(np.abs(rings[128:]) > 1e5)
+        assert all(z.shape != (2, 64) for z in seen)
 
 
 class TestSeedGrid:
-    """Each drive opens with its seed calls, four seeds and their children a
-    call, the last call taking what is left: the rectangle and the
-    unit-disk grid seed 4 x 4 in four calls, the bump-confined polar
-    patches and the tail cap seed 1 x 2 in one, and the log-polar annulus
-    seeds cells about square in its metric, graded toward each bump."""
+    """Each drive opens with its seeds and their children in its region's
+    seed pass: the rectangle and the unit-disk grid seed 4 x 4, the
+    bump-confined polar patches and the tail cap seed 1 x 2, and the
+    log-polar annulus seeds cells about square in its metric, graded toward
+    each bump.  The pass gives f the region's seed and ring nodes in
+    ceil(n/4096) calls of near-equal size; then each refinement is a call
+    on 16 cells."""
 
     @staticmethod
-    def drives(integrate, monkeypatch):
-        """The seeds and the shapes of the integrand calls of each drive, in
-        drive order."""
-        seen = []
+    def drives(integrate, f, monkeypatch):
+        """The seeds of each drive in drive order, with the seed sums and seed
+        node count the seed pass gave it and the shapes of its refinement
+        calls, and the sizes of the integrand's calls."""
+        seen, sizes = [], []
         driver = quadrature._adaptive_2d
 
-        def recording(drive, f, spec):
+        def recording(drive, f, spec, seeded):
             shapes = []
-            seen.append((drive.seeds, shapes))
+            seen.append((drive.seeds, seeded, shapes))
             sums = drive.sums
 
             def counted(call, f):
@@ -446,40 +580,50 @@ class TestSeedGrid:
                 return sums(call, f)
 
             drive.sums = counted
-            return driver(drive, f, spec)
+            return driver(drive, f, spec, seeded)
+
+        def g(z):
+            sizes.append(z.size)
+            return f(z)
 
         monkeypatch.setattr(quadrature, "_adaptive_2d", recording)
-        integrate()
+        integrate(g)
+        # the seed pass: every drive's seed nodes and two 64-point rings a core
+        n = sum(seeded[1] for _, seeded, _ in seen) + 128 * (len(seen) - 1)
+        calls = -(-n // 4096)
+        assert sizes[:calls] == [n * (i + 1) // calls - n * i // calls for i in range(calls)]
+        assert len(sizes) == calls + sum(len(shapes) for _, _, shapes in seen)
         return seen
 
     @staticmethod
-    def opens_with(drive, grid=None):
-        seeds, shapes = drive
+    def opens_with(drive, grid=None, live=True):
+        seeds, (parts, n), shapes = drive
         if grid is not None:
             assert seeds == _grid(*grid)
-        n_calls = -(-len(seeds) // 4)
-        assert shapes[:n_calls] == [(5 * len(seeds[i : i + 4]), 8, 8) for i in range(0, len(seeds), 4)]
-        assert set(shapes[n_calls:]) <= {(16, 8, 8)}
+        assert len(parts) == 5 * len(seeds)
+        # a far drive passes f no node where its bumps leave no weight
+        assert n == 5 * 64 * len(seeds) if live else n <= 5 * 64 * len(seeds)
+        assert set(shapes) <= {(16, 8, 8)}
 
     def test_exterior_disk(self, monkeypatch):
         # rel_tol 1e-8, so that each of the three drives refines past its seeds
         p = 2.0 + 0.5j
         spec = QuadratureSpec(rel_tol=1e-8, singular_points=(p,))
         f = lambda z: np.abs(z) ** -3.0 / np.abs(z - p)
-        annulus, patch, tail = self.drives(lambda: integrate_exterior_disk(f, spec), monkeypatch)
+        annulus, patch, tail = self.drives(lambda g: integrate_exterior_disk(g, spec), f, monkeypatch)
         r0, r = 2.2 * abs(p), 0.8 * (abs(p) - 1.0)  # the patch stays clear of the circle
         assert annulus[0] == quadrature._annulus_seeds(r0, [(p, r)])
-        self.opens_with(annulus)
+        self.opens_with(annulus, live=False)
         self.opens_with(patch, ((1e-5 * r, r, 0.0, 2.0 * math.pi), 1, 2))
         self.opens_with(tail, ((1e-5 / r0, 1.0 / r0, 0.0, 2.0 * math.pi), 1, 2))
-        assert all(len(shapes) > -(-len(seeds) // 4) for seeds, shapes in (annulus, patch, tail))
+        assert all(shapes for _, _, shapes in (annulus, patch, tail))
 
     def test_disk(self, monkeypatch):
         p, q = 0.4 + 0.1j, -0.3 + 0.5j
         spec = QuadratureSpec(rel_tol=1e-7, singular_points=(0j, p, q))
         f = lambda z: 1.0 / np.abs(z) + 1.0 / np.abs(z - p) + 1.0 / np.abs(z - q)
-        grid, *patches = self.drives(lambda: integrate_disk(f, spec), monkeypatch)
-        self.opens_with(grid, ((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4))
+        grid, *patches = self.drives(lambda g: integrate_disk(g, spec), f, monkeypatch)
+        self.opens_with(grid, ((0.0, 1.0, 0.0, 2.0 * math.pi), 4, 4), live=False)
         assert len(patches) == 3  # the origin gets a patch like any other point
         for drive in patches:
             self.opens_with(drive)
@@ -488,8 +632,9 @@ class TestSeedGrid:
     def test_rect(self, monkeypatch):
         p = 0.2 + 0.1j
         spec = QuadratureSpec(rel_tol=1e-7, singular_points=(p,))
-        grid, patch = self.drives(lambda: integrate_rect(lambda z: 1.0 / np.abs(z - p), (-1, 1, -1, 1), spec), monkeypatch)
-        self.opens_with(grid, ((-1.0, 1.0, -1.0, 1.0), 4, 4))
+        f = lambda z: 1.0 / np.abs(z - p)
+        grid, patch = self.drives(lambda g: integrate_rect(g, (-1, 1, -1, 1), spec), f, monkeypatch)
+        self.opens_with(grid, ((-1.0, 1.0, -1.0, 1.0), 4, 4), live=False)
         self.opens_with(patch, ((1e-5 * 0.5, 0.5, 0.0, 2.0 * math.pi), 1, 2))
 
 
